@@ -14,9 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,7 +69,6 @@ class ExperimentConfig:
     experiment: dict
     output_dir: str
     seed: int
-    workers: int
     source_path: str
 
     def effective(self) -> dict:
@@ -82,7 +79,7 @@ class ExperimentConfig:
             "spectral": self.spectral,
             "experiment": self.experiment,
             "output": {"dir": self.output_dir},
-            "run": {"seed": self.seed, "workers": self.workers},
+            "run": {"seed": self.seed},
         }
 
 
@@ -196,7 +193,6 @@ def parse_config(path: str) -> ExperimentConfig:
         experiment=exp_cfg,
         output_dir=_get(out, "dir", str, "out"),
         seed=_get(run, "seed", int, 0),
-        workers=_get(run, "workers", int, os.cpu_count() or 1),
         source_path=str(path),
     )
 
@@ -340,19 +336,14 @@ def _cmd_resonance(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
     report["verdicts"]["SR+"] = _verdict_dict(sr.plus)
     report["verdicts"]["SR-"] = _verdict_dict(sr.minus)
 
-    # probes at different radii are independent; run them on the bounded
-    # worker pool with per-task seeding so results do not depend on timing
-    radii = cfg.experiment["probe_radii"]
-
-    def probe_at(item):
-        i, radius = item
-        return kernel_sphere_probe(
+    # each probe has its own seed, so its result does not depend on the others
+    results = [
+        kernel_sphere_probe(
             spec, proj, None, radius, sign=1,
             rng=np.random.default_rng([cfg.seed, i]),
         )
-
-    with ThreadPoolExecutor(max_workers=max(1, cfg.workers)) as pool:
-        results = list(pool.map(probe_at, enumerate(radii)))
+        for i, radius in enumerate(cfg.experiment["probe_radii"])
+    ]
     report["kernel_sphere_probe"] = [
         {
             "radius": pr.radius,

@@ -328,7 +328,9 @@ class Projections:
         sqrt_w = np.sqrt(self.grid.weights)
         self._psi_kernel = self.kernel_fields * sqrt_w[:, None]
         self._psi_below = self.below_fields * sqrt_w[:, None]
-        self._resolvent_cache: dict[float, object] = {}
+        # the deflated-resolvent factors of the most recent λ only: a branch
+        # sweep never returns to an earlier λ
+        self._resolvent: _BorderedResolvent | None = None
 
     @property
     def dim_kernel(self) -> int:
@@ -404,20 +406,64 @@ def build_projections(
 
 
 class _BorderedResolvent:
-    """LU factorization of the kernel-deflated (A - λ) solve at one λ."""
+    """Kernel-deflated (A - λ) solve at one λ, by block elimination.
+
+    The deflated solve is the bordered system [[S - λI, ψ], [ψᵀ, 0]] with ψ
+    the kernel eigenvectors in the symmetric frame.  Its dense ψ row and
+    column make a direct LU fill in, so the fast path factors S - λI alone
+    and eliminates the border through the k×k Schur complement
+    G = ψᵀ (S - λI)^{-1} ψ:  x = (S - λI)^{-1} r,  z = x - Y G^{-1} ψᵀ x
+    with Y = (S - λI)^{-1} ψ.  Near λ0, Y and the rounding error of x grow
+    like 1/|λ - λ0| along the kernel; the correction removes exactly that
+    component, so z stays bounded through λ = λ0.  The pivoted LU of the
+    bordered matrix itself is the fallback, built only for the λ where the
+    fast path is unavailable (S - λI exactly singular) or fails its checks.
+    """
 
     def __init__(self, op: HamiltonianOperator, proj: Projections, lam: float):
-        n = op.grid.num_nodes
-        psi = proj._psi_kernel
-        k = psi.shape[1]
-        block = sp.bmat(
-            [[op.sym_matrix - lam * sp.identity(n), sp.csc_matrix(psi)],
-             [sp.csc_matrix(psi.T), None]],
-            format="csc",
-        )
-        self.lu = spla.splu(block)
-        self.n = n
-        self.k = k
+        self.lam = float(lam)
+        self.n = op.grid.num_nodes
+        self.psi = proj._psi_kernel
+        self.k = self.psi.shape[1]
+        self._shifted = (
+            op.sym_matrix - lam * sp.identity(self.n, format="csc")
+        ).tocsc()
+        self._bordered_lu = None
+        try:
+            self.lu = spla.splu(self._shifted)
+        except RuntimeError:  # exactly singular S - λI
+            self.lu = None
+            return
+        self.Y = self.lu.solve(self.psi)
+        self.G = self.psi.T @ self.Y
+
+    def solve(self, r: np.ndarray) -> np.ndarray | None:
+        """Fast path: the deflated solve by block elimination, or None when
+        S - λI could not be factored or G is singular."""
+        if self.lu is None:
+            return None
+        x = self.lu.solve(r)
+        try:
+            return x - self.Y @ np.linalg.solve(self.G, self.psi.T @ x)
+        except np.linalg.LinAlgError:
+            return None
+
+    def solve_bordered(self, r: np.ndarray) -> np.ndarray:
+        """Fallback: a pivoted LU of the bordered matrix, factored once."""
+        if self._bordered_lu is None:
+            block = sp.bmat(
+                [[self._shifted, sp.csc_matrix(self.psi)],
+                 [sp.csc_matrix(self.psi.T), None]],
+                format="csc",
+            )
+            try:
+                self._bordered_lu = spla.splu(block)
+            except RuntimeError as exc:
+                raise SpectralError(
+                    f"bordered resolvent factorization failed: {exc}"
+                ) from exc
+        sol = self._bordered_lu.solve(np.concatenate([r, np.zeros(self.k)]))
+        return sol[: self.n]
 
 
 def apply_resolvent_complement(
@@ -429,10 +475,14 @@ def apply_resolvent_complement(
 ) -> np.ndarray:
     """z = [(A - λ)|_X]^{-1} Q w, solved with kernel deflation.
 
-    w is pre-projected onto the complement X; the bordered system pins the
-    kernel coefficients to zero, so the solve stays well-conditioned through
-    λ = λ0.  The residual ||(A-λ)z - Qw|| must come out below
-    tol_lin * ||Qw|| and ||z|| <= ||Qw|| / c, both checked.
+    w is pre-projected onto the complement X; the deflated solve pins the
+    kernel coefficients to zero, so it stays well-conditioned through
+    λ = λ0.  It runs by block elimination on a factorization of S - λI
+    alone, kept for the most recent λ.  Every result is checked: the
+    residual ||(A-λ)z - Qw|| must come out below tol_lin * ||Qw|| and
+    ||z|| <= ||Qw|| / c.  A result that fails either check is recomputed
+    with a pivoted LU of the kernel-bordered system and checked again;
+    SpectralError is raised only when that fails too.
     """
     grid = op.grid
     if abs(lam - proj.lambda0) > proj.delta * (1 + 1e-12):
@@ -447,23 +497,32 @@ def apply_resolvent_complement(
     # absolute slack at the scale of the unprojected input: a numerically
     # pure-kernel w leaves only rounding in q and a relative test is moot
     floor = 1e-13 * grid.norm(w_in)
-    key = float(lam)
-    solver = proj._resolvent_cache.get(key)
-    if solver is None:
-        solver = _BorderedResolvent(op, proj, lam)
-        proj._resolvent_cache[key] = solver
+
+    def failure(z: np.ndarray) -> str | None:
+        # negated comparisons so that a NaN fails the check
+        residual = grid.norm(op.apply(z) - lam * z - q)
+        if not residual <= tol_lin * qnorm + floor:
+            return (
+                f"resolvent solve residual {residual:.3e} exceeds "
+                f"{tol_lin:.1e} * ||Qw|| = {tol_lin * qnorm:.3e}"
+            )
+        if not grid.norm(z) <= (qnorm + floor) / proj.gap_constant * (1 + 1e-9):
+            return "resolvent output violates the spectral bound ||z|| <= ||Qw||/c"
+        return None
+
+    solver = proj._resolvent
+    if solver is None or solver.lam != float(lam):
+        proj._resolvent = None  # release the previous λ's factors first
+        solver = proj._resolvent = _BorderedResolvent(op, proj, lam)
     sqrt_w = np.sqrt(grid.weights)
-    rhs = np.concatenate([sqrt_w * q, np.zeros(solver.k)])
-    sol = solver.lu.solve(rhs)
-    z = sol[: solver.n] / sqrt_w
-    residual = grid.norm(op.apply(z) - lam * z - q)
-    if residual > tol_lin * qnorm + floor:
-        raise SpectralError(
-            f"resolvent solve residual {residual:.3e} exceeds "
-            f"{tol_lin:.1e} * ||Qw|| = {tol_lin * qnorm:.3e}"
-        )
-    if grid.norm(z) > (qnorm + floor) / proj.gap_constant * (1 + 1e-9):
-        raise SpectralError(
-            "resolvent output violates the spectral bound ||z|| <= ||Qw||/c"
-        )
+    rhs = sqrt_w * q
+    fast = solver.solve(rhs)
+    if fast is not None:
+        z = fast / sqrt_w
+        if failure(z) is None:
+            return z
+    z = solver.solve_bordered(rhs) / sqrt_w
+    reason = failure(z)
+    if reason is not None:
+        raise SpectralError(reason)
     return z

@@ -108,3 +108,30 @@ def smooth_field():
         return u
 
     return make
+
+
+@pytest.fixture(scope="session")
+def block_elimination_agrees():
+    """Check that the block-eliminated deflated resolvent matches a solve
+    with the pivoted LU of the bordered matrix at λ0 - δ, λ0 - δ 2^-12, λ0
+    and λ0 + δ, to 1e-10 relative."""
+    from resonance_lab.spectral import _BorderedResolvent
+
+    def check(op, proj, seed):
+        grid = op.grid
+        sqrt_w = np.sqrt(grid.weights)
+        rng = np.random.default_rng(seed)
+        lam0, delta = proj.lambda0, proj.delta
+        for lam in (lam0 - delta, lam0 - delta * 2.0**-12, lam0, lam0 + delta):
+            solver = _BorderedResolvent(op, proj, lam)
+            for _ in range(3):
+                r = sqrt_w * proj.project_complement(
+                    rng.standard_normal(grid.num_nodes)
+                )
+                fast = solver.solve(r)
+                reference = solver.solve_bordered(r)
+                assert fast is not None
+                err = np.linalg.norm(fast - reference)
+                assert err <= 1e-10 * np.linalg.norm(reference), (lam, err)
+
+    return check

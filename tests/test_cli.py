@@ -139,6 +139,19 @@ def test_resonance_report(tmp_path):
     assert all(p["min_pairing"] > 0 for p in probes)
 
 
+def test_resonance_report_independent_of_core_count(tmp_path, monkeypatch):
+    # reports must be byte-identical across machines, not only across reruns
+    cfg = _write(tmp_path, PT_BASE.format(n=1001))
+    out = tmp_path / "out"
+    reports = []
+    for cores in (1, 8):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert main(["resonance", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        reports.append((out / "resonance.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert "workers" not in json.loads(reports[0])["config"]["run"]
+
+
 def test_semiflow_trajectory_and_snapshots(tmp_path):
     cfg = PT_BASE.format(n=1001) + (
         "\n[experiment]\nhorizon = 0.5\nstop = time-only\nsave_every = 10\n"

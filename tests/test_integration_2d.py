@@ -57,6 +57,11 @@ def test_pair_resolvent(well, pair_proj):
         assert g.norm(op.apply(z) - lam * z - q) <= 1e-8 * g.norm(q)
 
 
+def test_pair_resolvent_block_elimination_agrees(well, pair_proj,
+                                                 block_elimination_agrees):
+    block_elimination_agrees(well[1], pair_proj, seed=23)
+
+
 def test_pair_landesman_lazer_net(pair_proj, spec2):
     pair = rl.check_landesman_lazer(spec2, pair_proj.kernel_fields)
     assert pair.plus.holds

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 import resonance_lab as rl
+from resonance_lab import spectral
 from resonance_lab.grid import GridError
 from resonance_lab.spectral import ResonantLambdaError, SpectralError
 
@@ -236,6 +238,98 @@ def test_resolvent_residual_and_bound(rng, pt_grid, pt_proj, pt_op, pt_data):
                 abs(pt_data.alpha_inf - lam),
             )
             assert pt_grid.norm(z) <= pt_grid.norm(q) / dist + 1e-8
+
+
+def test_resolvent_block_elimination_agrees(pt_op, pt_proj,
+                                            block_elimination_agrees):
+    block_elimination_agrees(pt_op, pt_proj, seed=11)
+
+
+def test_resolvent_fill_free_and_bounded(rng, pt_grid, pt_data, pt_op):
+    # the factor of S - λI keeps the tridiagonal's sparsity at every point of
+    # the branch schedule (a dense kernel border would fill it to ~300 n),
+    # the checked fast path serves every solve, and only the most recent λ's
+    # factors are kept
+    proj = rl.build_projections(pt_data, -1.0, 0.25)
+    n = pt_grid.num_nodes
+    w = rng.standard_normal(n)
+    for k in range(1, 13):
+        lam = proj.lambda0 - proj.delta * 2.0**-k
+        rl.apply_resolvent_complement(pt_op, proj, lam, w)
+        solver = proj._resolvent
+        assert solver.lam == lam
+        assert solver.lu.L.nnz + solver.lu.U.nnz <= 10 * n
+        rl.apply_resolvent_complement(pt_op, proj, lam, 2 * w)
+        assert proj._resolvent is solver
+        assert solver._bordered_lu is None
+
+
+def _check_resolvent(grid, proj, lam, w, z):
+    q = proj.project_complement(w)
+    resid = grid.norm(proj.operator.apply(z) - lam * z - q)
+    assert resid <= 1e-8 * grid.norm(q)
+    assert grid.norm(z) <= grid.norm(q) / proj.gap_constant
+
+
+def test_resolvent_falls_back_when_fast_path_fails_check(rng, pt_grid,
+                                                         pt_data, pt_op):
+    # a factorization of S - λ'I at a stale λ' fails the residual check
+    proj = rl.build_projections(pt_data, -1.0, 0.25)
+    lam = proj.lambda0 - proj.delta / 4
+    stale = spectral._BorderedResolvent(pt_op, proj, lam + 0.1)
+    solver = proj._resolvent = spectral._BorderedResolvent(pt_op, proj, lam)
+    solver.lu, solver.Y, solver.G = stale.lu, stale.Y, stale.G
+    w = rng.standard_normal(pt_grid.num_nodes)
+    q = proj.project_complement(w)
+    wrong = solver.solve(np.sqrt(pt_grid.weights) * q) / np.sqrt(pt_grid.weights)
+    assert pt_grid.norm(pt_op.apply(wrong) - lam * wrong - q) > 1e-3 * pt_grid.norm(q)
+    z = rl.apply_resolvent_complement(pt_op, proj, lam, w)
+    assert proj._resolvent is solver and solver._bordered_lu is not None
+    _check_resolvent(pt_grid, proj, lam, w, z)
+
+
+def test_resolvent_falls_back_when_shifted_matrix_singular(
+    rng, monkeypatch, pt_grid, pt_data, pt_op
+):
+    proj = rl.build_projections(pt_data, -1.0, 0.25)
+    n = pt_grid.num_nodes
+    real_splu = spectral.spla.splu
+
+    def splu(A, *args, **kwargs):
+        if A.shape == (n, n):
+            raise RuntimeError("Factor is exactly singular")
+        return real_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spectral.spla, "splu", splu)
+    w = rng.standard_normal(n)
+    for lam in (proj.lambda0, proj.lambda0 - proj.delta / 4):
+        z = rl.apply_resolvent_complement(pt_op, proj, lam, w)
+        assert proj._resolvent.lu is None
+        assert proj._resolvent._bordered_lu is not None
+        _check_resolvent(pt_grid, proj, lam, w, z)
+
+
+@pytest.mark.parametrize("bordered_fault", ["singular", "stale"])
+def test_resolvent_raises_when_both_paths_fail(
+    bordered_fault, rng, monkeypatch, pt_grid, pt_data, pt_op
+):
+    proj = rl.build_projections(pt_data, -1.0, 0.25)
+    n = pt_grid.num_nodes
+    lam = proj.lambda0 - proj.delta / 4
+    real_splu = spectral.spla.splu
+
+    def splu(A, *args, **kwargs):
+        if A.shape == (n, n) or bordered_fault == "singular":
+            raise RuntimeError("Factor is exactly singular")
+        # a factorization of the bordered matrix shifted by 0.1 I: its
+        # solution fails the residual check
+        return real_splu((A + 0.1 * sp.eye(A.shape[0], format="csc")).tocsc())
+
+    monkeypatch.setattr(spectral.spla, "splu", splu)
+    with pytest.raises(SpectralError):
+        rl.apply_resolvent_complement(
+            pt_op, proj, lam, rng.standard_normal(n)
+        )
 
 
 def test_resolvent_window_enforced(pt_proj, pt_op):
