@@ -13,7 +13,7 @@ a trailing window plus a minimum growth factor; a power of ||u|| versus
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .nonlinearity import NonlinearitySpec
 from .semiflow import kernel_drift_rate
 from .solver import SolveResult, SolverConfig, solve_near_resonance
 from .spectral import HamiltonianOperator, Projections
+
+TAIL_LENGTH = 6  # branch points the necessary-condition diagnostics look at
 
 
 class BranchError(ValueError):
@@ -91,13 +93,7 @@ class BifurcationReport:
             "delta": self.delta,
             "bound_norm": self.bound_norm,
             "num_converged": sum(p.converged for p in self.points),
-            "verdict": None if v is None else {
-                "detected": v.detected,
-                "fitted_power": v.fitted_power,
-                "growth_ratio": v.growth_ratio,
-                "window": v.window,
-                "reason": v.reason,
-            },
+            "verdict": None if v is None else asdict(v),
             "necessary_conditions": None if nc is None else {
                 "trivial_branch": nc.trivial_branch,
                 "qu_bound": nc.qu_bound,
@@ -241,7 +237,6 @@ def continue_branch(
     op: HamiltonianOperator,
     spec: NonlinearitySpec,
     solver_config: SolverConfig | None = None,
-    u_init: np.ndarray | None = None,
 ) -> list[BranchPoint]:
     """Warm-started solves along a one-sided schedule approaching λ0.
 
@@ -281,9 +276,7 @@ def continue_branch(
             # zero solution exists at every lambda and scaling it stays zero
             if op.grid.norm(pk) > trivial_scale:
                 warm = (abs(prev_lam - lam0) / abs(lam - lam0)) * pk
-        if u_init is not None and prev is None:
-            start = op.grid.check_field(u_init)
-        elif warm is not None:
+        if warm is not None:
             start = warm
         else:
             radius, direction = default_initial_radius(lam, projections, spec)
@@ -342,12 +335,12 @@ def necessary_condition_report(
     branch: list,
     projections: Projections,
     spec: NonlinearitySpec,
-    c: float | None = None,
-    tail_length: int = 6,
 ) -> NecessaryConditionReport:
-    """Diagnostics mirroring the necessary conditions along a branch tail.
+    """Diagnostics mirroring the necessary conditions along the last
+    TAIL_LENGTH converged nontrivial branch points.
 
-    (a) max ||Qu|| against the bound 2 c^{-1} ||m|| (c defaults to δ);
+    (a) max ||Qu|| against the bound 2 c^{-1} ||m||, with c = δ the gap
+        constant of the projections;
     (b) boundedness proxy for ||∇Qu|| (max and trailing trend slope);
     (c) divergence proxies: ||Pu||, ||u||, ||∇u|| strictly increasing on the
         tail;
@@ -365,14 +358,13 @@ def necessary_condition_report(
             kernel_sandwich_c1=math.nan, kernel_sandwich_c2=math.nan,
             tail_length=0,
         )
-    if len(nontrivial) < tail_length:
+    if len(nontrivial) < TAIL_LENGTH:
         raise BranchError(
             f"branch tail too short: {len(nontrivial)} converged nontrivial "
-            f"points, need {tail_length}"
+            f"points, need {TAIL_LENGTH}"
         )
-    tail = nontrivial[-tail_length:]
-    gap_c = c if c is not None else projections.delta
-    qu_bound = 2.0 * spec.bound_norm / gap_c
+    tail = nontrivial[-TAIL_LENGTH:]
+    qu_bound = 2.0 * spec.bound_norm / projections.gap_constant
     qu_max = max(p.complement_l2 for p in nontrivial)
     grad_qu = np.array([p.complement_grad_l2 for p in tail])
     kernel_norms = np.array([p.kernel_l2 for p in tail])
@@ -402,5 +394,5 @@ def necessary_condition_report(
         sandwich_spread=float(np.max(ratios) / np.min(ratios)),
         kernel_sandwich_c1=float(np.nanmin(kernel_ratios)),
         kernel_sandwich_c2=float(np.nanmax(kernel_ratios)),
-        tail_length=tail_length,
+        tail_length=TAIL_LENGTH,
     )

@@ -15,7 +15,8 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from .nonlinearity import (
     kernel_sphere_probe,
     make_nonlinearity,
 )
-from .potential import PotentialError, PotentialSpec, make_potential
+from .potential import PotentialError, make_potential
 from .reporting import write_csv, write_json, write_snapshots
 from .solver import SolverConfig
 from .spectral import (
@@ -90,8 +91,8 @@ def _get(section, key, cast, default=None, required=False):
         return default
     raw = section[key]
     try:
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
+        if cast is bool:  # 1/true/yes/on or 0/false/no/off, any case
+            return section.getboolean(key)
         return cast(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
@@ -182,6 +183,15 @@ def parse_config(path: str) -> ExperimentConfig:
     for key in ("tol_fp", "tol_pde", "horizon", "growth_factor"):
         if exp_cfg[key] is not None and exp_cfg[key] <= 0:
             raise ConfigError(f"[experiment] {key} must be positive")
+    for key in ("num_points", "window", "max_iter", "save_every"):
+        if exp_cfg[key] < 1:
+            raise ConfigError(f"[experiment] {key} must be at least 1")
+    for key, choices in (("side", ("minus", "plus")), ("stop", sf.STOP_RULES)):
+        if exp_cfg[key] not in choices:
+            raise ConfigError(
+                f"[experiment] {key} must be one of {', '.join(choices)}, "
+                f"got {exp_cfg[key]!r}"
+            )
 
     out = parser["output"] if "output" in parser else {}
     run = parser["run"] if "run" in parser else {}
@@ -197,52 +207,64 @@ def parse_config(path: str) -> ExperimentConfig:
     )
 
 
-# -- pipeline pieces ----------------------------------------------------------
+# -- pipeline -------------------------------------------------------------------
 
 
-def _build_grid(cfg: ExperimentConfig) -> Grid:
-    return make_grid(
-        cfg.grid["ndim"], cfg.grid["half_width"], cfg.grid["points_per_axis"]
-    )
+class Problem:
+    """The set-up of one experiment, in the order of the paper's argument.
 
+    Each stage is built on first use and kept: the grid, the Hamiltonian of
+    the split potential (`op`), its low spectrum (`data`), the nonlinearity
+    (`spec`) and the projections at the selected eigenvalue λ0 (`proj`).  A
+    subcommand reads only the stages it needs, so `spectrum` never builds the
+    nonlinearity and `semiflow` without a λ0 selection never runs the
+    eigensolver.
+    """
 
-def _build_potential(cfg: ExperimentConfig, grid: Grid) -> PotentialSpec:
-    params = dict(cfg.potential)
-    family = params.pop("family")
-    if "ell" in params:
-        params["ell"] = float(params["ell"])
-    return make_potential(grid, family, **params)
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
 
+    @cached_property
+    def grid(self) -> Grid:
+        return make_grid(**self.cfg.grid)
 
-def _build_nonlinearity(cfg: ExperimentConfig, grid: Grid) -> NonlinearitySpec:
-    params = dict(cfg.nonlinearity)
-    family = params.pop("family")
-    return make_nonlinearity(grid, family, **params)
+    @cached_property
+    def op(self) -> HamiltonianOperator:
+        return assemble_hamiltonian(
+            self.grid, make_potential(self.grid, **self.cfg.potential)
+        )
 
+    @cached_property
+    def data(self) -> SpectralData:
+        s = self.cfg.spectral
+        return eigenpairs_below(
+            self.op,
+            ceiling=s["ceiling"],
+            tol_eig=s["tol_eig"],
+            cluster_tol=s["cluster_tol"],
+            max_count=s["max_count"],
+        )
 
-def _build_spectral(cfg: ExperimentConfig, op: HamiltonianOperator) -> SpectralData:
-    s = cfg.spectral
-    return eigenpairs_below(
-        op,
-        ceiling=s["ceiling"],
-        tol_eig=s["tol_eig"],
-        cluster_tol=s["cluster_tol"],
-        max_count=s["max_count"],
-    )
+    @cached_property
+    def spec(self) -> NonlinearitySpec:
+        return make_nonlinearity(self.grid, **self.cfg.nonlinearity)
 
-
-def _resolve_lambda0(cfg: ExperimentConfig, data: SpectralData) -> float:
-    s = cfg.spectral
-    try:
-        if s["lambda0_index"] is not None:
-            return data.select_lambda0(("index", s["lambda0_index"]))
-        if s["lambda0_value"] is not None:
-            return data.select_lambda0(("value", s["lambda0_value"]))
-    except SpectralError as exc:
-        raise ConfigError(f"unresolvable lambda0: {exc}") from exc
-    raise ConfigError(
-        "[spectral] needs lambda0_index or lambda0_value to select lambda0"
-    )
+    @cached_property
+    def proj(self) -> Projections:
+        s = self.cfg.spectral
+        data = self.data  # eigensolver failures stay numerical failures
+        try:
+            if s["lambda0_index"] is not None:
+                lam0 = data.select_lambda0(("index", s["lambda0_index"]))
+            elif s["lambda0_value"] is not None:
+                lam0 = data.select_lambda0(("value", s["lambda0_value"]))
+            else:
+                raise ConfigError(
+                    "[spectral] needs lambda0_index or lambda0_value to select lambda0"
+                )
+        except SpectralError as exc:
+            raise ConfigError(f"unresolvable lambda0: {exc}") from exc
+        return build_projections(data, lam0, s["delta_request"])
 
 
 def _initial_field(cfg: ExperimentConfig, grid: Grid,
@@ -273,10 +295,8 @@ def _initial_field(cfg: ExperimentConfig, grid: Grid,
 
 
 def _cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
-    grid = _build_grid(cfg)
-    pot = _build_potential(cfg, grid)
-    op = assemble_hamiltonian(grid, pot)
-    data = _build_spectral(cfg, op)
+    problem = Problem(cfg)
+    op, data = problem.op, problem.data
     rows = [
         (center, len(idx), float(np.max(data.residuals[idx])))
         for center, idx in data.multiplets
@@ -305,36 +325,21 @@ def _cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
     return EXIT_OK
 
 
-def _verdict_dict(v) -> dict:
-    return {
-        "condition": v.condition,
-        "holds": v.holds,
-        "witnesses": v.witnesses,
-        "mass_fraction": v.mass_fraction,
-        "applicable": v.applicable,
-        "note": v.note,
-    }
-
-
 def _cmd_resonance(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
-    grid = _build_grid(cfg)
-    pot = _build_potential(cfg, grid)
-    op = assemble_hamiltonian(grid, pot)
-    data = _build_spectral(cfg, op)
-    lam0 = _resolve_lambda0(cfg, data)
-    proj = build_projections(data, lam0, cfg.spectral["delta_request"])
-    spec = _build_nonlinearity(cfg, grid)
+    problem = Problem(cfg)
+    proj = problem.proj
+    spec = problem.spec
 
     report = {"lambda0": proj.lambda0, "delta": proj.delta, "verdicts": {}}
     if spec.has_limits():
         ll = check_landesman_lazer(spec, proj.kernel_fields, rng=rng)
-        report["verdicts"]["LL+"] = _verdict_dict(ll.plus)
-        report["verdicts"]["LL-"] = _verdict_dict(ll.minus)
+        report["verdicts"]["LL+"] = asdict(ll.plus)
+        report["verdicts"]["LL-"] = asdict(ll.minus)
     sr = check_sign_condition(
         spec, sample_budget=cfg.experiment["sample_budget"], rng=rng
     )
-    report["verdicts"]["SR+"] = _verdict_dict(sr.plus)
-    report["verdicts"]["SR-"] = _verdict_dict(sr.minus)
+    report["verdicts"]["SR+"] = asdict(sr.plus)
+    report["verdicts"]["SR-"] = asdict(sr.minus)
 
     # each probe has its own seed, so its result does not depend on the others
     results = [
@@ -363,13 +368,9 @@ def _cmd_resonance(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
 
 
 def _cmd_branch(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
-    grid = _build_grid(cfg)
-    pot = _build_potential(cfg, grid)
-    op = assemble_hamiltonian(grid, pot)
-    data = _build_spectral(cfg, op)
-    lam0 = _resolve_lambda0(cfg, data)
-    proj = build_projections(data, lam0, cfg.spectral["delta_request"])
-    spec = _build_nonlinearity(cfg, grid)
+    problem = Problem(cfg)
+    proj = problem.proj
+    op, spec = problem.op, problem.spec
     e = cfg.experiment
     sign = -1.0 if e["side"] == "minus" else 1.0
     schedule = [
@@ -398,9 +399,7 @@ def _cmd_branch(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
     )
     if spec.has_limits():
         ll = check_landesman_lazer(spec, proj.kernel_fields, rng=rng)
-        summary.resonance = {
-            "LL+": _verdict_dict(ll.plus), "LL-": _verdict_dict(ll.minus)
-        }
+        summary.resonance = {"LL+": asdict(ll.plus), "LL-": asdict(ll.minus)}
     report = summary.to_dict()
     report["config"] = cfg.effective()
     write_json(out_dir / "bifurcation.json", report)
@@ -412,16 +411,13 @@ def _cmd_branch(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
 
 
 def _cmd_semiflow(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
-    grid = _build_grid(cfg)
-    pot = _build_potential(cfg, grid)
-    op = assemble_hamiltonian(grid, pot)
-    spec = _build_nonlinearity(cfg, grid)
+    problem = Problem(cfg)
+    grid, op, spec = problem.grid, problem.op, problem.spec
     e = cfg.experiment
-    proj = None
     s = cfg.spectral
+    proj = None
     if s["lambda0_index"] is not None or s["lambda0_value"] is not None:
-        data = _build_spectral(cfg, op)
-        proj = build_projections(data, _resolve_lambda0(cfg, data), s["delta_request"])
+        proj = problem.proj
     if e["lam"] is not None:
         lam = e["lam"]
     elif proj is not None:
@@ -468,14 +464,7 @@ def _cmd_semiflow(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
             "n0": tail.n0,
             "all_passed": tail.all_passed,
             "all_guaranteed_passed": tail.all_guaranteed_passed,
-            "rows": [
-                {
-                    "radius": r.radius, "t1": r.t1, "measured": r.measured,
-                    "bound": r.bound, "passed": r.passed,
-                    "guaranteed": r.guaranteed,
-                }
-                for r in tail.rows
-            ],
+            "rows": [asdict(r) for r in tail.rows],
         }
     write_json(out_dir / "semiflow.json", report)
     return EXIT_OK

@@ -27,6 +27,8 @@ from .spectral import Projections
 # "positive measure" proxy: quadrature mass above this fraction of the box
 MASS_TOL_FACTOR = 1e-8
 MARGIN_FACTOR = 1e-10
+# points of the kernel-sphere net in 2-D and beyond (1-D uses the two poles)
+NET_DIRECTIONS = 64
 
 
 class NonlinearityError(ValueError):
@@ -274,16 +276,16 @@ class ConditionPair:
     minus: ResonanceVerdict
 
 
-def _kernel_net(basis: np.ndarray, directions: int, rng) -> np.ndarray:
+def _kernel_net(basis: np.ndarray, rng) -> np.ndarray:
     """Columns: an epsilon-net of the unit kernel sphere (coefficient space)."""
     dim = basis.shape[1]
     if dim == 1:
         coeffs = np.array([[1.0], [-1.0]])
     elif dim == 2:
-        angles = np.linspace(0.0, 2.0 * np.pi, directions, endpoint=False)
+        angles = np.linspace(0.0, 2.0 * np.pi, NET_DIRECTIONS, endpoint=False)
         coeffs = np.column_stack([np.cos(angles), np.sin(angles)])
     else:
-        raw = rng.standard_normal((directions, dim))
+        raw = rng.standard_normal((NET_DIRECTIONS, dim))
         coeffs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     return coeffs
 
@@ -291,18 +293,16 @@ def _kernel_net(basis: np.ndarray, directions: int, rng) -> np.ndarray:
 def check_landesman_lazer(
     spec: NonlinearitySpec,
     kernel_basis: np.ndarray,
-    directions: int = 64,
-    margin: float | None = None,
-    mass_tol: float | None = None,
     rng: np.random.Generator | None = None,
 ) -> ConditionPair:
     """Landesman-Lazer integrals over an epsilon-net of the kernel sphere.
 
     For each unit kernel field phi the (LL)+ witness is
     I = int (fcheck_plus phi^+ - fhat_minus phi^-); the verdict holds when
-    min I > margin.  (LL)- uses I = int (fhat_plus phi^+ - fcheck_minus phi^-)
-    and needs max I < -margin.  The pointwise positive-measure diagnostics
-    are reported as quadrature-mass fractions.
+    min I > margin, with margin = MARGIN_FACTOR max(1, max m).  (LL)- uses
+    I = int (fhat_plus phi^+ - fcheck_minus phi^-) and needs max I < -margin.
+    The pointwise positive-measure diagnostics are reported as quadrature-mass
+    fractions.
     """
     grid = spec.grid
     if not spec.has_limits():
@@ -317,14 +317,10 @@ def check_landesman_lazer(
     if basis.shape[1] == 0:
         raise NonlinearityError("kernel_basis is empty")
     rng = rng or np.random.default_rng(0)
-    scale = max(1.0, float(np.max(spec.bound_m, initial=0.0)))
-    if margin is None:
-        margin = MARGIN_FACTOR * scale
+    margin = MARGIN_FACTOR * max(1.0, float(np.max(spec.bound_m, initial=0.0)))
     box_mass = (2.0 * grid.half_width) ** grid.ndim
-    if mass_tol is None:
-        mass_tol = MASS_TOL_FACTOR * box_mass
 
-    coeffs = _kernel_net(basis, directions, rng)
+    coeffs = _kernel_net(basis, rng)
     w = grid.weights
     plus_int, minus_int = [], []
     for c in coeffs:
@@ -372,8 +368,6 @@ def check_landesman_lazer(
 def check_sign_condition(
     spec: NonlinearitySpec,
     sample_budget: int = 4096,
-    margin: float | None = None,
-    mass_tol: float | None = None,
     rng: np.random.Generator | None = None,
 ) -> ConditionPair:
     """Strong-resonance (sign) conditions by sampling s f(x, s) on the grid.
@@ -386,12 +380,9 @@ def check_sign_condition(
     """
     grid = spec.grid
     rng = rng or np.random.default_rng(0)
-    scale = max(1.0, float(np.max(spec.bound_m, initial=0.0)))
-    if margin is None:
-        margin = MARGIN_FACTOR * scale
+    margin = MARGIN_FACTOR * max(1.0, float(np.max(spec.bound_m, initial=0.0)))
     box_mass = (2.0 * grid.half_width) ** grid.ndim
-    if mass_tol is None:
-        mass_tol = MASS_TOL_FACTOR * box_mass
+    mass_tol = MASS_TOL_FACTOR * box_mass
 
     if spec.k_unbounded:
         verdictp = ResonanceVerdict(
@@ -459,7 +450,6 @@ def kernel_sphere_probe(
     samples: Sequence[np.ndarray] | None,
     radius: float,
     sign: int = 1,
-    directions: int = 64,
     rng: np.random.Generator | None = None,
 ) -> SphereProbe:
     """Probe the inward/outward pairing on the kernel sphere of a given radius.
@@ -476,7 +466,7 @@ def kernel_sphere_probe(
     grid = spec.grid
     rng = rng or np.random.default_rng(0)
     basis = projections.kernel_fields
-    coeffs = _kernel_net(basis, directions, rng)
+    coeffs = _kernel_net(basis, rng)
     if samples is None:
         samples = [np.zeros(grid.num_nodes)]
     samples = [grid.check_field(s) for s in samples]

@@ -228,13 +228,12 @@ class AsymptoticBottom:
 def asymptotic_bottom(
     spec: PotentialSpec,
     radii_schedule: Sequence[float] | None = None,
-    convergence_tol: float = 1e-6,
 ) -> AsymptoticBottom:
     """Nodal-minimum estimate of alpha_inf over an increasing radii schedule.
 
     Returns the minimum of sampled v_infty over |x| >= R at the largest R,
     plus the full (nondecreasing) sequence; `converged` reports whether the
-    last two entries agree to convergence_tol.
+    last two entries agree to 1e-6.
     """
     grid = spec.grid
     L = grid.half_width
@@ -254,7 +253,7 @@ def asymptotic_bottom(
             raise PotentialError(f"annulus |x| >= {R} contains no grid nodes")
         minima.append(float(np.min(spec.v_infty[mask])))
     converged = (
-        len(minima) < 2 or abs(minima[-1] - minima[-2]) <= convergence_tol
+        len(minima) < 2 or abs(minima[-1] - minima[-2]) <= 1e-6
     )
     return AsymptoticBottom(
         value=minima[-1], radii=radii, minima=minima, converged=converged

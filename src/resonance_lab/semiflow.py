@@ -38,6 +38,7 @@ from .spectral import HamiltonianOperator, Projections
 
 CUTOFF_LIPSCHITZ = 2.0  # sup |phi'| of the radial cutoff ramp on [1/2, 1]
 DT_FLOOR = 1e-12
+STOP_RULES = ("time-only", "equilibrium", "j-plateau")
 
 
 class StepRejected(RuntimeError):
@@ -111,13 +112,10 @@ def imex_step(
     dt: float,
     op: HamiltonianOperator,
     spec: NonlinearitySpec,
-    stepper: ImexStepper | None = None,
 ) -> SemiflowState:
     """One implicit-explicit Euler step (local truncation O(dt^2))."""
-    if stepper is None or stepper.lam != lam or stepper.dt != dt:
-        stepper = ImexStepper(op, lam, dt)
     u = op.grid.check_field(state.u)
-    u_next = stepper.step(u, evaluate_f(spec, u))
+    u_next = ImexStepper(op, lam, dt).step(u, evaluate_f(spec, u))
     return SemiflowState(t=state.t + dt, u=u_next)
 
 
@@ -156,21 +154,20 @@ def evolve(
     dt: float | None = None,
     stop: str = "equilibrium",
     save_every: int = 10,
-    tol_eq: float | None = None,
     projections: Projections | None = None,
     j_plateau_tol: float = 1e-12,
 ) -> Trajectory:
     """Advance the semiflow to the horizon with the chosen stopping rule.
 
-    stop is one of "time-only", "equilibrium" (||u_next - u||/dt below
-    tol_eq, default 1e-6 (1 + ||u||_H1)) or "j-plateau".  Rejected steps
+    stop is one of STOP_RULES: "time-only", "equilibrium" (||u_next - u||/dt
+    at most 1e-6 (1 + ||u_next||_H1)) or "j-plateau".  Rejected steps
     halve dt; dt underflow raises StepCascadeError.  States are saved every
     save_every accepted steps with J and, when projections are attached, the
     kernel/complement norms.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    if stop not in ("time-only", "equilibrium", "j-plateau"):
+    if stop not in STOP_RULES:
         raise ValueError(f"unknown stop rule {stop!r}")
     grid = op.grid
     if dt is None:
@@ -206,10 +203,7 @@ def evolve(
         traj.dt_history.append(dt_step)
         save_now = steps % save_every == 0
         if stop == "equilibrium":
-            scale = tol_eq if tol_eq is not None else 1e-6 * (
-                1.0 + field_norms(grid, u_next).h1
-            )
-            if rate <= scale:
+            if rate <= 1e-6 * (1.0 + field_norms(grid, u_next).h1):
                 traj.equilibrium = True
                 traj.stop_reason = "equilibrium"
                 save_now = True
@@ -274,18 +268,17 @@ def tail_decay_report(
     spec: NonlinearitySpec,
     radii: Sequence[float],
     alpha: float | None = None,
-    eta: float | None = None,
 ) -> TailDecayReport:
     """Check measured complement tails against the assembled decay bound.
 
     For each saved time t1 > t0 and each radius n the measured
     tail_mass(Qu(t1), n) is compared with e^{-2α(t1-t0)} ||u(t0)||^2 + α_n.
-    α defaults to α_inf - λ0 - δ - η with η the midpoint default
-    (α_inf - λ0 - δ)/4; α_n is assembled from 2 R^2 L_φ / n, the potential
-    and bound-field tails over |x| >= n/√2 and the kernel-ball tail maximum
-    κ_n, all divided by α.  n0 is the smallest radius with
-    v_infty > α_inf - η on |x| >= n/√2; only radii >= n0 are guaranteed by
-    the theory, the rest are reported but not required to pass.
+    α defaults to α_inf - λ0 - δ - η with η = (α_inf - λ0 - δ)/4; α_n is
+    assembled from 2 R^2 L_φ / n, the potential and bound-field tails over
+    |x| >= n/√2 and the kernel-ball tail maximum κ_n, all divided by α.  n0
+    is the smallest radius with v_infty > α_inf - η on |x| >= n/√2; only
+    radii >= n0 are guaranteed by the theory, the rest are reported but not
+    required to pass.
     """
     grid = op.grid
     lam0, delta = projections.lambda0, projections.delta
@@ -296,10 +289,7 @@ def tail_decay_report(
             "alpha_inf - lambda0 - delta <= 0: the decay bound needs "
             "lambda0 + delta below the asymptotic bottom"
         )
-    if eta is None:
-        eta = 0.25 * gap
-    if not 0 < eta <= 0.5 * gap:
-        raise ValueError(f"eta must lie in (0, {0.5 * gap}], got {eta}")
+    eta = 0.25 * gap
     if alpha is None:
         alpha = gap - eta
     if alpha <= 0:

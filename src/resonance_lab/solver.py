@@ -23,16 +23,16 @@ from .grid import field_norms
 from .nonlinearity import NonlinearitySpec, evaluate_f
 from .spectral import HamiltonianOperator, Projections, apply_resolvent_complement
 
+ANDERSON_DEPTH = 8             # iterates kept in the Anderson history
+DAMPING_FLOOR = 1.0 / 64.0     # smallest relaxation of the plain fixed-point step
+
 
 @dataclass
 class SolverConfig:
     tol_fp: float = 1e-8           # fixed-point defect tolerance (L2)
     tol_pde: float = 1e-6          # PDE residual tolerance, scaled by (1 + ||w||_H1)
     max_iter: int = 200
-    anderson_depth: int = 8
     accelerate: bool = True
-    damping_floor: float = 1.0 / 64.0
-    tol_lin: float = 1e-8          # resolvent residual tolerance
     u_cap: float | None = None     # abort when ||u||_H1 exceeds this
     allow_resonant: bool = False   # permit λ == λ0 (may not converge)
 
@@ -58,11 +58,10 @@ def k_map(
     projections: Projections,
     op: HamiltonianOperator,
     spec: NonlinearitySpec,
-    tol_lin: float = 1e-8,
 ) -> np.ndarray:
     """One application of K(λ, u)."""
     pu = projections.project_kernel(u)
-    z = apply_resolvent_complement(op, projections, lam, u, tol_lin=tol_lin)
+    z = apply_resolvent_complement(op, projections, lam, u)
     return (1.0 + lam - projections.lambda0) * pu + evaluate_f(spec, pu + z)
 
 
@@ -71,10 +70,9 @@ def reconstruct_solution(
     u: np.ndarray,
     projections: Projections,
     op: HamiltonianOperator,
-    tol_lin: float = 1e-8,
 ) -> np.ndarray:
     """w = P u + [(A - λ)|_X]^{-1} Q u."""
-    z = apply_resolvent_complement(op, projections, lam, u, tol_lin=tol_lin)
+    z = apply_resolvent_complement(op, projections, lam, u)
     return projections.project_kernel(u) + z
 
 
@@ -140,7 +138,7 @@ def solve_near_resonance(
     capped = False
     message = ""
 
-    g = k_map(lam, u, projections, op, spec, cfg.tol_lin)
+    g = k_map(lam, u, projections, op, spec)
     defect = grid.norm(u - g)
     it = 0
     while it < cfg.max_iter:
@@ -155,14 +153,14 @@ def solve_near_resonance(
             break
         us.append(u)
         gs.append(g)
-        if len(us) > cfg.anderson_depth:
+        if len(us) > ANDERSON_DEPTH:
             us.pop(0)
             gs.pop(0)
 
         stepped = False
         if cfg.accelerate and len(us) >= 2:
             u_acc = _anderson_proposal(us, gs)
-            g_acc = k_map(lam, u_acc, projections, op, spec, cfg.tol_lin)
+            g_acc = k_map(lam, u_acc, projections, op, spec)
             d_acc = grid.norm(u_acc - g_acc)
             if d_acc < defect:
                 u, g, defect = u_acc, g_acc, d_acc
@@ -170,10 +168,10 @@ def solve_near_resonance(
                 stepped = True
         if not stepped:
             u_plain = (1.0 - theta) * u + theta * g
-            g_plain = k_map(lam, u_plain, projections, op, spec, cfg.tol_lin)
+            g_plain = k_map(lam, u_plain, projections, op, spec)
             d_plain = grid.norm(u_plain - g_plain)
             if d_plain >= defect:
-                theta = max(theta / 2.0, cfg.damping_floor)
+                theta = max(theta / 2.0, DAMPING_FLOOR)
             u, g, defect = u_plain, g_plain, d_plain
         it += 1
     else:
@@ -182,7 +180,7 @@ def solve_near_resonance(
 
     u = best_u if best_defect < defect else u
     defect = min(defect, best_defect)
-    w = reconstruct_solution(lam, u, projections, op, cfg.tol_lin)
+    w = reconstruct_solution(lam, u, projections, op)
     residual = pde_residual(lam, w, op, spec)
     h1 = field_norms(grid, w).h1
     converged = (

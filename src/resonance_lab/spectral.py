@@ -15,7 +15,6 @@ alpha_inf).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -26,6 +25,10 @@ from .grid import Grid, GridError
 from .potential import AsymptoticBottom, PotentialSpec, asymptotic_bottom
 
 DENSE_FALLBACK_NODES = 2000
+# a requested ceiling may exceed alpha_inf by this fraction of the spectral scale
+CEILING_MARGIN = 1e-6
+# relative residual a deflated resolvent solve must reach
+TOL_LIN = 1e-8
 
 
 class SpectralError(RuntimeError):
@@ -44,8 +47,7 @@ class HamiltonianOperator:
     potential is estimated once at assembly and cached.
     """
 
-    def __init__(self, grid: Grid, potential: PotentialSpec,
-                 alpha_schedule: Sequence[float] | None = None):
+    def __init__(self, grid: Grid, potential: PotentialSpec):
         if potential.grid is not grid:
             raise GridError("potential was sampled on a different grid")
         self.grid = grid
@@ -54,9 +56,7 @@ class HamiltonianOperator:
         self.v_samples = v
         self.matrix = (grid.neg_laplacian_matrix() + sp.diags(v)).tocsr()
         self.sym_matrix = (grid.symmetrized_stiffness() + sp.diags(v)).tocsc()
-        self.alpha_bottom: AsymptoticBottom = asymptotic_bottom(
-            potential, alpha_schedule
-        )
+        self.alpha_bottom: AsymptoticBottom = asymptotic_bottom(potential)
         self.alpha_inf = self.alpha_bottom.value
         self._gersh = None
 
@@ -85,13 +85,9 @@ class HamiltonianOperator:
         return max(self.gershgorin_lower(), float(np.min(self.v_samples)))
 
 
-def assemble_hamiltonian(
-    grid: Grid,
-    potential: PotentialSpec,
-    alpha_schedule: Sequence[float] | None = None,
-) -> HamiltonianOperator:
+def assemble_hamiltonian(grid: Grid, potential: PotentialSpec) -> HamiltonianOperator:
     """Assemble A = -Δ_h + diag(V) with a cached asymptotic-bottom estimate."""
-    return HamiltonianOperator(grid, potential, alpha_schedule)
+    return HamiltonianOperator(grid, potential)
 
 
 @dataclass
@@ -173,12 +169,11 @@ def eigenpairs_below(
     tol_eig: float = 1e-8,
     cluster_tol: float | None = None,
     max_count: int = 64,
-    ceiling_margin: float = 1e-6,
 ) -> SpectralData:
     """All discrete eigenvalues of A below the ceiling, with eigenfields.
 
     The ceiling defaults to the cached alpha_inf estimate and may not exceed
-    it by more than ceiling_margin (above it the box fills with spurious
+    it by more than CEILING_MARGIN (above it the box fills with spurious
     continuum states).  Uses shift-invert Lanczos with an adaptively grown
     block; dense tridiagonal/symmetric fallback for small grids.  Raises
     SpectralError if max_count eigenvalues are found below the ceiling or a
@@ -188,7 +183,7 @@ def eigenpairs_below(
     if ceiling is None:
         ceiling = op.alpha_inf
     scale = max(1.0, abs(op.alpha_inf), abs(ceiling), abs(op.spectrum_lower_bound()))
-    if ceiling > op.alpha_inf + ceiling_margin * scale:
+    if ceiling > op.alpha_inf + CEILING_MARGIN * scale:
         raise SpectralError(
             f"ceiling {ceiling} exceeds alpha_inf estimate {op.alpha_inf}; "
             "eigenvalues up there are discretization artifacts"
@@ -471,7 +466,6 @@ def apply_resolvent_complement(
     proj: Projections,
     lam: float,
     w_field: np.ndarray,
-    tol_lin: float = 1e-8,
 ) -> np.ndarray:
     """z = [(A - λ)|_X]^{-1} Q w, solved with kernel deflation.
 
@@ -479,7 +473,7 @@ def apply_resolvent_complement(
     kernel coefficients to zero, so it stays well-conditioned through
     λ = λ0.  It runs by block elimination on a factorization of S - λI
     alone, kept for the most recent λ.  Every result is checked: the
-    residual ||(A-λ)z - Qw|| must come out below tol_lin * ||Qw|| and
+    residual ||(A-λ)z - Qw|| must come out below TOL_LIN * ||Qw|| and
     ||z|| <= ||Qw|| / c.  A result that fails either check is recomputed
     with a pivoted LU of the kernel-bordered system and checked again;
     SpectralError is raised only when that fails too.
@@ -501,10 +495,10 @@ def apply_resolvent_complement(
     def failure(z: np.ndarray) -> str | None:
         # negated comparisons so that a NaN fails the check
         residual = grid.norm(op.apply(z) - lam * z - q)
-        if not residual <= tol_lin * qnorm + floor:
+        if not residual <= TOL_LIN * qnorm + floor:
             return (
                 f"resolvent solve residual {residual:.3e} exceeds "
-                f"{tol_lin:.1e} * ||Qw|| = {tol_lin * qnorm:.3e}"
+                f"{TOL_LIN:.1e} * ||Qw|| = {TOL_LIN * qnorm:.3e}"
             )
         if not grid.norm(z) <= (qnorm + floor) / proj.gap_constant * (1 + 1e-9):
             return "resolvent output violates the spectral bound ||z|| <= ||Qw||/c"

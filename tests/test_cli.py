@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import resonance_lab
+from resonance_lab import cli
 from resonance_lab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VERDICT, main
 from resonance_lab.reporting import read_snapshots
 
@@ -265,3 +266,65 @@ def test_seed_override_changes_embedded_config(tmp_path):
     assert main(["spectrum", "--config", cfg, "--out", str(out), "--seed", "99"]) == EXIT_OK
     report = json.loads((out / "spectrum.json").read_text())
     assert report["config"]["run"]["seed"] == 99
+
+
+@pytest.mark.parametrize("sub, key, value", [
+    ("semiflow", "save_every", "0"),
+    ("semiflow", "stop", "equlibrium"),
+    ("semiflow", "snapshots", "ture"),
+    ("branch", "side", "minsu"),
+    ("branch", "num_points", "0"),
+    ("branch", "window", "0"),
+    ("branch", "max_iter", "0"),
+])
+def test_malformed_experiment_value_is_config_error(tmp_path, capsys, sub, key, value):
+    cfg = PT_BASE.format(n=1001) + f"\n[experiment]\n{key} = {value}\n"
+    code, out = _run(tmp_path, sub, cfg)
+    assert code == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_spectrum_never_builds_the_nonlinearity(tmp_path):
+    cfg = PT_BASE.format(n=1001).replace("family = arctan", "family = bogus")
+    code, out = _run(tmp_path, "spectrum", cfg)
+    assert code == EXIT_OK
+    assert (out / "spectrum.json").exists()
+
+
+SEMIFLOW_NO_LAMBDA0 = PT_BASE.format(n=1001).replace("lambda0_value = -1.0\n", "") + (
+    "\n[experiment]\nhorizon = 0.05\nstop = time-only\ninitial = gaussian 1.0\n"
+)
+
+
+def test_semiflow_without_lambda0_skips_the_eigensolver(tmp_path, monkeypatch):
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolver called without a lambda0 selection")
+
+    monkeypatch.setattr(cli, "eigenpairs_below", no_eigensolve)
+    cfg = SEMIFLOW_NO_LAMBDA0.replace("horizon", "lam = -2.0\nhorizon")
+    code, out = _run(tmp_path, "semiflow", cfg)
+    assert code == EXIT_OK
+    assert json.loads((out / "semiflow.json").read_text())["lam"] == -2.0
+
+
+def test_semiflow_without_lambda0_needs_lam(tmp_path, capsys):
+    code, _ = _run(tmp_path, "semiflow", SEMIFLOW_NO_LAMBDA0)
+    assert code == EXIT_CONFIG
+    assert "lam is required" in capsys.readouterr().err
+
+
+def test_branch_builds_each_stage_once(tmp_path, monkeypatch):
+    calls = {"assemble_hamiltonian": 0, "eigenpairs_below": 0}
+    for name in calls:
+        original = getattr(cli, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    cfg = PT_BASE.format(n=1001) + "\n[experiment]\nnum_points = 6\n"
+    code, _ = _run(tmp_path, "branch", cfg)
+    assert code == EXIT_OK
+    assert calls == {"assemble_hamiltonian": 1, "eigenpairs_below": 1}
