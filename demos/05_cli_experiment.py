@@ -37,30 +37,31 @@ expect_positive = true
 seed = 42
 """
 
-workdir = Path(tempfile.mkdtemp(prefix="resonance_lab_demo_"))
-config_path = workdir / "branch.ini"
-config_path.write_text(CONFIG)
-out = workdir / "out"
+with tempfile.TemporaryDirectory(prefix="resonance_lab_demo_") as tmp:
+    workdir = Path(tmp)
+    config_path = workdir / "branch.ini"
+    config_path.write_text(CONFIG)
+    out = workdir / "out"
 
-print(f"work dir: {workdir}")
-code = main(["spectrum", "--config", str(config_path), "--out", str(out)])
-print(f"spectrum exit code: {code}")
-print((out / "spectrum.csv").read_text())
+    print(f"work dir: {workdir}")
+    code = main(["spectrum", "--config", str(config_path), "--out", str(out)])
+    print(f"spectrum exit code: {code}")
+    print((out / "spectrum.csv").read_text())
 
-code = main(["branch", "--config", str(config_path), "--out", str(out)])
-print(f"branch exit code: {code} (0 = detected, 4 = expected-positive failed)")
+    code = main(["branch", "--config", str(config_path), "--out", str(out)])
+    print(f"branch exit code: {code} (0 = detected, 4 = expected-positive failed)")
 
-first = (out / "bifurcation.json").read_bytes()
-main(["branch", "--config", str(config_path), "--out", str(out)])
-second = (out / "bifurcation.json").read_bytes()
-print(f"byte-identical on rerun: {first == second}")
+    first = (out / "bifurcation.json").read_bytes()
+    main(["branch", "--config", str(config_path), "--out", str(out)])
+    second = (out / "bifurcation.json").read_bytes()
+    print(f"byte-identical on rerun: {first == second}")
 
-report = json.loads(first)
-v = report["verdict"]
-print(f"\nverdict: detected={v['detected']}  fitted power {v['fitted_power']:+.3f}")
-nc = report["necessary_conditions"]
-print(f"Qu bound check: max {nc['qu_max']:.4f} <= {nc['qu_bound']:.4f}"
-      f" -> {nc['qu_bound_passed']}")
+    report = json.loads(first)
+    v = report["verdict"]
+    print(f"\nverdict: detected={v['detected']}  fitted power {v['fitted_power']:+.3f}")
+    nc = report["necessary_conditions"]
+    print(f"Qu bound check: max {nc['qu_max']:.4f} <= {nc['qu_bound']:.4f}"
+          f" -> {nc['qu_bound_passed']}")
 
-code = main(["report", "--config", str(config_path), "--out", str(out)])
-print(f"\nmerged report written: {out / 'report.json'} (exit {code})")
+    code = main(["report", "--config", str(config_path), "--out", str(out)])
+    print(f"\nmerged report written: {out / 'report.json'} (exit {code})")

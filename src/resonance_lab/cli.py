@@ -186,6 +186,7 @@ def parse_config(path: str) -> ExperimentConfig:
     for key in ("num_points", "window", "max_iter", "save_every"):
         if exp_cfg[key] < 1:
             raise ConfigError(f"[experiment] {key} must be at least 1")
+    _initial_spec(exp_cfg["initial"], grid_cfg["ndim"])
     for key, choices in (("side", ("minus", "plus")), ("stop", sf.STOP_RULES)):
         if exp_cfg[key] not in choices:
             raise ConfigError(
@@ -267,28 +268,44 @@ class Problem:
         return build_projections(data, lam0, s["delta_request"])
 
 
+def _initial_spec(text: str, ndim: int) -> tuple[str, list[float]]:
+    """Parse `[experiment] initial`: `zero`, `kernel [R]` or
+    `gaussian [amp [c_1 .. c_ndim [width]]]`."""
+    kind, *tokens = text.split() or [""]
+    counts = {"zero": (0,), "kernel": (0, 1), "gaussian": (0, 1, 1 + ndim, 2 + ndim)}
+    if kind not in counts:
+        raise ConfigError(f"[experiment] initial: unknown kind in {text!r}")
+    if len(tokens) not in counts[kind]:
+        raise ConfigError(
+            f"[experiment] initial: {kind} takes {' or '.join(map(str, counts[kind]))} "
+            f"numbers here, got {text!r}"
+        )
+    try:
+        values = [float(tok) for tok in tokens]
+    except ValueError as exc:
+        raise ConfigError(f"[experiment] initial: bad number in {text!r}") from exc
+    if not all(np.isfinite(values)):
+        raise ConfigError(f"[experiment] initial: non-finite number in {text!r}")
+    return kind, values
+
+
 def _initial_field(cfg: ExperimentConfig, grid: Grid,
                    proj: Projections | None) -> np.ndarray:
-    spec = cfg.experiment["initial"].split()
-    kind = spec[0]
+    kind, values = _initial_spec(cfg.experiment["initial"], grid.ndim)
     if kind == "zero":
         return np.zeros(grid.num_nodes)
     if kind == "kernel":
         if proj is None:
             raise ConfigError("initial = kernel requires a lambda0 selection")
-        radius = float(spec[1]) if len(spec) > 1 else 1.0
+        radius = values[0] if values else 1.0
         return radius * proj.kernel_fields[:, 0]
-    if kind == "gaussian":
-        amp = float(spec[1]) if len(spec) > 1 else 1.0
-        center = np.zeros(grid.ndim)
-        if len(spec) > 1 + grid.ndim:
-            center = np.array([float(t) for t in spec[2 : 2 + grid.ndim]])
-            width = float(spec[2 + grid.ndim]) if len(spec) > 2 + grid.ndim else 1.0
-        else:
-            width = 1.0
-        d2 = np.sum((grid.points - center) ** 2, axis=1)
-        return amp * np.exp(-d2 / width**2)
-    raise ConfigError(f"unknown initial data spec {cfg.experiment['initial']!r}")
+    amp = values[0] if values else 1.0
+    center = np.zeros(grid.ndim)
+    if len(values) > grid.ndim:
+        center = np.array(values[1 : 1 + grid.ndim])
+    width = values[1 + grid.ndim] if len(values) > 1 + grid.ndim else 1.0
+    d2 = np.sum((grid.points - center) ** 2, axis=1)
+    return amp * np.exp(-d2 / width**2)
 
 
 # -- subcommands ---------------------------------------------------------------

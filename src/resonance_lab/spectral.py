@@ -163,6 +163,40 @@ def _cluster(eigenvalues: np.ndarray, tol: float) -> list:
     return clusters
 
 
+def _spectral_scale(op: HamiltonianOperator, mu: float) -> float:
+    """Magnitude of the spectrum up to mu, for relative tolerances."""
+    return max(1.0, abs(op.alpha_inf), abs(mu), abs(op.spectrum_lower_bound()))
+
+
+def _count_below(op: HamiltonianOperator, mu: float) -> int:
+    """Number of eigenvalues of A below mu, by Sylvester inertia.
+
+    S - mu I is factored as L D Lᵀ (SuperLU in symmetric mode, minimum-degree
+    ordering of S + Sᵀ, no pivoting); its inertia, the number of negative
+    pivots in D, is the exact discrete count.  The unpivoted factorization is
+    trusted only if SuperLU kept the symmetric permutation and no pivot is
+    tiny; otherwise mu is nudged by a few 1e-9 of the spectral scale and
+    factored again (spectrum slicing, Parlett, The Symmetric Eigenvalue
+    Problem, ch. 3).  Raises SpectralError if it breaks down at every nudge.
+    """
+    S = op.sym_matrix
+    scale = _spectral_scale(op, mu)
+    eye = sp.identity(S.shape[0], format="csc")
+    for nudge in (0.0, 1e-9, -1e-9, 3e-9):
+        try:
+            lu = spla.splu(
+                (S - (mu + nudge * scale) * eye).tocsc(),
+                permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError:  # an exactly zero pivot
+            continue
+        d = lu.U.diagonal()
+        if np.array_equal(lu.perm_r, lu.perm_c) and np.min(np.abs(d)) > 1e-12 * scale:
+            return int(np.count_nonzero(d < 0))
+    raise SpectralError(f"LDLᵀ inertia count broke down at every shift near {mu}")
+
+
 def eigenpairs_below(
     op: HamiltonianOperator,
     ceiling: float | None = None,
@@ -174,15 +208,18 @@ def eigenpairs_below(
 
     The ceiling defaults to the cached alpha_inf estimate and may not exceed
     it by more than CEILING_MARGIN (above it the box fills with spurious
-    continuum states).  Uses shift-invert Lanczos with an adaptively grown
-    block; dense tridiagonal/symmetric fallback for small grids.  Raises
-    SpectralError if max_count eigenvalues are found below the ceiling or a
-    residual exceeds tol_eig.
+    continuum states).  Large grids count the eigenvalues below the ceiling
+    first, by Sylvester inertia, then make one shift-invert Lanczos call
+    sized to that count plus one; small grids use a dense
+    tridiagonal/symmetric solve.  Raises SpectralError if max_count
+    eigenvalues lie below the ceiling (checked before any eigensolve on large
+    grids), if the eigensolver does not find exactly the counted number, or
+    if a residual exceeds tol_eig.
     """
     grid = op.grid
     if ceiling is None:
         ceiling = op.alpha_inf
-    scale = max(1.0, abs(op.alpha_inf), abs(ceiling), abs(op.spectrum_lower_bound()))
+    scale = _spectral_scale(op, ceiling)
     if ceiling > op.alpha_inf + CEILING_MARGIN * scale:
         raise SpectralError(
             f"ceiling {ceiling} exceeds alpha_inf estimate {op.alpha_inf}; "
@@ -210,26 +247,32 @@ def eigenpairs_below(
                 "suspected spurious continuum states"
             )
     else:
+        count = _count_below(op, ceiling)
+        if count >= max_count:
+            raise SpectralError(
+                f"{count} eigenvalues below the ceiling, max_count = {max_count}; "
+                "suspected spurious continuum states"
+            )
         sigma = op.spectrum_lower_bound() - 0.1 * scale
         # fixed Lanczos start vector: ARPACK's default draws from the global
         # RNG and would break byte-identical reruns
         v0 = np.random.default_rng(0x5EED).standard_normal(M)
-        k = min(8, M - 2)
-        while True:
-            try:
-                vals, vecs = spla.eigsh(S, k=k, sigma=sigma, which="LM", v0=v0)
-            except Exception as exc:  # noqa: BLE001
-                raise SpectralError(f"eigensolver failed: {exc}") from exc
-            order = np.argsort(vals)
-            vals, vecs = vals[order], vecs[:, order]
-            if vals[-1] >= ceiling or k >= min(max_count, M - 2):
-                break
-            k = min(2 * k, max_count, M - 2)
+        # one pair past the count shows the first unwanted value at or above
+        # the ceiling.  ARPACK builds at least 20 Lanczos vectors for any
+        # k < 10, so the floor of 8 costs nothing, and it keeps small counts
+        # (the 1-D problems) on the call their reference reports came from
+        k = min(max(8, count + 1), M - 2)
+        try:
+            vals, vecs = spla.eigsh(S, k=k, sigma=sigma, which="LM", v0=v0)
+        except Exception as exc:  # noqa: BLE001
+            raise SpectralError(f"eigensolver failed: {exc}") from exc
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
         keep = vals < ceiling
-        if np.count_nonzero(keep) >= max_count:
+        if np.count_nonzero(keep) != count:
             raise SpectralError(
-                f"hit max_count = {max_count} eigenvalues below the ceiling; "
-                "suspected spurious continuum states"
+                f"eigensolver found {np.count_nonzero(keep)} eigenvalues below "
+                f"the ceiling, Sylvester inertia counts {count}"
             )
         vals, vecs = vals[keep], vecs[:, keep]
 
@@ -283,7 +326,9 @@ def morse_count(data: SpectralData, lam: float) -> MorseCount:
     """k(λ) = total multiplicity of computed eigenvalues strictly below λ.
 
     λ must sit below the ceiling and at distance > cluster_tol from every
-    computed eigenvalue (the index is undefined on the spectrum).
+    computed eigenvalue (the index is undefined on the spectrum).  The count
+    is checked against the Sylvester inertia of S - λI, which does not depend
+    on the eigensolver; SpectralError is raised if the two disagree.
     """
     if lam >= data.ceiling:
         raise ResonantLambdaError(
@@ -294,6 +339,12 @@ def morse_count(data: SpectralData, lam: float) -> MorseCount:
             f"resonant lambda: {lam} is within cluster_tol of the spectrum"
         )
     k = int(np.count_nonzero(data.eigenvalues < lam))
+    inertia = _count_below(data.operator, lam)
+    if inertia != k:
+        raise SpectralError(
+            f"Morse count at lambda = {lam}: {k} computed eigenvalues below it, "
+            f"Sylvester inertia counts {inertia}"
+        )
     return MorseCount(k=k, conley_label=f"Sigma^{k}")
 
 

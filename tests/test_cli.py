@@ -276,9 +276,13 @@ def test_seed_override_changes_embedded_config(tmp_path):
     ("branch", "num_points", "0"),
     ("branch", "window", "0"),
     ("branch", "max_iter", "0"),
+    ("semiflow", "initial", "gaussian abc"),
+    ("semiflow", "initial", "kernel 2.0 1.0"),
 ])
 def test_malformed_experiment_value_is_config_error(tmp_path, capsys, sub, key, value):
     cfg = PT_BASE.format(n=1001) + f"\n[experiment]\n{key} = {value}\n"
+    with pytest.raises(cli.ConfigError, match=key):  # before any set-up runs
+        cli.parse_config(_write(tmp_path, cfg))
     code, out = _run(tmp_path, sub, cfg)
     assert code == EXIT_CONFIG
     assert key in capsys.readouterr().err

@@ -17,7 +17,11 @@ def test_demo_runs(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    env["TMPDIR"] = str(tmp_path)  # demos that write reports use a temporary directory
+    # demos that write reports use a temporary directory and must remove it
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env["TMPDIR"] = str(tmpdir)
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+    assert not any(tmpdir.iterdir()), sorted(p.name for p in tmpdir.iterdir())

@@ -1,5 +1,8 @@
 """Hamiltonian assembly, eigensolves, Morse counts, projections, resolvent."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -141,6 +144,106 @@ def test_eigenpairs_ceiling_guard(pt_op):
         rl.eigenpairs_below(pt_op, ceiling=2.0)
 
 
+@pytest.fixture(scope="module")
+def well_op():
+    # 2209 nodes, above the dense fallback, with 19 eigenvalues below the
+    # ceiling: more than the floor of 8 on the eigsh block
+    g = rl.make_grid(2, 6.0, 47)
+    assert g.num_nodes > spectral.DENSE_FALLBACK_NODES
+    return rl.assemble_hamiltonian(
+        g, rl.make_potential(g, "square_well", depth=-50.0, width=2.0)
+    )
+
+
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """The k of every eigsh call, through the real eigsh."""
+    calls = []
+    real_eigsh = spectral.spla.eigsh
+
+    def eigsh(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.spla, "eigsh", eigsh)
+    return calls
+
+
+def test_eigenpairs_sized_by_inertia(well_op, eigsh_calls):
+    count = spectral._count_below(well_op, well_op.alpha_inf)
+    assert count > 8
+    data = rl.eigenpairs_below(well_op)
+    assert eigsh_calls == [count + 1]
+    ref = np.linalg.eigvalsh(well_op.sym_matrix.toarray())
+    ref = ref[ref < well_op.alpha_inf]
+    assert len(ref) == count
+    np.testing.assert_allclose(data.eigenvalues, ref, rtol=1e-10, atol=0)
+
+
+def test_eigenpairs_max_count_guard_precedes_eigsh(well_op, eigsh_calls):
+    count = spectral._count_below(well_op, well_op.alpha_inf)
+    with pytest.raises(SpectralError, match="max_count"):
+        rl.eigenpairs_below(well_op, max_count=count)
+    assert eigsh_calls == []
+
+
+def _broken_factor(lu, fault):
+    """A factor that fails one of the checks on an unpivoted LDLᵀ."""
+    d = lu.U.diagonal().copy()
+    perm_r = lu.perm_r
+    if fault == "tiny pivot":
+        d[len(d) // 2] = 1e-300
+    else:  # "pivoted": SuperLU left the symmetric permutation
+        perm_r = np.roll(perm_r, 1)
+    return SimpleNamespace(U=sp.diags(d), perm_r=perm_r, perm_c=lu.perm_c)
+
+
+@pytest.mark.parametrize("fault", ["singular", "tiny pivot", "pivoted"])
+def test_inertia_count_nudges_past_breakdown(fault, well_op, eigsh_calls,
+                                             monkeypatch):
+    count = spectral._count_below(well_op, well_op.alpha_inf)
+    unshifted = well_op.sym_matrix.diagonal() - well_op.alpha_inf
+    real_splu = spectral.spla.splu
+    shifts = []
+
+    def splu(A, *args, **kwargs):
+        at_ceiling = np.array_equal(A.diagonal(), unshifted)
+        shifts.append(at_ceiling)
+        if at_ceiling and fault == "singular":
+            raise RuntimeError("Factor is exactly singular")
+        lu = real_splu(A, *args, **kwargs)
+        return _broken_factor(lu, fault) if at_ceiling else lu
+
+    monkeypatch.setattr(spectral.spla, "splu", splu)
+    data = rl.eigenpairs_below(well_op)
+    assert shifts == [True, False]
+    assert len(data.eigenvalues) == count
+    assert eigsh_calls == [count + 1]
+
+
+def test_inertia_count_breakdown_at_every_nudge_raises(well_op, eigsh_calls,
+                                                       monkeypatch):
+    def splu(A, *args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spectral.spla, "splu", splu)
+    with pytest.raises(SpectralError, match="broke down"):
+        rl.eigenpairs_below(well_op)
+    assert eigsh_calls == []
+
+
+def test_eigenpairs_raise_when_eigsh_misses_a_pair(well_op, monkeypatch):
+    real_eigsh = spectral.spla.eigsh
+
+    def eigsh(*args, **kwargs):
+        vals, vecs = real_eigsh(*args, **kwargs)
+        return vals[1:], vecs[:, 1:]
+
+    monkeypatch.setattr(spectral.spla, "eigsh", eigsh)
+    with pytest.raises(SpectralError, match="inertia"):
+        rl.eigenpairs_below(well_op)
+
+
 def test_morse_count_steps(pt_data):
     assert rl.morse_count(pt_data, -5.0).k == 0
     assert rl.morse_count(pt_data, -2.0).k == 1
@@ -164,6 +267,14 @@ def test_morse_count_monotone_sweep(pt_data):
 def test_morse_count_resonant_lambda(pt_data):
     with pytest.raises(ResonantLambdaError):
         rl.morse_count(pt_data, pt_data.eigenvalues[0])
+
+
+def test_morse_count_checked_by_inertia(pt_data):
+    # an eigenvalue the eigensolver missed shows as an inertia mismatch
+    missing = dataclasses.replace(pt_data, eigenvalues=pt_data.eigenvalues[1:])
+    with pytest.raises(SpectralError, match="inertia"):
+        rl.morse_count(missing, -0.5)
+    assert rl.morse_count(missing, -5.0).k == 0
 
 
 def test_build_projections_ground(pt_data):
