@@ -70,9 +70,6 @@ class NecessaryConditionReport:
     sandwich_c1: float
     sandwich_c2: float
     sandwich_spread: float
-    kernel_sandwich_c1: float
-    kernel_sandwich_c2: float
-    tail_length: int
 
 
 @dataclass
@@ -345,7 +342,7 @@ def necessary_condition_report(
     (c) divergence proxies: ||Pu||, ||u||, ||∇u|| strictly increasing on the
         tail;
     (d) growth-rate sandwich constants C1 = min, C2 = max of ||∇u||/||u||
-        over the tail, and the same for the kernel components.
+        over the tail.
     """
     conv = [p for p in branch if p.converged]
     nontrivial = [p for p in conv if p.l2 > 0]
@@ -355,8 +352,6 @@ def necessary_condition_report(
             grad_qu_max=0.0, grad_qu_trend_slope=0.0, kernel_increasing=False,
             l2_increasing=False, grad_increasing=False,
             sandwich_c1=math.nan, sandwich_c2=math.nan, sandwich_spread=math.nan,
-            kernel_sandwich_c1=math.nan, kernel_sandwich_c2=math.nan,
-            tail_length=0,
         )
     if len(nontrivial) < TAIL_LENGTH:
         raise BranchError(
@@ -371,14 +366,6 @@ def necessary_condition_report(
     l2s = np.array([p.l2 for p in tail])
     grads = np.array([p.grad_l2 for p in tail])
     ratios = grads / l2s
-    grid = projections.grid
-    kernel_ratios = []
-    for p in tail:
-        pk = projections.project_kernel(p.u)
-        kn = field_norms(grid, pk)
-        if kn.l2 > 0:
-            kernel_ratios.append(kn.grad_l2 / kn.l2)
-    kernel_ratios = np.array(kernel_ratios) if kernel_ratios else np.array([math.nan])
     return NecessaryConditionReport(
         trivial_branch=False,
         qu_bound=qu_bound,
@@ -392,7 +379,4 @@ def necessary_condition_report(
         sandwich_c1=float(np.min(ratios)),
         sandwich_c2=float(np.max(ratios)),
         sandwich_spread=float(np.max(ratios) / np.min(ratios)),
-        kernel_sandwich_c1=float(np.nanmin(kernel_ratios)),
-        kernel_sandwich_c2=float(np.nanmax(kernel_ratios)),
-        tail_length=TAIL_LENGTH,
     )

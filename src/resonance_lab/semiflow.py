@@ -34,7 +34,7 @@ import scipy.sparse.linalg as spla
 from .grid import field_norms, tail_mass
 from .nonlinearity import NonlinearitySpec, evaluate_f, evaluate_primitive
 from .potential import tail_lp_norm
-from .spectral import HamiltonianOperator, Projections
+from .spectral import HamiltonianOperator, Projections, splu_ordering
 
 CUTOFF_LIPSCHITZ = 2.0  # sup |phi'| of the radial cutoff ramp on [1/2, 1]
 DT_FLOOR = 1e-12
@@ -76,7 +76,9 @@ class Trajectory:
 
 
 class ImexStepper:
-    """Cached factorization of (I + dt (A - λ)) in the symmetrized frame."""
+    """Cached factorization of (I + dt (A - λ)) in the symmetrized frame,
+    with the ordering of spectral.splu_ordering (minimum degree in 2-D,
+    SuperLU's default for the tridiagonal 1-D matrix)."""
 
     def __init__(self, op: HamiltonianOperator, lam: float, dt: float):
         if dt <= 0:
@@ -89,7 +91,7 @@ class ImexStepper:
             )
         n = op.grid.num_nodes
         mat = (sp.identity(n) + dt * (op.sym_matrix - lam * sp.identity(n))).tocsc()
-        self._lu = spla.splu(mat)
+        self._lu = spla.splu(mat, **splu_ordering(op.grid))
         self._sqrt_w = np.sqrt(op.grid.weights)
         self.op = op
         self.lam = lam

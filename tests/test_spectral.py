@@ -1,6 +1,7 @@
 """Hamiltonian assembly, eigensolves, Morse counts, projections, resolvent."""
 
 import dataclasses
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import resonance_lab as rl
-from resonance_lab import spectral
+from resonance_lab import semiflow, spectral
+from resonance_lab.bifurcation import summarize_branch
+from resonance_lab.cli import EXIT_NUMERICAL, main
 from resonance_lab.grid import GridError
 from resonance_lab.spectral import ResonantLambdaError, SpectralError
 
@@ -216,7 +219,8 @@ def test_inertia_count_nudges_past_breakdown(fault, well_op, eigsh_calls,
 
     monkeypatch.setattr(spectral.spla, "splu", splu)
     data = rl.eigenpairs_below(well_op)
-    assert shifts == [True, False]
+    # the inertia count at the ceiling, its nudge, and the shift-invert factor
+    assert shifts == [True, False, False]
     assert len(data.eigenvalues) == count
     assert eigsh_calls == [count + 1]
 
@@ -242,6 +246,115 @@ def test_eigenpairs_raise_when_eigsh_misses_a_pair(well_op, monkeypatch):
     monkeypatch.setattr(spectral.spla, "eigsh", eigsh)
     with pytest.raises(SpectralError, match="inertia"):
         rl.eigenpairs_below(well_op)
+
+
+@pytest.fixture
+def splu_spy(monkeypatch):
+    """A list that records (matrix, kwargs, factor) of every splu call,
+    ARPACK's own included, and the unpatched splu."""
+    calls = []
+    real_splu = spectral.spla.splu
+
+    def splu(A, *args, **kwargs):
+        lu = real_splu(A, *args, **kwargs)
+        calls.append((A, kwargs, lu))
+        return lu
+
+    monkeypatch.setattr(spectral.spla, "splu", splu)
+    monkeypatch.setattr(sys.modules[spectral.spla.eigsh.__module__], "splu", splu)
+    return calls, real_splu
+
+
+def _factorizations_by_site(op, calls):
+    """The splu calls of each factorization site on op's grid: the
+    shift-invert factor of the eigensolve (the inertia counts left out), the
+    deflated resolvent at λ0 - δ/2 of the second multiplet, and the IMEX
+    matrix at that λ."""
+    calls.clear()
+    data = rl.eigenpairs_below(op)
+    sites = {"sigma": [c for c in calls if "options" not in c[1]]}
+    proj = rl.build_projections(data, data.multiplets[1][0], 0.25)
+    lam = proj.lambda0 - proj.delta / 2
+    calls.clear()
+    spectral._BorderedResolvent(op, proj, lam)
+    sites["resolvent"] = list(calls)
+    calls.clear()
+    rl.ImexStepper(op, lam, semiflow.default_dt(op, lam))
+    sites["imex"] = list(calls)
+    return sites
+
+
+def test_splu_ordering_by_grid_dimension(well_op, splu_spy):
+    splu_calls, real_splu = splu_spy
+    # 2-D: the symmetric minimum-degree ordering at all three sites
+    for site, calls in _factorizations_by_site(well_op, splu_calls).items():
+        assert len(calls) == 1, site
+        A, _, lu = calls[0]
+        default = real_splu(A)
+        nnz, default_nnz = lu.L.nnz + lu.U.nnz, default.L.nnz + default.U.nnz
+        assert nnz <= 0.65 * default_nnz, (site, nnz, default_nnz)
+    # 1-D: tridiagonal, no fill to save; every site keeps SuperLU's default
+    g = rl.make_grid(1, 20.0, 2401)
+    assert g.num_nodes > spectral.DENSE_FALLBACK_NODES
+    op = rl.assemble_hamiltonian(g, rl.make_potential(g, "poschl_teller", ell=2))
+    for site, calls in _factorizations_by_site(op, splu_calls).items():
+        assert len(calls) == 1, site
+        assert calls[0][1].get("permc_spec", "COLAMD") == "COLAMD", site
+
+
+def test_shift_invert_factor_failure_is_spectral_error(well_op, tmp_path,
+                                                       monkeypatch):
+    real_splu = spectral.spla.splu
+    diag, lower = well_op.sym_matrix.diagonal(), well_op.spectrum_lower_bound()
+
+    def splu(A, *args, **kwargs):
+        if np.median(diag - A.diagonal()) < lower:  # σ sits below the spectrum
+            raise RuntimeError("Factor is exactly singular")
+        return real_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spectral.spla, "splu", splu)
+    with pytest.raises(SpectralError, match="eigensolver failed"):
+        rl.eigenpairs_below(well_op)
+    config = tmp_path / "well.ini"
+    config.write_text(
+        "[grid]\nndim = 2\nhalf_width = 6.0\npoints_per_axis = 47\n"
+        "[potential]\nfamily = square_well\ndepth = -50.0\nwidth = 2.0\n"
+    )
+    code = main(["spectrum", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+
+
+def test_splu_ordering_changes_no_result(well_op, monkeypatch):
+    """The ordering is performance-only: the same branch and semiflow under
+    SuperLU's default ordering and under minimum degree."""
+    spec = rl.saturating_arctan(well_op.grid)
+
+    def run():
+        data = rl.eigenpairs_below(well_op)
+        proj = rl.build_projections(data, data.multiplets[1][0], 0.5)
+        schedule = [proj.lambda0 - proj.delta * 2.0 ** (-k) for k in range(1, 7)]
+        branch = rl.continue_branch(schedule, proj, well_op, spec)
+        report = summarize_branch(branch, proj, spec)
+        lam = proj.lambda0 - proj.delta / 2
+        u0 = 2.0 * proj.kernel_fields[:, 0]
+        traj = rl.evolve(rl.SemiflowState(0.0, u0), lam, 0.2, well_op, spec,
+                         stop="time-only", projections=proj)
+        return data, branch, report, traj
+
+    data_mmd, branch_mmd, report_mmd, traj_mmd = run()
+    for module in (spectral, semiflow):
+        monkeypatch.setattr(module, "splu_ordering", lambda grid: {})
+    data, branch, report, traj = run()
+
+    assert [len(i) for _, i in data_mmd.multiplets] == [len(i) for _, i in data.multiplets]
+    np.testing.assert_allclose(data_mmd.eigenvalues, data.eigenvalues, rtol=1e-9)
+    assert [p.converged for p in branch_mmd] == [p.converged for p in branch]
+    assert report_mmd.verdict.detected == report.verdict.detected
+    for key in ("l2", "h1", "kernel_l2", "energy"):
+        np.testing.assert_allclose([getattr(p, key) for p in branch_mmd],
+                                   [getattr(p, key) for p in branch], rtol=1e-9)
+    assert len(traj_mmd.states) == len(traj.states)
+    np.testing.assert_allclose(traj_mmd.J_values, traj.J_values, rtol=1e-9)
 
 
 def test_morse_count_steps(pt_data):
