@@ -79,7 +79,6 @@ class ExperimentConfig:
             "nonlinearity": self.nonlinearity,
             "spectral": self.spectral,
             "experiment": self.experiment,
-            "output": {"dir": self.output_dir},
             "run": {"seed": self.seed},
         }
 

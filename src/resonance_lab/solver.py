@@ -32,7 +32,6 @@ class SolverConfig:
     tol_fp: float = 1e-8           # fixed-point defect tolerance (L2)
     tol_pde: float = 1e-6          # PDE residual tolerance, scaled by (1 + ||w||_H1)
     max_iter: int = 200
-    accelerate: bool = True
     u_cap: float | None = None     # abort when ||u||_H1 exceeds this
     allow_resonant: bool = False   # permit λ == λ0 (may not converge)
 
@@ -158,7 +157,7 @@ def solve_near_resonance(
             gs.pop(0)
 
         stepped = False
-        if cfg.accelerate and len(us) >= 2:
+        if len(us) >= 2:
             u_acc = _anderson_proposal(us, gs)
             g_acc = k_map(lam, u_acc, projections, op, spec)
             d_acc = grid.norm(u_acc - g_acc)

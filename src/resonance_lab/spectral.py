@@ -9,7 +9,9 @@ eigenvectors map back through W^{-1/2} and come out quadrature-orthonormal.
 Eigenvalues are only meaningful below the asymptotic bottom of the potential:
 the truncated box discretizes the continuum into a cloud of closely spaced
 spurious eigenvalues above it, so the solver works under a ceiling (default
-alpha_inf).
+alpha_inf).  Every grid takes one eigensolve path: a Sylvester-inertia count
+of the eigenvalues below the ceiling, then one shift-invert Lanczos call
+sized to it.
 """
 
 from __future__ import annotations
@@ -17,14 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import Grid, GridError
 from .potential import AsymptoticBottom, PotentialSpec, asymptotic_bottom
 
-DENSE_FALLBACK_NODES = 2000
 # a requested ceiling may exceed alpha_inf by this fraction of the spectral scale
 CEILING_MARGIN = 1e-6
 # relative residual a deflated resolvent solve must reach
@@ -32,14 +32,16 @@ TOL_LIN = 1e-8
 
 
 def splu_ordering(grid: Grid) -> dict:
-    """SuperLU options for factoring a symmetric matrix on this grid.
+    """SuperLU ordering for factoring a symmetric matrix on this grid.
 
-    On a 2-D grid the minimum-degree ordering of the symmetric pattern
-    (MMD_AT_PLUS_A) leaves about 40% fewer nonzeros in L + U than SuperLU's
-    default COLAMD ordering, and solves about 40% faster.  A 1-D matrix is
-    tridiagonal and fills under no ordering; it keeps the default, since
-    another ordering would only move the last bits of its solves, which the
-    1-D semiflow amplifies.
+    Every such factorization takes it: the shift-invert S - σI of the
+    eigensolve, the resolvent S - λI and the IMEX matrix.  On a 2-D grid the
+    minimum-degree ordering of the symmetric pattern (MMD_AT_PLUS_A) leaves
+    about 40% fewer nonzeros in L + U than SuperLU's default COLAMD
+    ordering, and solves about 40% faster.  A 1-D matrix is tridiagonal and
+    fills under no ordering; it keeps the default, since another ordering
+    would only move the last bits of its solves, which the 1-D semiflow
+    amplifies.
     """
     return {"permc_spec": "MMD_AT_PLUS_A"} if grid.ndim == 2 else {}
 
@@ -221,16 +223,15 @@ def eigenpairs_below(
 
     The ceiling defaults to the cached alpha_inf estimate and may not exceed
     it by more than CEILING_MARGIN (above it the box fills with spurious
-    continuum states).  Large grids count the eigenvalues below the ceiling
-    first, by Sylvester inertia, then make one shift-invert Lanczos call
-    sized to that count plus one; small grids use a dense
-    tridiagonal/symmetric solve.  On a 2-D grid the shift-invert operator
-    is an LU of S - σI with the ordering of splu_ordering; in 1-D ARPACK
-    factors S - σI itself, with SuperLU's default ordering.  Raises
-    SpectralError if max_count eigenvalues lie below the ceiling (checked
-    before any eigensolve on large grids), if the eigensolver or the
-    shift-invert factorization fails, if the eigensolver does not find
-    exactly the counted number, or if a residual exceeds tol_eig.
+    continuum states).  The eigenvalues below the ceiling are counted first,
+    by Sylvester inertia; one shift-invert Lanczos call sized to that count
+    plus one then finds them, on every grid.  Its operator is an LU of
+    S - σI with the ordering of splu_ordering.  Raises SpectralError before
+    any eigensolve if max_count eigenvalues lie below the ceiling or fewer
+    than two of the grid's eigenvalues lie above it; and after, if the
+    shift-invert factorization or the eigensolver fails, if the eigensolver
+    does not find exactly the counted number, or if a residual exceeds
+    tol_eig.
     """
     grid = op.grid
     if ceiling is None:
@@ -246,58 +247,43 @@ def eigenpairs_below(
 
     M = grid.num_nodes
     S = op.sym_matrix
-    if M <= DENSE_FALLBACK_NODES:
-        if grid.ndim == 1:
-            Sc = S.tocsr()
-            vals, vecs = sla.eigh_tridiagonal(
-                Sc.diagonal(), Sc.diagonal(-1), select="v",
-                select_range=(op.spectrum_lower_bound() - 1.0, ceiling),
-            )
-        else:
-            vals, vecs = np.linalg.eigh(S.toarray())
-            keep = vals < ceiling
-            vals, vecs = vals[keep], vecs[:, keep]
-        if len(vals) > max_count:
-            raise SpectralError(
-                f"{len(vals)} eigenvalues below the ceiling (max {max_count}); "
-                "suspected spurious continuum states"
-            )
-    else:
-        count = _count_below(op, ceiling)
-        if count >= max_count:
-            raise SpectralError(
-                f"{count} eigenvalues below the ceiling, max_count = {max_count}; "
-                "suspected spurious continuum states"
-            )
-        sigma = op.spectrum_lower_bound() - 0.1 * scale
-        # fixed Lanczos start vector: ARPACK's default draws from the global
-        # RNG and would break byte-identical reruns
-        v0 = np.random.default_rng(0x5EED).standard_normal(M)
-        # one pair past the count shows the first unwanted value at or above
-        # the ceiling.  ARPACK builds at least 20 Lanczos vectors for any
-        # k < 10, so the floor of 8 costs nothing, and it keeps small counts
-        # (the 1-D problems) on the call their reference reports came from
-        k = min(max(8, count + 1), M - 2)
-        ordering = splu_ordering(grid)
-        try:
-            opinv = None
-            if ordering:  # ARPACK's own factorization has the default ordering
-                lu = spla.splu((S - sigma * sp.identity(M, format="csc")).tocsc(),
-                               **ordering)
-                opinv = spla.LinearOperator((M, M), matvec=lu.solve, dtype=S.dtype)
-            vals, vecs = spla.eigsh(S, k=k, sigma=sigma, which="LM", v0=v0,
-                                    OPinv=opinv)
-        except Exception as exc:  # noqa: BLE001
-            raise SpectralError(f"eigensolver failed: {exc}") from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        keep = vals < ceiling
-        if np.count_nonzero(keep) != count:
-            raise SpectralError(
-                f"eigensolver found {np.count_nonzero(keep)} eigenvalues below "
-                f"the ceiling, Sylvester inertia counts {count}"
-            )
-        vals, vecs = vals[keep], vecs[:, keep]
+    count = _count_below(op, ceiling)
+    if count >= max_count:
+        raise SpectralError(
+            f"{count} eigenvalues below the ceiling, max_count = {max_count}; "
+            "suspected spurious continuum states"
+        )
+    if count > M - 2:
+        raise SpectralError(
+            f"{count} of the grid's {M} eigenvalues lie below the ceiling; the "
+            "shift-invert eigensolve needs at least two above it"
+        )
+    sigma = op.spectrum_lower_bound() - 0.1 * scale
+    # fixed Lanczos start vector: ARPACK's default draws from the global
+    # RNG and would break byte-identical reruns
+    v0 = np.random.default_rng(0x5EED).standard_normal(M)
+    # one pair past the count shows the first unwanted value at or above
+    # the ceiling.  ARPACK builds at least 20 Lanczos vectors for any
+    # k < 10, so the floor of 8 costs nothing, and it keeps small counts
+    # (the 1-D problems) on the call their reference reports came from
+    k = min(max(8, count + 1), M - 2)
+    try:
+        lu = spla.splu((S - sigma * sp.identity(M, format="csc")).tocsc(),
+                       **splu_ordering(grid))
+        opinv = spla.LinearOperator((M, M), matvec=lu.solve, dtype=S.dtype)
+        vals, vecs = spla.eigsh(S, k=k, sigma=sigma, which="LM", v0=v0,
+                                OPinv=opinv)
+    except Exception as exc:  # noqa: BLE001
+        raise SpectralError(f"eigensolver failed: {exc}") from exc
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    keep = vals < ceiling
+    if np.count_nonzero(keep) != count:
+        raise SpectralError(
+            f"eigensolver found {np.count_nonzero(keep)} eigenvalues below "
+            f"the ceiling, Sylvester inertia counts {count}"
+        )
+    vals, vecs = vals[keep], vecs[:, keep]
 
     # back to the field frame; columns are W-orthonormal by construction
     inv_sqrt_w = 1.0 / np.sqrt(grid.weights)

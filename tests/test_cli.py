@@ -114,10 +114,8 @@ def test_branch_arctan_detects(tmp_path):
 
 
 def test_branch_determinism(tmp_path):
-    # identical config + seed (including the output path, which is embedded
-    # in the effective-config echo) must produce byte-identical reports;
-    # n = 2001 exercises the iterative eigensolver path, which must use a
-    # fixed Lanczos start vector
+    # identical config + seed must produce byte-identical reports; the
+    # eigensolver must use a fixed Lanczos start vector
     cfg_text = PT_BASE.format(n=2001) + "\n[experiment]\nnum_points = 6\n"
     cfg = _write(tmp_path, cfg_text)
     out = tmp_path / "out"
@@ -126,6 +124,15 @@ def test_branch_determinism(tmp_path):
     assert main(["branch", "--config", cfg, "--out", str(out)]) == EXIT_OK
     for fname, payload in first.items():
         assert (out / fname).read_bytes() == payload
+
+
+def test_report_independent_of_output_dir(tmp_path):
+    cfg = _write(tmp_path, PT_BASE.format(n=401))
+    payloads = []
+    for out in (tmp_path / "a", tmp_path / "elsewhere" / "b"):
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        payloads.append((out / "spectrum.json").read_bytes())
+    assert payloads[0] == payloads[1]
 
 
 def test_resonance_report(tmp_path):

@@ -114,7 +114,7 @@ def test_solve_resonant_lambda_flag(pt_grid, pt_proj, pt_op, arctan_spec):
 
 
 def test_solve_max_iter_returns_best(pt_grid, pt_proj, pt_op, arctan_spec):
-    cfg = rl.SolverConfig(max_iter=2, accelerate=False)
+    cfg = rl.SolverConfig(max_iter=2)
     lam = pt_proj.lambda0 - pt_proj.delta / 4
     res = rl.solve_near_resonance(
         lam, 100.0 * pt_proj.kernel_fields[:, 0], pt_proj, pt_op,

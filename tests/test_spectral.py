@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import resonance_lab as rl
 from resonance_lab import semiflow, spectral
@@ -142,6 +144,31 @@ def test_eigenpairs_max_count_guard(pt_op):
         rl.eigenpairs_below(pt_op, max_count=1)
 
 
+@pytest.mark.parametrize("n", [401, 4001])
+def test_eigenpairs_max_count_guard_at_the_count(n):
+    # two eigenvalues (-4, -1) below the ceiling reach max_count = 2 on a
+    # coarse grid as on a fine one
+    g = rl.make_grid(1, 10.0, n)
+    op = rl.assemble_hamiltonian(g, rl.make_potential(g, "poschl_teller", ell=2))
+    assert spectral._count_below(op, op.alpha_inf) == 2
+    with pytest.raises(SpectralError, match="max_count = 2"):
+        rl.eigenpairs_below(op, max_count=2)
+
+
+def test_eigenpairs_refuse_grid_without_states_above_ceiling(eigsh_calls):
+    # V = -1000 on the whole box, which the cutoff ball covers: alpha_inf = 0
+    # and all 11 eigenvalues lie below it
+    g = rl.make_grid(1, 5.0, 11)
+    pot = rl.make_potential(g, "custom", evaluator=lambda pts: np.full(len(pts), -1000.0),
+                            cutoff_radius=10.0)
+    op = rl.assemble_hamiltonian(g, pot)
+    assert op.alpha_inf == 0.0
+    assert np.all(np.linalg.eigvalsh(op.sym_matrix.toarray()) < 0.0)
+    with pytest.raises(SpectralError, match="11 of the grid's 11 eigenvalues"):
+        rl.eigenpairs_below(op)
+    assert eigsh_calls == []
+
+
 def test_eigenpairs_ceiling_guard(pt_op):
     with pytest.raises(SpectralError):
         rl.eigenpairs_below(pt_op, ceiling=2.0)
@@ -149,10 +176,9 @@ def test_eigenpairs_ceiling_guard(pt_op):
 
 @pytest.fixture(scope="module")
 def well_op():
-    # 2209 nodes, above the dense fallback, with 19 eigenvalues below the
-    # ceiling: more than the floor of 8 on the eigsh block
+    # 2209 nodes with 19 eigenvalues below the ceiling: more than the floor
+    # of 8 on the eigsh block
     g = rl.make_grid(2, 6.0, 47)
-    assert g.num_nodes > spectral.DENSE_FALLBACK_NODES
     return rl.assemble_hamiltonian(
         g, rl.make_potential(g, "square_well", depth=-50.0, width=2.0)
     )
@@ -248,10 +274,39 @@ def test_eigenpairs_raise_when_eigsh_misses_a_pair(well_op, monkeypatch):
         rl.eigenpairs_below(well_op)
 
 
+@st.composite
+def _small_problems(draw):
+    """A small 1-D or 2-D grid with a Pöschl-Teller or square-well potential."""
+    ndim = draw(st.sampled_from([1, 2]))
+    n = 2 * draw(st.integers(1, 40 if ndim == 1 else 12)) + 1
+    g = rl.make_grid(ndim, draw(st.floats(2.0, 12.0)), n)
+    if draw(st.booleans()):
+        pot = rl.make_potential(g, "poschl_teller", ell=draw(st.floats(0.5, 4.0)))
+    else:
+        pot = rl.make_potential(g, "square_well", depth=draw(st.floats(-60.0, -1.0)),
+                                width=draw(st.floats(0.5, 4.0)))
+    return rl.assemble_hamiltonian(g, pot)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(op=_small_problems())
+def test_small_grid_spectrum_matches_dense_oracle(op):
+    ceiling = op.alpha_inf
+    ref = np.linalg.eigvalsh(op.sym_matrix.toarray())
+    scale = spectral._spectral_scale(op, ceiling)
+    assume(np.min(np.abs(ref - ceiling)) > 1e-8 * scale)
+    ref = ref[ref < ceiling]
+    assert spectral._count_below(op, ceiling) == len(ref)
+    assume(len(ref) <= op.grid.num_nodes - 2)  # refused, tested above
+    data = rl.eigenpairs_below(op, max_count=op.grid.num_nodes)
+    np.testing.assert_allclose(data.eigenvalues, ref, rtol=0, atol=1e-9 * scale)
+
+
 @pytest.fixture
 def splu_spy(monkeypatch):
-    """A list that records (matrix, kwargs, factor) of every splu call,
-    ARPACK's own included, and the unpatched splu."""
+    """A list that records (matrix, kwargs, factor) of every splu call, and
+    the unpatched splu.  ARPACK's module is patched too, so a factorization
+    it made itself would show."""
     calls = []
     real_splu = spectral.spla.splu
 
@@ -295,7 +350,6 @@ def test_splu_ordering_by_grid_dimension(well_op, splu_spy):
         assert nnz <= 0.65 * default_nnz, (site, nnz, default_nnz)
     # 1-D: tridiagonal, no fill to save; every site keeps SuperLU's default
     g = rl.make_grid(1, 20.0, 2401)
-    assert g.num_nodes > spectral.DENSE_FALLBACK_NODES
     op = rl.assemble_hamiltonian(g, rl.make_potential(g, "poschl_teller", ell=2))
     for site, calls in _factorizations_by_site(op, splu_calls).items():
         assert len(calls) == 1, site
