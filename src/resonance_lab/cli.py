@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import json
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -70,7 +71,6 @@ class ExperimentConfig:
     experiment: dict
     output_dir: str
     seed: int
-    source_path: str
 
     def effective(self) -> dict:
         return {
@@ -83,128 +83,113 @@ class ExperimentConfig:
         }
 
 
-def _get(section, key, cast, default=None, required=False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    raw = section[key]
-    try:
-        if cast is bool:  # 1/true/yes/on or 0/false/no/off, any case
-            return section.getboolean(key)
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
+# -- config schema -------------------------------------------------------------
+
+REQUIRED = object()  # default of a key the config must give
+OMIT = object()  # default of a key left out of the parsed section when absent
+
+
+def _checked(cast, ok, what):
+    """`cast`, then a ValueError saying `what` unless `ok` holds for the value."""
+    def read(raw: str):
+        value = cast(raw)
+        if not ok(value):
+            raise ValueError(what)
+        return value
+    return read
+
+
+def _one_of(*words):
+    return _checked(str, lambda v: v in words, f"must be one of {', '.join(words)}")
+
+
+def _floats(raw: str) -> list[float]:
+    return [float(tok) for tok in raw.split()]
+
+
+_boolean = _checked(
+    lambda raw: configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower()),
+    lambda v: v is not None, "must be one of 1/true/yes/on or 0/false/no/off",
+)
+POSITIVE = _checked(float, lambda v: v > 0, "must be positive")
+AT_LEAST_1 = _checked(int, lambda v: v >= 1, "must be at least 1")
+
+# section -> key -> (cast, default).  A default is the text an absent key
+# reads as (and goes through the cast like any value), None, REQUIRED or OMIT.
+SCHEMA = {
+    "grid": {"ndim": (int, "1"), "half_width": (float, REQUIRED),
+             "points_per_axis": (int, REQUIRED)},
+    "potential": {
+        "family": (str, REQUIRED),
+        **dict.fromkeys(("c", "ell", "offset", "depth", "width", "alpha",
+                         "cutoff_radius", "p"), (float, OMIT)),
+        "center": (_floats, OMIT),
+        "policy": (str, OMIT),
+    },
+    "nonlinearity": {"family": (str, "zero"), "amplitude": (float, OMIT),
+                     "width": (float, OMIT)},
+    "spectral": {
+        "ceiling": (float, None),
+        "tol_eig": (POSITIVE, "1e-8"),
+        "cluster_tol": (float, None),
+        "max_count": (AT_LEAST_1, "64"),
+        "lambda0_index": (int, None),
+        "lambda0_value": (float, None),
+        "delta_request": (POSITIVE, None),
+        "morse_lambdas": (_floats, ""),
+    },
+    "experiment": {
+        "side": (_one_of("minus", "plus"), "minus"),
+        "num_points": (AT_LEAST_1, "12"),
+        "growth_factor": (POSITIVE, "4.0"),
+        "window": (AT_LEAST_1, "5"),
+        "tol_fp": (POSITIVE, "1e-8"),
+        "tol_pde": (POSITIVE, "1e-6"),
+        "max_iter": (AT_LEAST_1, "200"),
+        "horizon": (POSITIVE, "10.0"),
+        "dt": (POSITIVE, None),
+        "stop": (_one_of(*sf.STOP_RULES), "equilibrium"),
+        "save_every": (AT_LEAST_1, "10"),
+        "lam": (float, None),
+        "initial": (str, "kernel 1.0"),
+        "snapshots": (_boolean, "false"),
+        "tail_radii": (_floats, ""),
+        "probe_radii": (_floats, "1 10 100"),
+        "sample_budget": (int, "4096"),
+        "expect_positive": (_boolean, "false"),
+    },
+    "output": {"dir": (str, "out")},
+    "run": {"seed": (int, "0")},
+}
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    # no interpolation: a '%' is a plain character, checked like any other
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(str(exc)) from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
 
-    if "grid" not in parser:
-        raise ConfigError("missing [grid] section")
-    g = parser["grid"]
-    grid_cfg = {
-        "ndim": _get(g, "ndim", int, 1),
-        "half_width": _get(g, "half_width", float, required=True),
-        "points_per_axis": _get(g, "points_per_axis", int, required=True),
-    }
-
-    if "potential" not in parser:
-        raise ConfigError("missing [potential] section")
-    p = parser["potential"]
-    pot_cfg = {"family": _get(p, "family", str, required=True)}
-    for key in ("c", "ell", "offset", "depth", "width", "alpha",
-                "cutoff_radius", "p"):
-        val = _get(p, key, float)
-        if val is not None:
-            pot_cfg[key] = val
-    center = _get(p, "center", str)
-    if center is not None:
-        pot_cfg["center"] = [float(tok) for tok in center.split()]
-    policy = _get(p, "policy", str)
-    if policy is not None:
-        pot_cfg["policy"] = policy
-
-    nl = parser["nonlinearity"] if "nonlinearity" in parser else {}
-    nl_cfg = {"family": _get(nl, "family", str, "zero")}
-    for key in ("amplitude", "width"):
-        val = _get(nl, key, float)
-        if val is not None:
-            nl_cfg[key] = val
-
-    spc = parser["spectral"] if "spectral" in parser else {}
-    spec_cfg = {
-        "ceiling": _get(spc, "ceiling", float),
-        "tol_eig": _get(spc, "tol_eig", float, 1e-8),
-        "cluster_tol": _get(spc, "cluster_tol", float),
-        "max_count": _get(spc, "max_count", int, 64),
-        "lambda0_index": _get(spc, "lambda0_index", int),
-        "lambda0_value": _get(spc, "lambda0_value", float),
-        "delta_request": _get(spc, "delta_request", float),
-        "morse_lambdas": [
-            float(tok)
-            for tok in _get(spc, "morse_lambdas", str, "").split()
-        ],
-    }
-    for key in ("tol_eig",):
-        if spec_cfg[key] is not None and spec_cfg[key] <= 0:
-            raise ConfigError(f"[spectral] {key} must be positive")
-
-    exp = parser["experiment"] if "experiment" in parser else {}
-    exp_cfg = {
-        "side": _get(exp, "side", str, "minus"),
-        "num_points": _get(exp, "num_points", int, 12),
-        "growth_factor": _get(exp, "growth_factor", float, 4.0),
-        "window": _get(exp, "window", int, 5),
-        "tol_fp": _get(exp, "tol_fp", float, 1e-8),
-        "tol_pde": _get(exp, "tol_pde", float, 1e-6),
-        "max_iter": _get(exp, "max_iter", int, 200),
-        "horizon": _get(exp, "horizon", float, 10.0),
-        "dt": _get(exp, "dt", float),
-        "stop": _get(exp, "stop", str, "equilibrium"),
-        "save_every": _get(exp, "save_every", int, 10),
-        "lam": _get(exp, "lam", float),
-        "initial": _get(exp, "initial", str, "kernel 1.0"),
-        "snapshots": _get(exp, "snapshots", bool, False),
-        "tail_radii": [
-            float(tok) for tok in _get(exp, "tail_radii", str, "").split()
-        ],
-        "probe_radii": [
-            float(tok)
-            for tok in _get(exp, "probe_radii", str, "1 10 100").split()
-        ],
-        "sample_budget": _get(exp, "sample_budget", int, 4096),
-        "expect_positive": _get(exp, "expect_positive", bool, False),
-    }
-    for key in ("tol_fp", "tol_pde", "horizon", "growth_factor"):
-        if exp_cfg[key] is not None and exp_cfg[key] <= 0:
-            raise ConfigError(f"[experiment] {key} must be positive")
-    for key in ("num_points", "window", "max_iter", "save_every"):
-        if exp_cfg[key] < 1:
-            raise ConfigError(f"[experiment] {key} must be at least 1")
-    _initial_spec(exp_cfg["initial"], grid_cfg["ndim"])
-    for key, choices in (("side", ("minus", "plus")), ("stop", sf.STOP_RULES)):
-        if exp_cfg[key] not in choices:
-            raise ConfigError(
-                f"[experiment] {key} must be one of {', '.join(choices)}, "
-                f"got {exp_cfg[key]!r}"
-            )
-
-    out = parser["output"] if "output" in parser else {}
-    run = parser["run"] if "run" in parser else {}
-    return ExperimentConfig(
-        grid=grid_cfg,
-        potential=pot_cfg,
-        nonlinearity=nl_cfg,
-        spectral=spec_cfg,
-        experiment=exp_cfg,
-        output_dir=_get(out, "dir", str, "out"),
-        seed=_get(run, "seed", int, 0),
-        source_path=str(path),
-    )
+    values = {}
+    for name, keys in SCHEMA.items():
+        section = parser[name] if parser.has_section(name) else {}
+        values[name] = {}
+        for key, (cast, default) in keys.items():
+            raw = section.get(key, default)
+            if raw is REQUIRED:
+                raise ConfigError(f"[{name}] {key} is required")
+            if raw is not OMIT:
+                try:
+                    values[name][key] = None if raw is None else cast(raw)
+                except ValueError as exc:
+                    raise ConfigError(f"[{name}] {key} = {raw!r}: {exc}") from exc
+    _initial_spec(values["experiment"]["initial"], values["grid"]["ndim"])
+    out, run = values.pop("output"), values.pop("run")
+    return ExperimentConfig(**values, output_dir=out["dir"], seed=run["seed"])
 
 
 # -- pipeline -------------------------------------------------------------------
@@ -237,13 +222,8 @@ class Problem:
     @cached_property
     def data(self) -> SpectralData:
         s = self.cfg.spectral
-        return eigenpairs_below(
-            self.op,
-            ceiling=s["ceiling"],
-            tol_eig=s["tol_eig"],
-            cluster_tol=s["cluster_tol"],
-            max_count=s["max_count"],
-        )
+        return eigenpairs_below(self.op, ceiling=s["ceiling"], tol_eig=s["tol_eig"],
+                                cluster_tol=s["cluster_tol"], max_count=s["max_count"])
 
     @cached_property
     def spec(self) -> NonlinearitySpec:
@@ -487,13 +467,11 @@ def _cmd_semiflow(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
 
 
 def _cmd_report(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
-    import json as _json
-
     merged = {"config": cfg.effective()}
     for name in ("spectrum", "resonance", "bifurcation", "semiflow"):
         path = out_dir / f"{name}.json"
         if path.exists():
-            merged[name] = _json.loads(path.read_text(encoding="utf-8"))
+            merged[name] = json.loads(path.read_text(encoding="utf-8"))
     write_json(out_dir / "report.json", merged)
     return EXIT_OK
 

@@ -56,6 +56,7 @@ class Grid:
         shape: field shape, (n,) or (n, n).
         num_nodes: n**ndim.
         weights: flat trapezoid quadrature weights, shape (num_nodes,).
+        sqrt_weights: their square roots, the diagonal of W^{1/2}.
         points: flat node coordinates, shape (num_nodes, ndim).
     """
 
@@ -79,6 +80,7 @@ class Grid:
             X, Y = np.meshgrid(self.axis, self.axis, indexing="ij")
             self.points = np.column_stack([X.ravel(), Y.ravel()])
         self.num_nodes = self.weights.size
+        self.sqrt_weights = np.sqrt(self.weights)
         self.radii = np.sqrt(np.sum(self.points**2, axis=1))
         self._neg_laplacian = None
         self._sym_stiffness = None

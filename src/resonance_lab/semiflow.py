@@ -92,7 +92,7 @@ class ImexStepper:
         n = op.grid.num_nodes
         mat = (sp.identity(n) + dt * (op.sym_matrix - lam * sp.identity(n))).tocsc()
         self._lu = spla.splu(mat, **splu_ordering(op.grid))
-        self._sqrt_w = np.sqrt(op.grid.weights)
+        self._sqrt_w = op.grid.sqrt_weights
         self.op = op
         self.lam = lam
         self.dt = dt
@@ -323,7 +323,7 @@ def tail_decay_report(
         mask = grid.radii >= r_inner
         if not np.any(mask):
             return 0.0
-        blk = kernel[mask, :] * np.sqrt(grid.weights[mask])[:, None]
+        blk = kernel[mask, :] * grid.sqrt_weights[mask][:, None]
         gram = blk.T @ blk
         lam_max = float(np.max(np.linalg.eigvalsh(gram))) if gram.size else 0.0
         return m_norm * np.sqrt(max(lam_max, 0.0))

@@ -73,7 +73,6 @@ class HamiltonianOperator:
         self.sym_matrix = (grid.symmetrized_stiffness() + sp.diags(v)).tocsc()
         self.alpha_bottom: AsymptoticBottom = asymptotic_bottom(potential)
         self.alpha_inf = self.alpha_bottom.value
-        self._gersh = None
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """A u as a flat field."""
@@ -85,19 +84,10 @@ class HamiltonianOperator:
         u = self.grid.check_field(u)
         return self.grid.inner(self.apply(u), u)
 
-    def gershgorin_lower(self) -> float:
-        """Gershgorin lower bound on the spectrum of the symmetrized matrix."""
-        if self._gersh is None:
-            S = self.sym_matrix.tocsr()
-            diag = S.diagonal()
-            absrow = np.asarray(np.abs(S).sum(axis=1)).ravel() - np.abs(diag)
-            self._gersh = float(np.min(diag - absrow))
-        return self._gersh
-
     def spectrum_lower_bound(self) -> float:
-        """Tightest cheap lower bound: -Δ_h is positive semidefinite, so the
-        spectrum sits above min V; Gershgorin is kept as a fallback."""
-        return max(self.gershgorin_lower(), float(np.min(self.v_samples)))
+        """min V, a lower bound on the spectrum since -Δ_h is positive
+        semidefinite."""
+        return float(np.min(self.v_samples))
 
 
 def assemble_hamiltonian(grid: Grid, potential: PotentialSpec) -> HamiltonianOperator:
@@ -286,7 +276,7 @@ def eigenpairs_below(
     vals, vecs = vals[keep], vecs[:, keep]
 
     # back to the field frame; columns are W-orthonormal by construction
-    inv_sqrt_w = 1.0 / np.sqrt(grid.weights)
+    inv_sqrt_w = 1.0 / grid.sqrt_weights
     fields = vecs * inv_sqrt_w[:, None]
 
     if cluster_tol is None:
@@ -380,7 +370,7 @@ class Projections:
             if below_idx
             else np.zeros((self.grid.num_nodes, 0))
         )
-        sqrt_w = np.sqrt(self.grid.weights)
+        sqrt_w = self.grid.sqrt_weights
         self._psi_kernel = self.kernel_fields * sqrt_w[:, None]
         self._psi_below = self.below_fields * sqrt_w[:, None]
         # the deflated-resolvent factors of the most recent λ only: a branch
@@ -403,7 +393,7 @@ class Projections:
     def project_kernel(self, u: np.ndarray) -> np.ndarray:
         """P u."""
         u = self.grid.check_field(u)
-        coeff = self._psi_kernel.T @ (np.sqrt(self.grid.weights) * u)
+        coeff = self._psi_kernel.T @ (self.grid.sqrt_weights * u)
         return self.kernel_fields @ coeff
 
     def project_below(self, u: np.ndarray) -> np.ndarray:
@@ -411,7 +401,7 @@ class Projections:
         u = self.grid.check_field(u)
         if self.dim_below == 0:
             return np.zeros_like(u)
-        coeff = self._psi_below.T @ (np.sqrt(self.grid.weights) * u)
+        coeff = self._psi_below.T @ (self.grid.sqrt_weights * u)
         return self.below_fields @ coeff
 
     def project_above(self, u: np.ndarray) -> np.ndarray:
@@ -571,7 +561,7 @@ def apply_resolvent_complement(
     if solver is None or solver.lam != float(lam):
         proj._resolvent = None  # release the previous λ's factors first
         solver = proj._resolvent = _BorderedResolvent(op, proj, lam)
-    sqrt_w = np.sqrt(grid.weights)
+    sqrt_w = grid.sqrt_weights
     rhs = sqrt_w * q
     fast = solver.solve(rhs)
     if fast is not None:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -200,6 +201,11 @@ def test_exit_code_bad_section(tmp_path):
     assert main(["spectrum", "--config", cfg]) == EXIT_CONFIG
 
 
+def test_exit_code_undecodable_config(tmp_path):
+    (tmp_path / "exp.ini").write_bytes(b"[grid]\nndim = \xff\n")
+    assert main(["spectrum", "--config", str(tmp_path / "exp.ini")]) == EXIT_CONFIG
+
+
 def test_exit_code_unresolvable_lambda0(tmp_path):
     cfg_text = PT_BASE.format(n=1001).replace("lambda0_value = -1.0",
                                               "lambda0_value = -2.5")
@@ -275,25 +281,63 @@ def test_seed_override_changes_embedded_config(tmp_path):
     assert report["config"]["run"]["seed"] == 99
 
 
-@pytest.mark.parametrize("sub, key, value", [
-    ("semiflow", "save_every", "0"),
-    ("semiflow", "stop", "equlibrium"),
-    ("semiflow", "snapshots", "ture"),
-    ("branch", "side", "minsu"),
-    ("branch", "num_points", "0"),
-    ("branch", "window", "0"),
-    ("branch", "max_iter", "0"),
-    ("semiflow", "initial", "gaussian abc"),
-    ("semiflow", "initial", "kernel 2.0 1.0"),
-])
-def test_malformed_experiment_value_is_config_error(tmp_path, capsys, sub, key, value):
-    cfg = PT_BASE.format(n=1001) + f"\n[experiment]\n{key} = {value}\n"
+MALFORMED = [  # (subcommand, section, key, value)
+    ("semiflow", "experiment", "save_every", "0"),
+    ("semiflow", "experiment", "stop", "equlibrium"),
+    ("semiflow", "experiment", "snapshots", "ture"),
+    ("branch", "experiment", "side", "minsu"),
+    ("branch", "experiment", "num_points", "0"),
+    ("branch", "experiment", "window", "0"),
+    ("branch", "experiment", "max_iter", "0"),
+    ("semiflow", "experiment", "initial", "gaussian abc"),
+    ("semiflow", "experiment", "initial", "kernel 2.0 1.0"),
+    ("semiflow", "experiment", "dt", "0"),
+    ("semiflow", "experiment", "horizon", "0.2%"),
+    ("semiflow", "experiment", "tail_radii", "5 x"),
+    ("resonance", "experiment", "probe_radii", "1 x"),
+    ("spectrum", "potential", "center", "0 q"),
+    ("spectrum", "spectral", "morse_lambdas", "-4.5 abc"),
+    ("spectrum", "spectral", "max_count", "0"),
+    ("resonance", "spectral", "delta_request", "-0.25"),
+    ("spectrum", "grid", "ndim", "1\nndim = 2"),  # a duplicated key
+    ("spectrum", None, "ndim", "1"),  # a key above the first section header
+]
+
+
+@pytest.mark.parametrize("sub, section, key, value", MALFORMED,
+                         ids=[f"{sub}-{key}-{value}" for sub, _, key, value in MALFORMED])
+def test_malformed_experiment_value_is_config_error(tmp_path, capsys, sub, section,
+                                                    key, value):
+    # `key = value` replaces the key's line in PT_BASE, or else opens [section]
+    cfg, line = PT_BASE.format(n=1001), f"{key} = {value}\n"
+    if section is None:
+        cfg = line + cfg
+    elif f"\n{key} = " in cfg:
+        cfg = re.sub(rf"\n{key} = .*\n", lambda _: "\n" + line, cfg, count=1)
+    elif f"[{section}]\n" in cfg:
+        cfg = cfg.replace(f"[{section}]\n", f"[{section}]\n" + line)
+    else:
+        cfg += f"\n[{section}]\n" + line
     with pytest.raises(cli.ConfigError, match=key):  # before any set-up runs
         cli.parse_config(_write(tmp_path, cfg))
     code, out = _run(tmp_path, sub, cfg)
     assert code == EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_readme_schema_matches_the_config_table(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config schema (INI)")[1].split("```ini\n")[1]
+    block = block.split("```")[0]
+    keys = {}
+    for line in block.splitlines():  # commented-out keys count too
+        if header := re.match(r"\[(\w+)\]", line):
+            section = keys.setdefault(header[1], set())
+        elif key := re.match(r"#? ?(\w+) =", line):
+            section.add(key[1])
+    assert keys == {name: set(table) for name, table in cli.SCHEMA.items()}
+    cli.parse_config(_write(tmp_path, block))  # and the example is a valid config
 
 
 def test_spectrum_never_builds_the_nonlinearity(tmp_path):

@@ -293,6 +293,7 @@ def _small_problems(draw):
 def test_small_grid_spectrum_matches_dense_oracle(op):
     ceiling = op.alpha_inf
     ref = np.linalg.eigvalsh(op.sym_matrix.toarray())
+    assert op.spectrum_lower_bound() <= ref[0]
     scale = spectral._spectral_scale(op, ceiling)
     assume(np.min(np.abs(ref - ceiling)) > 1e-8 * scale)
     ref = ref[ref < ceiling]
