@@ -26,12 +26,10 @@ from .nonlinearity import (
     NonlinearitySpec,
     ResonanceVerdict,
     SphereProbe,
-    StandingWaveSpec,
     check_landesman_lazer,
     check_sign_condition,
     evaluate_f,
     evaluate_primitive,
-    from_standing_wave,
     kernel_sphere_probe,
     make_nonlinearity,
     negate,

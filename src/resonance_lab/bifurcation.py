@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .grid import field_norms
-from .nonlinearity import NonlinearitySpec
+from .nonlinearity import NonlinearitySpec, evaluate_f, evaluate_primitive
 from .semiflow import kernel_drift_rate
 from .solver import SolveResult, SolverConfig, solve_near_resonance
 from .spectral import HamiltonianOperator, Projections
@@ -42,7 +42,7 @@ class BranchPoint:
     complement_l2: float
     complement_grad_l2: float
     residual: float
-    energy: float          # standing-wave energy, NaN when unavailable
+    energy: float          # standing-wave energy, NaN without a primitive
     drift: float
     capped: bool = False
 
@@ -91,18 +91,7 @@ class BifurcationReport:
             "bound_norm": self.bound_norm,
             "num_converged": sum(p.converged for p in self.points),
             "verdict": None if v is None else asdict(v),
-            "necessary_conditions": None if nc is None else {
-                "trivial_branch": nc.trivial_branch,
-                "qu_bound": nc.qu_bound,
-                "qu_max": nc.qu_max,
-                "qu_bound_passed": nc.qu_bound_passed,
-                "grad_qu_max": nc.grad_qu_max,
-                "grad_qu_trend_slope": nc.grad_qu_trend_slope,
-                "kernel_increasing": nc.kernel_increasing,
-                "sandwich_c1": nc.sandwich_c1,
-                "sandwich_c2": nc.sandwich_c2,
-                "sandwich_spread": nc.sandwich_spread,
-            },
+            "necessary_conditions": None if nc is None else asdict(nc),
             "energy_trend": self.energy_trend,
             "resonance": self.resonance,
         }
@@ -171,28 +160,17 @@ def default_initial_radius(
     return seed / eps, best_dir
 
 
-def standing_wave_energy(
-    lam: float,
-    u: np.ndarray,
-    op: HamiltonianOperator,
-    spec: NonlinearitySpec,
-) -> float:
-    """E(ψ) = 1/2 (λ ||u||^2 + ∫ (h(x,|u|)|u| - 2 H(x,|u|)) dx).
+def standing_wave_energy(lam: float, u: np.ndarray, spec: NonlinearitySpec) -> float:
+    """E(ψ) = 1/2 (λ ||u||^2 + ∫ (u f(x, u) - 2 F(x, u)) dx).
 
-    Only defined for nonlinearities built from a standing-wave interaction.
+    Defined for every family that declares its primitive F.
     """
-    if spec.standing is None:
-        raise BranchError(
-            f"family {spec.name!r} is not a standing-wave nonlinearity"
-        )
-    grid = op.grid
+    if spec.primitive is None:
+        raise BranchError(f"family {spec.name!r} declares no primitive")
+    grid = spec.grid
     u = grid.check_field(u)
-    au = np.abs(u)
-    pts = grid.points
-    hval = np.asarray(spec.standing.h(pts, au), dtype=float)
-    Hval = np.asarray(spec.standing.h_prim(pts, au), dtype=float)
-    interaction = float(np.sum(grid.weights * (hval * au - 2.0 * Hval)))
-    return 0.5 * (lam * grid.inner(u, u) + interaction)
+    interaction = u * evaluate_f(spec, u) - 2.0 * evaluate_primitive(spec, u)
+    return 0.5 * (lam * grid.inner(u, u) + float(np.sum(grid.weights * interaction)))
 
 
 def _branch_point(
@@ -207,10 +185,7 @@ def _branch_point(
     norms = field_norms(grid, w)
     q = projections.project_complement(w)
     q_norms = field_norms(grid, q)
-    if spec.standing is not None:
-        energy = standing_wave_energy(lam, w, op, spec)
-    else:
-        energy = math.nan
+    energy = math.nan if spec.primitive is None else standing_wave_energy(lam, w, spec)
     return BranchPoint(
         lam=lam,
         u=w,

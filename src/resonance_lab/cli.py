@@ -116,6 +116,8 @@ AT_LEAST_1 = _checked(int, lambda v: v >= 1, "must be at least 1")
 
 # section -> key -> (cast, default).  A default is the text an absent key
 # reads as (and goes through the cast like any value), None, REQUIRED or OMIT.
+# A key the table does not list in its section is refused; a section it does
+# not list is ignored.
 SCHEMA = {
     "grid": {"ndim": (int, "1"), "half_width": (float, REQUIRED),
              "points_per_axis": (int, REQUIRED)},
@@ -177,6 +179,9 @@ def parse_config(path: str) -> ExperimentConfig:
     values = {}
     for name, keys in SCHEMA.items():
         section = parser[name] if parser.has_section(name) else {}
+        unknown = [key for key in section if key not in keys]
+        if unknown:
+            raise ConfigError(f"[{name}] unknown key {', '.join(unknown)}")
         values[name] = {}
         for key, (cast, default) in keys.items():
             raw = section.get(key, default)

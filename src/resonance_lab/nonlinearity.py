@@ -6,8 +6,13 @@ the theory needs declared analytically: the bound field m (|f| <= m), the
 Lipschitz split l0 + linf, the limsup/liminf fields of f as u -> +-inf, the
 strong-resonance limits k+- = lim s f(x, s) (or a flag that they are
 unbounded), and the primitive F(x, s) = int_0^s f(x, t) dt for the Lyapunov
-functional.  Limits are supplied by the family constructors, never estimated
-from samples.
+functional and the branch energies.  Limits are supplied by the family
+constructors, never estimated from samples.
+
+The saturating families are odd, f(x, u) = sign(u) h(x, |u|), and each is
+declared once, by its profile h on [0, inf): `_odd_family` derives f, the
+even primitive F(x, u) = H(x, |u|) and the limits at -inf from h's.  The
+`neg_*` families are their negations.
 
 Checkers return verdicts for both signs of a condition: Landesman-Lazer
 integrals over an epsilon-net of the kernel sphere, and sampled sign checks
@@ -16,7 +21,7 @@ with quadrature-mass positivity for the strong-resonance conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,26 +38,6 @@ NET_DIRECTIONS = 64
 
 class NonlinearityError(ValueError):
     pass
-
-
-@dataclass
-class StandingWaveSpec:
-    """Radial interaction h(x, xi) on xi >= 0 with its own bounds and limits.
-
-    h_prim is H(x, s) = int_0^s h(x, t) dt.  check_plus / hat_plus are the
-    liminf / limsup of h as xi -> +inf; k_limit is lim xi*h(x, xi) when it
-    exists (None with k_unbounded=True otherwise).
-    """
-
-    h: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    bound: np.ndarray
-    lip0: np.ndarray
-    lip_inf: np.ndarray
-    h_prim: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    check_plus: np.ndarray | None = None
-    hat_plus: np.ndarray | None = None
-    k_limit: np.ndarray | None = None
-    k_unbounded: bool = False
 
 
 @dataclass
@@ -73,8 +58,6 @@ class NonlinearitySpec:
     k_minus: np.ndarray | None = None
     k_unbounded: bool = False
     primitive: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    standing: StandingWaveSpec | None = None
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.bound_m = self.grid.check_field(self.bound_m)
@@ -133,38 +116,31 @@ def zero_nonlinearity(grid: Grid) -> NonlinearitySpec:
     )
 
 
-def from_standing_wave(grid: Grid, h_spec: StandingWaveSpec,
-                       name: str = "standing_wave", params: dict | None = None
-                       ) -> NonlinearitySpec:
-    """Odd nonlinearity f(x, u) = h(x, |u|) u/|u| (f(x, 0) = 0).
+def _odd_family(grid: Grid, name: str, h: Callable[[np.ndarray], np.ndarray],
+                H: Callable[[np.ndarray], np.ndarray], bound: np.ndarray,
+                lip0: np.ndarray, limit: np.ndarray, k_limit: np.ndarray | None
+                ) -> NonlinearitySpec:
+    """The odd nonlinearity f(x, u) = sign(u) h(x, |u|) of a profile h >= 0.
 
-    Inherits the bound and Lipschitz fields of h.  Limits translate by
-    oddness: f-check(+inf) = h-check, f-hat(-inf) = -h-check, etc.  The
-    primitive is H(x, |s|), even in s.
+    h and H take the field of magnitudes |u| (one value per node) and carry
+    their x-dependence themselves; H(x, s) = int_0^s h(x, t) dt gives the
+    even primitive F(x, u) = H(x, |u|).  limit is lim h(x, xi) as xi -> inf,
+    so f tends to +-limit at +-inf; k_limit is lim xi h(x, xi), the
+    strong-resonance limit at both ends, or None when it is unbounded.
     """
-    probe = np.asarray(h_spec.h(grid.points, np.zeros(grid.num_nodes)), dtype=float)
-    if probe.shape != (grid.num_nodes,) or not np.all(np.isfinite(probe)):
-        raise NonlinearityError("h is not defined at xi = 0 on the grid")
 
     def f(pts, u):
-        return np.sign(u) * h_spec.h(pts, np.abs(u))
+        return np.sign(u) * h(np.abs(u))
 
     def prim(pts, u):
-        return h_spec.h_prim(pts, np.abs(u))
+        return H(np.abs(u))
 
-    check, hat = h_spec.check_plus, h_spec.hat_plus
     return NonlinearitySpec(
-        grid, name, f,
-        bound_m=np.asarray(h_spec.bound, dtype=float),
-        lip_l0=np.asarray(h_spec.lip0, dtype=float),
-        lip_linf=np.asarray(h_spec.lip_inf, dtype=float),
-        fhat_plus=hat, fcheck_plus=check,
-        fhat_minus=None if check is None else -check,
-        fcheck_minus=None if hat is None else -hat,
-        k_plus=h_spec.k_limit, k_minus=h_spec.k_limit,
-        k_unbounded=h_spec.k_unbounded,
-        primitive=prim, standing=h_spec,
-        params=dict(params or {}),
+        grid, name, f, bound_m=bound, lip_l0=lip0,
+        lip_linf=np.zeros(grid.num_nodes),
+        fhat_plus=limit, fcheck_plus=limit, fhat_minus=-limit, fcheck_minus=-limit,
+        k_plus=k_limit, k_minus=k_limit, k_unbounded=k_limit is None,
+        primitive=prim,
     )
 
 
@@ -173,24 +149,15 @@ def saturating_arctan(grid: Grid, amplitude: float = 1.0, width: float = 1.0
     """f(x, u) = m(x) (2/pi) arctan(u) with Gaussian envelope m.
 
     Satisfies (LL)+ (limits +-m); s f(x, s) -> +inf so the strong-resonance
-    limits are unbounded.  Built through the standing-wave construction so
-    wave energies are available.
+    limits are unbounded.
     """
     env = _gaussian_envelope(grid, amplitude, width)
-
-    def h(pts, xi):
-        return env * (2.0 / np.pi) * np.arctan(xi)
-
-    def h_prim(pts, xi):
-        return env * (2.0 / np.pi) * (xi * np.arctan(xi) - 0.5 * np.log1p(xi**2))
-
-    h_spec = StandingWaveSpec(
-        h=h, bound=env, lip0=(2.0 / np.pi) * env,
-        lip_inf=np.zeros(grid.num_nodes), h_prim=h_prim,
-        check_plus=env, hat_plus=env, k_limit=None, k_unbounded=True,
-    )
-    return from_standing_wave(
-        grid, h_spec, "arctan", {"amplitude": amplitude, "width": width}
+    return _odd_family(
+        grid, "arctan",
+        h=lambda xi: env * (2.0 / np.pi) * np.arctan(xi),
+        H=lambda xi: env * (2.0 / np.pi) * (
+            xi * np.arctan(xi) - 0.5 * np.log1p(xi**2)),
+        bound=env, lip0=(2.0 / np.pi) * env, limit=env, k_limit=None,
     )
 
 
@@ -198,20 +165,11 @@ def saturating_rational(grid: Grid, amplitude: float = 1.0, width: float = 1.0
                         ) -> NonlinearitySpec:
     """f(x, u) = m(x) u / (1 + u^2): vanishing limits, k+- = m, satisfies (SR)+."""
     env = _gaussian_envelope(grid, amplitude, width)
-
-    def h(pts, xi):
-        return env * xi / (1.0 + xi**2)
-
-    def h_prim(pts, xi):
-        return env * 0.5 * np.log1p(xi**2)
-
-    zeros = np.zeros(grid.num_nodes)
-    h_spec = StandingWaveSpec(
-        h=h, bound=0.5 * env, lip0=env, lip_inf=zeros, h_prim=h_prim,
-        check_plus=zeros, hat_plus=zeros, k_limit=env, k_unbounded=False,
-    )
-    return from_standing_wave(
-        grid, h_spec, "rational", {"amplitude": amplitude, "width": width}
+    return _odd_family(
+        grid, "rational",
+        h=lambda xi: env * xi / (1.0 + xi**2),
+        H=lambda xi: env * 0.5 * np.log1p(xi**2),
+        bound=0.5 * env, lip0=env, limit=np.zeros(grid.num_nodes), k_limit=env,
     )
 
 
@@ -231,23 +189,27 @@ def negate(spec: NonlinearitySpec) -> NonlinearitySpec:
         fhat_plus=flip(spec.fcheck_plus), fcheck_plus=flip(spec.fhat_plus),
         fhat_minus=flip(spec.fcheck_minus), fcheck_minus=flip(spec.fhat_minus),
         k_plus=flip(spec.k_plus), k_minus=flip(spec.k_minus),
-        k_unbounded=spec.k_unbounded, primitive=prim, params=dict(spec.params),
+        k_unbounded=spec.k_unbounded, primitive=prim,
     )
 
 
 def make_nonlinearity(grid: Grid, family: str, **params) -> NonlinearitySpec:
-    """Named-family constructor used by config files."""
+    """Named-family constructor used by config files: `zero`, which takes no
+    parameter, or `arctan`, `rational` and their negations `neg_*`, which
+    take `amplitude` and `width`."""
+    saturating = {"arctan": saturating_arctan, "rational": saturating_rational}
+    base = family.removeprefix("neg_")
+    if family != "zero" and base not in saturating:
+        raise NonlinearityError(f"unknown nonlinearity family {family!r}")
+    extra = set(params) - ({"amplitude", "width"} if family != "zero" else set())
+    if extra:
+        raise NonlinearityError(
+            f"nonlinearity family {family!r} does not take {', '.join(sorted(extra))}"
+        )
     if family == "zero":
         return zero_nonlinearity(grid)
-    if family == "arctan":
-        return saturating_arctan(grid, **params)
-    if family == "rational":
-        return saturating_rational(grid, **params)
-    if family == "neg_arctan":
-        return negate(saturating_arctan(grid, **params))
-    if family == "neg_rational":
-        return negate(saturating_rational(grid, **params))
-    raise NonlinearityError(f"unknown nonlinearity family {family!r}")
+    spec = saturating[base](grid, **params)
+    return spec if family == base else negate(spec)
 
 
 # -- resonance checkers --------------------------------------------------------

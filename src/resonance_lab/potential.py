@@ -118,8 +118,25 @@ def make_potential(grid: Grid, family: str, **params) -> PotentialSpec:
 
     The Coulomb singularity policy is either "offset" (move the center by
     half a grid spacing along the first axis, the default) or "cap" (clip
-    |V| at spacing**(-alpha)).
+    |V| at spacing**(-alpha)).  Every family also takes p; a missing
+    parameter, or one the family does not take, is a PotentialError.
     """
+    spec = _family_potential(grid, family, params)
+    if params:
+        raise PotentialError(
+            f"potential family {family!r} does not take {', '.join(sorted(params))}"
+        )
+    return spec
+
+
+def _required(params: dict, family: str, key: str):
+    if key not in params:
+        raise PotentialError(f"potential family {family!r} needs {key}")
+    return params.pop(key)
+
+
+def _family_potential(grid: Grid, family: str, params: dict) -> PotentialSpec:
+    """The PotentialSpec of make_potential; pops each parameter it reads."""
     p_default = 2.0 if grid.ndim == 1 else 4.0
     p = float(params.pop("p", p_default))
 
@@ -130,7 +147,7 @@ def make_potential(grid: Grid, family: str, **params) -> PotentialSpec:
         return PotentialSpec(grid, family, v_inf, v0, p, {"c": c})
 
     if family == "poschl_teller":
-        ell = float(params.pop("ell"))
+        ell = float(_required(params, family, "ell"))
         offset = float(params.pop("offset", 0.0))
         if ell <= 0:
             raise PotentialError(f"ell must be positive, got {ell}")
@@ -140,8 +157,8 @@ def make_potential(grid: Grid, family: str, **params) -> PotentialSpec:
         return PotentialSpec(grid, family, v_inf, v0, p, {"ell": ell, "offset": offset})
 
     if family == "square_well":
-        depth = float(params.pop("depth"))
-        width = float(params.pop("width"))
+        depth = float(_required(params, family, "depth"))
+        width = float(_required(params, family, "width"))
         if width <= 0:
             raise PotentialError(f"well width must be positive, got {width}")
         half = width / 2.0
@@ -153,8 +170,8 @@ def make_potential(grid: Grid, family: str, **params) -> PotentialSpec:
         )
 
     if family == "coulomb":
-        c = float(params.pop("c"))
-        alpha = float(params.pop("alpha"))
+        c = float(_required(params, family, "c"))
+        alpha = float(_required(params, family, "alpha"))
         center = np.asarray(params.pop("center", np.zeros(grid.ndim)), dtype=float)
         cutoff = float(params.pop("cutoff_radius", 1.0))
         policy = params.pop("policy", "offset")
@@ -206,7 +223,7 @@ def make_potential(grid: Grid, family: str, **params) -> PotentialSpec:
         )
 
     if family == "custom":
-        evaluator = params.pop("evaluator")
+        evaluator = _required(params, family, "evaluator")
         cutoff = float(params.pop("cutoff_radius", 1.0))
         center = params.pop("center", None)
         v_inf, v0 = split_kato_rellich(grid, evaluator, cutoff, center)

@@ -113,29 +113,34 @@ def test_necessary_report_tail_too_short(pt_grid, pt_proj, pt_op, arctan_spec):
         rl.necessary_condition_report(branch, pt_proj, arctan_spec)
 
 
-def test_standing_wave_energy_zero_field(pt_op, arctan_spec):
+def test_standing_wave_energy_zero_field(pt_grid, arctan_spec):
     assert rl.standing_wave_energy(
-        -1.0, np.zeros(pt_op.grid.num_nodes), pt_op, arctan_spec
+        -1.0, np.zeros(pt_grid.num_nodes), arctan_spec
     ) == 0.0
 
 
-def test_standing_wave_energy_zero_interaction(pt_grid, pt_op, rng):
-    zeros = np.zeros(pt_grid.num_nodes)
-    h_spec = rl.StandingWaveSpec(
-        h=lambda pts, xi: np.zeros_like(xi), bound=zeros, lip0=zeros,
-        lip_inf=zeros, h_prim=lambda pts, xi: np.zeros_like(xi),
-        check_plus=zeros, hat_plus=zeros, k_limit=zeros,
-    )
-    spec = rl.from_standing_wave(pt_grid, h_spec)
+def test_standing_wave_energy_zero_interaction(pt_grid, rng):
+    spec = rl.zero_nonlinearity(pt_grid)
     u = rng.standard_normal(pt_grid.num_nodes)
-    E = rl.standing_wave_energy(-1.5, u, pt_op, spec)
+    E = rl.standing_wave_energy(-1.5, u, spec)
     assert np.isclose(E, 0.5 * -1.5 * pt_grid.inner(u, u), rtol=1e-13)
 
 
-def test_standing_wave_energy_requires_standing(pt_grid, pt_op):
+def test_standing_wave_energy_requires_primitive(pt_grid):
     spec = rl.zero_nonlinearity(pt_grid)
+    spec.primitive = None
     with pytest.raises(BranchError):
-        rl.standing_wave_energy(-1.0, np.zeros(pt_grid.num_nodes), pt_op, spec)
+        rl.standing_wave_energy(-1.0, np.zeros(pt_grid.num_nodes), spec)
+
+
+@pytest.mark.parametrize("family", ["zero", "arctan", "rational"])
+def test_standing_wave_energy_of_negation(pt_grid, rng, family):
+    # the interaction terms of f and -f cancel: E(f) + E(-f) = lam ||u||^2
+    spec = rl.make_nonlinearity(pt_grid, family)
+    u = 3.0 * rng.standard_normal(pt_grid.num_nodes)
+    total = (rl.standing_wave_energy(-1.5, u, spec)
+             + rl.standing_wave_energy(-1.5, u, rl.negate(spec)))
+    assert total == pytest.approx(-1.5 * pt_grid.inner(u, u), rel=1e-14)
 
 
 def test_energy_interaction_bound(acceptance_branch, pt_op, arctan_spec):

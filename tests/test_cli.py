@@ -301,6 +301,7 @@ MALFORMED = [  # (subcommand, section, key, value)
     ("resonance", "spectral", "delta_request", "-0.25"),
     ("spectrum", "grid", "ndim", "1\nndim = 2"),  # a duplicated key
     ("spectrum", None, "ndim", "1"),  # a key above the first section header
+    ("semiflow", "experiment", "horizn", "0.2"),  # a key the section does not list
 ]
 
 
@@ -323,6 +324,27 @@ def test_malformed_experiment_value_is_config_error(tmp_path, capsys, sub, secti
     code, out = _run(tmp_path, sub, cfg)
     assert code == EXIT_CONFIG
     assert key in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+FAMILY_PARAMETERS = [  # (subcommand, replaced text, replacement, word in the error)
+    ("spectrum", "ell = 2\n", "", "ell"),
+    ("spectrum", "family = poschl_teller\nell = 2", "family = custom", "evaluator"),
+    ("spectrum", "ell = 2\n", "ell = 2\ndepth = -50\n", "depth"),
+    ("resonance", "family = arctan", "family = zero\namplitude = 2", "amplitude"),
+]
+
+
+@pytest.mark.parametrize("sub, old, new, word", FAMILY_PARAMETERS,
+                         ids=["missing-ell", "custom", "leftover-depth",
+                              "zero-amplitude"])
+def test_family_parameters_are_checked(tmp_path, capsys, sub, old, new, word):
+    cfg = PT_BASE.format(n=1001)
+    assert old in cfg
+    code, out = _run(tmp_path, sub, cfg.replace(old, new, 1))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and word in err
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import resonance_lab as rl
-from resonance_lab.nonlinearity import NonlinearityError
+from resonance_lab.nonlinearity import NonlinearityError, _odd_family
 
 
 @pytest.fixture(scope="module")
@@ -74,28 +76,71 @@ def test_assembled_lipschitz_constant(grid, arctan, rng):
         assert lhs <= L * rl.field_norms(grid, u - v).h1 * (1 + 1e-9)
 
 
-def test_from_standing_wave_odd(grid, rng):
-    spec = rl.saturating_arctan(grid)  # built through the standing-wave path
-    assert spec.standing is not None
+def test_arctan_odd_closed_form(grid, rng):
+    spec = rl.saturating_arctan(grid)
     u = rng.standard_normal(grid.num_nodes) * 5
-    assert np.allclose(
-        rl.evaluate_f(spec, -u), -rl.evaluate_f(spec, u), atol=1e-15
-    )
+    assert np.array_equal(rl.evaluate_f(spec, -u), -rl.evaluate_f(spec, u))
     # matches the closed form m (2/pi) arctan(u)
     expected = np.exp(-grid.axis**2) * (2 / np.pi) * np.arctan(u)
     assert np.allclose(rl.evaluate_f(spec, u), expected, rtol=1e-13)
 
 
-def test_from_standing_wave_zero_h(grid):
+def test_odd_family_zero_profile(grid):
     zeros = np.zeros(grid.num_nodes)
-    h_spec = rl.StandingWaveSpec(
-        h=lambda pts, xi: np.zeros_like(xi),
-        bound=zeros, lip0=zeros, lip_inf=zeros,
-        h_prim=lambda pts, xi: np.zeros_like(xi),
-        check_plus=zeros, hat_plus=zeros, k_limit=zeros,
+    spec = _odd_family(
+        grid, "zero_profile", h=lambda xi: np.zeros_like(xi),
+        H=lambda xi: np.zeros_like(xi), bound=zeros, lip0=zeros, limit=zeros,
+        k_limit=zeros,
     )
-    spec = rl.from_standing_wave(grid, h_spec)
-    assert np.all(rl.evaluate_f(spec, np.ones(grid.num_nodes)) == 0.0)
+    u = np.linspace(-3.0, 3.0, grid.num_nodes)
+    assert np.all(rl.evaluate_f(spec, u) == 0.0)
+    assert np.all(rl.evaluate_primitive(spec, u) == 0.0)
+    assert spec.has_limits() and not spec.k_unbounded
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    family=st.sampled_from(("zero", "arctan", "rational", "neg_arctan", "neg_rational")),
+    ndim=st.sampled_from((1, 2)),
+    amplitude=st.floats(0.1, 10.0),
+    width=st.floats(0.2, 5.0),
+    scale=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_config_family_matches_its_declaration(family, ndim, amplitude, width, scale,
+                                               seed):
+    # each family declares f, F, m and the limits once; they must agree
+    grid = rl.make_grid(ndim, 4.0, 21 if ndim == 1 else 9)
+    params = {} if family == "zero" else {"amplitude": amplitude, "width": width}
+    spec = rl.make_nonlinearity(grid, family, **params)
+    u = scale * np.random.default_rng(seed).standard_normal(grid.num_nodes)
+    fu = rl.evaluate_f(spec, u)
+    assert np.array_equal(rl.evaluate_f(spec, -u), -fu)
+    assert np.all(np.abs(fu) <= spec.bound_m * (1 + 4 * np.finfo(float).eps))
+    tol = 1e-7 * max(1.0, np.max(spec.bound_m))
+    step = 1e-5 * np.maximum(1.0, np.abs(u))
+    slope = (rl.evaluate_primitive(spec, u + step)
+             - rl.evaluate_primitive(spec, u - step)) / (2 * step)
+    assert np.max(np.abs(slope - fu)) <= tol
+    # the declared limits bracket f(x, +-s) at large s, and s f(x, s) -> k+-
+    big = np.full(grid.num_nodes, 1e9)
+    tol = 1e-6 * max(1.0, np.max(spec.bound_m))
+    for s, check, hat, k in ((big, spec.fcheck_plus, spec.fhat_plus, spec.k_plus),
+                             (-big, spec.fcheck_minus, spec.fhat_minus, spec.k_minus)):
+        f_inf = rl.evaluate_f(spec, s)
+        assert np.all(check - tol <= f_inf) and np.all(f_inf <= hat + tol)
+        assert (k is None) == spec.k_unbounded
+        if k is not None:
+            np.testing.assert_allclose(s * f_inf, k, rtol=1e-9, atol=1e-12)
+
+
+def test_make_nonlinearity_checks_its_parameters(grid):
+    with pytest.raises(NonlinearityError, match="amplitude"):
+        rl.make_nonlinearity(grid, "zero", amplitude=2.0)
+    with pytest.raises(NonlinearityError, match="depth"):
+        rl.make_nonlinearity(grid, "neg_rational", depth=2.0)
+    with pytest.raises(NonlinearityError, match="unknown"):
+        rl.make_nonlinearity(grid, "neg_zero")
 
 
 def test_landesman_lazer_arctan(grid, arctan, pt_proj):

@@ -60,6 +60,16 @@ def test_square_well_width_validation():
         rl.make_potential(g, "square_well", depth=-10.0, width=-1.0)
 
 
+def test_family_parameters_validation():
+    g = rl.make_grid(1, 5.0, 101)
+    with pytest.raises(PotentialError, match="needs alpha"):
+        rl.make_potential(g, "coulomb", c=-1.0)
+    with pytest.raises(PotentialError, match="needs evaluator"):
+        rl.make_potential(g, "custom", cutoff_radius=2.0)
+    with pytest.raises(PotentialError, match="does not take depth, ell"):
+        rl.make_potential(g, "constant", c=1.0, ell=2.0, depth=-1.0, p=3.0)
+
+
 def test_p_exponent_validation_2d():
     g = rl.make_grid(2, 3.0, 21)
     with pytest.raises(PotentialError):
