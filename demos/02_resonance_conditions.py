@@ -46,7 +46,7 @@ show("neg", rl.check_landesman_lazer(rl.negate(arctan), proj.kernel_fields))
 
 print("\nmin <v, F(v)> over the kernel sphere ||v|| = R (arctan family):")
 for radius in (1.0, 10.0, 100.0, 1000.0):
-    probe = rl.kernel_sphere_probe(arctan, proj, None, radius)
+    probe = rl.kernel_sphere_probe(arctan, proj.kernel_fields, radius)
     print(f"    R = {radius:7.1f}   min pairing = {probe.min_pairing:.6f}")
 print("positive and growing with R: the nonlinearity pushes kernel-sphere")
 print("states outward, which is what forces the branch of solutions to blow up.")

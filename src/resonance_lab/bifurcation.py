@@ -19,7 +19,6 @@ import numpy as np
 
 from .grid import field_norms
 from .nonlinearity import NonlinearitySpec, evaluate_f, evaluate_primitive
-from .semiflow import kernel_drift_rate
 from .solver import SolveResult, SolverConfig, solve_near_resonance
 from .spectral import HamiltonianOperator, Projections
 
@@ -43,7 +42,6 @@ class BranchPoint:
     complement_grad_l2: float
     residual: float
     energy: float          # standing-wave energy, NaN without a primitive
-    drift: float
     capped: bool = False
 
 
@@ -198,7 +196,6 @@ def _branch_point(
         complement_grad_l2=q_norms.grad_l2,
         residual=result.pde_residual,
         energy=energy,
-        drift=kernel_drift_rate(lam, w, projections, spec),
         capped=result.capped,
     )
 

@@ -128,8 +128,8 @@ SCHEMA = {
         "center": (_floats, OMIT),
         "policy": (str, OMIT),
     },
-    "nonlinearity": {"family": (str, "zero"), "amplitude": (float, OMIT),
-                     "width": (float, OMIT)},
+    "nonlinearity": {"family": (str, "zero"), "amplitude": (POSITIVE, OMIT),
+                     "width": (POSITIVE, OMIT)},
     "spectral": {
         "ceiling": (float, None),
         "tol_eig": (POSITIVE, "1e-8"),
@@ -345,7 +345,7 @@ def _cmd_resonance(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
     # each probe has its own seed, so its result does not depend on the others
     results = [
         kernel_sphere_probe(
-            spec, proj, None, radius, sign=1,
+            spec, proj.kernel_fields, radius, sign=1,
             rng=np.random.default_rng([cfg.seed, i]),
         )
         for i, radius in enumerate(cfg.experiment["probe_radii"])
@@ -354,7 +354,6 @@ def _cmd_resonance(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
         {
             "radius": pr.radius,
             "min_pairing": pr.min_pairing,
-            "argmin_direction": pr.argmin_direction,
         }
         for pr in results
     ]

@@ -22,12 +22,11 @@ with quadrature-mass positivity for the strong-resonance conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .grid import Grid
-from .spectral import Projections
 
 # "positive measure" proxy: quadrature mass above this fraction of the box
 MASS_TOL_FACTOR = 1e-8
@@ -269,13 +268,9 @@ def check_landesman_lazer(
     grid = spec.grid
     if not spec.has_limits():
         raise NonlinearityError("limit fields are not declared for this family")
-    basis = np.atleast_2d(np.asarray(kernel_basis, dtype=float))
-    if basis.shape[0] == grid.num_nodes:
-        pass
-    elif basis.shape[1] == grid.num_nodes:
-        basis = basis.T
-    else:
-        raise NonlinearityError("kernel_basis shape does not match the grid")
+    basis = np.asarray(kernel_basis, dtype=float)
+    if basis.ndim != 2 or basis.shape[0] != grid.num_nodes:
+        raise NonlinearityError("kernel_basis must hold one field per column")
     if basis.shape[1] == 0:
         raise NonlinearityError("kernel_basis is empty")
     rng = rng or np.random.default_rng(0)
@@ -396,30 +391,26 @@ def check_sign_condition(
 
 @dataclass
 class SphereProbe:
-    """Empirical minimum of sign * <v, F(v + w)> over a kernel sphere."""
+    """Empirical minimum of sign * <v, F(v)> over a kernel sphere."""
 
     radius: float
     sign: int
     min_pairing: float
-    argmin_direction: int
-    argmin_sample: int
-    pairings: np.ndarray
 
 
 def kernel_sphere_probe(
     spec: NonlinearitySpec,
-    projections: Projections,
-    samples: Sequence[np.ndarray] | None,
+    kernel_basis: np.ndarray,
     radius: float,
     sign: int = 1,
     rng: np.random.Generator | None = None,
 ) -> SphereProbe:
     """Probe the inward/outward pairing on the kernel sphere of a given radius.
 
-    samples is a finite set of complement fields w (defaults to {0}); the
-    probe reports min over sphere directions v (||v|| = radius) and samples w
-    of sign * <v, F(v + w)>, the empirical counterpart of the geometric
-    constant alpha.
+    kernel_basis holds the kernel fields as columns; the probe reports the
+    min over an epsilon-net of sphere directions v (||v|| = radius) of
+    sign * <v, F(v)>, the empirical counterpart of the geometric constant
+    alpha.
     """
     if radius <= 0:
         raise NonlinearityError(f"radius must be positive, got {radius}")
@@ -427,25 +418,11 @@ def kernel_sphere_probe(
         raise NonlinearityError("sign must be +1 or -1")
     grid = spec.grid
     rng = rng or np.random.default_rng(0)
-    basis = projections.kernel_fields
-    coeffs = _kernel_net(basis, rng)
-    if samples is None:
-        samples = [np.zeros(grid.num_nodes)]
-    samples = [grid.check_field(s) for s in samples]
-    if len(samples) == 0:
-        raise NonlinearityError("empty sample set")
-
-    pairings = np.empty((len(coeffs), len(samples)))
-    for i, c in enumerate(coeffs):
-        v = basis @ c
+    pairings = []
+    for c in _kernel_net(kernel_basis, rng):
+        v = kernel_basis @ c
         v = v / grid.norm(v) * radius
-        for j, wbar in enumerate(samples):
-            pairings[i, j] = sign * grid.inner(v, evaluate_f(spec, v + wbar))
-    flat = int(np.argmin(pairings))
-    di, sj = np.unravel_index(flat, pairings.shape)
+        pairings.append(sign * grid.inner(v, evaluate_f(spec, v)))
     return SphereProbe(
-        radius=float(radius), sign=sign,
-        min_pairing=float(pairings[di, sj]),
-        argmin_direction=int(di), argmin_sample=int(sj),
-        pairings=pairings,
+        radius=float(radius), sign=sign, min_pairing=float(min(pairings)),
     )

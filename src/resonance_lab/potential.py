@@ -13,7 +13,7 @@ reported alongside the value at the largest radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ class PotentialSpec:
     """Sampled potential V = v_infty + v_zero with split metadata.
 
     p is the integrability exponent of the v_zero part (p >= 2 in 1-D,
-    p > 2 in 2-D); q = 2p/(p-2) for p > 2 and infinity at p = 2.
+    p > 2 in 2-D).
     """
 
     grid: Grid
@@ -38,7 +38,6 @@ class PotentialSpec:
     v_infty: np.ndarray
     v_zero: np.ndarray
     p: float
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.v_infty = self.grid.check_field(self.v_infty)
@@ -54,14 +53,6 @@ class PotentialSpec:
     def v(self) -> np.ndarray:
         """Total sampled potential."""
         return self.v_infty + self.v_zero
-
-    @property
-    def q(self) -> float:
-        return np.inf if self.p == 2 else 2.0 * self.p / (self.p - 2.0)
-
-    def bound_infty(self) -> float:
-        """max |v_infty| over the grid."""
-        return float(np.max(np.abs(self.v_infty)))
 
 
 def split_kato_rellich(
@@ -144,7 +135,7 @@ def _family_potential(grid: Grid, family: str, params: dict) -> PotentialSpec:
         c = float(params.pop("c", 0.0))
         v_inf = np.full(grid.num_nodes, c)
         v0 = np.zeros(grid.num_nodes)
-        return PotentialSpec(grid, family, v_inf, v0, p, {"c": c})
+        return PotentialSpec(grid, family, v_inf, v0, p)
 
     if family == "poschl_teller":
         ell = float(_required(params, family, "ell"))
@@ -154,7 +145,7 @@ def _family_potential(grid: Grid, family: str, params: dict) -> PotentialSpec:
         r = grid.radii
         v_inf = -ell * (ell + 1.0) / np.cosh(r) ** 2 + offset
         v0 = np.zeros(grid.num_nodes)
-        return PotentialSpec(grid, family, v_inf, v0, p, {"ell": ell, "offset": offset})
+        return PotentialSpec(grid, family, v_inf, v0, p)
 
     if family == "square_well":
         depth = float(_required(params, family, "depth"))
@@ -165,9 +156,7 @@ def _family_potential(grid: Grid, family: str, params: dict) -> PotentialSpec:
         inside = np.all(np.abs(grid.points) <= half, axis=1)
         v0 = np.where(inside, depth, 0.0)
         v_inf = np.zeros(grid.num_nodes)
-        return PotentialSpec(
-            grid, family, v_inf, v0, p, {"depth": depth, "width": width}
-        )
+        return PotentialSpec(grid, family, v_inf, v0, p)
 
     if family == "coulomb":
         c = float(_required(params, family, "c"))
@@ -207,27 +196,14 @@ def _family_potential(grid: Grid, family: str, params: dict) -> PotentialSpec:
             return vals
 
         v_inf, v0 = split_kato_rellich(grid, evaluator, cutoff, eff_center)
-        return PotentialSpec(
-            grid,
-            family,
-            v_inf,
-            v0,
-            p,
-            {
-                "c": c,
-                "alpha": alpha,
-                "center": eff_center.tolist(),
-                "cutoff_radius": cutoff,
-                "policy": policy,
-            },
-        )
+        return PotentialSpec(grid, family, v_inf, v0, p)
 
     if family == "custom":
         evaluator = _required(params, family, "evaluator")
         cutoff = float(params.pop("cutoff_radius", 1.0))
         center = params.pop("center", None)
         v_inf, v0 = split_kato_rellich(grid, evaluator, cutoff, center)
-        return PotentialSpec(grid, family, v_inf, v0, p, {"cutoff_radius": cutoff})
+        return PotentialSpec(grid, family, v_inf, v0, p)
 
     raise PotentialError(f"unknown potential family {family!r}")
 

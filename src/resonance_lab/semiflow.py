@@ -67,10 +67,6 @@ class Trajectory:
     stop_reason: str = ""
 
     @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
-
-    @property
     def J_values(self) -> np.ndarray:
         return np.array([s.J for s in self.states], dtype=float)
 
@@ -256,7 +252,6 @@ class TailDecayReport:
     alpha: float
     eta: float
     n0: float
-    R_bound: float          # sup_t ||Qu(t)||_H1 over the trajectory
     alpha_n: dict           # radius -> assembled alpha_n
     rows: list
     all_passed: bool
@@ -363,8 +358,7 @@ def tail_decay_report(
                 )
             )
     return TailDecayReport(
-        alpha=float(alpha), eta=float(eta), n0=n0, R_bound=float(R_bound),
-        alpha_n=alpha_n, rows=rows,
+        alpha=float(alpha), eta=float(eta), n0=n0, alpha_n=alpha_n, rows=rows,
         all_passed=all(r.passed for r in rows),
         all_guaranteed_passed=all(r.passed for r in rows if r.guaranteed),
     )

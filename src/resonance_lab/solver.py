@@ -33,7 +33,6 @@ class SolverConfig:
     tol_pde: float = 1e-6          # PDE residual tolerance, scaled by (1 + ||w||_H1)
     max_iter: int = 200
     u_cap: float | None = None     # abort when ||u||_H1 exceeds this
-    allow_resonant: bool = False   # permit λ == λ0 (may not converge)
 
 
 @dataclass
@@ -46,7 +45,6 @@ class SolveResult:
     pde_residual: float            # ||(A - λ)w - F(w)||_L2
     kernel_norm: float             # ||P w||_L2
     complement_norm: float         # ||Q w||_L2
-    resonant: bool = False
     capped: bool = False
     message: str = ""
 
@@ -112,18 +110,14 @@ def solve_near_resonance(
 
     Returns a SolveResult whose `converged` requires both the fixed-point
     defect and the reconstructed PDE residual to be below tolerance; on
-    max_iter the best iterate seen is returned with converged = False.
-    λ = λ0 exactly is allowed only with config.allow_resonant (flagged in
-    the result, no convergence promise there).
+    max_iter the iterate of least defect, the last one included, is returned
+    with converged = False.  λ = λ0 is refused.
     """
     cfg = config or SolverConfig()
     grid = op.grid
     lam0 = projections.lambda0
-    resonant = lam == lam0
-    if resonant and not cfg.allow_resonant:
-        raise ValueError(
-            "lambda equals lambda0 exactly; pass allow_resonant=True to attempt it"
-        )
+    if lam == lam0:
+        raise ValueError("lambda equals lambda0 exactly")
     if abs(lam - lam0) > projections.delta * (1 + 1e-12):
         raise ValueError(
             f"lambda = {lam} outside window |lambda - lambda0| <= {projections.delta}"
@@ -142,7 +136,6 @@ def solve_near_resonance(
     it = 0
     while it < cfg.max_iter:
         if defect <= cfg.tol_fp:
-            best_u, best_defect = u, defect
             break
         if defect < best_defect:
             best_u, best_defect = u, defect
@@ -174,11 +167,10 @@ def solve_near_resonance(
             u, g, defect = u_plain, g_plain, d_plain
         it += 1
     else:
-        u, defect = best_u, best_defect
-        message = message or f"max_iter = {cfg.max_iter} reached"
+        message = f"max_iter = {cfg.max_iter} reached"
 
-    u = best_u if best_defect < defect else u
-    defect = min(defect, best_defect)
+    if best_defect < defect:
+        u, defect = best_u, best_defect
     w = reconstruct_solution(lam, u, projections, op)
     residual = pde_residual(lam, w, op, spec)
     h1 = field_norms(grid, w).h1
@@ -196,7 +188,6 @@ def solve_near_resonance(
         pde_residual=float(residual),
         kernel_norm=grid.norm(projections.project_kernel(w)),
         complement_norm=grid.norm(projections.project_complement(w)),
-        resonant=resonant,
         capped=capped,
         message=message,
     )

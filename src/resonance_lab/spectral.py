@@ -79,11 +79,6 @@ class HamiltonianOperator:
         u = self.grid.check_field(u)
         return self.matrix @ u
 
-    def quadratic_form(self, u: np.ndarray) -> float:
-        """<A u, u> in the quadrature inner product."""
-        u = self.grid.check_field(u)
-        return self.grid.inner(self.apply(u), u)
-
     def spectrum_lower_bound(self) -> float:
         """min V, a lower bound on the spectrum since -Δ_h is positive
         semidefinite."""

@@ -19,7 +19,6 @@ def _synthetic_branch(lam0, eps_list, h1_list):
                 lam=lam0 - eps, u=np.zeros(1), converged=True,
                 l2=h1, grad_l2=h1, h1=h1, kernel_l2=h1, complement_l2=0.1,
                 complement_grad_l2=0.1, residual=0.0, energy=math.nan,
-                drift=0.0,
             )
         )
     return points
@@ -151,10 +150,11 @@ def test_energy_interaction_bound(acceptance_branch, pt_op, arctan_spec):
         assert abs(p.energy - 0.5 * p.lam * p.l2**2) <= slack
 
 
-def test_branch_point_drift_vanishes(acceptance_branch):
+def test_branch_point_drift_vanishes(acceptance_branch, pt_proj, arctan_spec):
     # stationarity: (lam - lam0)||Pw||^2 + <Pw, F(w)> = 0 at solutions
     for p in acceptance_branch:
-        assert abs(p.drift) <= 1e-6 * max(1.0, p.kernel_l2)
+        drift = rl.kernel_drift_rate(p.lam, p.u, pt_proj, arctan_spec)
+        assert abs(drift) <= 1e-6 * max(1.0, p.kernel_l2)
 
 
 def test_branch_points_respect_bound_field(acceptance_branch, pt_op, arctan_spec):

@@ -145,6 +145,7 @@ def test_resonance_report(tmp_path):
     assert report["verdicts"]["SR+"]["applicable"] is False
     probes = report["kernel_sphere_probe"]
     assert [p["radius"] for p in probes] == [1.0, 10.0, 100.0]
+    assert all(set(p) == {"radius", "min_pairing"} for p in probes)
     assert all(p["min_pairing"] > 0 for p in probes)
 
 
@@ -302,6 +303,8 @@ MALFORMED = [  # (subcommand, section, key, value)
     ("spectrum", "grid", "ndim", "1\nndim = 2"),  # a duplicated key
     ("spectrum", None, "ndim", "1"),  # a key above the first section header
     ("semiflow", "experiment", "horizn", "0.2"),  # a key the section does not list
+    ("resonance", "nonlinearity", "amplitude", "-1"),
+    ("branch", "nonlinearity", "width", "0"),
 ]
 
 

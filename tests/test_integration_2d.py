@@ -70,9 +70,15 @@ def test_pair_landesman_lazer_net(pair_proj, spec2):
 
 
 def test_pair_sphere_probe(pair_proj, spec2):
-    probe = rl.kernel_sphere_probe(spec2, pair_proj, None, 50.0)
-    assert probe.pairings.shape == (64, 1)
+    basis = pair_proj.kernel_fields
+    probe = rl.kernel_sphere_probe(spec2, basis, 50.0)
     assert probe.min_pairing > 0
+    # the 64-direction net runs round the whole circle of the pair: its
+    # minimum is no larger than the pairing along either basis field
+    for j in range(2):
+        v = 50.0 * basis[:, j]
+        along = pair_proj.grid.inner(v, rl.evaluate_f(spec2, v))
+        assert probe.min_pairing <= along * (1 + 1e-12)
 
 
 def test_pair_branch_blows_up(well, pair_proj, spec2):
@@ -91,7 +97,9 @@ def test_pair_branch_blows_up(well, pair_proj, spec2):
         assert p.residual <= 1e-6 * (1 + p.h1)
         assert p.complement_l2 <= 2.0 / pair_proj.delta * spec2.bound_norm
     # stationarity of the kernel component at every solution
-    assert all(abs(p.drift) <= 1e-6 * max(1.0, p.kernel_l2) for p in branch)
+    for p in branch:
+        drift = rl.kernel_drift_rate(p.lam, p.u, pair_proj, spec2)
+        assert abs(drift) <= 1e-6 * max(1.0, p.kernel_l2)
 
 
 def test_trivial_point_does_not_poison_warm_start(well, spec2):

@@ -215,14 +215,14 @@ def test_sign_condition_violation_injection(grid):
 
 def test_kernel_sphere_probe_zero(pt_grid, pt_proj):
     spec = rl.zero_nonlinearity(pt_grid)
-    probe = rl.kernel_sphere_probe(spec, pt_proj, None, 5.0)
+    probe = rl.kernel_sphere_probe(spec, pt_proj.kernel_fields, 5.0)
     assert probe.min_pairing == 0.0
 
 
 def test_kernel_sphere_probe_growth(pt_grid, pt_proj, arctan_spec):
     values = []
     for radius in (10.0, 100.0, 1000.0):
-        probe = rl.kernel_sphere_probe(arctan_spec, pt_proj, None, radius)
+        probe = rl.kernel_sphere_probe(arctan_spec, pt_proj.kernel_fields, radius)
         # direct quadrature oracle for the worst direction
         phi = pt_proj.kernel_fields[:, 0]
         oracle = min(
@@ -238,16 +238,15 @@ def test_kernel_sphere_probe_growth(pt_grid, pt_proj, arctan_spec):
 
 def test_kernel_sphere_probe_sign_symmetry(pt_grid, pt_proj, arctan_spec):
     # pairing is bilinear in (sign, f): flipping both leaves it unchanged
-    a = rl.kernel_sphere_probe(arctan_spec, pt_proj, None, 50.0, sign=1)
-    b = rl.kernel_sphere_probe(rl.negate(arctan_spec), pt_proj, None, 50.0, sign=-1)
+    basis = pt_proj.kernel_fields
+    a = rl.kernel_sphere_probe(arctan_spec, basis, 50.0, sign=1)
+    b = rl.kernel_sphere_probe(rl.negate(arctan_spec), basis, 50.0, sign=-1)
     assert np.isclose(a.min_pairing, b.min_pairing, rtol=1e-12)
 
 
 def test_kernel_sphere_probe_validation(pt_proj, arctan_spec):
     with pytest.raises(NonlinearityError):
-        rl.kernel_sphere_probe(arctan_spec, pt_proj, [], 1.0)
-    with pytest.raises(NonlinearityError):
-        rl.kernel_sphere_probe(arctan_spec, pt_proj, None, -1.0)
+        rl.kernel_sphere_probe(arctan_spec, pt_proj.kernel_fields, -1.0)
 
 
 def test_evaluate_primitive_missing(grid):

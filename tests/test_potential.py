@@ -13,7 +13,6 @@ def test_constant_family():
     spec = rl.make_potential(g, "constant", c=3.5)
     assert np.all(spec.v_infty == 3.5)
     assert np.all(spec.v_zero == 0.0)
-    assert spec.q == np.inf
 
 
 def test_poschl_teller_family_bounded_part():
@@ -28,11 +27,10 @@ def test_poschl_teller_family_bounded_part():
 def test_coulomb_family_split():
     g = rl.make_grid(1, 5.0, 2001)
     spec = rl.make_potential(g, "coulomb", c=-1.0, alpha=0.25)
-    center = spec.params["center"][0]
-    assert center == g.spacing / 2.0  # singular node policy: half-grid offset
+    center = g.spacing / 2.0  # singular node policy: half-grid offset
     dist = np.abs(g.axis - center)
     assert np.all(spec.v_zero[dist > 1.0] == 0.0)
-    assert spec.bound_infty() <= 1.0 + 1e-12
+    assert np.max(np.abs(spec.v_infty)) <= 1.0 + 1e-12
     inside = dist <= 1.0
     assert np.allclose(spec.v_zero[inside], -dist[inside] ** -0.25)
 

@@ -255,7 +255,7 @@ def test_trajectory_save_schedule(pt_grid, pt_op, arctan_spec):
         rl.SemiflowState(0.0, np.exp(-pt_grid.axis**2)), -1.2, 0.2, pt_op,
         arctan_spec, dt=0.01, stop="time-only", save_every=5,
     )
-    times = traj.times
+    times = np.array([s.t for s in traj.states])
     assert times[0] == 0.0
     assert np.all(np.diff(times) > 0)
     assert abs(times[-1] - 0.2) < 1e-12

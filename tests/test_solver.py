@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import resonance_lab as rl
+from resonance_lab import solver
 from resonance_lab.solver import reconstruct_iterate, reconstruct_solution
 
 
@@ -105,24 +106,35 @@ def test_solve_resonant_lambda_flag(pt_grid, pt_proj, pt_op, arctan_spec):
             pt_proj.lambda0, np.zeros(pt_grid.num_nodes), pt_proj, pt_op,
             arctan_spec,
         )
-    cfg = rl.SolverConfig(allow_resonant=True, max_iter=5)
-    res = rl.solve_near_resonance(
-        pt_proj.lambda0, np.zeros(pt_grid.num_nodes), pt_proj, pt_op,
-        arctan_spec, cfg,
-    )
-    assert res.resonant
 
 
-def test_solve_max_iter_returns_best(pt_grid, pt_proj, pt_op, arctan_spec):
-    cfg = rl.SolverConfig(max_iter=2)
+def test_solve_max_iter_returns_best(monkeypatch, pt_grid, pt_proj, pt_op,
+                                    arctan_spec):
+    # K is evaluated at every accepted iterate and at rejected Anderson
+    # proposals, whose defect is no lower than the current iterate's: the
+    # least defect over all evaluations is the least over accepted iterates
+    defects = []
+    k_map = solver.k_map
+
+    def recording_k_map(lam, u, *args):
+        g = k_map(lam, u, *args)
+        defects.append(pt_grid.norm(u - g))
+        return g
+
+    monkeypatch.setattr(solver, "k_map", recording_k_map)
     lam = pt_proj.lambda0 - pt_proj.delta / 4
-    res = rl.solve_near_resonance(
-        lam, 100.0 * pt_proj.kernel_fields[:, 0], pt_proj, pt_op,
-        arctan_spec, cfg,
-    )
-    assert not res.converged
-    assert res.iterations == 2
-    assert "max_iter" in res.message
+    for max_iter, radius in ((1, 3.0), (2, 100.0), (5, 3.0)):
+        defects.clear()
+        res = rl.solve_near_resonance(
+            lam, radius * pt_proj.kernel_fields[:, 0], pt_proj, pt_op,
+            arctan_spec, rl.SolverConfig(max_iter=max_iter),
+        )
+        assert not res.converged
+        assert res.iterations == max_iter
+        assert "max_iter" in res.message
+        assert res.defect == min(defects)
+        g = k_map(lam, res.u, pt_proj, pt_op, arctan_spec)
+        assert pt_grid.norm(res.u - g) == res.defect
 
 
 def test_solve_cap_aborts(pt_grid, pt_proj, pt_op, arctan_spec):
