@@ -1,7 +1,7 @@
 """Numerical laboratory for asymptotic bifurcation in semilinear Schrodinger
 problems -Δu + V(x)u = λu + f(x, u) on truncated boxes.
 
-The pipeline: discretize (grid), split the potential and estimate its
+The pipeline: discretize (grid), split the potential and declare its
 asymptotic bottom (potential), assemble the Hamiltonian and its spectral
 projections (spectral), declare a bounded nonlinearity with its limits at
 infinity (nonlinearity), solve the Lyapunov-Schmidt fixed-point problem near
@@ -38,9 +38,7 @@ from .nonlinearity import (
     zero_nonlinearity,
 )
 from .potential import (
-    AsymptoticBottom,
     PotentialSpec,
-    asymptotic_bottom,
     make_potential,
     split_kato_rellich,
     tail_lp_norm,

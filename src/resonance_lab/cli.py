@@ -103,15 +103,20 @@ def _one_of(*words):
     return _checked(str, lambda v: v in words, f"must be one of {', '.join(words)}")
 
 
+FINITE = _checked(float, math.isfinite, "must be finite")
+
+
 def _floats(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.split()]
+    return [FINITE(tok) for tok in raw.split()]
 
 
 _boolean = _checked(
     lambda raw: configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower()),
     lambda v: v is not None, "must be one of 1/true/yes/on or 0/false/no/off",
 )
-POSITIVE = _checked(float, lambda v: v > 0, "must be positive")
+POSITIVE = _checked(FINITE, lambda v: v > 0, "must be positive")
+NON_NEGATIVE = _checked(FINITE, lambda v: v >= 0, "must be non-negative")
+POSITIVES = _checked(_floats, lambda vs: all(v > 0 for v in vs), "must be positive")
 AT_LEAST_1 = _checked(int, lambda v: v >= 1, "must be at least 1")
 
 # section -> key -> (cast, default).  A default is the text an absent key
@@ -119,24 +124,24 @@ AT_LEAST_1 = _checked(int, lambda v: v >= 1, "must be at least 1")
 # A key the table does not list in its section is refused; a section it does
 # not list is ignored.
 SCHEMA = {
-    "grid": {"ndim": (int, "1"), "half_width": (float, REQUIRED),
+    "grid": {"ndim": (int, "1"), "half_width": (POSITIVE, REQUIRED),
              "points_per_axis": (int, REQUIRED)},
     "potential": {
         "family": (str, REQUIRED),
         **dict.fromkeys(("c", "ell", "offset", "depth", "width", "alpha",
-                         "cutoff_radius", "p"), (float, OMIT)),
+                         "cutoff_radius", "p"), (FINITE, OMIT)),
         "center": (_floats, OMIT),
         "policy": (str, OMIT),
     },
     "nonlinearity": {"family": (str, "zero"), "amplitude": (POSITIVE, OMIT),
                      "width": (POSITIVE, OMIT)},
     "spectral": {
-        "ceiling": (float, None),
+        "ceiling": (FINITE, None),
         "tol_eig": (POSITIVE, "1e-8"),
-        "cluster_tol": (float, None),
+        "cluster_tol": (NON_NEGATIVE, None),
         "max_count": (AT_LEAST_1, "64"),
         "lambda0_index": (int, None),
-        "lambda0_value": (float, None),
+        "lambda0_value": (FINITE, None),
         "delta_request": (POSITIVE, None),
         "morse_lambdas": (_floats, ""),
     },
@@ -152,12 +157,12 @@ SCHEMA = {
         "dt": (POSITIVE, None),
         "stop": (_one_of(*sf.STOP_RULES), "equilibrium"),
         "save_every": (AT_LEAST_1, "10"),
-        "lam": (float, None),
+        "lam": (FINITE, None),
         "initial": (str, "kernel 1.0"),
         "snapshots": (_boolean, "false"),
-        "tail_radii": (_floats, ""),
-        "probe_radii": (_floats, "1 10 100"),
-        "sample_budget": (int, "4096"),
+        "tail_radii": (POSITIVES, ""),
+        "probe_radii": (POSITIVES, "1 10 100"),
+        "sample_budget": (AT_LEAST_1, "4096"),
         "expect_positive": (_boolean, "false"),
     },
     "output": {"dir": (str, "out")},
@@ -192,6 +197,11 @@ def parse_config(path: str) -> ExperimentConfig:
                     values[name][key] = None if raw is None else cast(raw)
                 except ValueError as exc:
                     raise ConfigError(f"[{name}] {key} = {raw!r}: {exc}") from exc
+    half_width = values["grid"]["half_width"]
+    if any(r > half_width for r in values["experiment"]["tail_radii"]):
+        raise ConfigError(
+            f"[experiment] tail_radii exceed the [grid] half_width {half_width}"
+        )
     _initial_spec(values["experiment"]["initial"], values["grid"]["ndim"])
     out, run = values.pop("output"), values.pop("run")
     return ExperimentConfig(**values, output_dir=out["dir"], seed=run["seed"])
@@ -265,12 +275,9 @@ def _initial_spec(text: str, ndim: int) -> tuple[str, list[float]]:
             f"numbers here, got {text!r}"
         )
     try:
-        values = [float(tok) for tok in tokens]
+        return kind, [FINITE(tok) for tok in tokens]
     except ValueError as exc:
-        raise ConfigError(f"[experiment] initial: bad number in {text!r}") from exc
-    if not all(np.isfinite(values)):
-        raise ConfigError(f"[experiment] initial: non-finite number in {text!r}")
-    return kind, values
+        raise ConfigError(f"[experiment] initial: {exc} in {text!r}") from exc
 
 
 def _initial_field(cfg: ExperimentConfig, grid: Grid,
@@ -309,11 +316,6 @@ def _cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
         morse[repr(lam)] = {"k": mc.k, "conley_label": mc.conley_label}
     report = {
         "alpha_inf": op.alpha_inf,
-        "alpha_inf_diagnostics": {
-            "radii": op.alpha_bottom.radii,
-            "minima": op.alpha_bottom.minima,
-            "converged": op.alpha_bottom.converged,
-        },
         "ceiling": data.ceiling,
         "eigenvalues": data.eigenvalues,
         "multiplets": [

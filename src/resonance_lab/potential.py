@@ -6,9 +6,8 @@ supported or decaying).  The asymptotic bottom
 
     alpha_inf = lim_{R -> inf} essinf_{|x| >= R} v_infty(x)
 
-is estimated by nodal minima over annuli at an increasing radii schedule; the
-limit cannot be taken on a finite box, so the whole diagnostic sequence is
-reported alongside the value at the largest radius.
+is a limit no finite box can sample, so each family declares it in closed
+form, and a custom potential takes it as an argument.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ class PotentialSpec:
     """Sampled potential V = v_infty + v_zero with split metadata.
 
     p is the integrability exponent of the v_zero part (p >= 2 in 1-D,
-    p > 2 in 2-D).
+    p > 2 in 2-D); alpha_inf is the asymptotic bottom the family declares.
     """
 
     grid: Grid
@@ -38,10 +37,13 @@ class PotentialSpec:
     v_infty: np.ndarray
     v_zero: np.ndarray
     p: float
+    alpha_inf: float
 
     def __post_init__(self):
         self.v_infty = self.grid.check_field(self.v_infty)
         self.v_zero = self.grid.check_field(self.v_zero)
+        if not np.isfinite(self.alpha_inf):
+            raise PotentialError(f"alpha_inf must be finite, got {self.alpha_inf}")
         if self.grid.ndim == 1:
             if self.p < 2:
                 raise PotentialError(f"p must be >= 2 in 1-D, got {self.p}")
@@ -94,18 +96,23 @@ def _coulomb_alpha_range(ndim: int) -> float:
 def make_potential(grid: Grid, family: str, **params) -> PotentialSpec:
     """Construct a PotentialSpec from a named family.
 
-    Families:
-        constant(c):            V = c, assigned wholly to v_infty.
+    Families, each with its asymptotic bottom alpha_inf:
+        constant(c):            V = c, assigned wholly to v_infty;
+                                alpha_inf = c.
         poschl_teller(ell, offset=0): V = -ell(ell+1)/cosh^2 |x| + offset
-                                (bounded, wholly v_infty).
+                                (bounded, wholly v_infty); alpha_inf = offset.
         square_well(depth, width): V = depth inside the centered box of the
                                 given side length, 0 outside; the well is the
-                                compactly supported v_zero part.
+                                compactly supported v_zero part; alpha_inf = 0.
         coulomb(c, alpha, center=0, cutoff_radius=1, policy="offset"):
                                 V = c / |x - center|^alpha with the unit-ball
-                                split v_zero = chi V, v_infty = (1 - chi) V.
-        custom(evaluator, cutoff_radius, center=None): arbitrary evaluator
-                                split by a ball cutoff.
+                                split v_zero = chi V, v_infty = (1 - chi) V;
+                                alpha_inf = 0 for alpha > 0, and c for
+                                alpha = 0, where V = c.
+        custom(evaluator, alpha_inf, cutoff_radius, center=None): arbitrary
+                                evaluator split by a ball cutoff, with the
+                                caller's alpha_inf, since the limit of an
+                                arbitrary evaluator cannot be sampled.
 
     The Coulomb singularity policy is either "offset" (move the center by
     half a grid spacing along the first axis, the default) or "cap" (clip
@@ -135,7 +142,7 @@ def _family_potential(grid: Grid, family: str, params: dict) -> PotentialSpec:
         c = float(params.pop("c", 0.0))
         v_inf = np.full(grid.num_nodes, c)
         v0 = np.zeros(grid.num_nodes)
-        return PotentialSpec(grid, family, v_inf, v0, p)
+        return PotentialSpec(grid, family, v_inf, v0, p, c)
 
     if family == "poschl_teller":
         ell = float(_required(params, family, "ell"))
@@ -145,7 +152,7 @@ def _family_potential(grid: Grid, family: str, params: dict) -> PotentialSpec:
         r = grid.radii
         v_inf = -ell * (ell + 1.0) / np.cosh(r) ** 2 + offset
         v0 = np.zeros(grid.num_nodes)
-        return PotentialSpec(grid, family, v_inf, v0, p)
+        return PotentialSpec(grid, family, v_inf, v0, p, offset)
 
     if family == "square_well":
         depth = float(_required(params, family, "depth"))
@@ -156,7 +163,7 @@ def _family_potential(grid: Grid, family: str, params: dict) -> PotentialSpec:
         inside = np.all(np.abs(grid.points) <= half, axis=1)
         v0 = np.where(inside, depth, 0.0)
         v_inf = np.zeros(grid.num_nodes)
-        return PotentialSpec(grid, family, v_inf, v0, p)
+        return PotentialSpec(grid, family, v_inf, v0, p, 0.0)
 
     if family == "coulomb":
         c = float(_required(params, family, "c"))
@@ -196,61 +203,17 @@ def _family_potential(grid: Grid, family: str, params: dict) -> PotentialSpec:
             return vals
 
         v_inf, v0 = split_kato_rellich(grid, evaluator, cutoff, eff_center)
-        return PotentialSpec(grid, family, v_inf, v0, p)
+        return PotentialSpec(grid, family, v_inf, v0, p, 0.0 if alpha > 0 else c)
 
     if family == "custom":
         evaluator = _required(params, family, "evaluator")
+        alpha_inf = float(_required(params, family, "alpha_inf"))
         cutoff = float(params.pop("cutoff_radius", 1.0))
         center = params.pop("center", None)
         v_inf, v0 = split_kato_rellich(grid, evaluator, cutoff, center)
-        return PotentialSpec(grid, family, v_inf, v0, p)
+        return PotentialSpec(grid, family, v_inf, v0, p, alpha_inf)
 
     raise PotentialError(f"unknown potential family {family!r}")
-
-
-@dataclass
-class AsymptoticBottom:
-    """Estimated asymptotic bottom of v_infty with its diagnostic sequence."""
-
-    value: float
-    radii: list
-    minima: list
-    converged: bool
-
-
-def asymptotic_bottom(
-    spec: PotentialSpec,
-    radii_schedule: Sequence[float] | None = None,
-) -> AsymptoticBottom:
-    """Nodal-minimum estimate of alpha_inf over an increasing radii schedule.
-
-    Returns the minimum of sampled v_infty over |x| >= R at the largest R,
-    plus the full (nondecreasing) sequence; `converged` reports whether the
-    last two entries agree to 1e-6.
-    """
-    grid = spec.grid
-    L = grid.half_width
-    if radii_schedule is None:
-        radii_schedule = [0.5 * L, 0.7 * L, 0.85 * L, 0.95 * L]
-    radii = [float(r) for r in radii_schedule]
-    if len(radii) == 0:
-        raise PotentialError("radii_schedule is empty")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise PotentialError("radii_schedule must be strictly increasing")
-    if radii[-1] > L:
-        raise PotentialError(f"largest radius {radii[-1]} exceeds half-width {L}")
-    minima = []
-    for R in radii:
-        mask = grid.radii >= R
-        if not np.any(mask):
-            raise PotentialError(f"annulus |x| >= {R} contains no grid nodes")
-        minima.append(float(np.min(spec.v_infty[mask])))
-    converged = (
-        len(minima) < 2 or abs(minima[-1] - minima[-2]) <= 1e-6
-    )
-    return AsymptoticBottom(
-        value=minima[-1], radii=radii, minima=minima, converged=converged
-    )
 
 
 def tail_lp_norm(spec: PotentialSpec, radius: float, p: float | None = None) -> float:

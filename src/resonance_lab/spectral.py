@@ -9,9 +9,9 @@ eigenvectors map back through W^{-1/2} and come out quadrature-orthonormal.
 Eigenvalues are only meaningful below the asymptotic bottom of the potential:
 the truncated box discretizes the continuum into a cloud of closely spaced
 spurious eigenvalues above it, so the solver works under a ceiling (default
-alpha_inf).  Every grid takes one eigensolve path: a Sylvester-inertia count
-of the eigenvalues below the ceiling, then one shift-invert Lanczos call
-sized to it.
+alpha_inf, the bottom the potential family declares).  Every grid takes one
+eigensolve path: a Sylvester-inertia count of the eigenvalues below the
+ceiling, then one shift-invert Lanczos call sized to it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import Grid, GridError
-from .potential import AsymptoticBottom, PotentialSpec, asymptotic_bottom
+from .potential import PotentialSpec
 
 # a requested ceiling may exceed alpha_inf by this fraction of the spectral scale
 CEILING_MARGIN = 1e-6
@@ -58,8 +58,8 @@ class HamiltonianOperator:
     """Sparse discretization of A = -Δ + V on a grid.
 
     Exposes both the field-space action (`apply`) and the symmetrized matrix
-    used by eigensolvers and implicit steps.  The asymptotic bottom of the
-    potential is estimated once at assembly and cached.
+    used by eigensolvers and implicit steps.  alpha_inf is the asymptotic
+    bottom the potential declares.
     """
 
     def __init__(self, grid: Grid, potential: PotentialSpec):
@@ -71,8 +71,7 @@ class HamiltonianOperator:
         self.v_samples = v
         self.matrix = (grid.neg_laplacian_matrix() + sp.diags(v)).tocsr()
         self.sym_matrix = (grid.symmetrized_stiffness() + sp.diags(v)).tocsc()
-        self.alpha_bottom: AsymptoticBottom = asymptotic_bottom(potential)
-        self.alpha_inf = self.alpha_bottom.value
+        self.alpha_inf = potential.alpha_inf
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """A u as a flat field."""
@@ -86,7 +85,7 @@ class HamiltonianOperator:
 
 
 def assemble_hamiltonian(grid: Grid, potential: PotentialSpec) -> HamiltonianOperator:
-    """Assemble A = -Δ_h + diag(V) with a cached asymptotic-bottom estimate."""
+    """Assemble A = -Δ_h + diag(V), carrying the potential's alpha_inf."""
     return HamiltonianOperator(grid, potential)
 
 
@@ -206,14 +205,14 @@ def eigenpairs_below(
 ) -> SpectralData:
     """All discrete eigenvalues of A below the ceiling, with eigenfields.
 
-    The ceiling defaults to the cached alpha_inf estimate and may not exceed
-    it by more than CEILING_MARGIN (above it the box fills with spurious
-    continuum states).  The eigenvalues below the ceiling are counted first,
-    by Sylvester inertia; one shift-invert Lanczos call sized to that count
-    plus one then finds them, on every grid.  Its operator is an LU of
-    S - σI with the ordering of splu_ordering.  Raises SpectralError before
-    any eigensolve if max_count eigenvalues lie below the ceiling or fewer
-    than two of the grid's eigenvalues lie above it; and after, if the
+    The ceiling defaults to the potential's declared alpha_inf and may not
+    exceed it by more than CEILING_MARGIN (above it the box fills with
+    spurious continuum states).  The eigenvalues below the ceiling are
+    counted first, by Sylvester inertia; one shift-invert Lanczos call sized
+    to that count plus one then finds them, on every grid.  Its operator is
+    an LU of S - σI with the ordering of splu_ordering.  Raises SpectralError
+    before any eigensolve if max_count eigenvalues lie below the ceiling or
+    fewer than two of the grid's eigenvalues lie above it; and after, if the
     shift-invert factorization or the eigensolver fails, if the eigensolver
     does not find exactly the counted number, or if a residual exceeds
     tol_eig.
@@ -224,7 +223,7 @@ def eigenpairs_below(
     scale = _spectral_scale(op, ceiling)
     if ceiling > op.alpha_inf + CEILING_MARGIN * scale:
         raise SpectralError(
-            f"ceiling {ceiling} exceeds alpha_inf estimate {op.alpha_inf}; "
+            f"ceiling {ceiling} exceeds alpha_inf {op.alpha_inf}; "
             "eigenvalues up there are discretization artifacts"
         )
     if tol_eig <= 0:

@@ -64,7 +64,9 @@ def test_spectrum_poschl_teller(tmp_path):
     report = json.loads((out / "spectrum.json").read_text())
     assert report["morse_counts"]["-0.5"]["k"] == 2
     assert report["morse_counts"]["-2.0"]["k"] == 1
-    assert -1e-3 <= report["alpha_inf"] <= 0.0
+    assert report["alpha_inf"] == 0.0  # declared by the family, not sampled
+    assert set(report) == {"alpha_inf", "ceiling", "eigenvalues", "multiplets",
+                           "morse_counts", "config"}
     assert report["config"]["run"]["seed"] == 7
 
 
@@ -305,6 +307,37 @@ MALFORMED = [  # (subcommand, section, key, value)
     ("semiflow", "experiment", "horizn", "0.2"),  # a key the section does not list
     ("resonance", "nonlinearity", "amplitude", "-1"),
     ("branch", "nonlinearity", "width", "0"),
+    ("semiflow", "experiment", "lam", "nan"),
+    ("semiflow", "experiment", "lam", "inf"),
+    ("spectrum", "spectral", "lambda0_value", "nan"),
+    ("spectrum", "spectral", "ceiling", "nan"),
+    ("branch", "experiment", "tol_fp", "inf"),
+    ("semiflow", "experiment", "tail_radii", "0"),
+    ("semiflow", "experiment", "tail_radii", "nan"),
+    ("semiflow", "experiment", "tail_radii", "5 50"),  # beyond half_width = 20
+    ("resonance", "experiment", "sample_budget", "0"),
+    ("spectrum", "spectral", "cluster_tol", "-1"),
+    ("semiflow", "grid", "half_width", "-5"),  # refused before the grid is built
+    ("branch", "experiment", "probe_radii", "0"),  # branch refuses it too
+]
+
+
+def _reads_float(cast) -> bool:
+    try:
+        value = cast("1.5")
+    except ValueError:
+        return False
+    return value == 1.5 or value == [1.5]
+
+
+# every key whose value is read as a float refuses nan, keys added later too;
+# each is run by a subcommand that reads its section
+READER = {"nonlinearity": "resonance", "experiment": "semiflow"}
+MALFORMED += [
+    (READER.get(section, "spectrum"), section, key, "nan")
+    for section, table in cli.SCHEMA.items()
+    for key, (cast, _) in table.items()
+    if _reads_float(cast) and not any(m[1:] == (section, key, "nan") for m in MALFORMED)
 ]
 
 

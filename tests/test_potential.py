@@ -1,4 +1,4 @@
-"""Potential families, the bounded/L^p split and the asymptotic bottom."""
+"""Potential families, the bounded/L^p split and the declared asymptotic bottom."""
 
 import numpy as np
 import pytest
@@ -118,42 +118,44 @@ def test_split_kato_rellich_rejects_unbounded_outside():
         )
 
 
-def test_asymptotic_bottom_constant():
+ALPHA_INF = [  # (family, parameters, declared alpha_inf, |v_infty - alpha_inf| bound)
+    ("constant", {"c": -2.0}, -2.0, None),
+    ("poschl_teller", {"ell": 2}, 0.0, lambda r: 6.0 / np.cosh(r) ** 2),
+    ("poschl_teller", {"ell": 2, "offset": 1.5}, 1.5, lambda r: 6.0 / np.cosh(r) ** 2),
+    ("square_well", {"depth": -10.0, "width": 2.0}, 0.0, None),
+    # the cap policy keeps the center on the origin node, so the edge is at r = L
+    ("coulomb", {"c": -1.0, "alpha": 0.25, "policy": "cap"}, 0.0, lambda r: r**-0.25),
+    ("coulomb", {"c": -1.0, "alpha": 0.0}, -1.0, None),
+    ("custom", {"evaluator": lambda pts: np.where(np.abs(pts[:, 0]) < 1.0, -5.0, 0.5),
+                "alpha_inf": 0.5, "cutoff_radius": 2.0}, 0.5, None),
+]
+
+
+@pytest.mark.parametrize("family, params, alpha_inf, tail", ALPHA_INF,
+                         ids=["constant", "poschl_teller", "poschl_teller-offset",
+                              "square_well", "coulomb", "coulomb-alpha0", "custom"])
+def test_declared_alpha_inf(family, params, alpha_inf, tail):
     g = rl.make_grid(1, 8.0, 401)
-    spec = rl.make_potential(g, "constant", c=-2.0)
-    bottom = rl.asymptotic_bottom(spec, [1.0, 2.0, 4.0])
-    assert bottom.value == -2.0
-    assert bottom.minima == [-2.0, -2.0, -2.0]
-    assert bottom.converged
+    spec = rl.make_potential(g, family, **params)
+    assert spec.alpha_inf == alpha_inf
+    assert rl.assemble_hamiltonian(g, spec).alpha_inf == alpha_inf
+    # at the box edge v_infty sits within the family's analytic tail of alpha_inf
+    edge = g.radii == g.half_width
+    assert np.count_nonzero(edge) == 2
+    deviation = np.abs(spec.v_infty[edge] - alpha_inf)
+    if tail is None:
+        assert np.all(deviation == 0.0)
+    else:
+        assert np.all(deviation <= tail(g.radii[edge]) * (1.0 + 1e-9))
 
 
-def test_asymptotic_bottom_coulomb_decay():
-    g = rl.make_grid(1, 20.0, 4001)
-    spec = rl.make_potential(g, "coulomb", c=-1.0, alpha=0.25)
-    radii = [2.0, 4.0, 8.0, 16.0]
-    bottom = rl.asymptotic_bottom(spec, radii)
-    for r, m in zip(radii, bottom.minima):
-        assert abs(m - (-(r**-0.25))) <= 1e-2
-    assert np.all(np.diff(bottom.minima) >= 0)  # nondecreasing diagnostics
-
-
-def test_asymptotic_bottom_poschl_teller():
-    g = rl.make_grid(1, 20.0, 4001)
-    spec = rl.make_potential(g, "poschl_teller", ell=2)
-    radii = [1.0, 2.0, 3.0, 5.0, 10.0]
-    bottom = rl.asymptotic_bottom(spec, radii)
-    expected = [-6.0 / np.cosh(r) ** 2 for r in radii]
-    assert np.allclose(bottom.minima, expected, atol=1e-10)
-    assert bottom.value < 0.0 and bottom.value > -1e-4
-
-
-def test_asymptotic_bottom_schedule_validation():
+def test_custom_needs_a_finite_alpha_inf():
     g = rl.make_grid(1, 5.0, 101)
-    spec = rl.make_potential(g, "constant", c=0.0)
-    with pytest.raises(PotentialError):
-        rl.asymptotic_bottom(spec, [2.0, 1.0])
-    with pytest.raises(PotentialError):
-        rl.asymptotic_bottom(spec, [1.0, 99.0])
+    zero = lambda pts: np.zeros(len(pts))  # noqa: E731
+    with pytest.raises(PotentialError, match="needs alpha_inf"):
+        rl.make_potential(g, "custom", evaluator=zero)
+    with pytest.raises(PotentialError, match="alpha_inf must be finite"):
+        rl.make_potential(g, "custom", evaluator=zero, alpha_inf=np.nan)
 
 
 def test_tail_lp_norm_zero_part():

@@ -114,9 +114,10 @@ def test_eigenpairs_2d_separable_sum_oracle():
     def ev(pts):
         return -6.0 / np.cosh(pts[:, 0]) ** 2 - 6.0 / np.cosh(pts[:, 1]) ** 2
 
-    pot = rl.make_potential(g, "custom", evaluator=ev, cutoff_radius=1.0, p=3.0)
+    pot = rl.make_potential(g, "custom", evaluator=ev, alpha_inf=-6.0,
+                            cutoff_radius=1.0, p=3.0)
     op = rl.assemble_hamiltonian(g, pot)
-    assert abs(op.alpha_inf - (-6.0)) < 1e-3
+    assert op.alpha_inf == -6.0
     data = rl.eigenpairs_below(op, ceiling=-6.5)
     one_d = _tridiagonal_oracle(12.0, 241, lambda x: -6.0 / np.cosh(x) ** 2, -0.1)
     sums = sorted(a + b for a in one_d for b in one_d if a + b < -6.5)
@@ -160,7 +161,7 @@ def test_eigenpairs_refuse_grid_without_states_above_ceiling(eigsh_calls):
     # and all 11 eigenvalues lie below it
     g = rl.make_grid(1, 5.0, 11)
     pot = rl.make_potential(g, "custom", evaluator=lambda pts: np.full(len(pts), -1000.0),
-                            cutoff_radius=10.0)
+                            alpha_inf=0.0, cutoff_radius=10.0)
     op = rl.assemble_hamiltonian(g, pot)
     assert op.alpha_inf == 0.0
     assert np.all(np.linalg.eigvalsh(op.sym_matrix.toarray()) < 0.0)
