@@ -31,6 +31,7 @@ from .nonlinearity import (
     evaluate_f,
     evaluate_primitive,
     kernel_sphere_probe,
+    landesman_lazer_integral,
     make_nonlinearity,
     negate,
     saturating_arctan,

@@ -18,7 +18,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .grid import field_norms
-from .nonlinearity import NonlinearitySpec, evaluate_f, evaluate_primitive
+from .nonlinearity import (
+    NonlinearitySpec,
+    evaluate_f,
+    evaluate_primitive,
+    landesman_lazer_integral,
+)
 from .solver import SolveResult, SolverConfig, solve_near_resonance
 from .spectral import HamiltonianOperator, Projections
 
@@ -41,7 +46,7 @@ class BranchPoint:
     complement_l2: float
     complement_grad_l2: float
     residual: float
-    energy: float          # standing-wave energy, NaN without a primitive
+    energy: float          # standing-wave energy
     capped: bool = False
 
 
@@ -134,37 +139,24 @@ def default_initial_radius(
     """Seed radius and kernel direction for the first branch point.
 
     The asymptotic branch radius at parameter distance ε is I(φ)/ε with
-    I(φ) the Landesman-Lazer witness integral; the direction maximizing |I|
-    over ±basis vectors is chosen.  Falls back to ||m||/ε when the limit
-    fields are not declared.  A zero seed (f ≡ 0) maps to the zero field.
+    I(φ) the Landesman-Lazer integral; the ±basis vector of largest I is
+    chosen.  Falls back to ||m||/ε along the first basis vector when no I is
+    positive.  A zero seed (f ≡ 0) maps to the zero field.
     """
-    grid = projections.grid
     eps = abs(lam - projections.lambda0)
     if eps == 0:
         raise BranchError("schedule must not contain lambda0 itself")
     basis = projections.kernel_fields
-    best_val, best_dir = 0.0, basis[:, 0]
-    if spec.has_limits():
-        for j in range(basis.shape[1]):
-            for sgn in (1.0, -1.0):
-                phi = sgn * basis[:, j]
-                pos, neg = np.maximum(phi, 0.0), np.maximum(-phi, 0.0)
-                val = float(
-                    np.sum(grid.weights * (spec.fcheck_plus * pos - spec.fhat_minus * neg))
-                )
-                if val > best_val:
-                    best_val, best_dir = val, phi
-    seed = best_val if best_val > 0 else spec.bound_norm
-    return seed / eps, best_dir
+    candidates = [s * basis[:, j] for j in range(basis.shape[1]) for s in (1.0, -1.0)]
+    values = [landesman_lazer_integral(spec, phi) for phi in candidates]
+    best = int(np.argmax(values))
+    if values[best] > 0:
+        return values[best] / eps, candidates[best]
+    return spec.bound_norm / eps, basis[:, 0]
 
 
 def standing_wave_energy(lam: float, u: np.ndarray, spec: NonlinearitySpec) -> float:
-    """E(ψ) = 1/2 (λ ||u||^2 + ∫ (u f(x, u) - 2 F(x, u)) dx).
-
-    Defined for every family that declares its primitive F.
-    """
-    if spec.primitive is None:
-        raise BranchError(f"family {spec.name!r} declares no primitive")
+    """E(ψ) = 1/2 (λ ||u||^2 + ∫ (u f(x, u) - 2 F(x, u)) dx)."""
     grid = spec.grid
     u = grid.check_field(u)
     interaction = u * evaluate_f(spec, u) - 2.0 * evaluate_primitive(spec, u)
@@ -183,7 +175,6 @@ def _branch_point(
     norms = field_norms(grid, w)
     q = projections.project_complement(w)
     q_norms = field_norms(grid, q)
-    energy = math.nan if spec.primitive is None else standing_wave_energy(lam, w, spec)
     return BranchPoint(
         lam=lam,
         u=w,
@@ -195,7 +186,7 @@ def _branch_point(
         complement_l2=result.complement_norm,
         complement_grad_l2=q_norms.grad_l2,
         residual=result.pde_residual,
-        energy=energy,
+        energy=standing_wave_energy(lam, w, spec),
         capped=result.capped,
     )
 

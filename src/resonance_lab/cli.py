@@ -333,33 +333,23 @@ def _cmd_resonance(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
     proj = problem.proj
     spec = problem.spec
 
-    report = {"lambda0": proj.lambda0, "delta": proj.delta, "verdicts": {}}
-    if spec.has_limits():
-        ll = check_landesman_lazer(spec, proj.kernel_fields, rng=rng)
-        report["verdicts"]["LL+"] = asdict(ll.plus)
-        report["verdicts"]["LL-"] = asdict(ll.minus)
+    ll = check_landesman_lazer(spec, proj.kernel_fields, rng=rng)
     sr = check_sign_condition(
         spec, sample_budget=cfg.experiment["sample_budget"], rng=rng
     )
-    report["verdicts"]["SR+"] = asdict(sr.plus)
-    report["verdicts"]["SR-"] = asdict(sr.minus)
-
-    # each probe has its own seed, so its result does not depend on the others
-    results = [
-        kernel_sphere_probe(
-            spec, proj.kernel_fields, radius, sign=1,
-            rng=np.random.default_rng([cfg.seed, i]),
-        )
-        for i, radius in enumerate(cfg.experiment["probe_radii"])
-    ]
-    report["kernel_sphere_probe"] = [
-        {
-            "radius": pr.radius,
-            "min_pairing": pr.min_pairing,
-        }
-        for pr in results
-    ]
-    report["config"] = cfg.effective()
+    report = {
+        "lambda0": proj.lambda0,
+        "delta": proj.delta,
+        "verdicts": {"LL+": asdict(ll.plus), "LL-": asdict(ll.minus),
+                     "SR+": asdict(sr.plus), "SR-": asdict(sr.minus)},
+        # each probe has its own seed, so its result does not depend on the others
+        "kernel_sphere_probe": [
+            asdict(kernel_sphere_probe(spec, proj.kernel_fields, radius,
+                                       rng=np.random.default_rng([cfg.seed, i])))
+            for i, radius in enumerate(cfg.experiment["probe_radii"])
+        ],
+        "config": cfg.effective(),
+    }
     write_json(out_dir / "resonance.json", report)
 
     if cfg.experiment["expect_positive"]:
@@ -399,9 +389,8 @@ def _cmd_branch(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
     summary = bif.summarize_branch(
         branch, proj, spec, e["growth_factor"], e["window"]
     )
-    if spec.has_limits():
-        ll = check_landesman_lazer(spec, proj.kernel_fields, rng=rng)
-        summary.resonance = {"LL+": asdict(ll.plus), "LL-": asdict(ll.minus)}
+    ll = check_landesman_lazer(spec, proj.kernel_fields, rng=rng)
+    summary.resonance = {"LL+": asdict(ll.plus), "LL-": asdict(ll.minus)}
     report = summary.to_dict()
     report["config"] = cfg.effective()
     write_json(out_dir / "bifurcation.json", report)

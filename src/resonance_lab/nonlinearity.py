@@ -1,12 +1,13 @@
 """Bounded Caratheodory nonlinearities, their limits at infinity, and the
 resonance-condition checkers.
 
-A NonlinearitySpec bundles the pointwise evaluator f(x, u) with everything
-the theory needs declared analytically: the bound field m (|f| <= m), the
-Lipschitz split l0 + linf, the limsup/liminf fields of f as u -> +-inf, the
-strong-resonance limits k+- = lim s f(x, s) (or a flag that they are
-unbounded), and the primitive F(x, s) = int_0^s f(x, t) dt for the Lyapunov
-functional and the branch energies.  Limits are supplied by the family
+A NonlinearitySpec bundles the pointwise evaluator f(x, u) with what the
+program reads of the theory, declared analytically: the primitive
+F(x, s) = int_0^s f(x, t) dt for the Lyapunov functional and the branch
+energies, the bound field m (|f| <= m), the limits of f as u -> +-inf, and
+the strong-resonance limits k+- = lim s f(x, s) as s -> +-inf (None when
+unbounded).  Every family has limits at both ends, so the limsup and liminf
+fields of the theory coincide with them.  Limits are supplied by the family
 constructors, never estimated from samples.
 
 The saturating families are odd, f(x, u) = sign(u) h(x, |u|), and each is
@@ -15,8 +16,9 @@ even primitive F(x, u) = H(x, |u|) and the limits at -inf from h's.  The
 `neg_*` families are their negations.
 
 Checkers return verdicts for both signs of a condition: Landesman-Lazer
-integrals over an epsilon-net of the kernel sphere, and sampled sign checks
-with quadrature-mass positivity for the strong-resonance conditions.
+integrals over an epsilon-net of the kernel sphere (one integral per
+direction serves both signs), and sampled sign checks with quadrature-mass
+positivity for the strong-resonance conditions.
 """
 
 from __future__ import annotations
@@ -41,22 +43,19 @@ class NonlinearityError(ValueError):
 
 @dataclass
 class NonlinearitySpec:
-    """f(x, u) with bound/Lipschitz fields and declared limits at infinity."""
+    """f(x, u) and its primitive with the bound field and declared limits at
+    +-inf: limit_+- = lim f(x, s) and k_+- = lim s f(x, s) (None: unbounded).
+    """
 
     grid: Grid
     name: str
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    primitive: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bound_m: np.ndarray
-    lip_l0: np.ndarray
-    lip_linf: np.ndarray
-    fhat_plus: np.ndarray | None = None
-    fcheck_plus: np.ndarray | None = None
-    fhat_minus: np.ndarray | None = None
-    fcheck_minus: np.ndarray | None = None
-    k_plus: np.ndarray | None = None
-    k_minus: np.ndarray | None = None
-    k_unbounded: bool = False
-    primitive: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    limit_plus: np.ndarray
+    limit_minus: np.ndarray
+    k_plus: np.ndarray | None
+    k_minus: np.ndarray | None
 
     def __post_init__(self):
         self.bound_m = self.grid.check_field(self.bound_m)
@@ -65,12 +64,6 @@ class NonlinearitySpec:
     def bound_norm(self) -> float:
         """||m||_{L^2} on the grid."""
         return self.grid.norm(self.bound_m)
-
-    def has_limits(self) -> bool:
-        return all(
-            v is not None
-            for v in (self.fhat_plus, self.fcheck_plus, self.fhat_minus, self.fcheck_minus)
-        )
 
 
 def evaluate_f(spec: NonlinearitySpec, u_field: np.ndarray) -> np.ndarray:
@@ -85,9 +78,7 @@ def evaluate_f(spec: NonlinearitySpec, u_field: np.ndarray) -> np.ndarray:
 
 
 def evaluate_primitive(spec: NonlinearitySpec, u_field: np.ndarray) -> np.ndarray:
-    """Nodewise primitive F(x_i, u_i); raises if the family declared none."""
-    if spec.primitive is None:
-        raise NonlinearityError(f"family {spec.name!r} declares no primitive")
+    """Nodewise primitive F(x_i, u_i)."""
     u = spec.grid.check_field(u_field)
     return np.asarray(spec.primitive(spec.grid.points, u), dtype=float).ravel()
 
@@ -102,23 +93,18 @@ def _gaussian_envelope(grid: Grid, amplitude: float, width: float) -> np.ndarray
 def zero_nonlinearity(grid: Grid) -> NonlinearitySpec:
     zeros = np.zeros(grid.num_nodes)
 
-    def f(pts, u):
-        return np.zeros_like(u)
-
-    def prim(pts, u):
+    def zero(pts, u):
         return np.zeros_like(u)
 
     return NonlinearitySpec(
-        grid, "zero", f, zeros, zeros.copy(), zeros.copy(),
-        fhat_plus=zeros, fcheck_plus=zeros, fhat_minus=zeros, fcheck_minus=zeros,
-        k_plus=zeros, k_minus=zeros, primitive=prim,
+        grid, "zero", f=zero, primitive=zero, bound_m=zeros, limit_plus=zeros,
+        limit_minus=zeros, k_plus=zeros, k_minus=zeros,
     )
 
 
 def _odd_family(grid: Grid, name: str, h: Callable[[np.ndarray], np.ndarray],
                 H: Callable[[np.ndarray], np.ndarray], bound: np.ndarray,
-                lip0: np.ndarray, limit: np.ndarray, k_limit: np.ndarray | None
-                ) -> NonlinearitySpec:
+                limit: np.ndarray, k_limit: np.ndarray | None) -> NonlinearitySpec:
     """The odd nonlinearity f(x, u) = sign(u) h(x, |u|) of a profile h >= 0.
 
     h and H take the field of magnitudes |u| (one value per node) and carry
@@ -135,11 +121,8 @@ def _odd_family(grid: Grid, name: str, h: Callable[[np.ndarray], np.ndarray],
         return H(np.abs(u))
 
     return NonlinearitySpec(
-        grid, name, f, bound_m=bound, lip_l0=lip0,
-        lip_linf=np.zeros(grid.num_nodes),
-        fhat_plus=limit, fcheck_plus=limit, fhat_minus=-limit, fcheck_minus=-limit,
-        k_plus=k_limit, k_minus=k_limit, k_unbounded=k_limit is None,
-        primitive=prim,
+        grid, name, f=f, primitive=prim, bound_m=bound, limit_plus=limit,
+        limit_minus=-limit, k_plus=k_limit, k_minus=k_limit,
     )
 
 
@@ -156,7 +139,7 @@ def saturating_arctan(grid: Grid, amplitude: float = 1.0, width: float = 1.0
         h=lambda xi: env * (2.0 / np.pi) * np.arctan(xi),
         H=lambda xi: env * (2.0 / np.pi) * (
             xi * np.arctan(xi) - 0.5 * np.log1p(xi**2)),
-        bound=env, lip0=(2.0 / np.pi) * env, limit=env, k_limit=None,
+        bound=env, limit=env, k_limit=None,
     )
 
 
@@ -168,27 +151,24 @@ def saturating_rational(grid: Grid, amplitude: float = 1.0, width: float = 1.0
         grid, "rational",
         h=lambda xi: env * xi / (1.0 + xi**2),
         H=lambda xi: env * 0.5 * np.log1p(xi**2),
-        bound=0.5 * env, lip0=env, limit=np.zeros(grid.num_nodes), k_limit=env,
+        bound=0.5 * env, limit=np.zeros(grid.num_nodes), k_limit=env,
     )
 
 
 def negate(spec: NonlinearitySpec) -> NonlinearitySpec:
-    """The nonlinearity -f with limits swapped accordingly."""
+    """The nonlinearity -f: its primitive and every limit change sign."""
 
     def f(pts, u):
         return -spec.f(pts, u)
 
-    prim = None
-    if spec.primitive is not None:
-        prim = lambda pts, u: -spec.primitive(pts, u)  # noqa: E731
+    def prim(pts, u):
+        return -spec.primitive(pts, u)
+
     flip = lambda a: None if a is None else -a  # noqa: E731
     return NonlinearitySpec(
-        spec.grid, f"neg_{spec.name}", f,
-        bound_m=spec.bound_m, lip_l0=spec.lip_l0, lip_linf=spec.lip_linf,
-        fhat_plus=flip(spec.fcheck_plus), fcheck_plus=flip(spec.fhat_plus),
-        fhat_minus=flip(spec.fcheck_minus), fcheck_minus=flip(spec.fhat_minus),
+        spec.grid, f"neg_{spec.name}", f=f, primitive=prim, bound_m=spec.bound_m,
+        limit_plus=-spec.limit_plus, limit_minus=-spec.limit_minus,
         k_plus=flip(spec.k_plus), k_minus=flip(spec.k_minus),
-        k_unbounded=spec.k_unbounded, primitive=prim,
     )
 
 
@@ -251,6 +231,18 @@ def _kernel_net(basis: np.ndarray, rng) -> np.ndarray:
     return coeffs
 
 
+def landesman_lazer_integral(spec: NonlinearitySpec, phi: np.ndarray) -> float:
+    """I(phi) = int (limit_plus phi^+ - limit_minus phi^-) by quadrature.
+
+    The (LL)+ and (LL)- integrands coincide because each end has one limit;
+    phi is taken as given, not normalized.
+    """
+    pos, neg = np.maximum(phi, 0.0), np.maximum(-phi, 0.0)
+    return float(
+        np.sum(spec.grid.weights * (spec.limit_plus * pos - spec.limit_minus * neg))
+    )
+
+
 def check_landesman_lazer(
     spec: NonlinearitySpec,
     kernel_basis: np.ndarray,
@@ -258,16 +250,13 @@ def check_landesman_lazer(
 ) -> ConditionPair:
     """Landesman-Lazer integrals over an epsilon-net of the kernel sphere.
 
-    For each unit kernel field phi the (LL)+ witness is
-    I = int (fcheck_plus phi^+ - fhat_minus phi^-); the verdict holds when
-    min I > margin, with margin = MARGIN_FACTOR max(1, max m).  (LL)- uses
-    I = int (fhat_plus phi^+ - fcheck_minus phi^-) and needs max I < -margin.
-    The pointwise positive-measure diagnostics are reported as quadrature-mass
-    fractions.
+    Both verdicts carry one witness list: I(phi) of landesman_lazer_integral
+    for each unit kernel field phi of the net.  (LL)+ holds when
+    min I > margin, with margin = MARGIN_FACTOR max(1, max m); (LL)- needs
+    max I < -margin.  The pointwise positive-measure diagnostics are reported
+    as quadrature-mass fractions.
     """
     grid = spec.grid
-    if not spec.has_limits():
-        raise NonlinearityError("limit fields are not declared for this family")
     basis = np.asarray(kernel_basis, dtype=float)
     if basis.ndim != 2 or basis.shape[0] != grid.num_nodes:
         raise NonlinearityError("kernel_basis must hold one field per column")
@@ -277,47 +266,30 @@ def check_landesman_lazer(
     margin = MARGIN_FACTOR * max(1.0, float(np.max(spec.bound_m, initial=0.0)))
     box_mass = (2.0 * grid.half_width) ** grid.ndim
 
-    coeffs = _kernel_net(basis, rng)
-    w = grid.weights
-    plus_int, minus_int = [], []
-    for c in coeffs:
+    witnesses = []
+    for c in _kernel_net(basis, rng):
         phi = basis @ c
         nrm = grid.norm(phi)
-        if nrm == 0:
-            continue
-        phi = phi / nrm
-        pos, neg = np.maximum(phi, 0.0), np.maximum(-phi, 0.0)
-        plus_int.append(float(np.sum(w * (spec.fcheck_plus * pos - spec.fhat_minus * neg))))
-        minus_int.append(float(np.sum(w * (spec.fhat_plus * pos - spec.fcheck_minus * neg))))
+        if nrm != 0:
+            witnesses.append(landesman_lazer_integral(spec, phi / nrm))
 
     # pointwise layer of (LL)+-: a.e. sign conditions and positive measure
     # where neither limit field vanishes
-    ae_plus = bool(
-        np.all(spec.fcheck_plus >= -margin) and np.all(spec.fhat_minus <= margin)
-    )
-    mass_plus = float(
-        np.sum(w[(spec.fcheck_plus > margin) & (spec.fhat_minus < -margin)])
-    )
-    ae_minus = bool(
-        np.all(spec.fhat_plus <= margin) and np.all(spec.fcheck_minus >= -margin)
-    )
-    mass_minus = float(
-        np.sum(w[(spec.fhat_plus < -margin) & (spec.fcheck_minus > margin)])
-    )
-
+    lp, lm, w = spec.limit_plus, spec.limit_minus, grid.weights
+    fails = "pointwise a.e. sign condition fails"
     plus = ResonanceVerdict(
         condition="LL+",
-        holds=bool(plus_int and min(plus_int) > margin),
-        witnesses=plus_int,
-        mass_fraction=mass_plus / box_mass,
-        note="" if ae_plus else "pointwise a.e. sign condition fails",
+        holds=bool(witnesses and min(witnesses) > margin),
+        witnesses=witnesses,
+        mass_fraction=float(np.sum(w[(lp > margin) & (lm < -margin)])) / box_mass,
+        note="" if np.all(lp >= -margin) and np.all(lm <= margin) else fails,
     )
     minus = ResonanceVerdict(
         condition="LL-",
-        holds=bool(minus_int and max(minus_int) < -margin),
-        witnesses=minus_int,
-        mass_fraction=mass_minus / box_mass,
-        note="" if ae_minus else "pointwise a.e. sign condition fails",
+        holds=bool(witnesses and max(witnesses) < -margin),
+        witnesses=witnesses,
+        mass_fraction=float(np.sum(w[(lp < -margin) & (lm > margin)])) / box_mass,
+        note="" if np.all(lp <= margin) and np.all(lm >= -margin) else fails,
     )
     return ConditionPair(plus=plus, minus=minus)
 
@@ -333,7 +305,7 @@ def check_sign_condition(
     random draws), evaluates s f(x, s) at every node, and records the worst
     violation.  (SR)+ needs s f >= 0 everywhere sampled and positive
     quadrature mass where both k+ and k- are strictly positive; (SR)- is the
-    mirror.  Families with unbounded k limits are reported inapplicable.
+    mirror.  Families with an unbounded k limit are reported inapplicable.
     """
     grid = spec.grid
     rng = rng or np.random.default_rng(0)
@@ -341,18 +313,12 @@ def check_sign_condition(
     box_mass = (2.0 * grid.half_width) ** grid.ndim
     mass_tol = MASS_TOL_FACTOR * box_mass
 
-    if spec.k_unbounded:
-        verdictp = ResonanceVerdict(
-            "SR+", False, [], 0.0, applicable=False,
-            note="k limits unbounded, SR inapplicable",
-        )
-        verdictm = ResonanceVerdict(
-            "SR-", False, [], 0.0, applicable=False,
-            note="k limits unbounded, SR inapplicable",
-        )
-        return ConditionPair(plus=verdictp, minus=verdictm)
     if spec.k_plus is None or spec.k_minus is None:
-        raise NonlinearityError("k limit fields are not declared for this family")
+        note = "k limits unbounded, SR inapplicable"
+        return ConditionPair(
+            plus=ResonanceVerdict("SR+", False, [], 0.0, applicable=False, note=note),
+            minus=ResonanceVerdict("SR-", False, [], 0.0, applicable=False, note=note),
+        )
 
     n_struct = max(8, sample_budget // 4)
     mags = np.geomspace(1e-3, 1e6, n_struct // 2)
@@ -391,10 +357,9 @@ def check_sign_condition(
 
 @dataclass
 class SphereProbe:
-    """Empirical minimum of sign * <v, F(v)> over a kernel sphere."""
+    """Empirical minimum of <v, F(v)> over a kernel sphere."""
 
     radius: float
-    sign: int
     min_pairing: float
 
 
@@ -402,27 +367,22 @@ def kernel_sphere_probe(
     spec: NonlinearitySpec,
     kernel_basis: np.ndarray,
     radius: float,
-    sign: int = 1,
     rng: np.random.Generator | None = None,
 ) -> SphereProbe:
-    """Probe the inward/outward pairing on the kernel sphere of a given radius.
+    """Probe the outward pairing on the kernel sphere of a given radius.
 
     kernel_basis holds the kernel fields as columns; the probe reports the
     min over an epsilon-net of sphere directions v (||v|| = radius) of
-    sign * <v, F(v)>, the empirical counterpart of the geometric constant
-    alpha.
+    <v, F(v)>, the empirical counterpart of the geometric constant alpha.
+    The inward pairing is the probe of negate(spec).
     """
     if radius <= 0:
         raise NonlinearityError(f"radius must be positive, got {radius}")
-    if sign not in (1, -1):
-        raise NonlinearityError("sign must be +1 or -1")
     grid = spec.grid
     rng = rng or np.random.default_rng(0)
     pairings = []
     for c in _kernel_net(kernel_basis, rng):
         v = kernel_basis @ c
         v = v / grid.norm(v) * radius
-        pairings.append(sign * grid.inner(v, evaluate_f(spec, v)))
-    return SphereProbe(
-        radius=float(radius), sign=sign, min_pairing=float(min(pairings)),
-    )
+        pairings.append(grid.inner(v, evaluate_f(spec, v)))
+    return SphereProbe(radius=float(radius), min_pairing=float(min(pairings)))

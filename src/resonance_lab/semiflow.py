@@ -46,7 +46,7 @@ class StepRejected(RuntimeError):
 
 
 class StepCascadeError(RuntimeError):
-    """dt underflowed while rejecting steps."""
+    """dt underflowed while rejecting steps, or a step overflowed."""
 
 
 @dataclass
@@ -159,9 +159,10 @@ def evolve(
 
     stop is one of STOP_RULES: "time-only", "equilibrium" (||u_next - u||/dt
     at most 1e-6 (1 + ||u_next||_H1)) or "j-plateau".  Rejected steps
-    halve dt; dt underflow raises StepCascadeError.  States are saved every
-    save_every accepted steps with J and, when projections are attached, the
-    kernel/complement norms.
+    halve dt.  dt underflow raises StepCascadeError, and so does, under every
+    rule, a step whose rate or stop-test value (H1 norm, J) is not finite.
+    States are saved every save_every accepted steps with J and, when
+    projections are attached, the kernel/complement norms.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -200,16 +201,24 @@ def evolve(
         steps += 1
         traj.dt_history.append(dt_step)
         save_now = steps % save_every == 0
+        # what the stop rule reads: an overflow must not pass it as inf <= inf
+        read = {"step rate": rate}
         if stop == "equilibrium":
-            if rate <= 1e-6 * (1.0 + field_norms(grid, u_next).h1):
-                traj.equilibrium = True
-                traj.stop_reason = "equilibrium"
-                save_now = True
-        if stop == "j-plateau" and len(traj.states) >= 1 and save_now:
-            j_now = lyapunov_J(lam, u_next, op, spec)
-            if abs(j_now - traj.states[-1].J) <= j_plateau_tol * max(1.0, abs(j_now)):
-                traj.stop_reason = "j-plateau"
-                traj.equilibrium = True
+            read["H1 norm"] = h1 = field_norms(grid, u_next).h1
+        if stop == "j-plateau" and save_now:
+            read["J"] = j_now = lyapunov_J(lam, u_next, op, spec)
+        overflow = ", ".join(f"{k} = {v}" for k, v in read.items() if not np.isfinite(v))
+        if overflow:
+            raise StepCascadeError(f"semiflow overflow at t = {state.t:.6g}: {overflow}")
+        if stop == "equilibrium" and rate <= 1e-6 * (1.0 + h1):
+            traj.equilibrium = True
+            traj.stop_reason = "equilibrium"
+            save_now = True
+        if stop == "j-plateau" and save_now and (
+            abs(j_now - traj.states[-1].J) <= j_plateau_tol * max(1.0, abs(j_now))
+        ):
+            traj.stop_reason = "j-plateau"
+            traj.equilibrium = True
         if save_now or state.t >= t_end - 1e-12:
             traj.states.append(
                 _attach_diagnostics(

@@ -105,7 +105,6 @@ class SpectralData:
     residuals: np.ndarray
     multiplets: list
     cluster_tol: float
-    tol_eig: float
 
     @property
     def alpha_inf(self) -> float:
@@ -303,7 +302,6 @@ def eigenpairs_below(
         residuals=residuals,
         multiplets=multiplets,
         cluster_tol=float(cluster_tol),
-        tol_eig=float(tol_eig),
     )
 
 

@@ -246,9 +246,10 @@ def test_criterion_12_resonance_checkers(pt_grid, pt_proj):
     flip = np.where(pt_grid.axis > 0, -1.0, 1.0)
     flipped = rl.NonlinearitySpec(
         pt_grid, "flipped", lambda pts, u: env * flip * u / (1 + u**2),
-        bound_m=0.5 * env, lip_l0=env, lip_linf=np.zeros(pt_grid.num_nodes),
-        k_plus=env * flip, k_minus=env * flip,
         primitive=lambda pts, u: env * flip * 0.5 * np.log1p(u**2),
+        bound_m=0.5 * env, limit_plus=np.zeros(pt_grid.num_nodes),
+        limit_minus=np.zeros(pt_grid.num_nodes),
+        k_plus=env * flip, k_minus=env * flip,
     )
     sr_flip = rl.check_sign_condition(flipped, sample_budget=4096)
     assert not sr_flip.plus.holds

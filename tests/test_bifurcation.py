@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import resonance_lab as rl
-from resonance_lab.bifurcation import BranchError, BranchPoint
+from resonance_lab.bifurcation import BranchError, BranchPoint, default_initial_radius
 
 
 def _synthetic_branch(lam0, eps_list, h1_list):
@@ -74,12 +74,10 @@ def test_continue_branch_constant_forcing_oracle(pt_grid, ground_proj, pt_op):
     solve, Qu stays fixed and bounded while Pu diverges like eps/|lam-lam0|."""
     eps_f = 0.1
     m = eps_f * np.exp(-pt_grid.radii**2)
-    zeros = np.zeros(pt_grid.num_nodes)
     spec = rl.NonlinearitySpec(
-        pt_grid, "const_force", lambda pts, u: m.copy(), bound_m=np.abs(m),
-        lip_l0=zeros, lip_linf=zeros, fhat_plus=m, fcheck_plus=m,
-        fhat_minus=m, fcheck_minus=m, k_unbounded=True,
-        primitive=lambda pts, u: m * u,
+        pt_grid, "const_force", lambda pts, u: m.copy(),
+        primitive=lambda pts, u: m * u, bound_m=np.abs(m), limit_plus=m,
+        limit_minus=m, k_plus=None, k_minus=None,
     )
     lam0 = ground_proj.lambda0
     schedule = [lam0 - 2.0**-k for k in range(3, 9)]
@@ -105,6 +103,19 @@ def test_continue_branch_constant_forcing_oracle(pt_grid, ground_proj, pt_op):
     assert all(b > a for a, b in zip(pu, pu[1:]))
 
 
+def test_default_initial_radius_falls_back_to_bound_norm(pt_grid, pt_proj):
+    # every Landesman-Lazer integral of neg_arctan is -int m |phi| < 0, so the
+    # seed is ||m||/eps along the first basis vector
+    spec = rl.make_nonlinearity(pt_grid, "neg_arctan")
+    basis = pt_proj.kernel_fields
+    assert all(rl.landesman_lazer_integral(spec, s * basis[:, 0]) < 0
+               for s in (1.0, -1.0))
+    lam = pt_proj.lambda0 - pt_proj.delta / 2
+    radius, direction = default_initial_radius(lam, pt_proj, spec)
+    assert radius == spec.bound_norm / abs(lam - pt_proj.lambda0)
+    assert np.array_equal(direction, basis[:, 0])
+
+
 def test_necessary_report_tail_too_short(pt_grid, pt_proj, pt_op, arctan_spec):
     schedule = [pt_proj.lambda0 - pt_proj.delta * 2.0**-k for k in range(1, 4)]
     branch = rl.continue_branch(schedule, pt_proj, pt_op, arctan_spec)
@@ -123,13 +134,6 @@ def test_standing_wave_energy_zero_interaction(pt_grid, rng):
     u = rng.standard_normal(pt_grid.num_nodes)
     E = rl.standing_wave_energy(-1.5, u, spec)
     assert np.isclose(E, 0.5 * -1.5 * pt_grid.inner(u, u), rtol=1e-13)
-
-
-def test_standing_wave_energy_requires_primitive(pt_grid):
-    spec = rl.zero_nonlinearity(pt_grid)
-    spec.primitive = None
-    with pytest.raises(BranchError):
-        rl.standing_wave_energy(-1.0, np.zeros(pt_grid.num_nodes), spec)
 
 
 @pytest.mark.parametrize("family", ["zero", "arctan", "rational"])

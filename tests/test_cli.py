@@ -224,6 +224,21 @@ def test_exit_code_numerical_failure(tmp_path):
     assert code == EXIT_NUMERICAL
 
 
+@pytest.mark.parametrize("stop", ["equilibrium", "time-only", "j-plateau"])
+def test_semiflow_overflow_is_a_numerical_failure(tmp_path, stop):
+    # lam = 1e300 is finite, so the config accepts it, and the flow overflows
+    # within a few hundred steps of dt ~ 1e-301: no stop rule may report the
+    # overflowed state, let alone call it an equilibrium
+    _write(tmp_path, PT_BASE.format(n=401)
+           + f"\n[experiment]\nlam = 1e300\nstop = {stop}\nhorizon = 0.2\n")
+    done = _run_cli([sys.executable, "-m", "resonance_lab.cli"], tmp_path,
+                    ["semiflow", "--config", "exp.ini", "--out", "out"])
+    assert done.returncode == EXIT_NUMERICAL, done.stderr
+    assert re.search(r"semiflow overflow at t = \S+: (step rate|J) = ", done.stderr)
+    report = tmp_path / "out" / "semiflow.json"
+    assert not report.exists() or not json.loads(report.read_text())["equilibrium"]
+
+
 def test_unknown_subcommand_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--config", "x"])

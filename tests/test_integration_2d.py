@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import resonance_lab as rl
+from resonance_lab.bifurcation import default_initial_radius
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +68,20 @@ def test_pair_landesman_lazer_net(pair_proj, spec2):
     assert pair.plus.holds
     assert len(pair.plus.witnesses) == 64  # full directional net in dim 2
     assert min(pair.plus.witnesses) > 0
+    # one limit per end: both verdicts carry the same integrals
+    assert pair.plus.witnesses == pair.minus.witnesses
+
+
+def test_pair_default_initial_radius(pair_proj, spec2):
+    # the seed is I/eps along the +-basis vector of largest integral I
+    basis = pair_proj.kernel_fields
+    candidates = [s * basis[:, j] for j in range(2) for s in (1.0, -1.0)]
+    values = [rl.landesman_lazer_integral(spec2, phi) for phi in candidates]
+    best = int(np.argmax(values))
+    lam = pair_proj.lambda0 + pair_proj.delta / 2
+    radius, direction = default_initial_radius(lam, pair_proj, spec2)
+    assert radius * abs(lam - pair_proj.lambda0) == pytest.approx(values[best], rel=1e-14)
+    assert np.array_equal(direction, candidates[best])
 
 
 def test_pair_sphere_probe(pair_proj, spec2):

@@ -53,7 +53,7 @@ def test_bound_field_property(grid, arctan, rational, rng):
 
 
 def test_pointwise_lipschitz(grid, arctan, rng):
-    lip = arctan.lip_l0 + arctan.lip_linf
+    lip = (2.0 / np.pi) * arctan.bound_m  # sup |d/du m (2/pi) arctan(u)|
     for _ in range(5):
         u = rng.standard_normal(grid.num_nodes) * 10
         v = rng.standard_normal(grid.num_nodes) * 10
@@ -62,13 +62,14 @@ def test_pointwise_lipschitz(grid, arctan, rng):
 
 
 def test_assembled_lipschitz_constant(grid, arctan, rng):
-    # ||F(u)-F(v)|| <= (||l0||_p C_embed + ||linf||_inf) ||u-v||_H1 with the
-    # embedding constant measured on the grid (p = 2 -> q = inf here)
+    # ||F(u)-F(v)|| <= ||l0||_p C_embed ||u-v||_H1 with the pointwise
+    # Lipschitz field l0 = (2/pi) m and the embedding constant measured on
+    # the grid (p = 2 -> q = inf here)
     probes = [np.exp(-((grid.axis - c) ** 2) / s) for c in (-3, 0, 2) for s in (0.5, 2)]
     c_embed = max(
         np.max(np.abs(p)) / rl.field_norms(grid, p).h1 for p in probes
     )
-    L = grid.lp_norm(arctan.lip_l0, 2.0) * c_embed + np.max(arctan.lip_linf)
+    L = grid.lp_norm((2.0 / np.pi) * arctan.bound_m, 2.0) * c_embed
     for _ in range(5):
         u = rng.standard_normal(grid.num_nodes)
         v = u + rng.standard_normal(grid.num_nodes) * 0.1
@@ -89,13 +90,13 @@ def test_odd_family_zero_profile(grid):
     zeros = np.zeros(grid.num_nodes)
     spec = _odd_family(
         grid, "zero_profile", h=lambda xi: np.zeros_like(xi),
-        H=lambda xi: np.zeros_like(xi), bound=zeros, lip0=zeros, limit=zeros,
-        k_limit=zeros,
+        H=lambda xi: np.zeros_like(xi), bound=zeros, limit=zeros, k_limit=zeros,
     )
     u = np.linspace(-3.0, 3.0, grid.num_nodes)
     assert np.all(rl.evaluate_f(spec, u) == 0.0)
     assert np.all(rl.evaluate_primitive(spec, u) == 0.0)
-    assert spec.has_limits() and not spec.k_unbounded
+    for field in (spec.limit_plus, spec.limit_minus, spec.k_plus, spec.k_minus):
+        assert np.all(field == 0.0)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -122,14 +123,15 @@ def test_config_family_matches_its_declaration(family, ndim, amplitude, width, s
     slope = (rl.evaluate_primitive(spec, u + step)
              - rl.evaluate_primitive(spec, u - step)) / (2 * step)
     assert np.max(np.abs(slope - fu)) <= tol
-    # the declared limits bracket f(x, +-s) at large s, and s f(x, s) -> k+-
+    # f(x, +-s) tends to the declared limits at large s, and s f(x, s) -> k+-,
+    # which only the arctan families leave unbounded
     big = np.full(grid.num_nodes, 1e9)
     tol = 1e-6 * max(1.0, np.max(spec.bound_m))
-    for s, check, hat, k in ((big, spec.fcheck_plus, spec.fhat_plus, spec.k_plus),
-                             (-big, spec.fcheck_minus, spec.fhat_minus, spec.k_minus)):
+    for s, limit, k in ((big, spec.limit_plus, spec.k_plus),
+                        (-big, spec.limit_minus, spec.k_minus)):
         f_inf = rl.evaluate_f(spec, s)
-        assert np.all(check - tol <= f_inf) and np.all(f_inf <= hat + tol)
-        assert (k is None) == spec.k_unbounded
+        assert np.all(np.abs(f_inf - limit) <= tol)
+        assert (k is None) == family.endswith("arctan")
         if k is not None:
             np.testing.assert_allclose(s * f_inf, k, rtol=1e-9, atol=1e-12)
 
@@ -168,13 +170,6 @@ def test_landesman_lazer_negated(grid, arctan):
     assert all(wi < 0 for wi in pair.minus.witnesses)
 
 
-def test_landesman_lazer_requires_limits(grid):
-    spec = rl.saturating_arctan(grid)
-    spec.fcheck_plus = None
-    with pytest.raises(NonlinearityError):
-        rl.check_landesman_lazer(spec, np.ones((grid.num_nodes, 1)))
-
-
 def test_sign_condition_rational(grid, rational):
     pair = rl.check_sign_condition(rational, sample_budget=512)
     assert pair.plus.holds and pair.plus.applicable
@@ -200,13 +195,12 @@ def test_sign_condition_violation_injection(grid):
     def f(pts, u):
         return env * flip * u / (1.0 + u**2)
 
+    zeros = np.zeros(grid.num_nodes)
     spec = rl.NonlinearitySpec(
-        grid, "flipped", f, bound_m=0.5 * env, lip_l0=env,
-        lip_linf=np.zeros(grid.num_nodes),
-        fhat_plus=np.zeros(grid.num_nodes), fcheck_plus=np.zeros(grid.num_nodes),
-        fhat_minus=np.zeros(grid.num_nodes), fcheck_minus=np.zeros(grid.num_nodes),
-        k_plus=env * flip, k_minus=env * flip,
+        grid, "flipped", f,
         primitive=lambda pts, u: env * flip * 0.5 * np.log1p(u**2),
+        bound_m=0.5 * env, limit_plus=zeros, limit_minus=zeros,
+        k_plus=env * flip, k_minus=env * flip,
     )
     pair = rl.check_sign_condition(spec, sample_budget=512)
     assert not pair.plus.holds
@@ -236,21 +230,6 @@ def test_kernel_sphere_probe_growth(pt_grid, pt_proj, arctan_spec):
     assert values[0] < values[1] < values[2]
 
 
-def test_kernel_sphere_probe_sign_symmetry(pt_grid, pt_proj, arctan_spec):
-    # pairing is bilinear in (sign, f): flipping both leaves it unchanged
-    basis = pt_proj.kernel_fields
-    a = rl.kernel_sphere_probe(arctan_spec, basis, 50.0, sign=1)
-    b = rl.kernel_sphere_probe(rl.negate(arctan_spec), basis, 50.0, sign=-1)
-    assert np.isclose(a.min_pairing, b.min_pairing, rtol=1e-12)
-
-
 def test_kernel_sphere_probe_validation(pt_proj, arctan_spec):
     with pytest.raises(NonlinearityError):
         rl.kernel_sphere_probe(arctan_spec, pt_proj.kernel_fields, -1.0)
-
-
-def test_evaluate_primitive_missing(grid):
-    spec = rl.saturating_arctan(grid)
-    spec.primitive = None
-    with pytest.raises(NonlinearityError):
-        rl.evaluate_primitive(spec, np.zeros(grid.num_nodes))

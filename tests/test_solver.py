@@ -13,16 +13,13 @@ from resonance_lab.solver import reconstruct_iterate, reconstruct_solution
 def _constant_forcing(grid, eps):
     """f(x, u) = eps e^{-x^2}, independent of u."""
     m = eps * np.exp(-grid.radii**2)
-    zeros = np.zeros(grid.num_nodes)
 
     def f(pts, u):
         return m.copy()
 
     return rl.NonlinearitySpec(
-        grid, "constant_forcing", f, bound_m=np.abs(m), lip_l0=zeros,
-        lip_linf=zeros, fhat_plus=m, fcheck_plus=m, fhat_minus=m,
-        fcheck_minus=m, k_unbounded=True,
-        primitive=lambda pts, u: m * u,
+        grid, "constant_forcing", f, primitive=lambda pts, u: m * u,
+        bound_m=np.abs(m), limit_plus=m, limit_minus=m, k_plus=None, k_minus=None,
     )
 
 
