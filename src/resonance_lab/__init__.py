@@ -73,6 +73,7 @@ from .spectral import (
     build_projections,
     eigenpairs_below,
     morse_count,
+    reuse_eigenpairs,
 )
 
 __version__ = "0.1.0"

@@ -6,7 +6,9 @@ Subcommands: spectrum, resonance, branch, semiflow, report.  Exit codes:
 0 success, 2 config error, 3 numerical failure, 4 verdict negative (only
 when the experiment declares expect_positive).  Identical config and seed
 produce byte-identical outputs; the effective config and seed are embedded
-in every JSON report.
+in every JSON report.  `spectrum` also stores its eigenpairs in the output
+directory, and the later subcommands reuse them when they pass every check
+of a fresh solve.
 """
 
 from __future__ import annotations
@@ -34,7 +36,13 @@ from .nonlinearity import (
     make_nonlinearity,
 )
 from .potential import PotentialError, make_potential
-from .reporting import write_csv, write_json, write_snapshots
+from .reporting import (
+    read_eigenpairs,
+    write_csv,
+    write_eigenpairs,
+    write_json,
+    write_snapshots,
+)
 from .solver import SolverConfig
 from .spectral import (
     HamiltonianOperator,
@@ -46,6 +54,7 @@ from .spectral import (
     build_projections,
     eigenpairs_below,
     morse_count,
+    reuse_eigenpairs,
 )
 
 EXIT_OK = 0
@@ -54,6 +63,10 @@ EXIT_NUMERICAL = 3
 EXIT_VERDICT = 4
 
 SUBCOMMANDS = ("spectrum", "resonance", "branch", "semiflow", "report")
+EIGENPAIRS_FILE = "eigenpairs.npz"
+# names the layout of the stored eigenpairs in their key; a new layout gets a
+# new tag, so files of the old one are solved again instead of misread
+EIGENPAIRS_FORMAT = "resonance-lab eigenpairs 1"
 
 
 class ConfigError(ValueError):
@@ -219,10 +232,24 @@ class Problem:
     subcommand reads only the stages it needs, so `spectrum` never builds the
     nonlinearity and `semiflow` without a λ0 selection never runs the
     eigensolver.
+
+    `spectrum` always solves (`solve`) and stores the eigenpairs in
+    `<out>/eigenpairs.npz` under `eigenpairs_key`.  `data` reuses that file
+    when it holds this key and its pairs pass every check of a fresh solve
+    (spectral.reuse_eigenpairs); otherwise, or when the file is missing or
+    unreadable, it solves.  Either way the later reports are the same, bit
+    for bit.
     """
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
+        self.eigenpairs_path = Path(cfg.output_dir) / EIGENPAIRS_FILE
+        # the config sections the eigenpairs depend on, as canonical JSON
+        self.eigenpairs_key = json.dumps(
+            {"format": EIGENPAIRS_FORMAT, "grid": cfg.grid,
+             "potential": cfg.potential, "spectral": cfg.spectral},
+            sort_keys=True, separators=(",", ":"),
+        )
 
     @cached_property
     def grid(self) -> Grid:
@@ -236,9 +263,22 @@ class Problem:
 
     @cached_property
     def data(self) -> SpectralData:
+        stored = read_eigenpairs(self.eigenpairs_path, self.eigenpairs_key)
+        if stored is not None:
+            try:
+                return reuse_eigenpairs(self.op, *stored, **self._eigensolve_args())
+            except SpectralError:
+                pass  # a stored pair failed a check: solve again
+        return self.solve()
+
+    def solve(self) -> SpectralData:
+        """A fresh eigensolve of the low spectrum."""
+        return eigenpairs_below(self.op, **self._eigensolve_args())
+
+    def _eigensolve_args(self) -> dict:
         s = self.cfg.spectral
-        return eigenpairs_below(self.op, ceiling=s["ceiling"], tol_eig=s["tol_eig"],
-                                cluster_tol=s["cluster_tol"], max_count=s["max_count"])
+        return {"ceiling": s["ceiling"], "tol_eig": s["tol_eig"],
+                "cluster_tol": s["cluster_tol"], "max_count": s["max_count"]}
 
     @cached_property
     def spec(self) -> NonlinearitySpec:
@@ -304,7 +344,7 @@ def _initial_field(cfg: ExperimentConfig, grid: Grid,
 
 def _cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
     problem = Problem(cfg)
-    op, data = problem.op, problem.data
+    op, data = problem.op, problem.solve()
     rows = [
         (center, len(idx), float(np.max(data.residuals[idx])))
         for center, idx in data.multiplets
@@ -325,6 +365,8 @@ def _cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
         "config": cfg.effective(),
     }
     write_json(out_dir / "spectrum.json", report)
+    write_eigenpairs(problem.eigenpairs_path, problem.eigenpairs_key,
+                     data.eigenvalues, data.eigenfields)
     return EXIT_OK
 
 

@@ -209,9 +209,15 @@ def field_norms(grid: Grid, field: np.ndarray) -> FieldNorms:
         wt = grid.axis_weights
         gradsq = 0.0
         for axis in (0, 1):
-            pad = [(0, 0), (0, 0)]
-            pad[axis] = (1, 1)
-            D = np.diff(np.pad(U, pad), axis=axis) / h
+            # D[0] = U[0], D[1:n] = U[1:] - U[:-1], D[n] = -U[-1] along the
+            # axis: the differences of U padded with one zero at each end,
+            # without building the padded copy
+            D = np.empty((n + 1, n) if axis == 0 else (n, n + 1))
+            Dv, Uv = (D, U) if axis == 0 else (D.T, U.T)
+            Dv[0] = Uv[0]
+            np.subtract(Uv[1:], Uv[:-1], out=Dv[1:n])
+            Dv[n] = -Uv[-1]
+            D /= h
             # edge weight h along the differenced axis, trapezoid across it
             trans = wt[np.newaxis, :] if axis == 0 else wt[:, np.newaxis]
             gradsq += h * float(np.sum(D * D * trans))

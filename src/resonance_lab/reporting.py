@@ -1,15 +1,20 @@
-"""Deterministic report serialization: JSON, CSV and flat binary snapshots.
+"""Deterministic report serialization: JSON, CSV and flat binary snapshots,
+and the stored eigenpairs one subcommand hands to the next.
 
 Identical inputs must produce byte-identical files, so floats are rendered
 with fixed rules: 17 significant digits in JSON, shortest round-trip (repr)
 in CSV.  JSON keys are emitted sorted.  Snapshots use a flat little-endian
 layout: int64 ndim, int64 points_per_axis, float64 half_width, then each
-field's row-major doubles.
+field's row-major doubles.  Stored eigenpairs are an uncompressed `.npz`
+archive of three arrays: `key`, a string naming what the pairs were solved
+for, `eigenvalues` and `eigenfields` (one column per pair).
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import tempfile
 from pathlib import Path
 from typing import Sequence
 
@@ -100,3 +105,39 @@ def read_snapshots(path) -> tuple[int, int, float, np.ndarray]:
     if body.size % nodes:
         raise ValueError("snapshot payload is not a whole number of fields")
     return int(ndim), int(n), float(half_width), body.reshape(-1, nodes)
+
+
+def write_eigenpairs(path, key: str, eigenvalues: np.ndarray,
+                     eigenfields: np.ndarray) -> None:
+    """Store eigenpairs under a key, atomically: the archive is written to a
+    temporary file in the same directory, then renamed over path, so a
+    reader finds the old file, the new one or none, never a partial one."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, key=np.array(key), eigenvalues=eigenvalues,
+                     eigenfields=eigenfields)
+        os.replace(tmp, path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
+
+
+def read_eigenpairs(path, key: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (eigenvalues, eigenfields) that write_eigenpairs stored at path
+    under this key; None when the file is missing, cannot be read as such an
+    archive, or was stored under another key.  Nothing is unpickled."""
+    try:
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):  # a bare .npy array
+            return None
+        with archive:
+            stored = archive["key"]
+            if stored.shape != () or str(stored) != key:
+                return None
+            return archive["eigenvalues"], archive["eigenfields"]
+    except Exception:  # noqa: BLE001
+        # a damaged archive raises any of a dozen types from zipfile, zlib and
+        # the .npy reader (BadZipFile, NotImplementedError for a flipped flag
+        # bit, ValueError, EOFError, ...); each one means: solve again
+        return None

@@ -159,8 +159,10 @@ def evolve(
 
     stop is one of STOP_RULES: "time-only", "equilibrium" (||u_next - u||/dt
     at most 1e-6 (1 + ||u_next||_H1)) or "j-plateau".  Rejected steps
-    halve dt.  dt underflow raises StepCascadeError, and so does, under every
-    rule, a step whose rate or stop-test value (H1 norm, J) is not finite.
+    halve dt.  An initial dt (given or default) below DT_FLOOR raises
+    StepCascadeError before the first step, and so do dt underflow and, under
+    every rule, a step whose rate or stop-test value (H1 norm, J) is not
+    finite.
     States are saved every save_every accepted steps with J and, when
     projections are attached, the kernel/complement norms.
     """
@@ -171,6 +173,10 @@ def evolve(
     grid = op.grid
     if dt is None:
         dt = default_dt(op, lam)
+    if not dt >= DT_FLOOR:
+        # at |lam| ~ 1e300 the default dt is ~1e-301: a horizon would take
+        # ~1e300 steps, and no stop rule need ever end them
+        raise StepCascadeError(f"initial dt = {dt:.3g} is below the floor {DT_FLOOR:g}")
     traj = Trajectory(lam=lam)
     state = SemiflowState(t=state0.t, u=grid.check_field(state0.u).copy())
     traj.states.append(

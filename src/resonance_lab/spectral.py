@@ -11,7 +11,9 @@ the truncated box discretizes the continuum into a cloud of closely spaced
 spurious eigenvalues above it, so the solver works under a ceiling (default
 alpha_inf, the bottom the potential family declares).  Every grid takes one
 eigensolve path: a Sylvester-inertia count of the eigenvalues below the
-ceiling, then one shift-invert Lanczos call sized to it.
+ceiling, then one shift-invert Lanczos call sized to it.  Eigenpairs stored
+from such a solve are taken back by reuse_eigenpairs only after the same
+count and residual checks, plus a check of their orthonormality.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ from .potential import PotentialSpec
 CEILING_MARGIN = 1e-6
 # relative residual a deflated resolvent solve must reach
 TOL_LIN = 1e-8
+# largest max |ΨᵀΨ - I| of stored eigenfields that reuse_eigenpairs accepts;
+# a fresh solve measures a few 1e-15
+ORTHONORMAL_TOL = 1e-10
 
 
 def splu_ordering(grid: Grid) -> dict:
@@ -195,6 +200,76 @@ def _count_below(op: HamiltonianOperator, mu: float) -> int:
     raise SpectralError(f"LDLᵀ inertia count broke down at every shift near {mu}")
 
 
+def _window(op: HamiltonianOperator, ceiling: float | None, tol_eig: float,
+            cluster_tol: float | None) -> tuple[float, float, float]:
+    """The ceiling and cluster_tol of an eigensolve with their defaults filled
+    in, and the spectral scale; SpectralError for a ceiling above alpha_inf
+    or a non-positive tol_eig."""
+    if ceiling is None:
+        ceiling = op.alpha_inf
+    scale = _spectral_scale(op, ceiling)
+    if ceiling > op.alpha_inf + CEILING_MARGIN * scale:
+        raise SpectralError(
+            f"ceiling {ceiling} exceeds alpha_inf {op.alpha_inf}; "
+            "eigenvalues up there are discretization artifacts"
+        )
+    if tol_eig <= 0:
+        raise SpectralError("tol_eig must be positive")
+    if cluster_tol is None:
+        cluster_tol = 1e-6 * scale
+    return float(ceiling), float(cluster_tol), scale
+
+
+def _count_in_range(op: HamiltonianOperator, ceiling: float, max_count: int) -> int:
+    """The Sylvester count below the ceiling; SpectralError if it reaches
+    max_count or leaves fewer than two of the grid's eigenvalues above."""
+    M = op.grid.num_nodes
+    count = _count_below(op, ceiling)
+    if count >= max_count:
+        raise SpectralError(
+            f"{count} eigenvalues below the ceiling, max_count = {max_count}; "
+            "suspected spurious continuum states"
+        )
+    if count > M - 2:
+        raise SpectralError(
+            f"{count} of the grid's {M} eigenvalues lie below the ceiling; the "
+            "shift-invert eigensolve needs at least two above it"
+        )
+    return count
+
+
+def _checked_data(op: HamiltonianOperator, ceiling: float, cluster_tol: float,
+                  tol_eig: float, count: int, vals: np.ndarray, fields: np.ndarray,
+                  multiplets: list) -> SpectralData:
+    """SpectralData of eigenpairs below the ceiling, after the checks every
+    eigenpair passes, solved or stored: there are exactly `count` of them
+    (the Sylvester inertia count) and each residual is at most tol_eig."""
+    below = int(np.count_nonzero(vals < ceiling))
+    if below != count or len(vals) != count:
+        raise SpectralError(
+            f"{below} of {len(vals)} eigenpairs lie below the ceiling, "
+            f"Sylvester inertia counts {count}"
+        )
+    grid = op.grid
+    residuals = np.empty(len(vals))
+    for i in range(len(vals)):
+        phi = fields[:, i]
+        residuals[i] = grid.norm(op.apply(phi) - vals[i] * phi)
+        if not residuals[i] <= tol_eig:  # a NaN fails too
+            raise SpectralError(
+                f"eigenpair {i} residual {residuals[i]:.3e} exceeds tol_eig {tol_eig}"
+            )
+    return SpectralData(
+        operator=op,
+        ceiling=ceiling,
+        eigenvalues=vals,
+        eigenfields=fields,
+        residuals=residuals,
+        multiplets=multiplets,
+        cluster_tol=cluster_tol,
+    )
+
+
 def eigenpairs_below(
     op: HamiltonianOperator,
     ceiling: float | None = None,
@@ -217,30 +292,10 @@ def eigenpairs_below(
     tol_eig.
     """
     grid = op.grid
-    if ceiling is None:
-        ceiling = op.alpha_inf
-    scale = _spectral_scale(op, ceiling)
-    if ceiling > op.alpha_inf + CEILING_MARGIN * scale:
-        raise SpectralError(
-            f"ceiling {ceiling} exceeds alpha_inf {op.alpha_inf}; "
-            "eigenvalues up there are discretization artifacts"
-        )
-    if tol_eig <= 0:
-        raise SpectralError("tol_eig must be positive")
-
+    ceiling, cluster_tol, scale = _window(op, ceiling, tol_eig, cluster_tol)
+    count = _count_in_range(op, ceiling, max_count)
     M = grid.num_nodes
     S = op.sym_matrix
-    count = _count_below(op, ceiling)
-    if count >= max_count:
-        raise SpectralError(
-            f"{count} eigenvalues below the ceiling, max_count = {max_count}; "
-            "suspected spurious continuum states"
-        )
-    if count > M - 2:
-        raise SpectralError(
-            f"{count} of the grid's {M} eigenvalues lie below the ceiling; the "
-            "shift-invert eigensolve needs at least two above it"
-        )
     sigma = op.spectrum_lower_bound() - 0.1 * scale
     # fixed Lanczos start vector: ARPACK's default draws from the global
     # RNG and would break byte-identical reruns
@@ -261,20 +316,12 @@ def eigenpairs_below(
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     keep = vals < ceiling
-    if np.count_nonzero(keep) != count:
-        raise SpectralError(
-            f"eigensolver found {np.count_nonzero(keep)} eigenvalues below "
-            f"the ceiling, Sylvester inertia counts {count}"
-        )
     vals, vecs = vals[keep], vecs[:, keep]
 
     # back to the field frame; columns are W-orthonormal by construction
     inv_sqrt_w = 1.0 / grid.sqrt_weights
     fields = vecs * inv_sqrt_w[:, None]
-
-    if cluster_tol is None:
-        cluster_tol = 1e-6 * scale
-    multiplets = _cluster(vals, cluster_tol) if len(vals) else []
+    multiplets = _cluster(vals, cluster_tol)
 
     # re-orthonormalize inside each multiplet (discretization splits exact
     # degeneracies; cross-cluster orthogonality is automatic)
@@ -285,24 +332,50 @@ def eigenpairs_below(
             vecs[:, idx] = qblock
             fields[:, idx] = qblock * inv_sqrt_w[:, None]
 
-    residuals = np.empty(len(vals))
-    for i in range(len(vals)):
-        phi = fields[:, i]
-        residuals[i] = grid.norm(op.apply(phi) - vals[i] * phi)
-        if residuals[i] > tol_eig:
-            raise SpectralError(
-                f"eigenpair {i} residual {residuals[i]:.3e} exceeds tol_eig {tol_eig}"
-            )
+    return _checked_data(op, ceiling, cluster_tol, tol_eig, count, vals, fields,
+                         multiplets)
 
-    return SpectralData(
-        operator=op,
-        ceiling=float(ceiling),
-        eigenvalues=vals,
-        eigenfields=fields,
-        residuals=residuals,
-        multiplets=multiplets,
-        cluster_tol=float(cluster_tol),
-    )
+
+def reuse_eigenpairs(
+    op: HamiltonianOperator,
+    eigenvalues: np.ndarray,
+    eigenfields: np.ndarray,
+    ceiling: float | None = None,
+    tol_eig: float = 1e-8,
+    cluster_tol: float | None = None,
+    max_count: int = 64,
+) -> SpectralData:
+    """The SpectralData of eigenpairs stored from an earlier eigenpairs_below
+    call with the same arguments, checked again instead of solved again.
+
+    The stored pairs must be float64 arrays that fit the grid, with
+    ascending eigenvalues and W-orthonormal eigenfields (max |ΨᵀΨ - I| at
+    most ORTHONORMAL_TOL); they then pass the checks of a fresh solve: the
+    Sylvester count below the ceiling equals the number of pairs, and every
+    residual is at most tol_eig.  The multiplets are clustered again, but not
+    re-orthonormalized, so pairs that a solve wrote come back bit for bit.
+    Raises SpectralError when any check fails.
+    """
+    ceiling, cluster_tol, _ = _window(op, ceiling, tol_eig, cluster_tol)
+    vals, fields = np.asarray(eigenvalues), np.asarray(eigenfields)
+    grid = op.grid
+    if not (vals.dtype == fields.dtype == np.float64 and vals.ndim == 1
+            and fields.shape == (grid.num_nodes, len(vals))):
+        raise SpectralError(
+            f"stored eigenpairs of shapes {vals.shape} and {fields.shape} do not "
+            f"fit a grid of {grid.num_nodes} nodes"
+        )
+    if not np.all(np.diff(vals) >= 0):
+        raise SpectralError("stored eigenvalues are not ascending")
+    psi = fields * grid.sqrt_weights[:, None]
+    drift = float(np.max(np.abs(psi.T @ psi - np.eye(len(vals))), initial=0.0))
+    if not drift <= ORTHONORMAL_TOL:
+        raise SpectralError(
+            f"stored eigenfields are not orthonormal: max |ΨᵀΨ - I| = {drift:.3e}"
+        )
+    count = _count_in_range(op, ceiling, max_count)
+    return _checked_data(op, ceiling, cluster_tol, tol_eig, count, vals, fields,
+                         _cluster(vals, cluster_tol))
 
 
 @dataclass

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import resonance_lab as rl
+from resonance_lab import spectral
 
 _ACCEPTANCE: dict = {}
 
@@ -85,6 +86,20 @@ def coarse_pt(coarse_grid):
     op = rl.assemble_hamiltonian(coarse_grid, pot)
     data = rl.eigenpairs_below(op)
     return op, data
+
+
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """The k of every eigsh call, through the real eigsh."""
+    calls = []
+    real_eigsh = spectral.spla.eigsh
+
+    def eigsh(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.spla, "eigsh", eigsh)
+    return calls
 
 
 @pytest.fixture

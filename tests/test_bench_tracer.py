@@ -44,3 +44,8 @@ def test_tracer_covers_every_declared_layer(tmp_path):
     metrics = tracer.layer_metrics(trace.spans)
     assert set(metrics) == expected
     assert metrics["solver.solves"][0] == 6  # the warmup branch has 6 points
+    # `spectrum` solves and stores the eigenpairs; the other three subcommands
+    # of the round reuse them from the shared output directory
+    names = [s.name for s in trace.spans]
+    assert names.count("spectral.eigensolve") == 1
+    assert names.count("spectral.eigsh") == 1

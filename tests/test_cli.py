@@ -9,12 +9,14 @@ import sys
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import resonance_lab
 from resonance_lab import cli
 from resonance_lab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VERDICT, main
-from resonance_lab.reporting import read_snapshots
+from resonance_lab.reporting import read_snapshots, write_eigenpairs
+from resonance_lab.spectral import SpectralError
 
 PT_BASE = """
 [grid]
@@ -226,17 +228,36 @@ def test_exit_code_numerical_failure(tmp_path):
 
 @pytest.mark.parametrize("stop", ["equilibrium", "time-only", "j-plateau"])
 def test_semiflow_overflow_is_a_numerical_failure(tmp_path, stop):
-    # lam = 1e300 is finite, so the config accepts it, and the flow overflows
-    # within a few hundred steps of dt ~ 1e-301: no stop rule may report the
-    # overflowed state, let alone call it an equilibrium
+    # at lam = 1e10 the default dt is ~1e-11, above the floor, and every mode
+    # grows by ~1/0.9 a step, so the flow overflows within a few thousand
+    # steps: no stop rule may report the overflowed state, let alone call it
+    # an equilibrium
     _write(tmp_path, PT_BASE.format(n=401)
-           + f"\n[experiment]\nlam = 1e300\nstop = {stop}\nhorizon = 0.2\n")
+           + f"\n[experiment]\nlam = 1e10\nstop = {stop}\nhorizon = 0.2\n")
     done = _run_cli([sys.executable, "-m", "resonance_lab.cli"], tmp_path,
                     ["semiflow", "--config", "exp.ini", "--out", "out"])
     assert done.returncode == EXIT_NUMERICAL, done.stderr
-    assert re.search(r"semiflow overflow at t = \S+: (step rate|J) = ", done.stderr)
+    assert re.search(r"semiflow overflow at t = \S+: (step rate|H1 norm|J) = ",
+                     done.stderr)
     report = tmp_path / "out" / "semiflow.json"
     assert not report.exists() or not json.loads(report.read_text())["equilibrium"]
+
+
+@pytest.mark.parametrize("experiment", [
+    "lam = -1e300\nstop = time-only",  # ~1e300 steps of dt ~1e-301, no stop rule
+    "lam = 1e300\nstop = equilibrium",
+    "dt = 1e-13\nstop = time-only",
+], ids=["lam-neg-1e300", "lam-1e300", "dt-1e-13"])
+def test_semiflow_dt_below_floor_is_a_numerical_failure(tmp_path, experiment):
+    # refused before the first step: without the check the first case runs
+    # until killed, so the child gets a timeout
+    _write(tmp_path, PT_BASE.format(n=401)
+           + f"\n[experiment]\n{experiment}\nhorizon = 0.2\n")
+    done = _run_cli([sys.executable, "-m", "resonance_lab.cli"], tmp_path,
+                    ["semiflow", "--config", "exp.ini", "--out", "out"], timeout=60)
+    assert done.returncode == EXIT_NUMERICAL, done.stderr
+    assert re.search(r"initial dt = \S+ is below the floor 1e-12", done.stderr)
+    assert not (tmp_path / "out" / "semiflow.json").exists()
 
 
 def test_unknown_subcommand_exits_2(tmp_path):
@@ -245,13 +266,13 @@ def test_unknown_subcommand_exits_2(tmp_path):
     assert exc.value.code == 2
 
 
-def _run_cli(command, cwd, args):
+def _run_cli(command, cwd, args, timeout=300):
     """Run the CLI as its own process, importing the package under test."""
     src = str(Path(resonance_lab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([*command, *args], cwd=cwd, env=env, capture_output=True,
-                          text=True, timeout=300)
+                          text=True, timeout=timeout)
 
 
 def test_console_script_installed(tmp_path):
@@ -456,3 +477,101 @@ def test_branch_builds_each_stage_once(tmp_path, monkeypatch):
     code, _ = _run(tmp_path, "branch", cfg)
     assert code == EXIT_OK
     assert calls == {"assemble_hamiltonian": 1, "eigenpairs_below": 1}
+
+
+# -- eigenpairs stored by `spectrum`, reused by the later subcommands -----------
+
+REUSE = PT_BASE.format(n=1001) + "\n[experiment]\nnum_points = 4\nhorizon = 0.05\n"
+REPORTS = {"resonance": ["resonance.json"],
+           "branch": ["branch.csv", "bifurcation.json"],
+           "semiflow": ["trajectory.csv", "semiflow.json"]}
+
+
+def test_later_subcommands_reuse_the_stored_eigenpairs(tmp_path, eigsh_calls):
+    cfg = _write(tmp_path, REUSE)
+    shared = tmp_path / "shared"
+    for sub in ("spectrum", *REPORTS, "report"):
+        assert main([sub, "--config", cfg, "--out", str(shared)]) == EXIT_OK
+    assert len(eigsh_calls) == 1  # `spectrum` alone solved
+    assert {p.name for p in shared.iterdir()} == {
+        "spectrum.csv", "spectrum.json", cli.EIGENPAIRS_FILE, "report.json",
+        *(name for names in REPORTS.values() for name in names)}
+    for sub, names in REPORTS.items():  # each alone solves, to the same bytes
+        alone = tmp_path / sub
+        assert main([sub, "--config", cfg, "--out", str(alone)]) == EXIT_OK
+        assert not (alone / cli.EIGENPAIRS_FILE).exists()
+        for name in names:
+            assert (alone / name).read_bytes() == (shared / name).read_bytes()
+    assert len(eigsh_calls) == 1 + len(REPORTS)
+    # `spectrum` always solves, even over a file it could reuse
+    spectrum = (shared / "spectrum.json").read_bytes()
+    assert main(["spectrum", "--config", cfg, "--out", str(shared)]) == EXIT_OK
+    assert len(eigsh_calls) == 2 + len(REPORTS)
+    assert (shared / "spectrum.json").read_bytes() == spectrum
+
+
+def _rewrite(path, change):
+    with np.load(path) as archive:
+        key, vals, fields = (archive[name] for name in ("key", "eigenvalues", "eigenfields"))
+    key, vals, fields = change(str(key), vals.copy(), fields.copy())
+    write_eigenpairs(path, key, vals, fields)
+
+
+def _duplicate_first(key, vals, fields):
+    vals[1], fields[:, 1] = vals[0], fields[:, 0]
+    return key, vals, fields
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _flip_middle_bytes(path):
+    raw = bytearray(path.read_bytes())
+    mid = len(raw) // 2
+    raw[mid: mid + 8] = bytes(b ^ 0xFF for b in raw[mid: mid + 8])
+    path.write_bytes(raw)
+
+
+FAULTS = {  # name -> (fault written over the stored file, the check that fires)
+    "key": (lambda p: _rewrite(p, lambda k, v, f: (k.replace("1001", "1003"), v, f)),
+            None),
+    "truncated": (_truncate, None),
+    "corrupt": (_flip_middle_bytes, None),
+    "shifted": (lambda p: _rewrite(p, lambda k, v, f: (k, v + [1e-3, 0.0], f)),
+                "residual"),
+    "dropped": (lambda p: _rewrite(p, lambda k, v, f: (k, v[:1], f[:, :1])),
+                "inertia"),
+    "duplicated": (lambda p: _rewrite(p, _duplicate_first), "orthonormal"),
+    "shape": (lambda p: _rewrite(p, lambda k, v, f: (k, v, f[:-1])), "fit a grid"),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_stored_eigenpairs_that_fail_a_check_are_solved_again(tmp_path, monkeypatch,
+                                                              eigsh_calls, fault):
+    cfg = _write(tmp_path, REUSE)
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    assert main(["resonance", "--config", cfg, "--out", str(fresh)]) == EXIT_OK
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    break_file, check = FAULTS[fault]
+    break_file(out / cli.EIGENPAIRS_FILE)
+    refusals = []
+    real_reuse = cli.reuse_eigenpairs
+
+    def reuse(*args, **kwargs):
+        try:
+            return real_reuse(*args, **kwargs)
+        except SpectralError as exc:
+            refusals.append(str(exc))
+            raise
+
+    monkeypatch.setattr(cli, "reuse_eigenpairs", reuse)
+    del eigsh_calls[:]
+    assert main(["resonance", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert len(eigsh_calls) == 1
+    if check is None:  # the file is not read as eigenpairs of this config
+        assert refusals == []
+    else:
+        assert len(refusals) == 1 and check in refusals[0]
+    assert (out / "resonance.json").read_bytes() == (fresh / "resonance.json").read_bytes()

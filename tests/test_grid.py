@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc
 
 import resonance_lab as rl
@@ -118,6 +120,42 @@ def test_integration_by_parts_exact(rng):
             lhs = g.inner(-rl.apply_laplacian(g, u), u)
             rhs = rl.field_norms(g, u).grad_l2 ** 2
             assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
+
+
+def _padded_grad_l2(g, u):
+    """The 2-D gradient seminorm from np.pad'ed differences, summed as
+    field_norms sums it."""
+    n, h, wt = g.points_per_axis, g.spacing, g.axis_weights
+    U = u.reshape(n, n)
+    gradsq = 0.0
+    for axis in (0, 1):
+        pad = [(0, 0), (0, 0)]
+        pad[axis] = (1, 1)
+        D = np.diff(np.pad(U, pad), axis=axis) / h
+        trans = wt[np.newaxis, :] if axis == 0 else wt[:, np.newaxis]
+        gradsq += h * float(np.sum(D * D * trans))
+    return np.sqrt(gradsq)
+
+
+@pytest.mark.parametrize("n", [3, 41, 81])
+def test_field_norms_2d_equals_padded_differences(rng, n):
+    g = rl.make_grid(2, 6.0, n)
+    for _ in range(10):
+        u = rng.standard_normal(g.num_nodes) * 10.0 ** rng.uniform(-3, 3)
+        assert rl.field_norms(g, u).grad_l2 == _padded_grad_l2(g, u)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(ndim=st.sampled_from([1, 2]), half_n=st.integers(1, 60),
+       half_width=st.floats(0.5, 50.0), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-6, 1e6))
+def test_integration_by_parts_on_random_grids(ndim, half_n, half_width, seed, scale):
+    # <-Δ_h u, u>_w == grad_l2^2 on any grid, for any field
+    g = rl.make_grid(ndim, half_width, 2 * half_n + 1)
+    u = scale * np.random.default_rng(seed).standard_normal(g.num_nodes)
+    lhs = g.inner(-rl.apply_laplacian(g, u), u)
+    rhs = rl.field_norms(g, u).grad_l2 ** 2
+    assert abs(lhs - rhs) <= 1e-12 * rhs
 
 
 def test_tail_mass_compact_support():

@@ -8,8 +8,10 @@ import resonance_lab as rl
 from resonance_lab.reporting import (
     csv_cell,
     json_dumps,
+    read_eigenpairs,
     read_snapshots,
     write_csv,
+    write_eigenpairs,
     write_snapshots,
 )
 
@@ -86,3 +88,26 @@ def test_snapshots_header_layout(tmp_path):
     assert len(raw) == 24 + 5 * 8
     assert int.from_bytes(raw[0:8], "little") == 1
     assert int.from_bytes(raw[8:16], "little") == 5
+
+
+def test_read_eigenpairs_of_a_damaged_file_is_none(tmp_path, rng):
+    # every cut and every flipped byte gives the stored arrays or None, never
+    # an exception: the caller then solves again
+    path = tmp_path / "pairs.npz"
+    vals, fields = np.sort(rng.standard_normal(3)), rng.standard_normal((50, 3))
+    write_eigenpairs(path, "key", vals, fields)
+    raw = path.read_bytes()
+    stored = read_eigenpairs(path, "key")
+    assert np.array_equal(stored[0], vals) and np.array_equal(stored[1], fields)
+    damaged = [raw[:cut] for cut in range(0, len(raw), 7)]
+    damaged += [raw[:i] + bytes([raw[i] ^ 0xFF]) + raw[i + 1:]
+                for i in range(0, len(raw), 5)]
+    damaged += [b"\x93NUMPY" + raw[6:], np.lib.format.MAGIC_PREFIX + b"\x01\x00"]
+    for payload in damaged:
+        path.write_bytes(payload)
+        got = read_eigenpairs(path, "key")
+        assert got is None or (np.array_equal(got[0], vals)
+                               and np.array_equal(got[1], fields))
+    np.save(tmp_path / "bare.npy", vals)  # an array, not an archive
+    assert read_eigenpairs(tmp_path / "bare.npy", "key") is None
+    assert read_eigenpairs(tmp_path / "missing.npz", "key") is None

@@ -84,11 +84,18 @@ def test_lyapunov_quadrature_oracle(pt_grid, pt_op, arctan_spec, rng):
     assert abs(value - oracle) <= 1e-8 * max(1.0, abs(oracle))
 
 
-def test_lyapunov_missing_primitive(pt_grid, pt_op):
-    spec = rl.saturating_arctan(pt_grid)
-    spec.primitive = None
-    with pytest.raises(Exception):
-        rl.lyapunov_J(-1.0, np.zeros(pt_grid.num_nodes), pt_op, spec)
+@pytest.mark.parametrize("s", [0.5, 3.0, 40.0])
+def test_lyapunov_scaled_eigenfield(pt_grid, pt_data, pt_op, arctan_spec, s):
+    # J_λ(sφ) = ½ s²(μ - λ) - ∫F(x, sφ) for an eigenfield φ of eigenvalue μ,
+    # with the arctan primitive written out independently of the package
+    lam = -2.5
+    m = np.exp(-pt_grid.axis**2)
+    for phi, mu in zip(pt_data.eigenfields.T, pt_data.eigenvalues):
+        u = s * phi
+        prim = m * (2 / np.pi) * (u * np.arctan(u) - 0.5 * np.log1p(u**2))
+        expected = 0.5 * s**2 * (mu - lam) - np.sum(pt_grid.weights * prim)
+        J = rl.lyapunov_J(lam, u, pt_op, arctan_spec)
+        assert abs(J - expected) <= 1e-8 * s**2
 
 
 def test_evolve_equilibrium_flag_at_solution(pt_grid, pt_proj, pt_op, arctan_spec):

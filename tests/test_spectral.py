@@ -16,6 +16,7 @@ from resonance_lab import semiflow, spectral
 from resonance_lab.bifurcation import summarize_branch
 from resonance_lab.cli import EXIT_NUMERICAL, main
 from resonance_lab.grid import GridError
+from resonance_lab.reporting import read_eigenpairs, write_eigenpairs
 from resonance_lab.spectral import ResonantLambdaError, SpectralError
 
 
@@ -185,20 +186,6 @@ def well_op():
     )
 
 
-@pytest.fixture
-def eigsh_calls(monkeypatch):
-    """The k of every eigsh call, through the real eigsh."""
-    calls = []
-    real_eigsh = spectral.spla.eigsh
-
-    def eigsh(*args, **kwargs):
-        calls.append(kwargs["k"])
-        return real_eigsh(*args, **kwargs)
-
-    monkeypatch.setattr(spectral.spla, "eigsh", eigsh)
-    return calls
-
-
 def test_eigenpairs_sized_by_inertia(well_op, eigsh_calls):
     count = spectral._count_below(well_op, well_op.alpha_inf)
     assert count > 8
@@ -273,6 +260,39 @@ def test_eigenpairs_raise_when_eigsh_misses_a_pair(well_op, monkeypatch):
     monkeypatch.setattr(spectral.spla, "eigsh", eigsh)
     with pytest.raises(SpectralError, match="inertia"):
         rl.eigenpairs_below(well_op)
+
+
+def test_stored_eigenpairs_come_back_bit_for_bit(well_op, eigsh_calls, tmp_path):
+    # the degenerate pair is re-orthonormalized by the solve and not again
+    data = rl.eigenpairs_below(well_op)
+    assert any(len(idx) > 1 for _, idx in data.multiplets)
+    path = tmp_path / "pairs.npz"
+    write_eigenpairs(path, "k", data.eigenvalues, data.eigenfields)
+    assert [p.name for p in tmp_path.iterdir()] == ["pairs.npz"]
+    assert read_eigenpairs(path, "other") is None
+    again = rl.reuse_eigenpairs(well_op, *read_eigenpairs(path, "k"))
+    assert eigsh_calls == [len(data.eigenvalues) + 1]
+    for name in ("eigenvalues", "eigenfields", "residuals"):
+        assert np.array_equal(getattr(again, name), getattr(data, name))
+    assert again.multiplets == data.multiplets
+    assert (again.ceiling, again.cluster_tol) == (data.ceiling, data.cluster_tol)
+
+
+def test_reuse_keeps_the_checks_of_a_solve(well_op):
+    data = rl.eigenpairs_below(well_op)
+    vals, fields = data.eigenvalues, data.eigenfields
+    with pytest.raises(SpectralError, match="max_count"):
+        rl.reuse_eigenpairs(well_op, vals, fields, max_count=len(vals))
+    with pytest.raises(SpectralError, match="ascending"):
+        rl.reuse_eigenpairs(well_op, vals[::-1], fields[:, ::-1])
+    with pytest.raises(SpectralError, match="fit a grid"):
+        rl.reuse_eigenpairs(well_op, vals, fields.astype(np.float32))
+    with pytest.raises(SpectralError, match="residual"):
+        rl.reuse_eigenpairs(well_op, vals, fields, tol_eig=1e-16)
+    nan_field = fields.copy()
+    nan_field[0, 0] = np.nan
+    with pytest.raises(SpectralError, match="orthonormal"):
+        rl.reuse_eigenpairs(well_op, vals, nan_field)
 
 
 @st.composite
