@@ -20,7 +20,7 @@ spec = rl.saturating_arctan(grid)
 print(f"lambda0 = {proj.lambda0:.6f}, window half-width delta = {proj.delta}")
 
 schedule = [proj.lambda0 - proj.delta * 2.0 ** (-k) for k in range(1, 13)]
-branch = rl.continue_branch(schedule, proj, op, spec)
+branch = rl.continue_branch(schedule, proj, spec)
 
 print(f"\n{'lambda':>12} {'|u|_H1':>12} {'|Pu|':>12} {'|Qu|':>8} {'residual':>10} {'E':>14}")
 for p in branch:

@@ -23,7 +23,7 @@ traj = rl.evolve(rl.SemiflowState(0.0, u0), lam, 60.0, op, spec,
                  stop="equilibrium", save_every=100, projections=proj)
 
 print(f"lambda = {lam:.4f}; stopped by: {traj.stop_reason}"
-      f" after {len(traj.dt_history)} steps")
+      f" after {traj.steps} steps")
 print(f"\n{'t':>8} {'J':>14} {'|Pu|':>10} {'|Qu|':>10}")
 for s in traj.states[:: max(1, len(traj.states) // 10)]:
     print(f"{s.t:8.2f} {s.J:14.8f} {s.kernel_norm:10.4f} {s.complement_norm:10.4f}")
@@ -53,7 +53,7 @@ excited = rl.build_projections(data, -1.0, delta_request=0.25)
 run = rl.evolve(rl.SemiflowState(0.0, 2.0 * excited.kernel_fields[:, 0]),
                 excited.lambda0 - 0.125, 5.0, op, spec,
                 stop="time-only", save_every=100)
-report = rl.tail_decay_report(run, excited, op, spec, [4.0, 8.0, 12.0, 16.0])
+report = rl.tail_decay_report(run, excited, spec, [4.0, 8.0, 12.0, 16.0])
 print(f"\ntail-decay bound (alpha = {report.alpha:.4f}, guaranteed radii >="
       f" {report.n0:.2f}):")
 for row in report.rows[:4]:

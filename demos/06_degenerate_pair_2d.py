@@ -34,7 +34,7 @@ print(f"\nLL+ over a 64-direction kernel net: holds = {ll.plus.holds},"
       f" min witness integral = {min(ll.plus.witnesses):.4f}")
 
 schedule = [proj.lambda0 - proj.delta * 2.0 ** (-k) for k in range(1, 7)]
-branch = rl.continue_branch(schedule, proj, op, spec)
+branch = rl.continue_branch(schedule, proj, spec)
 print(f"\n{'lambda':>12} {'|u|_H1':>10} {'|Pu|':>10} {'|Qu|':>8} {'residual':>10}")
 for p in branch:
     print(f"{p.lam:12.6f} {p.h1:10.3f} {p.kernel_l2:10.3f}"

@@ -13,7 +13,7 @@ a trailing window plus a minimum growth factor; a power of ||u|| versus
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .nonlinearity import (
     landesman_lazer_integral,
 )
 from .solver import SolveResult, SolverConfig, solve_near_resonance
-from .spectral import HamiltonianOperator, Projections
+from .spectral import Projections
 
 TAIL_LENGTH = 6  # branch points the necessary-condition diagnostics look at
 
@@ -75,60 +75,37 @@ class NecessaryConditionReport:
     sandwich_spread: float
 
 
-@dataclass
-class BifurcationReport:
-    lambda0: float
-    delta: float
-    bound_norm: float
-    points: list
-    verdict: BifurcationVerdict | None = None
-    necessary: NecessaryConditionReport | None = None
-    resonance: dict = field(default_factory=dict)
-    energy_trend: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        v, nc = self.verdict, self.necessary
-        return {
-            "lambda0": self.lambda0,
-            "delta": self.delta,
-            "bound_norm": self.bound_norm,
-            "num_converged": sum(p.converged for p in self.points),
-            "verdict": None if v is None else asdict(v),
-            "necessary_conditions": None if nc is None else asdict(nc),
-            "energy_trend": self.energy_trend,
-            "resonance": self.resonance,
-        }
-
-
 def summarize_branch(
     branch: list,
     projections: Projections,
     spec: NonlinearitySpec,
     growth_factor: float = 4.0,
     window: int = 5,
-) -> BifurcationReport:
-    """Bundle verdict, necessary-condition diagnostics and energies."""
+) -> dict:
+    """Verdict, necessary-condition diagnostics and energies of a branch, as
+    the dict `bifurcation.json` holds; a verdict or diagnostics block that
+    the branch is too short for is None."""
     verdict = None
     necessary = None
     try:
-        verdict = detect_asymptotic_bifurcation(
+        verdict = asdict(detect_asymptotic_bifurcation(
             branch, projections.lambda0, growth_factor, window
-        )
+        ))
     except BranchError:
         pass
     try:
-        necessary = necessary_condition_report(branch, projections, spec)
+        necessary = asdict(necessary_condition_report(branch, projections, spec))
     except BranchError:
         pass
-    return BifurcationReport(
-        lambda0=projections.lambda0,
-        delta=projections.delta,
-        bound_norm=spec.bound_norm,
-        points=branch,
-        verdict=verdict,
-        necessary=necessary,
-        energy_trend=[p.energy for p in branch if p.converged],
-    )
+    return {
+        "lambda0": projections.lambda0,
+        "delta": projections.delta,
+        "bound_norm": spec.bound_norm,
+        "num_converged": sum(p.converged for p in branch),
+        "verdict": verdict,
+        "necessary_conditions": necessary,
+        "energy_trend": [p.energy for p in branch if p.converged],
+    }
 
 
 def default_initial_radius(
@@ -164,13 +141,9 @@ def standing_wave_energy(lam: float, u: np.ndarray, spec: NonlinearitySpec) -> f
 
 
 def _branch_point(
-    lam: float,
-    result: SolveResult,
-    projections: Projections,
-    op: HamiltonianOperator,
-    spec: NonlinearitySpec,
+    lam: float, result: SolveResult, projections: Projections, spec: NonlinearitySpec
 ) -> BranchPoint:
-    grid = op.grid
+    grid = projections.grid
     w = result.w
     norms = field_norms(grid, w)
     q = projections.project_complement(w)
@@ -194,7 +167,6 @@ def _branch_point(
 def continue_branch(
     schedule,
     projections: Projections,
-    op: HamiltonianOperator,
     spec: NonlinearitySpec,
     solver_config: SolverConfig | None = None,
 ) -> list[BranchPoint]:
@@ -209,8 +181,6 @@ def continue_branch(
     schedule = [float(l) for l in schedule]
     if not schedule:
         raise BranchError("empty schedule")
-    if projections.grid is not op.grid:
-        raise BranchError("projections and operator use different grids")
     sides = {np.sign(l - lam0) for l in schedule}
     if 0.0 in sides or len(sides) != 1:
         raise BranchError("schedule must stay strictly on one side of lambda0")
@@ -234,15 +204,15 @@ def continue_branch(
             pk = projections.project_kernel(prev.u)
             # a trivial previous point must not poison the warm start: the
             # zero solution exists at every lambda and scaling it stays zero
-            if op.grid.norm(pk) > trivial_scale:
+            if projections.grid.norm(pk) > trivial_scale:
                 warm = (abs(prev_lam - lam0) / abs(lam - lam0)) * pk
         if warm is not None:
             start = warm
         else:
             radius, direction = default_initial_radius(lam, projections, spec)
             start = radius * direction
-        result = solve_near_resonance(lam, start, projections, op, spec, cfg)
-        points.append(_branch_point(lam, result, projections, op, spec))
+        result = solve_near_resonance(lam, start, projections, spec, cfg)
+        points.append(_branch_point(lam, result, projections, spec))
         prev, prev_lam = result, lam
     return points
 

@@ -345,15 +345,18 @@ def _initial_field(cfg: ExperimentConfig, grid: Grid,
 def _cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
     problem = Problem(cfg)
     op, data = problem.op, problem.solve()
+    morse = {}
+    for lam in cfg.spectral["morse_lambdas"]:
+        try:
+            mc = morse_count(data, lam)
+        except ResonantLambdaError as exc:
+            raise ConfigError(f"[spectral] morse_lambdas = {lam!r}: {exc}") from exc
+        morse[repr(lam)] = {"k": mc.k, "conley_label": mc.conley_label}
     rows = [
         (center, len(idx), float(np.max(data.residuals[idx])))
         for center, idx in data.multiplets
     ]
     write_csv(out_dir / "spectrum.csv", ["lambda", "multiplicity", "residual"], rows)
-    morse = {}
-    for lam in cfg.spectral["morse_lambdas"]:
-        mc = morse_count(data, lam)
-        morse[repr(lam)] = {"k": mc.k, "conley_label": mc.conley_label}
     report = {
         "alpha_inf": op.alpha_inf,
         "ceiling": data.ceiling,
@@ -403,8 +406,7 @@ def _cmd_resonance(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
 
 def _cmd_branch(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
     problem = Problem(cfg)
-    proj = problem.proj
-    op, spec = problem.op, problem.spec
+    proj, spec = problem.proj, problem.spec
     e = cfg.experiment
     sign = -1.0 if e["side"] == "minus" else 1.0
     schedule = [
@@ -414,7 +416,7 @@ def _cmd_branch(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
     solver_cfg = SolverConfig(
         tol_fp=e["tol_fp"], tol_pde=e["tol_pde"], max_iter=e["max_iter"]
     )
-    branch = bif.continue_branch(schedule, proj, op, spec, solver_cfg)
+    branch = bif.continue_branch(schedule, proj, spec, solver_cfg)
     rows = [
         (
             p.lam, p.l2, p.grad_l2, p.h1, p.kernel_l2, p.complement_l2,
@@ -428,16 +430,15 @@ def _cmd_branch(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
          "converged"],
         rows,
     )
-    summary = bif.summarize_branch(
+    report = bif.summarize_branch(
         branch, proj, spec, e["growth_factor"], e["window"]
     )
     ll = check_landesman_lazer(spec, proj.kernel_fields, rng=rng)
-    summary.resonance = {"LL+": asdict(ll.plus), "LL-": asdict(ll.minus)}
-    report = summary.to_dict()
+    report["resonance"] = {"LL+": asdict(ll.plus), "LL-": asdict(ll.minus)}
     report["config"] = cfg.effective()
     write_json(out_dir / "bifurcation.json", report)
     if cfg.experiment["expect_positive"] and (
-        summary.verdict is None or not summary.verdict.detected
+        report["verdict"] is None or not report["verdict"]["detected"]
     ):
         return EXIT_VERDICT
     return EXIT_OK
@@ -484,13 +485,13 @@ def _cmd_semiflow(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
         "lam": lam,
         "equilibrium": traj.equilibrium,
         "stop_reason": traj.stop_reason,
-        "steps": len(traj.dt_history),
+        "steps": traj.steps,
         "J_initial": traj.states[0].J,
         "J_final": traj.states[-1].J,
         "config": cfg.effective(),
     }
     if proj is not None and e["tail_radii"]:
-        tail = sf.tail_decay_report(traj, proj, op, spec, e["tail_radii"])
+        tail = sf.tail_decay_report(traj, proj, spec, e["tail_radii"])
         report["tail_decay"] = {
             "alpha": tail.alpha,
             "eta": tail.eta,
@@ -555,8 +556,8 @@ def main(argv=None) -> int:
     except (ConfigError, GridError, PotentialError, NonlinearityError) as exc:
         print(f"config error ({args.config}): {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SpectralError, ResonantLambdaError, sf.StepRejected,
-            sf.StepCascadeError, bif.BranchError, ValueError) as exc:
+    except (SpectralError, sf.StepRejected, sf.StepCascadeError,
+            sf.TailDecayError, bif.BranchError) as exc:
         print(f"numerical failure ({args.config}): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -45,12 +45,16 @@ class NonlinearityError(ValueError):
 class NonlinearitySpec:
     """f(x, u) and its primitive with the bound field and declared limits at
     +-inf: limit_+- = lim f(x, s) and k_+- = lim s f(x, s) (None: unbounded).
+
+    f(u) and primitive(u) take a field, one value per node of the grid, and
+    return f(x_i, u_i) and F(x_i, u_i) at every node i; each closes over its
+    own x-dependence.
     """
 
     grid: Grid
     name: str
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    primitive: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    f: Callable[[np.ndarray], np.ndarray]
+    primitive: Callable[[np.ndarray], np.ndarray]
     bound_m: np.ndarray
     limit_plus: np.ndarray
     limit_minus: np.ndarray
@@ -69,7 +73,7 @@ class NonlinearitySpec:
 def evaluate_f(spec: NonlinearitySpec, u_field: np.ndarray) -> np.ndarray:
     """Superposition operator: nodewise f(x_i, u_i)."""
     u = spec.grid.check_field(u_field)
-    out = np.asarray(spec.f(spec.grid.points, u), dtype=float).ravel()
+    out = np.asarray(spec.f(u), dtype=float).ravel()
     if out.shape != u.shape:
         raise NonlinearityError("evaluator did not return one value per node")
     if not np.all(np.isfinite(out)):
@@ -80,7 +84,7 @@ def evaluate_f(spec: NonlinearitySpec, u_field: np.ndarray) -> np.ndarray:
 def evaluate_primitive(spec: NonlinearitySpec, u_field: np.ndarray) -> np.ndarray:
     """Nodewise primitive F(x_i, u_i)."""
     u = spec.grid.check_field(u_field)
-    return np.asarray(spec.primitive(spec.grid.points, u), dtype=float).ravel()
+    return np.asarray(spec.primitive(u), dtype=float).ravel()
 
 
 # -- families ----------------------------------------------------------------
@@ -93,7 +97,7 @@ def _gaussian_envelope(grid: Grid, amplitude: float, width: float) -> np.ndarray
 def zero_nonlinearity(grid: Grid) -> NonlinearitySpec:
     zeros = np.zeros(grid.num_nodes)
 
-    def zero(pts, u):
+    def zero(u):
         return np.zeros_like(u)
 
     return NonlinearitySpec(
@@ -105,19 +109,19 @@ def zero_nonlinearity(grid: Grid) -> NonlinearitySpec:
 def _odd_family(grid: Grid, name: str, h: Callable[[np.ndarray], np.ndarray],
                 H: Callable[[np.ndarray], np.ndarray], bound: np.ndarray,
                 limit: np.ndarray, k_limit: np.ndarray | None) -> NonlinearitySpec:
-    """The odd nonlinearity f(x, u) = sign(u) h(x, |u|) of a profile h >= 0.
+    """The odd nonlinearity f(u) = sign(u) h(|u|) of a profile h >= 0.
 
     h and H take the field of magnitudes |u| (one value per node) and carry
     their x-dependence themselves; H(x, s) = int_0^s h(x, t) dt gives the
-    even primitive F(x, u) = H(x, |u|).  limit is lim h(x, xi) as xi -> inf,
+    even primitive F(u) = H(|u|).  limit is lim h(x, xi) as xi -> inf,
     so f tends to +-limit at +-inf; k_limit is lim xi h(x, xi), the
     strong-resonance limit at both ends, or None when it is unbounded.
     """
 
-    def f(pts, u):
+    def f(u):
         return np.sign(u) * h(np.abs(u))
 
-    def prim(pts, u):
+    def prim(u):
         return H(np.abs(u))
 
     return NonlinearitySpec(
@@ -158,11 +162,11 @@ def saturating_rational(grid: Grid, amplitude: float = 1.0, width: float = 1.0
 def negate(spec: NonlinearitySpec) -> NonlinearitySpec:
     """The nonlinearity -f: its primitive and every limit change sign."""
 
-    def f(pts, u):
-        return -spec.f(pts, u)
+    def f(u):
+        return -spec.f(u)
 
-    def prim(pts, u):
-        return -spec.primitive(pts, u)
+    def prim(u):
+        return -spec.primitive(u)
 
     flip = lambda a: None if a is None else -a  # noqa: E731
     return NonlinearitySpec(

@@ -49,6 +49,10 @@ class StepCascadeError(RuntimeError):
     """dt underflowed while rejecting steps, or a step overflowed."""
 
 
+class TailDecayError(ValueError):
+    """The tail-decay bound cannot be assembled from these inputs."""
+
+
 @dataclass
 class SemiflowState:
     t: float
@@ -62,7 +66,7 @@ class SemiflowState:
 class Trajectory:
     lam: float
     states: list = field(default_factory=list)  # saved SemiflowStates
-    dt_history: list = field(default_factory=list)
+    steps: int = 0  # accepted steps
     equilibrium: bool = False
     stop_reason: str = ""
 
@@ -185,7 +189,6 @@ def evolve(
         )
     )
     stepper = None
-    steps = 0
     t_end = state0.t + horizon
     while state.t < t_end - 1e-12:
         dt_step = min(dt, t_end - state.t)
@@ -204,9 +207,8 @@ def evolve(
         u_next = stepper.step(state.u, evaluate_f(spec, state.u))
         rate = grid.norm(u_next - state.u) / dt_step
         state = SemiflowState(t=state.t + dt_step, u=u_next)
-        steps += 1
-        traj.dt_history.append(dt_step)
-        save_now = steps % save_every == 0
+        traj.steps += 1
+        save_now = traj.steps % save_every == 0
         # what the stop rule reads: an overflow must not pass it as inf <= inf
         read = {"step rate": rate}
         if stop == "equilibrium":
@@ -267,7 +269,6 @@ class TailDecayReport:
     alpha: float
     eta: float
     n0: float
-    alpha_n: dict           # radius -> assembled alpha_n
     rows: list
     all_passed: bool
     all_guaranteed_passed: bool
@@ -276,7 +277,6 @@ class TailDecayReport:
 def tail_decay_report(
     trajectory: Trajectory,
     projections: Projections,
-    op: HamiltonianOperator,
     spec: NonlinearitySpec,
     radii: Sequence[float],
     alpha: float | None = None,
@@ -292,12 +292,12 @@ def tail_decay_report(
     radii >= n0 are guaranteed by the theory, the rest are reported but not
     required to pass.
     """
-    grid = op.grid
+    grid, op = projections.grid, projections.operator
     lam0, delta = projections.lambda0, projections.delta
     alpha_inf = op.alpha_inf
     gap = alpha_inf - lam0 - delta
     if gap <= 0:
-        raise ValueError(
+        raise TailDecayError(
             "alpha_inf - lambda0 - delta <= 0: the decay bound needs "
             "lambda0 + delta below the asymptotic bottom"
         )
@@ -305,12 +305,12 @@ def tail_decay_report(
     if alpha is None:
         alpha = gap - eta
     if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+        raise TailDecayError(f"alpha must be positive, got {alpha}")
     radii = [float(r) for r in radii]
     if any(r > grid.half_width for r in radii):
-        raise ValueError("radii exceed the box half-width")
+        raise TailDecayError("radii exceed the box half-width")
     if len(trajectory.states) < 2:
-        raise ValueError("trajectory has fewer than two saved states")
+        raise TailDecayError("trajectory has fewer than two saved states")
 
     states = trajectory.states
     t0, u0 = states[0].t, states[0].u
@@ -373,7 +373,7 @@ def tail_decay_report(
                 )
             )
     return TailDecayReport(
-        alpha=float(alpha), eta=float(eta), n0=n0, alpha_n=alpha_n, rows=rows,
+        alpha=float(alpha), eta=float(eta), n0=n0, rows=rows,
         all_passed=all(r.passed for r in rows),
         all_guaranteed_passed=all(r.passed for r in rows if r.guaranteed),
     )

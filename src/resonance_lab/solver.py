@@ -50,35 +50,28 @@ class SolveResult:
 
 
 def k_map(
-    lam: float,
-    u: np.ndarray,
-    projections: Projections,
-    op: HamiltonianOperator,
-    spec: NonlinearitySpec,
+    lam: float, u: np.ndarray, projections: Projections, spec: NonlinearitySpec
 ) -> np.ndarray:
     """One application of K(λ, u)."""
     pu = projections.project_kernel(u)
-    z = apply_resolvent_complement(op, projections, lam, u)
+    z = apply_resolvent_complement(projections, lam, u)
     return (1.0 + lam - projections.lambda0) * pu + evaluate_f(spec, pu + z)
 
 
 def reconstruct_solution(
-    lam: float,
-    u: np.ndarray,
-    projections: Projections,
-    op: HamiltonianOperator,
+    lam: float, u: np.ndarray, projections: Projections
 ) -> np.ndarray:
     """w = P u + [(A - λ)|_X]^{-1} Q u."""
-    z = apply_resolvent_complement(op, projections, lam, u)
+    z = apply_resolvent_complement(projections, lam, u)
     return projections.project_kernel(u) + z
 
 
 def reconstruct_iterate(
-    lam: float, w: np.ndarray, projections: Projections, op: HamiltonianOperator
+    lam: float, w: np.ndarray, projections: Projections
 ) -> np.ndarray:
     """Inverse reconstruction u = P w + (A - λ) Q w (the equivalence map)."""
     qw = projections.project_complement(w)
-    return projections.project_kernel(w) + op.apply(qw) - lam * qw
+    return projections.project_kernel(w) + projections.operator.apply(qw) - lam * qw
 
 
 def pde_residual(
@@ -102,7 +95,6 @@ def solve_near_resonance(
     lam: float,
     u_init: np.ndarray,
     projections: Projections,
-    op: HamiltonianOperator,
     spec: NonlinearitySpec,
     config: SolverConfig | None = None,
 ) -> SolveResult:
@@ -114,7 +106,7 @@ def solve_near_resonance(
     with converged = False.  λ = λ0 is refused.
     """
     cfg = config or SolverConfig()
-    grid = op.grid
+    grid = projections.grid
     lam0 = projections.lambda0
     if lam == lam0:
         raise ValueError("lambda equals lambda0 exactly")
@@ -131,7 +123,7 @@ def solve_near_resonance(
     capped = False
     message = ""
 
-    g = k_map(lam, u, projections, op, spec)
+    g = k_map(lam, u, projections, spec)
     defect = grid.norm(u - g)
     it = 0
     while it < cfg.max_iter:
@@ -152,7 +144,7 @@ def solve_near_resonance(
         stepped = False
         if len(us) >= 2:
             u_acc = _anderson_proposal(us, gs)
-            g_acc = k_map(lam, u_acc, projections, op, spec)
+            g_acc = k_map(lam, u_acc, projections, spec)
             d_acc = grid.norm(u_acc - g_acc)
             if d_acc < defect:
                 u, g, defect = u_acc, g_acc, d_acc
@@ -160,7 +152,7 @@ def solve_near_resonance(
                 stepped = True
         if not stepped:
             u_plain = (1.0 - theta) * u + theta * g
-            g_plain = k_map(lam, u_plain, projections, op, spec)
+            g_plain = k_map(lam, u_plain, projections, spec)
             d_plain = grid.norm(u_plain - g_plain)
             if d_plain >= defect:
                 theta = max(theta / 2.0, DAMPING_FLOOR)
@@ -171,8 +163,8 @@ def solve_near_resonance(
 
     if best_defect < defect:
         u, defect = best_u, best_defect
-    w = reconstruct_solution(lam, u, projections, op)
-    residual = pde_residual(lam, w, op, spec)
+    w = reconstruct_solution(lam, u, projections)
+    residual = pde_residual(lam, w, projections.operator, spec)
     h1 = field_norms(grid, w).h1
     converged = (
         not capped

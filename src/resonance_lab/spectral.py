@@ -419,7 +419,8 @@ class Projections:
     strictly below λ0, Q_plus is the remainder I - P - Q_minus (so the
     resolution of identity is exact as actions).  All three are orthogonal
     in the quadrature inner product.  The window half-width delta doubles as
-    the spectral gap constant c.
+    the spectral gap constant c.  `operator` is the A they were built from,
+    the one every function taking the projections works with.
     """
 
     def __init__(self, data: SpectralData, lambda0: float, delta: float,
@@ -533,7 +534,8 @@ class _BorderedResolvent:
     since its zero block needs pivoting.
     """
 
-    def __init__(self, op: HamiltonianOperator, proj: Projections, lam: float):
+    def __init__(self, proj: Projections, lam: float):
+        op = proj.operator
         self.lam = float(lam)
         self.n = op.grid.num_nodes
         self.psi = proj._psi_kernel
@@ -580,12 +582,10 @@ class _BorderedResolvent:
 
 
 def apply_resolvent_complement(
-    op: HamiltonianOperator,
-    proj: Projections,
-    lam: float,
-    w_field: np.ndarray,
+    proj: Projections, lam: float, w_field: np.ndarray
 ) -> np.ndarray:
-    """z = [(A - λ)|_X]^{-1} Q w, solved with kernel deflation.
+    """z = [(A - λ)|_X]^{-1} Q w, with A the projections' operator, solved
+    with kernel deflation.
 
     w is pre-projected onto the complement X; the deflated solve pins the
     kernel coefficients to zero, so it stays well-conditioned through
@@ -596,7 +596,7 @@ def apply_resolvent_complement(
     with a pivoted LU of the kernel-bordered system and checked again;
     SpectralError is raised only when that fails too.
     """
-    grid = op.grid
+    grid, op = proj.grid, proj.operator
     if abs(lam - proj.lambda0) > proj.delta * (1 + 1e-12):
         raise SpectralError(
             f"lambda = {lam} outside the window |lambda - lambda0| <= {proj.delta}"
@@ -625,7 +625,7 @@ def apply_resolvent_complement(
     solver = proj._resolvent
     if solver is None or solver.lam != float(lam):
         proj._resolvent = None  # release the previous λ's factors first
-        solver = proj._resolvent = _BorderedResolvent(op, proj, lam)
+        solver = proj._resolvent = _BorderedResolvent(proj, lam)
     sqrt_w = grid.sqrt_weights
     rhs = sqrt_w * q
     fast = solver.solve(rhs)

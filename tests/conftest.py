@@ -66,13 +66,13 @@ def arctan_spec(pt_grid):
 
 
 @pytest.fixture(scope="session")
-def acceptance_branch(pt_proj, pt_op, arctan_spec):
+def acceptance_branch(pt_proj, arctan_spec):
     """The 12-point geometric branch toward lambda0 = -1 used by criteria
     4, 8, 9 and 10."""
     lam0, delta = pt_proj.lambda0, pt_proj.delta
     schedule = [lam0 - delta * 2.0 ** (-k) for k in range(1, 13)]
     cfg = rl.SolverConfig(tol_fp=1e-8, tol_pde=1e-6)
-    return rl.continue_branch(schedule, pt_proj, pt_op, arctan_spec, cfg)
+    return rl.continue_branch(schedule, pt_proj, arctan_spec, cfg)
 
 
 @pytest.fixture(scope="session")
@@ -138,7 +138,7 @@ def block_elimination_agrees():
         rng = np.random.default_rng(seed)
         lam0, delta = proj.lambda0, proj.delta
         for lam in (lam0 - delta, lam0 - delta * 2.0**-12, lam0, lam0 + delta):
-            solver = _BorderedResolvent(op, proj, lam)
+            solver = _BorderedResolvent(proj, lam)
             for _ in range(3):
                 r = sqrt_w * proj.project_complement(
                     rng.standard_normal(grid.num_nodes)

@@ -56,13 +56,13 @@ def test_criterion_03_resolvent_contract(pt_grid, pt_proj, pt_op):
         for _ in range(20):
             w = rng.standard_normal(pt_grid.num_nodes)
             q = pt_proj.project_complement(w)
-            z = rl.apply_resolvent_complement(pt_op, pt_proj, lam, w)
+            z = rl.apply_resolvent_complement(pt_proj, lam, w)
             resid = pt_grid.norm(pt_op.apply(z) - lam * z - q)
             assert resid <= 1e-8 * pt_grid.norm(q)
 
 
 def test_criterion_04_equivalence_of_formulations(
-    acceptance_branch, pt_grid, pt_proj, pt_op, arctan_spec
+    acceptance_branch, pt_grid, pt_proj, arctan_spec
 ):
     """Fixed-point defect 1e-6 implies scaled PDE residual 1e-5, and the
     u -> w -> u' reconstruction round-trip is 1e-8-tight."""
@@ -70,15 +70,15 @@ def test_criterion_04_equivalence_of_formulations(
         assert p.converged
         lam, w = p.lam, p.u
         # defect of the reconstructed iterate
-        u = reconstruct_iterate(lam, w, pt_proj, pt_op)
-        defect = pt_grid.norm(u - rl.k_map(lam, u, pt_proj, pt_op, arctan_spec))
+        u = reconstruct_iterate(lam, w, pt_proj)
+        defect = pt_grid.norm(u - rl.k_map(lam, u, pt_proj, arctan_spec))
         assert defect <= 1e-6 * (1 + pt_grid.norm(u))
         assert p.residual <= 1e-5 * (1 + p.h1)
         # round trip u -> w -> u'
         w_back = pt_proj.project_kernel(u) + rl.apply_resolvent_complement(
-            pt_op, pt_proj, lam, u
+            pt_proj, lam, u
         )
-        u_back = reconstruct_iterate(lam, w_back, pt_proj, pt_op)
+        u_back = reconstruct_iterate(lam, w_back, pt_proj)
         assert pt_grid.norm(u_back - u) <= 1e-8 * pt_grid.norm(u)
 
 
@@ -142,7 +142,7 @@ def test_criterion_07_tail_decay_bound(pt_grid, pt_proj, pt_op, arctan_spec):
         rl.SemiflowState(0.0, 2.0 * pt_proj.kernel_fields[:, 0]), lam, 5.0,
         pt_op, arctan_spec, stop="time-only", save_every=100,
     )
-    report = rl.tail_decay_report(traj, pt_proj, pt_op, arctan_spec, radii)
+    report = rl.tail_decay_report(traj, pt_proj, arctan_spec, radii)
     assert report.n0 <= min(radii)
     assert report.all_passed
     # violation probe: wide bump near the box edge over a short horizon
@@ -150,9 +150,9 @@ def test_criterion_07_tail_decay_bound(pt_grid, pt_proj, pt_op, arctan_spec):
     bump = np.exp(-((x - 17.0) / 2.0) ** 2)
     probe = rl.evolve(rl.SemiflowState(0.0, bump), lam, 1.0, pt_op,
                       arctan_spec, stop="time-only", save_every=50)
-    honest = rl.tail_decay_report(probe, pt_proj, pt_op, arctan_spec, radii)
+    honest = rl.tail_decay_report(probe, pt_proj, arctan_spec, radii)
     assert honest.all_guaranteed_passed  # the theorem holds with honest alpha
-    inflated = rl.tail_decay_report(probe, pt_proj, pt_op, arctan_spec, radii,
+    inflated = rl.tail_decay_report(probe, pt_proj, arctan_spec, radii,
                                     alpha=10.0 * honest.alpha)
     assert not inflated.all_guaranteed_passed
 
@@ -197,7 +197,7 @@ def test_criterion_10_energy_law(acceptance_branch, pt_grid, arctan_spec):
     proj = rl.build_projections(data, 1.0, 0.25)
     assert proj.lambda0 > 0
     schedule = [proj.lambda0 - proj.delta * 2.0 ** (-k) for k in range(1, 13)]
-    branch = rl.continue_branch(schedule, proj, op, arctan_spec)
+    branch = rl.continue_branch(schedule, proj, arctan_spec)
     assert all(p.converged for p in branch)
     E2 = np.array([p.energy for p in branch])
     assert np.all(np.diff(E2) > 0)
@@ -245,8 +245,8 @@ def test_criterion_12_resonance_checkers(pt_grid, pt_proj):
     env = np.exp(-pt_grid.axis**2)
     flip = np.where(pt_grid.axis > 0, -1.0, 1.0)
     flipped = rl.NonlinearitySpec(
-        pt_grid, "flipped", lambda pts, u: env * flip * u / (1 + u**2),
-        primitive=lambda pts, u: env * flip * 0.5 * np.log1p(u**2),
+        pt_grid, "flipped", lambda u: env * flip * u / (1 + u**2),
+        primitive=lambda u: env * flip * 0.5 * np.log1p(u**2),
         bound_m=0.5 * env, limit_plus=np.zeros(pt_grid.num_nodes),
         limit_minus=np.zeros(pt_grid.num_nodes),
         k_plus=env * flip, k_minus=env * flip,
@@ -263,7 +263,7 @@ def test_criterion_13_semiflow_solver_consistency(pt_grid, ground_proj, pt_op,
     lam = ground_proj.lambda0 - 0.05
     radius = arctan_spec.bound_norm / 0.05
     res = rl.solve_near_resonance(
-        lam, radius * ground_proj.kernel_fields[:, 0], ground_proj, pt_op,
+        lam, radius * ground_proj.kernel_fields[:, 0], ground_proj,
         arctan_spec,
     )
     assert res.converged

@@ -45,24 +45,24 @@ def test_detect_requires_window():
         rl.detect_asymptotic_bifurcation(_synthetic_branch(-1.0, eps, [1, 2]), -1.0)
 
 
-def test_continue_branch_validation(pt_proj, pt_op, arctan_spec):
+def test_continue_branch_validation(pt_proj, arctan_spec):
     lam0, delta = pt_proj.lambda0, pt_proj.delta
     with pytest.raises(BranchError):
-        rl.continue_branch([], pt_proj, pt_op, arctan_spec)
+        rl.continue_branch([], pt_proj, arctan_spec)
     with pytest.raises(BranchError):  # two-sided
-        rl.continue_branch([lam0 - 0.1, lam0 + 0.05], pt_proj, pt_op, arctan_spec)
+        rl.continue_branch([lam0 - 0.1, lam0 + 0.05], pt_proj, arctan_spec)
     with pytest.raises(BranchError):  # not approaching
-        rl.continue_branch([lam0 - 0.05, lam0 - 0.1], pt_proj, pt_op, arctan_spec)
+        rl.continue_branch([lam0 - 0.05, lam0 - 0.1], pt_proj, arctan_spec)
     with pytest.raises(BranchError):  # contains lambda0
-        rl.continue_branch([lam0 - 0.1, lam0], pt_proj, pt_op, arctan_spec)
+        rl.continue_branch([lam0 - 0.1, lam0], pt_proj, arctan_spec)
     with pytest.raises(BranchError):  # outside window
-        rl.continue_branch([lam0 - 2 * delta], pt_proj, pt_op, arctan_spec)
+        rl.continue_branch([lam0 - 2 * delta], pt_proj, arctan_spec)
 
 
-def test_continue_branch_zero_nonlinearity(pt_grid, pt_proj, pt_op):
+def test_continue_branch_zero_nonlinearity(pt_grid, pt_proj):
     spec = rl.zero_nonlinearity(pt_grid)
     schedule = [pt_proj.lambda0 - 2.0**-k for k in range(3, 7)]
-    branch = rl.continue_branch(schedule, pt_proj, pt_op, spec)
+    branch = rl.continue_branch(schedule, pt_proj, spec)
     assert all(p.converged for p in branch)
     assert all(p.l2 <= 1e-10 for p in branch)
     report = rl.necessary_condition_report(branch, pt_proj, spec)
@@ -75,13 +75,13 @@ def test_continue_branch_constant_forcing_oracle(pt_grid, ground_proj, pt_op):
     eps_f = 0.1
     m = eps_f * np.exp(-pt_grid.radii**2)
     spec = rl.NonlinearitySpec(
-        pt_grid, "const_force", lambda pts, u: m.copy(),
-        primitive=lambda pts, u: m * u, bound_m=np.abs(m), limit_plus=m,
+        pt_grid, "const_force", lambda u: m.copy(),
+        primitive=lambda u: m * u, bound_m=np.abs(m), limit_plus=m,
         limit_minus=m, k_plus=None, k_minus=None,
     )
     lam0 = ground_proj.lambda0
     schedule = [lam0 - 2.0**-k for k in range(3, 9)]
-    branch = rl.continue_branch(schedule, ground_proj, pt_op, spec)
+    branch = rl.continue_branch(schedule, ground_proj, spec)
     assert all(p.converged for p in branch)
     sqrt_w = np.sqrt(pt_grid.weights)
     n = pt_grid.num_nodes
@@ -116,9 +116,9 @@ def test_default_initial_radius_falls_back_to_bound_norm(pt_grid, pt_proj):
     assert np.array_equal(direction, basis[:, 0])
 
 
-def test_necessary_report_tail_too_short(pt_grid, pt_proj, pt_op, arctan_spec):
+def test_necessary_report_tail_too_short(pt_grid, pt_proj, arctan_spec):
     schedule = [pt_proj.lambda0 - pt_proj.delta * 2.0**-k for k in range(1, 4)]
-    branch = rl.continue_branch(schedule, pt_proj, pt_op, arctan_spec)
+    branch = rl.continue_branch(schedule, pt_proj, arctan_spec)
     with pytest.raises(BranchError):
         rl.necessary_condition_report(branch, pt_proj, arctan_spec)
 

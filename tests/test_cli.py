@@ -1,5 +1,6 @@
 """CLI subcommands: reports, determinism, exit codes."""
 
+import configparser
 import json
 import os
 import re
@@ -320,6 +321,28 @@ def test_seed_override_changes_embedded_config(tmp_path):
     assert report["config"]["run"]["seed"] == 99
 
 
+@pytest.mark.parametrize("value", ["0", "3", "1e300", "-1.2\ncluster_tol = 0.5"],
+                         ids=["ceiling", "above", "huge", "on-the-spectrum"])
+def test_morse_lambda_without_a_count_is_config_error(tmp_path, capsys, value):
+    # k(λ) is defined below the ceiling (0 here) and off the spectrum (within
+    # cluster_tol of -1.0 here); only the eigensolve can tell
+    cfg = PT_BASE.format(n=1001).replace("morse_lambdas = -0.5 -2.0",
+                                         f"morse_lambdas = -0.5 {value}")
+    code, out = _run(tmp_path, "spectrum", cfg)
+    assert code == EXIT_CONFIG
+    assert "[spectral] morse_lambdas" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_semiflow_without_a_step_has_no_tail_report(tmp_path, capsys):
+    # a horizon within the step loop's 1e-12 slack takes no step, which
+    # leaves the tail-decay bound one saved state
+    cfg = PT_BASE.format(n=401) + "\n[experiment]\nhorizon = 1e-13\ntail_radii = 5\n"
+    code, _ = _run(tmp_path, "semiflow", cfg)
+    assert code == EXIT_NUMERICAL
+    assert "fewer than two saved states" in capsys.readouterr().err
+
+
 MALFORMED = [  # (subcommand, section, key, value)
     ("semiflow", "experiment", "save_every", "0"),
     ("semiflow", "experiment", "stop", "equlibrium"),
@@ -397,6 +420,47 @@ def test_malformed_experiment_value_is_config_error(tmp_path, capsys, sub, secti
     assert code == EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "abc", "", "-0.5", "3")
+FUZZ_KEYS = [(section, key) for section, table in cli.SCHEMA.items()
+             if section not in ("output", "run") for key in table]
+WARMUP = Path(__file__).resolve().parents[1] / "bench" / "configs" / "warmup.ini"
+
+
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+@pytest.mark.parametrize("section, key", FUZZ_KEYS,
+                         ids=[f"{section}-{key}" for section, key in FUZZ_KEYS])
+def test_every_config_value_exits_with_a_code(tmp_path, section, key):
+    # each value of FUZZ_VALUES in place of one key of the warmup config: no
+    # subcommand raises, each exits 0, 2, 3 or 4, and a value that
+    # parse_config refuses exits 2 from all of them.  The runs see numpy's
+    # overflow warnings as a CLI process does, printed and not raised
+    # (half_width, amplitude and horizon = 1e300 overflow on the way to
+    # their exit code)
+    for i, value in enumerate(FUZZ_VALUES):
+        config = configparser.ConfigParser(interpolation=None)
+        config.read(WARMUP)
+        config[section][key] = value
+        path = tmp_path / f"{i}.ini"
+        with open(path, "w") as fh:
+            config.write(fh)
+        try:
+            cli.parse_config(str(path))
+            refused = False
+        except cli.ConfigError:
+            refused = True
+        codes = []
+        for sub in ("spectrum", "resonance", "branch", "semiflow"):
+            argv = [sub, "--config", str(path), "--out", str(tmp_path / f"out{i}")]
+            try:
+                codes.append(main(argv))
+            except Exception as exc:  # noqa: BLE001
+                pytest.fail(f"{key} = {value!r}: {sub} raised {exc!r}")
+        assert set(codes) <= {EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_VERDICT}, \
+            (value, codes)
+        if refused:
+            assert codes == [EXIT_CONFIG] * 4, (value, codes)
 
 
 FAMILY_PARAMETERS = [  # (subcommand, replaced text, replacement, word in the error)

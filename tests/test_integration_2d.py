@@ -54,7 +54,7 @@ def test_pair_resolvent(well, pair_proj):
     for _ in range(3):
         w = rng.standard_normal(g.num_nodes)
         q = pair_proj.project_complement(w)
-        z = rl.apply_resolvent_complement(op, pair_proj, lam, w)
+        z = rl.apply_resolvent_complement(pair_proj, lam, w)
         assert g.norm(op.apply(z) - lam * z - q) <= 1e-8 * g.norm(q)
 
 
@@ -100,7 +100,7 @@ def test_pair_branch_blows_up(well, pair_proj, spec2):
     _, op, _ = well
     schedule = [pair_proj.lambda0 - pair_proj.delta * 2.0 ** (-k)
                 for k in range(1, 7)]
-    branch = rl.continue_branch(schedule, pair_proj, op, spec2)
+    branch = rl.continue_branch(schedule, pair_proj, spec2)
     assert all(p.converged for p in branch)
     h1 = np.array([p.h1 for p in branch])
     assert np.all(np.diff(h1) > 0)
@@ -125,7 +125,7 @@ def test_trivial_point_does_not_poison_warm_start(well, spec2):
     center = data.multiplets[1][0]
     proj = rl.build_projections(data, center)  # auto delta, ~2.8 here
     schedule = [proj.lambda0 - proj.delta * 2.0 ** (-k) for k in range(1, 7)]
-    branch = rl.continue_branch(schedule, proj, op, spec2)
+    branch = rl.continue_branch(schedule, proj, spec2)
     assert all(p.converged for p in branch)
     assert branch[0].h1 <= 1e-6          # trivial where no branch exists
     assert branch[-1].h1 > 1.0           # nontrivial once inside the region

@@ -192,13 +192,13 @@ def test_sign_condition_violation_injection(grid):
     env = np.exp(-grid.axis**2)
     flip = np.where(grid.axis > 0, -1.0, 1.0)
 
-    def f(pts, u):
+    def f(u):
         return env * flip * u / (1.0 + u**2)
 
     zeros = np.zeros(grid.num_nodes)
     spec = rl.NonlinearitySpec(
         grid, "flipped", f,
-        primitive=lambda pts, u: env * flip * 0.5 * np.log1p(u**2),
+        primitive=lambda u: env * flip * 0.5 * np.log1p(u**2),
         bound_m=0.5 * env, limit_plus=zeros, limit_minus=zeros,
         k_plus=env * flip, k_minus=env * flip,
     )
