@@ -22,6 +22,7 @@ all operations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,6 +167,7 @@ def make_grid(
 
     points_per_axis must be odd (keeps x = 0 a node so even/odd symmetry is
     exact) and at least 3; the total node count is capped by max_nodes.
+    half_width must leave the node radii and the Laplacian's 1/h^2 finite.
     """
     if ndim not in (1, 2):
         raise GridError(f"ndim must be 1 or 2, got {ndim}")
@@ -179,6 +181,14 @@ def make_grid(
     if n**ndim > max_nodes:
         raise GridError(
             f"grid would have {n**ndim} nodes, exceeding the cap {max_nodes}"
+        )
+    # Python floats overflow to inf and underflow to 0 here without a warning
+    h = 2.0 * half_width / (n - 1)
+    if not (math.isfinite(ndim * half_width * half_width) and h * h > 0
+            and math.isfinite(1.0 / (h * h))):
+        raise GridError(
+            f"half_width = {half_width!r} with {n} points per axis leaves the "
+            "node radii or 1/h^2 not finite"
         )
     return Grid(ndim, half_width, n)
 

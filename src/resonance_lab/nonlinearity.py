@@ -33,6 +33,10 @@ from .grid import Grid
 # "positive measure" proxy: quadrature mass above this fraction of the box
 MASS_TOL_FACTOR = 1e-8
 MARGIN_FACTOR = 1e-10
+# values of s f(x, s) per block of the sign-condition sampler: about 256 KB of
+# float64, so one block stays in L2 cache; a block holds
+# max(1, SAMPLE_BLOCK_VALUES // num_nodes) samples
+SAMPLE_BLOCK_VALUES = 2**15
 # points of the kernel-sphere net in 2-D and beyond (1-D uses the two poles)
 NET_DIRECTIONS = 64
 
@@ -46,9 +50,12 @@ class NonlinearitySpec:
     """f(x, u) and its primitive with the bound field and declared limits at
     +-inf: limit_+- = lim f(x, s) and k_+- = lim s f(x, s) (None: unbounded).
 
-    f(u) and primitive(u) take a field, one value per node of the grid, and
-    return f(x_i, u_i) and F(x_i, u_i) at every node i; each closes over its
-    own x-dependence.
+    f(u) and primitive(u) are nodewise and broadcast.  Given a field, one
+    value per node of the grid, they return f(x_i, u_i) and F(x_i, u_i) at
+    every node i; given a column of k values s_r (shape (k, 1)), they return
+    f(x_i, s_r) and F(x_i, s_r) at every (sample, node) pair, shape (k, N)
+    or one that broadcasts to it.  Each closes over its own x-dependence as
+    arrays of shape (N,), so numpy broadcasting gives both forms.
     """
 
     grid: Grid
@@ -70,12 +77,30 @@ class NonlinearitySpec:
         return self.grid.norm(self.bound_m)
 
 
-def evaluate_f(spec: NonlinearitySpec, u_field: np.ndarray) -> np.ndarray:
-    """Superposition operator: nodewise f(x_i, u_i)."""
-    u = spec.grid.check_field(u_field)
-    out = np.asarray(spec.f(u), dtype=float).ravel()
-    if out.shape != u.shape:
-        raise NonlinearityError("evaluator did not return one value per node")
+def evaluate_f(spec: NonlinearitySpec, u: np.ndarray) -> np.ndarray:
+    """Superposition operator: nodewise f(x_i, u_i).
+
+    u is a field (one value per node), or a column of k finite values s_r of
+    shape (k, 1) standing for the k constant fields u = s_r; the result then
+    has shape (k, N), row r holding f(x_i, s_r) (a read-only view when f's
+    own result broadcasts to that shape).  Output that is not finite or
+    that does not fit the input raises NonlinearityError.
+    """
+    if np.ndim(u) == 2 and np.shape(u)[1] == 1:
+        column = np.asarray(u, dtype=float)
+        if not np.all(np.isfinite(column)):
+            raise NonlinearityError("sample column contains non-finite values")
+        out = np.asarray(spec.f(column), dtype=float)
+        try:
+            out = np.broadcast_to(out, (column.shape[0], spec.grid.num_nodes))
+        except ValueError:
+            raise NonlinearityError(
+                "evaluator did not return one value per sample and node") from None
+    else:
+        u = spec.grid.check_field(u)
+        out = np.asarray(spec.f(u), dtype=float).ravel()
+        if out.shape != u.shape:
+            raise NonlinearityError("evaluator did not return one value per node")
     if not np.all(np.isfinite(out)):
         raise NonlinearityError("nonlinearity returned non-finite values")
     return out
@@ -91,7 +116,20 @@ def evaluate_primitive(spec: NonlinearitySpec, u_field: np.ndarray) -> np.ndarra
 
 
 def _gaussian_envelope(grid: Grid, amplitude: float, width: float) -> np.ndarray:
-    return amplitude * np.exp(-(grid.radii / width) ** 2)
+    """amplitude exp(-(|x|/width)^2), which bounds f up to a fixed factor: the
+    theory needs the bound field m in L^2, so an amplitude whose envelope has
+    no finite L^2 norm on the grid is refused."""
+    # (|x|/width)^2 may overflow to inf for a tiny width: exp(-inf) = 0 is the
+    # envelope's value there, as exp underflows to 0 for large finite ones
+    with np.errstate(over="ignore"):
+        env = amplitude * np.exp(-(grid.radii / width) ** 2)
+        norm = grid.norm(env)
+    if not np.isfinite(norm):
+        raise NonlinearityError(
+            f"amplitude = {amplitude!r} leaves the bound field m with no finite "
+            "L2 norm on the grid"
+        )
+    return env
 
 
 def zero_nonlinearity(grid: Grid) -> NonlinearitySpec:
@@ -307,9 +345,13 @@ def check_sign_condition(
 
     Draws sample_budget values of s (log-spaced magnitudes both signs plus
     random draws), evaluates s f(x, s) at every node, and records the worst
-    violation.  (SR)+ needs s f >= 0 everywhere sampled and positive
-    quadrature mass where both k+ and k- are strictly positive; (SR)- is the
-    mirror.  Families with an unbounded k limit are reported inapplicable.
+    violation.  f is called once per block of samples, on the column of their
+    values (see evaluate_f); the witness (x, s, s f) of the min and of the
+    max is the first sample, then the first node, that attains it, as a loop
+    over the samples in order would find it.  (SR)+ needs s f >= 0
+    everywhere sampled and positive quadrature mass where both k+ and k- are
+    strictly positive; (SR)- is the mirror.  Families with an unbounded k
+    limit are reported inapplicable.
     """
     grid = spec.grid
     rng = rng or np.random.default_rng(0)
@@ -333,15 +375,21 @@ def check_sign_condition(
     worst = np.inf      # min of s f over all samples and nodes
     best = -np.inf      # max of s f
     witness_min = witness_max = None
-    for s in samples:
-        vals = s * evaluate_f(spec, np.full(grid.num_nodes, s))
-        i_min, i_max = int(np.argmin(vals)), int(np.argmax(vals))
-        if vals[i_min] < worst:
-            worst = float(vals[i_min])
-            witness_min = (grid.points[i_min].tolist(), float(s), worst)
-        if vals[i_max] > best:
-            best = float(vals[i_max])
-            witness_max = (grid.points[i_max].tolist(), float(s), best)
+    block = max(1, SAMPLE_BLOCK_VALUES // grid.num_nodes)
+    for start in range(0, samples.size, block):
+        s = samples[start:start + block, np.newaxis]
+        vals = s * evaluate_f(spec, s)
+        # the flat argmin/argmax of a C-ordered block is the first row, then
+        # the first node, that attains the extremum; a later block replaces
+        # the witness only when it improves on it strictly
+        r_min, i_min = divmod(int(np.argmin(vals)), grid.num_nodes)
+        r_max, i_max = divmod(int(np.argmax(vals)), grid.num_nodes)
+        if vals[r_min, i_min] < worst:
+            worst = float(vals[r_min, i_min])
+            witness_min = (grid.points[i_min].tolist(), float(s[r_min, 0]), worst)
+        if vals[r_max, i_max] > best:
+            best = float(vals[r_max, i_max])
+            witness_max = (grid.points[i_max].tolist(), float(s[r_max, 0]), best)
 
     mass_pos = float(np.sum(grid.weights[(spec.k_plus > margin) & (spec.k_minus > margin)]))
     mass_neg = float(np.sum(grid.weights[(spec.k_plus < -margin) & (spec.k_minus < -margin)]))

@@ -378,7 +378,13 @@ MALFORMED = [  # (subcommand, section, key, value)
     ("spectrum", "spectral", "cluster_tol", "-1"),
     ("semiflow", "grid", "half_width", "-5"),  # refused before the grid is built
     ("branch", "experiment", "probe_radii", "0"),  # branch refuses it too
+    # refused when the grid or the nonlinearity is built, not by parse_config
+    ("spectrum", "grid", "half_width", "1e300"),  # node radii overflow
+    ("spectrum", "grid", "half_width", "1e-300"),  # 1/h^2 overflows
+    ("branch", "nonlinearity", "amplitude", "1e300"),  # m has no finite L2 norm
 ]
+REFUSED_AT_SETUP = {("grid", "half_width", "1e300"), ("grid", "half_width", "1e-300"),
+                    ("nonlinearity", "amplitude", "1e300")}
 
 
 def _reads_float(cast) -> bool:
@@ -414,8 +420,11 @@ def test_malformed_experiment_value_is_config_error(tmp_path, capsys, sub, secti
         cfg = cfg.replace(f"[{section}]\n", f"[{section}]\n" + line)
     else:
         cfg += f"\n[{section}]\n" + line
-    with pytest.raises(cli.ConfigError, match=key):  # before any set-up runs
+    if (section, key, value) in REFUSED_AT_SETUP:
         cli.parse_config(_write(tmp_path, cfg))
+    else:
+        with pytest.raises(cli.ConfigError, match=key):  # before any set-up runs
+            cli.parse_config(_write(tmp_path, cfg))
     code, out = _run(tmp_path, sub, cfg)
     assert code == EXIT_CONFIG
     assert key in capsys.readouterr().err
@@ -436,8 +445,7 @@ def test_every_config_value_exits_with_a_code(tmp_path, section, key):
     # subcommand raises, each exits 0, 2, 3 or 4, and a value that
     # parse_config refuses exits 2 from all of them.  The runs see numpy's
     # overflow warnings as a CLI process does, printed and not raised
-    # (half_width, amplitude and horizon = 1e300 overflow on the way to
-    # their exit code)
+    # (horizon = 1e300 overflows on the way to its exit code)
     for i, value in enumerate(FUZZ_VALUES):
         config = configparser.ConfigParser(interpolation=None)
         config.read(WARMUP)

@@ -34,7 +34,10 @@ def test_make_grid_2d_weight_sum():
 
 @pytest.mark.parametrize(
     "args",
-    [(1, 1.0, 4), (1, 1.0, 2), (3, 1.0, 5), (1, -1.0, 5), (1, 0.0, 5)],
+    [(1, 1.0, 4), (1, 1.0, 2), (3, 1.0, 5), (1, -1.0, 5), (1, 0.0, 5),
+     # node radii or 1/h^2 not finite
+     (1, 1e300, 5), (2, 1e300, 5), (1, float("inf"), 5), (1, 1e-300, 5),
+     (2, 1e-160, 5)],
 )
 def test_make_grid_rejects_bad_arguments(args):
     with pytest.raises(GridError):

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import resonance_lab as rl
-from resonance_lab.nonlinearity import NonlinearityError, _odd_family
+from resonance_lab.nonlinearity import (
+    MARGIN_FACTOR,
+    MASS_TOL_FACTOR,
+    SAMPLE_BLOCK_VALUES,
+    NonlinearityError,
+    _odd_family,
+)
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +211,143 @@ def test_sign_condition_violation_injection(grid):
     pair = rl.check_sign_condition(spec, sample_budget=512)
     assert not pair.plus.holds
     assert "violation" in pair.plus.note
+
+
+def _test_spec(grid, name, f, k):
+    """A spec written by hand, for the sampler: only f and k+- are read."""
+    zeros = np.zeros(grid.num_nodes)
+    return rl.NonlinearitySpec(
+        grid, name, f, primitive=lambda u: np.zeros_like(u), bound_m=zeros,
+        limit_plus=zeros, limit_minus=zeros, k_plus=k, k_minus=k,
+    )
+
+
+def _sampler_specs(grid):
+    env = np.exp(-grid.radii**2)
+    flip = np.where(grid.points[:, 0] > 0, -1.0, 1.0)
+    rational = rl.saturating_rational(grid)
+    return {
+        "rational": rational,
+        "neg_rational": rl.negate(rational),
+        "flipped": _test_spec(grid, "flipped",
+                              lambda u: env * flip * u / (1.0 + u**2), env * flip),
+        "zero": rl.zero_nonlinearity(grid),
+        # u-independent: s f = s m, negative for every s < 0
+        "constant": _test_spec(grid, "constant", lambda u: env, env),
+        # x-independent s f = -|s|: every node ties, and so do s and -s
+        "sign": _test_spec(grid, "sign", lambda u: -np.sign(u), np.zeros(grid.num_nodes)),
+    }
+
+
+def _sign_condition_by_sample(spec, sample_budget, rng):
+    """Reference: the sampler as a loop over the samples, f on one constant
+    field per sample; the witness moves only on a strict improvement."""
+    grid = spec.grid
+    margin = MARGIN_FACTOR * max(1.0, float(np.max(spec.bound_m, initial=0.0)))
+    box_mass = (2.0 * grid.half_width) ** grid.ndim
+    n_struct = max(8, sample_budget // 4)
+    mags = np.geomspace(1e-3, 1e6, n_struct // 2)
+    s_struct = np.concatenate([mags, -mags])
+    s_rand = rng.standard_cauchy(max(0, sample_budget - s_struct.size)) * 10.0
+    worst, best = np.inf, -np.inf
+    for s in np.concatenate([s_struct, s_rand]):
+        vals = s * rl.evaluate_f(spec, np.full(grid.num_nodes, s))
+        i_min, i_max = int(np.argmin(vals)), int(np.argmax(vals))
+        if vals[i_min] < worst:
+            worst = float(vals[i_min])
+            witness_min = (grid.points[i_min].tolist(), float(s), worst)
+        if vals[i_max] > best:
+            best = float(vals[i_max])
+            witness_max = (grid.points[i_max].tolist(), float(s), best)
+    w = grid.weights
+    mass_pos = float(np.sum(w[(spec.k_plus > margin) & (spec.k_minus > margin)]))
+    mass_neg = float(np.sum(w[(spec.k_plus < -margin) & (spec.k_minus < -margin)]))
+    mass_tol = MASS_TOL_FACTOR * box_mass
+    return (
+        (worst >= -margin and mass_pos > mass_tol, [worst], mass_pos / box_mass,
+         "" if worst >= -margin else f"sign violation at (x, s) = {witness_min}"),
+        (best <= margin and mass_neg > mass_tol, [best], mass_neg / box_mass,
+         "" if best <= margin else f"sign violation at (x, s) = {witness_max}"),
+    )
+
+
+@pytest.mark.parametrize("ndim", (1, 2))
+def test_sign_condition_blocks_match_the_per_sample_loop(grid, ndim):
+    # grids of 2001 and 41^2 nodes give blocks of 16 and 19 samples, so most
+    # budgets end on a short block
+    grid = grid if ndim == 1 else rl.make_grid(2, 6.0, 41)
+    for name, spec in _sampler_specs(grid).items():
+        for budget in (1, 7, 9, 513, 4096):
+            pair = rl.check_sign_condition(spec, budget, rng=np.random.default_rng(budget))
+            ref = _sign_condition_by_sample(spec, budget, np.random.default_rng(budget))
+            for verdict, (holds, witnesses, mass, note) in zip((pair.plus, pair.minus), ref):
+                got = (verdict.holds, verdict.witnesses, verdict.mass_fraction, verdict.note)
+                assert got == (holds, witnesses, mass, note), (name, budget, verdict.condition)
+
+
+def test_sign_condition_witness_ties(grid):
+    # s f = -|s| at every node: the worst value -1e6 is met first by s = +1e6
+    # at the first node; the best, -1e-3, by s = 1e-3 there
+    spec = _sampler_specs(grid)["sign"]
+    pair = rl.check_sign_condition(spec, sample_budget=64)
+    assert pair.plus.note == "sign violation at (x, s) = ([-20.0], 1000000.0, -1000000.0)"
+    assert pair.minus.witnesses == [-1e-3] and pair.minus.note == ""
+
+
+def test_sign_condition_calls_f_once_per_block(grid):
+    calls = []
+    rational = rl.saturating_rational(grid)
+
+    def f(u):
+        calls.append(u.shape)
+        return rational.f(u)
+
+    spec = _test_spec(grid, "counted", f, rational.k_plus)
+    rl.check_sign_condition(spec, sample_budget=4096)
+    block = SAMPLE_BLOCK_VALUES // grid.num_nodes
+    assert len(calls) == -(-4096 // block)
+    assert calls[0] == (block, 1) and calls[-1] == (4096 % block or block, 1)
+
+
+@pytest.mark.parametrize("ndim", (1, 2))
+def test_evaluate_f_on_a_column_is_one_row_per_constant_field(grid, ndim):
+    grid = grid if ndim == 1 else rl.make_grid(2, 6.0, 41)
+    column = np.array([[0.0], [1e-3], [-2.5], [7.0], [-1e6]])
+    specs = list(_sampler_specs(grid).values()) + [rl.saturating_arctan(grid)]
+    for spec in specs:
+        out = rl.evaluate_f(spec, column)
+        assert out.shape == (column.shape[0], grid.num_nodes)
+        for row, (s,) in zip(out, column):
+            assert np.array_equal(row, rl.evaluate_f(spec, np.full(grid.num_nodes, s)))
+
+
+def test_evaluate_f_column_validation(grid, rational):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonlinearityError, match="non-finite"):
+            rl.evaluate_f(rational, np.array([[1.0], [bad]]))
+    infinite = _test_spec(grid, "inf", lambda u: np.where(u > 0, np.inf, 0.0),
+                          rational.k_plus)
+    with pytest.raises(NonlinearityError, match="non-finite values"):
+        rl.evaluate_f(infinite, np.array([[-1.0], [1.0]]))
+    rl.evaluate_f(infinite, np.array([[-1.0], [0.0]]))  # finite rows pass
+    for shape in ((2, 2), (3,), (grid.num_nodes + 1,), (3, grid.num_nodes)):
+        wrong = _test_spec(grid, "wrong", lambda u, shape=shape: np.zeros(shape),
+                           rational.k_plus)
+        with pytest.raises(NonlinearityError, match="one value per sample and node"):
+            rl.evaluate_f(wrong, np.array([[1.0], [2.0]]))
+
+
+def test_saturating_family_refuses_a_bound_without_l2_norm(grid):
+    for family in ("arctan", "neg_rational"):
+        with pytest.raises(NonlinearityError, match="amplitude"):
+            rl.make_nonlinearity(grid, family, amplitude=1e300)
+    assert np.isfinite(rl.make_nonlinearity(grid, "rational", amplitude=1e150).bound_norm)
+
+
+def test_tiny_width_gives_a_one_node_envelope(grid):
+    # (|x|/width)^2 overflows off the origin: the envelope is 0 there, silently
+    spec = rl.make_nonlinearity(grid, "arctan", amplitude=2.0, width=1e-300)
+    assert np.array_equal(spec.bound_m, np.where(grid.radii == 0.0, 2.0, 0.0))
 
 
 def test_kernel_sphere_probe_zero(pt_grid, pt_proj):

@@ -1,8 +1,15 @@
 """Deterministic serialization: JSON, CSV, binary snapshots."""
 
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import resonance_lab as rl
 from resonance_lab.reporting import (
@@ -78,6 +85,52 @@ def test_snapshots_roundtrip(tmp_path, rng):
     assert back.shape == (3, g.num_nodes)
     for orig, rec in zip(fields, back):
         assert np.array_equal(orig, rec)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(v=st.floats())
+def test_json_and_csv_floats_round_trip(v):
+    text = json_dumps(v)
+    if math.isnan(v):
+        assert text == "null\n" and math.isnan(float(csv_cell(v)))
+    elif math.isinf(v):
+        assert text == ('"inf"\n' if v > 0 else '"-inf"\n')
+        assert float(csv_cell(v)) == v
+    else:
+        # equal in value; -0.0 is written "-0", which reads back as the int 0
+        assert float(json.loads(text)) == v
+        assert math.copysign(1.0, float(csv_cell(v))) == math.copysign(1.0, v)
+        assert float(csv_cell(v)) == v
+    assert float(csv_cell(np.float64(v))) == v or math.isnan(v)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    ndim=st.sampled_from((1, 2)),
+    n=st.integers(1, 10).map(lambda k: 2 * k + 1),
+    half_width=st.floats(1e-3, 1e3),
+    count=st.integers(0, 3),
+    data=st.data(),
+)
+def test_snapshots_round_trip_on_random_grids(ndim, n, half_width, count, data):
+    grid = rl.make_grid(ndim, half_width, n)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    fields = [data.draw(arrays(np.float64, grid.num_nodes, elements=finite))
+              for _ in range(count)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "snap.bin"
+        write_snapshots(path, grid, fields)
+        got_ndim, got_n, got_L, back = read_snapshots(path)
+        assert (got_ndim, got_n, got_L) == (ndim, n, half_width)
+        assert back.shape == (count, grid.num_nodes)
+        assert back.tobytes() == b"".join(u.astype("<f8").tobytes() for u in fields)
+        # a payload cut short of a whole number of fields is refused (with no
+        # field stored: a payload of part of one)
+        raw = path.read_bytes()
+        cut = data.draw(st.integers(1, 8 * grid.num_nodes - 1))
+        path.write_bytes(raw[:-cut] if count else raw + bytes(cut))
+        with pytest.raises(ValueError):
+            read_snapshots(path)
 
 
 def test_snapshots_header_layout(tmp_path):
