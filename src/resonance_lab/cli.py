@@ -2,13 +2,16 @@
 
     resonance-lab <subcommand> --config <path> [--seed N] [--out <dir>]
 
-Subcommands: spectrum, resonance, branch, semiflow, report.  Exit codes:
+Subcommands: spectrum, resonance, branch, semiflow, report.  Each maps the
+experiment's `Problem` to its reports, which `main` writes.  Exit codes:
 0 success, 2 config error, 3 numerical failure, 4 verdict negative (only
 when the experiment declares expect_positive).  Identical config and seed
 produce byte-identical outputs; the effective config and seed are embedded
-in every JSON report.  `spectrum` also stores its eigenpairs in the output
-directory, and the later subcommands reuse them when they pass every check
-of a fresh solve.
+in every JSON report.  The solver and eigensolve tolerances are library
+keyword arguments (`eigenpairs_below`, `SolverConfig`,
+`check_sign_condition`), which the CLI uses at their defaults.  `spectrum`
+also stores its eigenpairs in the output directory, and the later
+subcommands reuse them when they pass every check of a fresh solve.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from functools import cached_property
 from pathlib import Path
 
@@ -43,7 +46,6 @@ from .reporting import (
     write_json,
     write_snapshots,
 )
-from .solver import SolverConfig
 from .spectral import (
     HamiltonianOperator,
     Projections,
@@ -62,7 +64,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VERDICT = 4
 
-SUBCOMMANDS = ("spectrum", "resonance", "branch", "semiflow", "report")
 EIGENPAIRS_FILE = "eigenpairs.npz"
 # names the layout of the stored eigenpairs in their key; a new layout gets a
 # new tag, so files of the old one are solved again instead of misread
@@ -71,29 +72,6 @@ EIGENPAIRS_FORMAT = "resonance-lab eigenpairs 1"
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class ExperimentConfig:
-    """Parsed and validated experiment configuration."""
-
-    grid: dict
-    potential: dict
-    nonlinearity: dict
-    spectral: dict
-    experiment: dict
-    output_dir: str
-    seed: int
-
-    def effective(self) -> dict:
-        return {
-            "grid": self.grid,
-            "potential": self.potential,
-            "nonlinearity": self.nonlinearity,
-            "spectral": self.spectral,
-            "experiment": self.experiment,
-            "run": {"seed": self.seed},
-        }
 
 
 # -- config schema -------------------------------------------------------------
@@ -128,7 +106,6 @@ _boolean = _checked(
     lambda v: v is not None, "must be one of 1/true/yes/on or 0/false/no/off",
 )
 POSITIVE = _checked(FINITE, lambda v: v > 0, "must be positive")
-NON_NEGATIVE = _checked(FINITE, lambda v: v >= 0, "must be non-negative")
 POSITIVES = _checked(_floats, lambda vs: all(v > 0 for v in vs), "must be positive")
 AT_LEAST_1 = _checked(int, lambda v: v >= 1, "must be at least 1")
 
@@ -150,9 +127,6 @@ SCHEMA = {
                      "width": (POSITIVE, OMIT)},
     "spectral": {
         "ceiling": (FINITE, None),
-        "tol_eig": (POSITIVE, "1e-8"),
-        "cluster_tol": (NON_NEGATIVE, None),
-        "max_count": (AT_LEAST_1, "64"),
         "lambda0_index": (int, None),
         "lambda0_value": (FINITE, None),
         "delta_request": (POSITIVE, None),
@@ -163,9 +137,6 @@ SCHEMA = {
         "num_points": (AT_LEAST_1, "12"),
         "growth_factor": (POSITIVE, "4.0"),
         "window": (AT_LEAST_1, "5"),
-        "tol_fp": (POSITIVE, "1e-8"),
-        "tol_pde": (POSITIVE, "1e-6"),
-        "max_iter": (AT_LEAST_1, "200"),
         "horizon": (POSITIVE, "10.0"),
         "dt": (POSITIVE, None),
         "stop": (_one_of(*sf.STOP_RULES), "equilibrium"),
@@ -175,7 +146,6 @@ SCHEMA = {
         "snapshots": (_boolean, "false"),
         "tail_radii": (POSITIVES, ""),
         "probe_radii": (POSITIVES, "1 10 100"),
-        "sample_budget": (AT_LEAST_1, "4096"),
         "expect_positive": (_boolean, "false"),
     },
     "output": {"dir": (str, "out")},
@@ -183,7 +153,8 @@ SCHEMA = {
 }
 
 
-def parse_config(path: str) -> ExperimentConfig:
+def parse_config(path: str) -> dict:
+    """The checked config at path: {section: {key: value}}, shaped like SCHEMA."""
     # no interpolation: a '%' is a plain character, checked like any other
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                        interpolation=None)
@@ -216,8 +187,7 @@ def parse_config(path: str) -> ExperimentConfig:
             f"[experiment] tail_radii exceed the [grid] half_width {half_width}"
         )
     _initial_spec(values["experiment"]["initial"], values["grid"]["ndim"])
-    out, run = values.pop("output"), values.pop("run")
-    return ExperimentConfig(**values, output_dir=out["dir"], seed=run["seed"])
+    return values
 
 
 # -- pipeline -------------------------------------------------------------------
@@ -241,52 +211,48 @@ class Problem:
     for bit.
     """
 
-    def __init__(self, cfg: ExperimentConfig):
+    def __init__(self, cfg: dict):
         self.cfg = cfg
-        self.eigenpairs_path = Path(cfg.output_dir) / EIGENPAIRS_FILE
+        self.out_dir = Path(cfg["output"]["dir"])
         # the config sections the eigenpairs depend on, as canonical JSON
         self.eigenpairs_key = json.dumps(
-            {"format": EIGENPAIRS_FORMAT, "grid": cfg.grid,
-             "potential": cfg.potential, "spectral": cfg.spectral},
+            {"format": EIGENPAIRS_FORMAT, "grid": cfg["grid"],
+             "potential": cfg["potential"], "spectral": cfg["spectral"]},
             sort_keys=True, separators=(",", ":"),
         )
 
     @cached_property
     def grid(self) -> Grid:
-        return make_grid(**self.cfg.grid)
+        return make_grid(**self.cfg["grid"])
 
     @cached_property
     def op(self) -> HamiltonianOperator:
         return assemble_hamiltonian(
-            self.grid, make_potential(self.grid, **self.cfg.potential)
+            self.grid, make_potential(self.grid, **self.cfg["potential"])
         )
 
     @cached_property
     def data(self) -> SpectralData:
-        stored = read_eigenpairs(self.eigenpairs_path, self.eigenpairs_key)
+        stored = read_eigenpairs(self.out_dir / EIGENPAIRS_FILE, self.eigenpairs_key)
         if stored is not None:
             try:
-                return reuse_eigenpairs(self.op, *stored, **self._eigensolve_args())
+                return reuse_eigenpairs(self.op, *stored,
+                                        ceiling=self.cfg["spectral"]["ceiling"])
             except SpectralError:
                 pass  # a stored pair failed a check: solve again
         return self.solve()
 
     def solve(self) -> SpectralData:
         """A fresh eigensolve of the low spectrum."""
-        return eigenpairs_below(self.op, **self._eigensolve_args())
-
-    def _eigensolve_args(self) -> dict:
-        s = self.cfg.spectral
-        return {"ceiling": s["ceiling"], "tol_eig": s["tol_eig"],
-                "cluster_tol": s["cluster_tol"], "max_count": s["max_count"]}
+        return eigenpairs_below(self.op, ceiling=self.cfg["spectral"]["ceiling"])
 
     @cached_property
     def spec(self) -> NonlinearitySpec:
-        return make_nonlinearity(self.grid, **self.cfg.nonlinearity)
+        return make_nonlinearity(self.grid, **self.cfg["nonlinearity"])
 
     @cached_property
     def proj(self) -> Projections:
-        s = self.cfg.spectral
+        s = self.cfg["spectral"]
         data = self.data  # eigensolver failures stay numerical failures
         try:
             if s["lambda0_index"] is not None:
@@ -320,9 +286,8 @@ def _initial_spec(text: str, ndim: int) -> tuple[str, list[float]]:
         raise ConfigError(f"[experiment] initial: {exc} in {text!r}") from exc
 
 
-def _initial_field(cfg: ExperimentConfig, grid: Grid,
-                   proj: Projections | None) -> np.ndarray:
-    kind, values = _initial_spec(cfg.experiment["initial"], grid.ndim)
+def _initial_field(text: str, grid: Grid, proj: Projections | None) -> np.ndarray:
+    kind, values = _initial_spec(text, grid.ndim)
     if kind == "zero":
         return np.zeros(grid.num_nodes)
     if kind == "kernel":
@@ -340,13 +305,15 @@ def _initial_field(cfg: ExperimentConfig, grid: Grid,
 
 
 # -- subcommands ---------------------------------------------------------------
+#
+# Each maps the Problem to its reports, {file name: content} in write order
+# (see _write), and its verdict: None when it has none.
 
 
-def _cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
-    problem = Problem(cfg)
+def _cmd_spectrum(problem: Problem) -> tuple[dict, bool | None]:
     op, data = problem.op, problem.solve()
     morse = {}
-    for lam in cfg.spectral["morse_lambdas"]:
+    for lam in problem.cfg["spectral"]["morse_lambdas"]:
         try:
             mc = morse_count(data, lam)
         except ResonantLambdaError as exc:
@@ -356,7 +323,6 @@ def _cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
         (center, len(idx), float(np.max(data.residuals[idx])))
         for center, idx in data.multiplets
     ]
-    write_csv(out_dir / "spectrum.csv", ["lambda", "multiplicity", "residual"], rows)
     report = {
         "alpha_inf": op.alpha_inf,
         "ceiling": data.ceiling,
@@ -365,58 +331,45 @@ def _cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
             {"lambda": c, "multiplicity": len(idx)} for c, idx in data.multiplets
         ],
         "morse_counts": morse,
-        "config": cfg.effective(),
     }
-    write_json(out_dir / "spectrum.json", report)
-    write_eigenpairs(problem.eigenpairs_path, problem.eigenpairs_key,
-                     data.eigenvalues, data.eigenfields)
-    return EXIT_OK
+    return {
+        "spectrum.csv": (["lambda", "multiplicity", "residual"], rows),
+        "spectrum.json": report,
+        EIGENPAIRS_FILE: (problem.eigenpairs_key, data.eigenvalues, data.eigenfields),
+    }, None
 
 
-def _cmd_resonance(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
-    problem = Problem(cfg)
-    proj = problem.proj
-    spec = problem.spec
-
+def _cmd_resonance(problem: Problem) -> tuple[dict, bool | None]:
+    proj, spec = problem.proj, problem.spec
+    seed = problem.cfg["run"]["seed"]
+    rng = np.random.default_rng(seed)
     ll = check_landesman_lazer(spec, proj.kernel_fields, rng=rng)
-    sr = check_sign_condition(
-        spec, sample_budget=cfg.experiment["sample_budget"], rng=rng
-    )
+    sr = check_sign_condition(spec, rng=rng)
+    verdicts = {"LL+": asdict(ll.plus), "LL-": asdict(ll.minus),
+                "SR+": asdict(sr.plus), "SR-": asdict(sr.minus)}
     report = {
         "lambda0": proj.lambda0,
         "delta": proj.delta,
-        "verdicts": {"LL+": asdict(ll.plus), "LL-": asdict(ll.minus),
-                     "SR+": asdict(sr.plus), "SR-": asdict(sr.minus)},
+        "verdicts": verdicts,
         # each probe has its own seed, so its result does not depend on the others
         "kernel_sphere_probe": [
             asdict(kernel_sphere_probe(spec, proj.kernel_fields, radius,
-                                       rng=np.random.default_rng([cfg.seed, i])))
-            for i, radius in enumerate(cfg.experiment["probe_radii"])
+                                       rng=np.random.default_rng([seed, i])))
+            for i, radius in enumerate(problem.cfg["experiment"]["probe_radii"])
         ],
-        "config": cfg.effective(),
     }
-    write_json(out_dir / "resonance.json", report)
-
-    if cfg.experiment["expect_positive"]:
-        positives = [v["holds"] for v in report["verdicts"].values()]
-        if not any(positives):
-            return EXIT_VERDICT
-    return EXIT_OK
+    return {"resonance.json": report}, any(v["holds"] for v in verdicts.values())
 
 
-def _cmd_branch(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
-    problem = Problem(cfg)
+def _cmd_branch(problem: Problem) -> tuple[dict, bool | None]:
     proj, spec = problem.proj, problem.spec
-    e = cfg.experiment
+    e = problem.cfg["experiment"]
     sign = -1.0 if e["side"] == "minus" else 1.0
     schedule = [
         proj.lambda0 + sign * proj.delta * 2.0 ** (-k)
         for k in range(1, e["num_points"] + 1)
     ]
-    solver_cfg = SolverConfig(
-        tol_fp=e["tol_fp"], tol_pde=e["tol_pde"], max_iter=e["max_iter"]
-    )
-    branch = bif.continue_branch(schedule, proj, spec, solver_cfg)
+    branch = bif.continue_branch(schedule, proj, spec)
     rows = [
         (
             p.lam, p.l2, p.grad_l2, p.h1, p.kernel_l2, p.complement_l2,
@@ -424,31 +377,23 @@ def _cmd_branch(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
         )
         for p in branch
     ]
-    write_csv(
-        out_dir / "branch.csv",
-        ["lambda", "l2", "grad_l2", "h1", "Pu_l2", "Qu_l2", "residual", "E",
-         "converged"],
-        rows,
-    )
+    header = ["lambda", "l2", "grad_l2", "h1", "Pu_l2", "Qu_l2", "residual", "E",
+              "converged"]
     report = bif.summarize_branch(
         branch, proj, spec, e["growth_factor"], e["window"]
     )
-    ll = check_landesman_lazer(spec, proj.kernel_fields, rng=rng)
+    ll = check_landesman_lazer(spec, proj.kernel_fields,
+                               rng=np.random.default_rng(problem.cfg["run"]["seed"]))
     report["resonance"] = {"LL+": asdict(ll.plus), "LL-": asdict(ll.minus)}
-    report["config"] = cfg.effective()
-    write_json(out_dir / "bifurcation.json", report)
-    if cfg.experiment["expect_positive"] and (
-        report["verdict"] is None or not report["verdict"]["detected"]
-    ):
-        return EXIT_VERDICT
-    return EXIT_OK
+    verdict = report["verdict"]
+    return ({"branch.csv": (header, rows), "bifurcation.json": report},
+            verdict is not None and verdict["detected"])
 
 
-def _cmd_semiflow(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
-    problem = Problem(cfg)
+def _cmd_semiflow(problem: Problem) -> tuple[dict, bool | None]:
     grid, op, spec = problem.grid, problem.op, problem.spec
-    e = cfg.experiment
-    s = cfg.spectral
+    e = problem.cfg["experiment"]
+    s = problem.cfg["spectral"]
     proj = None
     if s["lambda0_index"] is not None or s["lambda0_value"] is not None:
         proj = problem.proj
@@ -458,7 +403,7 @@ def _cmd_semiflow(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
         lam = proj.lambda0 - proj.delta / 2.0
     else:
         raise ConfigError("[experiment] lam is required without a lambda0 selection")
-    u0 = _initial_field(cfg, grid, proj)
+    u0 = _initial_field(e["initial"], grid, proj)
     traj = sf.evolve(
         sf.SemiflowState(0.0, u0), lam, e["horizon"], op, spec,
         dt=e["dt"], stop=e["stop"], save_every=e["save_every"],
@@ -474,13 +419,10 @@ def _cmd_semiflow(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
                 st.complement_norm if st.complement_norm is not None else math.nan,
             )
         )
-    write_csv(
-        out_dir / "trajectory.csv",
-        ["t", "l2", "grad_l2", "h1", "J", "Pu_l2", "Qu_l2"],
-        rows,
-    )
+    files = {"trajectory.csv": (["t", "l2", "grad_l2", "h1", "J", "Pu_l2", "Qu_l2"],
+                                rows)}
     if e["snapshots"]:
-        write_snapshots(out_dir / "snapshots.bin", grid, [s.u for s in traj.states])
+        files["snapshots.bin"] = (grid, [s.u for s in traj.states])
     report = {
         "lam": lam,
         "equilibrium": traj.equilibrium,
@@ -488,7 +430,6 @@ def _cmd_semiflow(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
         "steps": traj.steps,
         "J_initial": traj.states[0].J,
         "J_final": traj.states[-1].J,
-        "config": cfg.effective(),
     }
     if proj is not None and e["tail_radii"]:
         tail = sf.tail_decay_report(traj, proj, spec, e["tail_radii"])
@@ -500,18 +441,17 @@ def _cmd_semiflow(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
             "all_guaranteed_passed": tail.all_guaranteed_passed,
             "rows": [asdict(r) for r in tail.rows],
         }
-    write_json(out_dir / "semiflow.json", report)
-    return EXIT_OK
+    files["semiflow.json"] = report
+    return files, None
 
 
-def _cmd_report(cfg: ExperimentConfig, out_dir: Path, rng) -> int:
-    merged = {"config": cfg.effective()}
+def _cmd_report(problem: Problem) -> tuple[dict, bool | None]:
+    merged = {}
     for name in ("spectrum", "resonance", "bifurcation", "semiflow"):
-        path = out_dir / f"{name}.json"
+        path = problem.out_dir / f"{name}.json"
         if path.exists():
             merged[name] = json.loads(path.read_text(encoding="utf-8"))
-    write_json(out_dir / "report.json", merged)
-    return EXIT_OK
+    return {"report.json": merged}, None
 
 
 _DISPATCH = {
@@ -523,13 +463,29 @@ _DISPATCH = {
 }
 
 
+def _write(out_dir: Path, files: dict, config: dict) -> None:
+    """Write each report in order: a JSON report is a dict, to which the
+    effective config is added; a CSV one (header, rows); the snapshots
+    (grid, fields); the eigenpairs (key, eigenvalues, eigenfields)."""
+    for name, content in files.items():
+        path = out_dir / name
+        if name.endswith(".json"):
+            write_json(path, {**content, "config": config})
+        elif name.endswith(".csv"):
+            write_csv(path, *content)
+        elif name == EIGENPAIRS_FILE:
+            write_eigenpairs(path, *content)
+        else:
+            write_snapshots(path, *content)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="resonance-lab",
         description="Bifurcation-from-infinity experiments for semilinear "
         "Schrodinger problems on truncated boxes.",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=_DISPATCH)
     parser.add_argument("--config", required=True, help="INI config path")
     parser.add_argument("--seed", type=int, default=None, help="override [run] seed")
     parser.add_argument("--out", default=None, help="override [output] dir")
@@ -538,21 +494,17 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg["run"]["seed"] = args.seed
         if args.out is not None:
-            cfg.output_dir = args.out
-        out_dir = Path(cfg.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        rng = np.random.default_rng(cfg.seed)
-    except (ConfigError, GridError, PotentialError, NonlinearityError) as exc:
-        print(f"config error ({args.config}): {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        return _DISPATCH[args.subcommand](cfg, out_dir, rng)
+            cfg["output"]["dir"] = args.out
+        problem = Problem(cfg)
+        try:
+            problem.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"[output] dir: {exc}") from exc
+        files, verdict = _DISPATCH[args.subcommand](problem)
+        _write(problem.out_dir, files,
+               {name: table for name, table in cfg.items() if name != "output"})
     except (ConfigError, GridError, PotentialError, NonlinearityError) as exc:
         print(f"config error ({args.config}): {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -563,6 +515,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    if cfg["experiment"]["expect_positive"] and verdict is not None and not verdict:
+        return EXIT_VERDICT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

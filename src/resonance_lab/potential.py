@@ -117,12 +117,24 @@ def make_potential(grid: Grid, family: str, **params) -> PotentialSpec:
     The Coulomb singularity policy is either "offset" (move the center by
     half a grid spacing along the first axis, the default) or "cap" (clip
     |V| at spacing**(-alpha)).  Every family also takes p; a missing
-    parameter, or one the family does not take, is a PotentialError.
+    parameter, or one the family does not take, is a PotentialError.  So is
+    a potential whose rounding error max|V|·eps reaches the lowest Dirichlet
+    level of -Δ on the box, ndim·(π/(2L))^2: there the kinetic term of
+    -Δ + V is lost in V's rounding.
     """
     spec = _family_potential(grid, family, params)
     if params:
         raise PotentialError(
             f"potential family {family!r} does not take {', '.join(sorted(params))}"
+        )
+    v_max = float(np.max(np.abs(spec.v)))
+    rounding = v_max * np.finfo(float).eps
+    kinetic = grid.ndim * (np.pi / (2.0 * grid.half_width)) ** 2
+    if rounding >= kinetic:
+        raise PotentialError(
+            f"max |V| = {v_max:.3g} is too large for the box: its rounding "
+            f"{rounding:.3g} reaches the lowest Dirichlet level {kinetic:.3g} "
+            "of -Laplacian"
         )
     return spec
 

@@ -44,6 +44,10 @@ def test_tracer_covers_every_declared_layer(tmp_path):
     metrics = tracer.layer_metrics(trace.spans)
     assert set(metrics) == expected
     assert metrics["solver.solves"][0] == 6  # the warmup branch has 6 points
+    # the CLI writes every report through the module's write_* names, which
+    # the tracer wraps, so it counts every byte of them
+    reports = [p for p in tmp_path.iterdir() if p.suffix in (".csv", ".json")]
+    assert metrics["reporting.bytes_written"][0] == sum(p.stat().st_size for p in reports)
     # `spectrum` solves and stores the eigenpairs; the other three subcommands
     # of the round reuse them from the shared output directory
     names = [s.name for s in trace.spans]

@@ -321,11 +321,17 @@ def test_seed_override_changes_embedded_config(tmp_path):
     assert report["config"]["run"]["seed"] == 99
 
 
-@pytest.mark.parametrize("value", ["0", "3", "1e300", "-1.2\ncluster_tol = 0.5"],
+@pytest.mark.parametrize("value", ["0", "3", "1e300", None],
                          ids=["ceiling", "above", "huge", "on-the-spectrum"])
 def test_morse_lambda_without_a_count_is_config_error(tmp_path, capsys, value):
-    # k(λ) is defined below the ceiling (0 here) and off the spectrum (within
-    # cluster_tol of -1.0 here); only the eigensolve can tell
+    # k(λ) is defined below the ceiling (0 here) and off the spectrum; only
+    # the eigensolve can tell.  None asks for an eigenvalue itself, the last
+    # one a first run writes to spectrum.csv
+    if value is None:
+        code, out = _run(tmp_path, "spectrum", PT_BASE.format(n=1001))
+        assert code == EXIT_OK
+        value = (out / "spectrum.csv").read_text().splitlines()[-1].split(",")[0]
+        shutil.rmtree(out)
     cfg = PT_BASE.format(n=1001).replace("morse_lambdas = -0.5 -2.0",
                                          f"morse_lambdas = -0.5 {value}")
     code, out = _run(tmp_path, "spectrum", cfg)
@@ -350,7 +356,6 @@ MALFORMED = [  # (subcommand, section, key, value)
     ("branch", "experiment", "side", "minsu"),
     ("branch", "experiment", "num_points", "0"),
     ("branch", "experiment", "window", "0"),
-    ("branch", "experiment", "max_iter", "0"),
     ("semiflow", "experiment", "initial", "gaussian abc"),
     ("semiflow", "experiment", "initial", "kernel 2.0 1.0"),
     ("semiflow", "experiment", "dt", "0"),
@@ -359,7 +364,6 @@ MALFORMED = [  # (subcommand, section, key, value)
     ("resonance", "experiment", "probe_radii", "1 x"),
     ("spectrum", "potential", "center", "0 q"),
     ("spectrum", "spectral", "morse_lambdas", "-4.5 abc"),
-    ("spectrum", "spectral", "max_count", "0"),
     ("resonance", "spectral", "delta_request", "-0.25"),
     ("spectrum", "grid", "ndim", "1\nndim = 2"),  # a duplicated key
     ("spectrum", None, "ndim", "1"),  # a key above the first section header
@@ -370,12 +374,9 @@ MALFORMED = [  # (subcommand, section, key, value)
     ("semiflow", "experiment", "lam", "inf"),
     ("spectrum", "spectral", "lambda0_value", "nan"),
     ("spectrum", "spectral", "ceiling", "nan"),
-    ("branch", "experiment", "tol_fp", "inf"),
     ("semiflow", "experiment", "tail_radii", "0"),
     ("semiflow", "experiment", "tail_radii", "nan"),
     ("semiflow", "experiment", "tail_radii", "5 50"),  # beyond half_width = 20
-    ("resonance", "experiment", "sample_budget", "0"),
-    ("spectrum", "spectral", "cluster_tol", "-1"),
     ("semiflow", "grid", "half_width", "-5"),  # refused before the grid is built
     ("branch", "experiment", "probe_radii", "0"),  # branch refuses it too
     # refused when the grid or the nonlinearity is built, not by parse_config
@@ -431,36 +432,59 @@ def test_malformed_experiment_value_is_config_error(tmp_path, capsys, sub, secti
     assert not out.exists() or not any(out.iterdir())
 
 
-FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "abc", "", "-0.5", "3")
-FUZZ_KEYS = [(section, key) for section, table in cli.SCHEMA.items()
-             if section not in ("output", "run") for key in table]
 WARMUP = Path(__file__).resolve().parents[1] / "bench" / "configs" / "warmup.ini"
 
 
-@pytest.mark.filterwarnings("default::RuntimeWarning")
+def _warmup_with(path, section, key, value) -> str:
+    """Write warmup.ini with `key = value` in [section] to path."""
+    config = configparser.ConfigParser(interpolation=None)
+    config.read(WARMUP)
+    config[section][key] = value
+    with open(path, "w") as fh:
+        config.write(fh)
+    return str(path)
+
+# the solver and eigensolve tolerances are library keyword arguments, no
+# longer config keys: a config that still sets one is refused like a typo
+REMOVED_KEYS = [("spectral", "tol_eig", "1e-8"), ("spectral", "cluster_tol", "1e-6"),
+                ("spectral", "max_count", "64"), ("experiment", "tol_fp", "1e-8"),
+                ("experiment", "tol_pde", "1e-6"), ("experiment", "max_iter", "200"),
+                ("experiment", "sample_budget", "4096")]
+
+
+@pytest.mark.parametrize("section, key, value", REMOVED_KEYS,
+                         ids=[key for _, key, _ in REMOVED_KEYS])
+def test_removed_key_is_an_unknown_key(tmp_path, capsys, section, key, value):
+    path = _warmup_with(tmp_path / "old.ini", section, key, value)
+    for sub in cli._DISPATCH:
+        out = tmp_path / sub
+        assert main([sub, "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert f"[{section}] unknown key {key}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
+FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "abc", "", "-0.5", "3")
+FUZZ_KEYS = [(section, key) for section, table in cli.SCHEMA.items()
+             if section not in ("output", "run") for key in table]
+
+
 @pytest.mark.parametrize("section, key", FUZZ_KEYS,
                          ids=[f"{section}-{key}" for section, key in FUZZ_KEYS])
 def test_every_config_value_exits_with_a_code(tmp_path, section, key):
     # each value of FUZZ_VALUES in place of one key of the warmup config: no
     # subcommand raises, each exits 0, 2, 3 or 4, and a value that
-    # parse_config refuses exits 2 from all of them.  The runs see numpy's
-    # overflow warnings as a CLI process does, printed and not raised
-    # (horizon = 1e300 overflows on the way to its exit code)
+    # parse_config refuses exits 2 from all of them.  No run may warn: the
+    # test configuration raises a RuntimeWarning as an error
     for i, value in enumerate(FUZZ_VALUES):
-        config = configparser.ConfigParser(interpolation=None)
-        config.read(WARMUP)
-        config[section][key] = value
-        path = tmp_path / f"{i}.ini"
-        with open(path, "w") as fh:
-            config.write(fh)
+        path = _warmup_with(tmp_path / f"{i}.ini", section, key, value)
         try:
-            cli.parse_config(str(path))
+            cli.parse_config(path)
             refused = False
         except cli.ConfigError:
             refused = True
         codes = []
         for sub in ("spectrum", "resonance", "branch", "semiflow"):
-            argv = [sub, "--config", str(path), "--out", str(tmp_path / f"out{i}")]
+            argv = [sub, "--config", path, "--out", str(tmp_path / f"out{i}")]
             try:
                 codes.append(main(argv))
             except Exception as exc:  # noqa: BLE001
@@ -469,6 +493,20 @@ def test_every_config_value_exits_with_a_code(tmp_path, section, key):
             (value, codes)
         if refused:
             assert codes == [EXIT_CONFIG] * 4, (value, codes)
+
+
+@pytest.mark.parametrize("offset, code, message", [
+    ("1e300", EXIT_CONFIG, "lowest Dirichlet level"),
+    ("-1e300", EXIT_CONFIG, "lowest Dirichlet level"),
+    ("1e16", EXIT_CONFIG, "lowest Dirichlet level"),
+    ("1e12", EXIT_NUMERICAL, "exceeds tol_eig"),  # rounding 2.2e-4, level 0.025
+])
+def test_potential_beyond_the_kinetic_scale(tmp_path, capsys, offset, code, message):
+    # on warmup.ini (L = 10) max|V|·eps reaches (π/20)^2 at |V| ≈ 1.1e14; a
+    # potential below that is solved, and its eigen-residual is checked
+    path = _warmup_with(tmp_path / "offset.ini", "potential", "offset", offset)
+    assert main(["spectrum", "--config", path, "--out", str(tmp_path / "out")]) == code
+    assert message in capsys.readouterr().err
 
 
 FAMILY_PARAMETERS = [  # (subcommand, replaced text, replacement, word in the error)

@@ -24,6 +24,17 @@ def test_poschl_teller_family_bounded_part():
     assert np.allclose(spec.v, -6.0 / np.cosh(g.axis) ** 2)
 
 
+def test_potential_rounding_below_the_kinetic_scale():
+    # max|V|·eps may not reach ndim·(π/(2L))^2, the lowest Dirichlet level
+    # of -Δ on the box
+    for ndim in (1, 2):
+        g = rl.make_grid(ndim, 5.0, 21)
+        limit = ndim * (np.pi / 10.0) ** 2 / np.finfo(float).eps
+        rl.make_potential(g, "constant", c=-0.99 * limit)
+        with pytest.raises(PotentialError, match="lowest Dirichlet level"):
+            rl.make_potential(g, "constant", c=-limit)
+
+
 def test_coulomb_family_split():
     g = rl.make_grid(1, 5.0, 2001)
     spec = rl.make_potential(g, "coulomb", c=-1.0, alpha=0.25)
