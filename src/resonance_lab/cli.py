@@ -450,7 +450,10 @@ def _cmd_report(problem: Problem) -> tuple[dict, bool | None]:
     for name in ("spectrum", "resonance", "bifurcation", "semiflow"):
         path = problem.out_dir / f"{name}.json"
         if path.exists():
-            merged[name] = json.loads(path.read_text(encoding="utf-8"))
+            try:
+                merged[name] = json.loads(path.read_text(encoding="utf-8"))
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise OSError(f"{path} is not a readable JSON report: {exc}") from exc
     return {"report.json": merged}, None
 
 

@@ -110,8 +110,16 @@ class Grid:
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
 
     def lp_norm(self, u: np.ndarray, p: float) -> float:
-        """Quadrature L^p norm, p < infinity."""
-        return float(np.sum(self.weights * np.abs(u) ** p) ** (1.0 / p))
+        """Quadrature L^p norm, p < infinity.
+
+        Computed as M (sum w |u/M|^p)^(1/p) with M = max|u|, so |u|^p neither
+        overflows nor underflows where the norm itself is a finite float.
+        """
+        mag = np.abs(u)
+        scale = float(np.max(mag))
+        if scale == 0.0:
+            return 0.0
+        return scale * float(np.sum(self.weights * (mag / scale) ** p) ** (1.0 / p))
 
     # -- discrete operators -------------------------------------------------
 

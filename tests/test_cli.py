@@ -509,6 +509,30 @@ def test_potential_beyond_the_kinetic_scale(tmp_path, capsys, offset, code, mess
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b"{broken", b'{"eigenvalues": "\xff"}'],
+                         ids=["not-json", "not-utf8"])
+def test_report_on_a_broken_report_file(tmp_path, capsys, content):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "spectrum.json").write_bytes(content)
+    assert main(["report", "--config", str(WARMUP), "--out", str(out)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error") and str(out / "spectrum.json") in err
+    assert not (out / "report.json").exists()
+
+
+def test_long_flow_keeps_a_finite_tail_bound(tmp_path):
+    # horizon = 80 on warmup.ini: the complement grows to about 1e88, where
+    # |Qu|^4 overflows a float, so the Hoelder factor is finite only because
+    # lp_norm scales the field by its maximum; the test configuration raises
+    # a RuntimeWarning as an error
+    path = _warmup_with(tmp_path / "long.ini", "experiment", "horizon", "80")
+    out = tmp_path / "out"
+    assert main(["semiflow", "--config", path, "--out", str(out)]) == EXIT_OK
+    rows = json.loads((out / "semiflow.json").read_text())["tail_decay"]["rows"]
+    assert rows and all(r["bound"] is not None and np.isfinite(r["bound"]) for r in rows)
+
+
 FAMILY_PARAMETERS = [  # (subcommand, replaced text, replacement, word in the error)
     ("spectrum", "ell = 2\n", "", "ell"),
     ("spectrum", "family = poschl_teller\nell = 2", "family = custom", "evaluator"),

@@ -194,6 +194,17 @@ def test_tail_mass_domain_exceeded():
         rl.tail_mass(g, np.zeros(21), 3.0)
 
 
+def test_lp_norm_scales_without_overflow(rng):
+    g = rl.make_grid(2, 3.0, 21)
+    u = rng.standard_normal(g.num_nodes)
+    assert np.isclose(g.lp_norm(u, 2.0), g.norm(u), rtol=1e-14)
+    for p in (2.0, 4.0, 6.0):
+        for scale in (1e200, 1e-200):
+            assert np.isclose(g.lp_norm(scale * u, p), scale * g.lp_norm(u, p),
+                              rtol=1e-12, atol=0.0)
+    assert g.lp_norm(np.zeros(g.num_nodes), 4.0) == 0.0
+
+
 def test_check_field_rejects_nonfinite():
     g = rl.make_grid(1, 1.0, 5)
     bad = np.zeros(5)

@@ -1,5 +1,7 @@
 """IMEX stepping, Lyapunov dissipation, drift identity, tail-decay bound."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,24 @@ def test_tail_decay_report_structure(pt_grid, pt_proj, pt_op, arctan_spec):
     # the bounds differ only by it
     a_n = [r.bound for r in report.rows[:3]]
     assert a_n[0] > a_n[1] > a_n[2]
+
+
+def test_tail_decay_report_holds_one_complement_at_a_time(pt_grid, pt_proj, pt_op,
+                                                         arctan_spec):
+    # the report reads the saved states in one pass: its memory does not grow
+    # with the number of states (one Qu per state, kept, is 201 fields here)
+    u0 = 2.0 * pt_proj.kernel_fields[:, 0]
+    traj = rl.evolve(rl.SemiflowState(0.0, u0), pt_proj.lambda0 - 0.1, 2.0,
+                     pt_op, arctan_spec, dt=0.01, stop="time-only", save_every=1)
+    assert len(traj.states) >= 200
+    tracemalloc.start()
+    try:
+        report = rl.tail_decay_report(traj, pt_proj, arctan_spec, [4.0, 8.0, 16.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.rows) == 3 * (len(traj.states) - 1)
+    assert peak < 16 * 8 * pt_grid.num_nodes
 
 
 def test_trajectory_save_schedule(pt_grid, pt_op, arctan_spec):
