@@ -47,6 +47,7 @@ from .potential import (
 from .semiflow import (
     ImexStepper,
     SemiflowState,
+    TailTally,
     Trajectory,
     evolve,
     imex_step,

@@ -404,13 +404,14 @@ def _cmd_semiflow(problem: Problem) -> tuple[dict, bool | None]:
     else:
         raise ConfigError("[experiment] lam is required without a lambda0 selection")
     u0 = _initial_field(e["initial"], grid, proj)
-    traj = sf.evolve(
-        sf.SemiflowState(0.0, u0), lam, e["horizon"], op, spec,
-        dt=e["dt"], stop=e["stop"], save_every=e["save_every"],
-        projections=proj,
-    )
-    rows = []
-    for st in traj.states:
+    # each saved state is read as it is saved, and its field kept only for
+    # the snapshots: the flow holds no saved field otherwise
+    rows, fields = [], []
+    tally = None
+    if proj is not None and e["tail_radii"]:
+        tally = sf.TailTally(proj, e["tail_radii"])
+
+    def on_save(st: sf.SemiflowState) -> None:
         norms = field_norms(grid, st.u)
         rows.append(
             (
@@ -419,10 +420,20 @@ def _cmd_semiflow(problem: Problem) -> tuple[dict, bool | None]:
                 st.complement_norm if st.complement_norm is not None else math.nan,
             )
         )
+        if e["snapshots"]:
+            fields.append(st.u)
+        if tally is not None:
+            tally.add(st)
+
+    traj = sf.evolve(
+        sf.SemiflowState(0.0, u0), lam, e["horizon"], op, spec,
+        dt=e["dt"], stop=e["stop"], save_every=e["save_every"],
+        projections=proj, on_save=on_save,
+    )
     files = {"trajectory.csv": (["t", "l2", "grad_l2", "h1", "J", "Pu_l2", "Qu_l2"],
                                 rows)}
     if e["snapshots"]:
-        files["snapshots.bin"] = (grid, [s.u for s in traj.states])
+        files["snapshots.bin"] = (grid, fields)
     report = {
         "lam": lam,
         "equilibrium": traj.equilibrium,
@@ -431,8 +442,8 @@ def _cmd_semiflow(problem: Problem) -> tuple[dict, bool | None]:
         "J_initial": traj.states[0].J,
         "J_final": traj.states[-1].J,
     }
-    if proj is not None and e["tail_radii"]:
-        tail = sf.tail_decay_report(traj, proj, spec, e["tail_radii"])
+    if tally is not None:
+        tail = sf.tail_decay_report(tally, proj, spec, e["tail_radii"])
         report["tail_decay"] = {
             "alpha": tail.alpha,
             "eta": tail.eta,

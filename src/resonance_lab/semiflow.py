@@ -24,11 +24,10 @@ maximum, and checks it against measured tails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import field_norms, tail_mass
@@ -56,7 +55,7 @@ class TailDecayError(ValueError):
 @dataclass
 class SemiflowState:
     t: float
-    u: np.ndarray
+    u: np.ndarray | None  # None in a trajectory streamed through on_save
     J: float | None = None
     kernel_norm: float | None = None
     complement_norm: float | None = None
@@ -89,8 +88,10 @@ class ImexStepper:
                 f"dt = {dt} too large: I + dt(A - λ) loses positivity for "
                 f"λ = {lam} (need dt < {1.0 / max(lam - lower, 1e-300):.3e})"
             )
-        n = op.grid.num_nodes
-        mat = (sp.identity(n) + dt * (op.sym_matrix - lam * sp.identity(n))).tocsc()
+        # I + dt (S - λI) entry by entry, with no sparse sum: dt S_ij off the
+        # diagonal and 1 + dt (S_ii - λ) on it
+        mat = dt * op.sym_matrix
+        mat.setdiag(1.0 + dt * (op.sym_matrix.diagonal() - lam))
         self._lu = spla.splu(mat, **splu_ordering(op.grid))
         self._sqrt_w = op.grid.sqrt_weights
         self.op = op
@@ -158,6 +159,7 @@ def evolve(
     save_every: int = 10,
     projections: Projections | None = None,
     j_plateau_tol: float = 1e-12,
+    on_save: Callable[[SemiflowState], None] | None = None,
 ) -> Trajectory:
     """Advance the semiflow to the horizon with the chosen stopping rule.
 
@@ -169,6 +171,12 @@ def evolve(
     finite.
     States are saved every save_every accepted steps with J and, when
     projections are attached, the kernel/complement norms.
+
+    Without on_save the trajectory keeps every saved state with its field.
+    With it, each saved state is handed to on_save(state), field and
+    scalars, as it is saved, and the trajectory keeps only its scalars
+    (u is None): the flow then holds no saved field, however long the
+    horizon, unless on_save keeps them.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -182,17 +190,24 @@ def evolve(
         # ~1e300 steps, and no stop rule need ever end them
         raise StepCascadeError(f"initial dt = {dt:.3g} is below the floor {DT_FLOOR:g}")
     traj = Trajectory(lam=lam)
-    state = SemiflowState(t=state0.t, u=grid.check_field(state0.u).copy())
-    traj.states.append(
-        _attach_diagnostics(
-            SemiflowState(state.t, state.u.copy()), lam, op, spec, projections
+
+    def save(s: SemiflowState) -> None:
+        saved = _attach_diagnostics(
+            SemiflowState(s.t, s.u.copy()), lam, op, spec, projections
         )
-    )
+        if on_save is not None:
+            on_save(saved)
+            saved = replace(saved, u=None)
+        traj.states.append(saved)
+
+    state = SemiflowState(t=state0.t, u=grid.check_field(state0.u).copy())
+    save(state)
     stepper = None
     t_end = state0.t + horizon
     while state.t < t_end - 1e-12:
         dt_step = min(dt, t_end - state.t)
         if stepper is None or stepper.dt != dt_step:
+            stepper = None  # free the old factors before the next are made
             while True:
                 try:
                     stepper = ImexStepper(op, lam, dt_step)
@@ -230,11 +245,7 @@ def evolve(
             traj.stop_reason = "j-plateau"
             traj.equilibrium = True
         if save_now or state.t >= t_end - 1e-12:
-            traj.states.append(
-                _attach_diagnostics(
-                    SemiflowState(state.t, state.u.copy()), lam, op, spec, projections
-                )
-            )
+            save(state)
         if traj.equilibrium:
             break
     if not traj.stop_reason:
@@ -276,8 +287,36 @@ class TailDecayReport:
     all_guaranteed_passed: bool
 
 
+class TailTally:
+    """What the tail-decay report reads of the saved states, one state at a
+    time: Qu is formed once per state and only its floats are kept, its H1
+    norm, its squared L^{2p/(p-1)} norm and, after the first state (t0), its
+    tail mass at each radius.  `add` takes the states in order, from a
+    stored trajectory or from evolve's on_save hook as each is saved."""
+
+    def __init__(self, projections: Projections, radii: Sequence[float]):
+        self.projections = projections
+        self.radii = [float(r) for r in radii]
+        p = projections.operator.potential.p
+        self._r_exp = 2.0 * p / (p - 1.0)
+        self.t0 = self.u0_sq = None
+        self.h1_norms, self.lr_norms_sq = [], []
+        self.times, self.measured = [], []  # of the states after t0
+
+    def add(self, state: SemiflowState) -> None:
+        grid = self.projections.grid
+        q = self.projections.project_complement(state.u)
+        self.h1_norms.append(field_norms(grid, q).h1)
+        self.lr_norms_sq.append(grid.lp_norm(q, self._r_exp) ** 2)
+        if self.t0 is None:
+            self.t0, self.u0_sq = state.t, grid.norm(state.u) ** 2
+        else:
+            self.times.append(state.t)
+            self.measured.append([tail_mass(grid, q, r) for r in self.radii])
+
+
 def tail_decay_report(
-    trajectory: Trajectory,
+    trajectory: Trajectory | TailTally,
     projections: Projections,
     spec: NonlinearitySpec,
     radii: Sequence[float],
@@ -293,6 +332,11 @@ def tail_decay_report(
     is the smallest radius with v_infty > α_inf - η on |x| >= n/√2; only
     radii >= n0 are guaranteed by the theory, the rest are reported but not
     required to pass.
+
+    `trajectory` is a Trajectory whose saved states keep their fields, or a
+    TailTally for these projections and radii that evolve's on_save hook fed
+    with the states as they were saved, so the flow need keep no field.
+    Either way each float comes from the same TailTally.
     """
     grid, op = projections.grid, projections.operator
     lam0, delta = projections.lambda0, projections.delta
@@ -311,30 +355,22 @@ def tail_decay_report(
     radii = [float(r) for r in radii]
     if any(r > grid.half_width for r in radii):
         raise TailDecayError("radii exceed the box half-width")
-    if len(trajectory.states) < 2:
+    if isinstance(trajectory, TailTally):
+        tally = trajectory
+        if tally.projections is not projections or tally.radii != radii:
+            raise TailDecayError("the tally was fed for other projections or radii")
+    else:
+        tally = TailTally(projections, radii)
+        for s in trajectory.states:
+            tally.add(s)
+    if not tally.times:
         raise TailDecayError("trajectory has fewer than two saved states")
 
-    states = trajectory.states
-    t0, u0 = states[0].t, states[0].u
-    u0_sq = grid.norm(u0) ** 2
-
-    # One pass over the saved states, holding one Qu at a time: its H1 norm,
-    # its squared L^{2p/(p-1)} norm and, after t0, its tail mass per radius
-    p = op.potential.p
-    r_exp = 2.0 * p / (p - 1.0)
-    h1_norms, lr_norms_sq, measured = [], [], []
-    for i, s in enumerate(states):
-        q = projections.project_complement(s.u)
-        h1_norms.append(field_norms(grid, q).h1)
-        lr_norms_sq.append(grid.lp_norm(q, r_exp) ** 2)
-        if i > 0:
-            measured.append([tail_mass(grid, q, r) for r in radii])
-
     # hypothesis constant: sup_t ||Qu(t)||_H1 over the saved states
-    R_bound = max(h1_norms)
+    R_bound = max(tally.h1_norms)
 
     # Hoelder factor: sup_t ||Qu(t)||_{L^{2p/(p-1)}}^2 (empirical embedding)
-    hoelder = max(lr_norms_sq)
+    hoelder = max(tally.lr_norms_sq)
 
     # kernel-ball tail maximum, exact in the finite-dimensional kernel
     m_norm = spec.bound_norm
@@ -372,13 +408,13 @@ def tail_decay_report(
         alpha_n[r] = tilde / alpha
 
     rows = []
-    for s, masses in zip(states[1:], measured):
-        decay = np.exp(-2.0 * alpha * (s.t - t0)) * u0_sq
+    for t1, masses in zip(tally.times, tally.measured):
+        decay = np.exp(-2.0 * alpha * (t1 - tally.t0)) * tally.u0_sq
         for r, mass in zip(radii, masses):
             bound = decay + alpha_n[r]
             rows.append(
                 TailDecayRow(
-                    radius=r, t1=s.t, measured=mass, bound=bound,
+                    radius=r, t1=t1, measured=mass, bound=bound,
                     passed=bool(mass <= bound), guaranteed=bool(r >= n0),
                 )
             )

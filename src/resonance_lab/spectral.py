@@ -186,6 +186,7 @@ def _count_below(op: HamiltonianOperator, mu: float) -> int:
     scale = _spectral_scale(op, mu)
     eye = sp.identity(S.shape[0], format="csc")
     for nudge in (0.0, 1e-9, -1e-9, 3e-9):
+        lu = None  # a rejected factor is freed before the next one is made
         try:
             lu = spla.splu(
                 (S - (mu + nudge * scale) * eye).tocsc(),
@@ -590,7 +591,8 @@ def apply_resolvent_complement(
     w is pre-projected onto the complement X; the deflated solve pins the
     kernel coefficients to zero, so it stays well-conditioned through
     λ = λ0.  It runs by block elimination on a factorization of S - λI
-    alone, kept for the most recent λ.  Every result is checked: the
+    alone, kept for the most recent λ only: the previous λ's factors are
+    freed before the next are made.  Every result is checked: the
     residual ||(A-λ)z - Qw|| must come out below TOL_LIN * ||Qw|| and
     ||z|| <= ||Qw|| / c.  A result that fails either check is recomputed
     with a pivoted LU of the kernel-bordered system and checked again;
@@ -622,10 +624,12 @@ def apply_resolvent_complement(
             return "resolvent output violates the spectral bound ||z|| <= ||Qw||/c"
         return None
 
+    if proj._resolvent is None or proj._resolvent.lam != float(lam):
+        # drop the only reference to the previous λ's factors, so they are
+        # freed before S - λI is factored: one factorization alive at a time
+        proj._resolvent = None
+        proj._resolvent = _BorderedResolvent(proj, lam)
     solver = proj._resolvent
-    if solver is None or solver.lam != float(lam):
-        proj._resolvent = None  # release the previous λ's factors first
-        solver = proj._resolvent = _BorderedResolvent(proj, lam)
     sqrt_w = grid.sqrt_weights
     rhs = sqrt_w * q
     fast = solver.solve(rhs)

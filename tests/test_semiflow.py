@@ -1,12 +1,14 @@
 """IMEX stepping, Lyapunov dissipation, drift identity, tail-decay bound."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import resonance_lab as rl
-from resonance_lab.semiflow import StepRejected, default_dt
+from resonance_lab import semiflow
+from resonance_lab.semiflow import StepRejected, TailDecayError, default_dt
 
 
 def test_imex_contraction_zero_potential(rng):
@@ -276,6 +278,81 @@ def test_tail_decay_report_holds_one_complement_at_a_time(pt_grid, pt_proj, pt_o
         tracemalloc.stop()
     assert len(report.rows) == 3 * (len(traj.states) - 1)
     assert peak < 16 * 8 * pt_grid.num_nodes
+
+
+def _flow(pt_proj, pt_op, arctan_spec, horizon, save_every, on_save=None):
+    return rl.evolve(rl.SemiflowState(0.0, 2.0 * pt_proj.kernel_fields[:, 0]),
+                     pt_proj.lambda0 - 0.1, horizon, pt_op, arctan_spec, dt=0.01,
+                     stop="time-only", save_every=save_every, projections=pt_proj,
+                     on_save=on_save)
+
+
+def test_evolve_streams_each_saved_state(pt_proj, pt_op, arctan_spec):
+    # a horizon dt does not divide, so the last, shortened step is saved too
+    handed = []
+    streamed = _flow(pt_proj, pt_op, arctan_spec, 0.505, 5, handed.append)
+    stored = _flow(pt_proj, pt_op, arctan_spec, 0.505, 5)
+    assert len(handed) == len(stored.states) == len(streamed.states) == 12
+    for h, kept, s in zip(handed, streamed.states, stored.states):
+        assert np.array_equal(h.u, s.u)
+        assert kept.u is None
+        scalars = (s.t, s.J, s.kernel_norm, s.complement_norm)
+        assert (h.t, h.J, h.kernel_norm, h.complement_norm) == scalars
+        assert (kept.t, kept.J, kept.kernel_norm, kept.complement_norm) == scalars
+    assert (streamed.steps, streamed.stop_reason) == (stored.steps, stored.stop_reason)
+
+
+def test_streamed_tail_report_equals_the_stored_one(pt_proj, pt_op, arctan_spec):
+    radii = [4.0, 8.0, 16.0]
+    tally = rl.TailTally(pt_proj, radii)
+    _flow(pt_proj, pt_op, arctan_spec, 1.0, 10, tally.add)
+    stored = _flow(pt_proj, pt_op, arctan_spec, 1.0, 10)
+    streamed = rl.tail_decay_report(tally, pt_proj, arctan_spec, radii)
+    report = rl.tail_decay_report(stored, pt_proj, arctan_spec, radii)
+    assert len(report.rows) == 3 * 10
+    assert streamed.rows == report.rows
+    assert (streamed.alpha, streamed.eta, streamed.n0) == (report.alpha, report.eta,
+                                                           report.n0)
+    with pytest.raises(TailDecayError, match="other projections or radii"):
+        rl.tail_decay_report(tally, pt_proj, arctan_spec, radii[:2])
+
+
+def test_streamed_evolve_holds_no_saved_field(pt_grid, pt_proj, pt_op, arctan_spec):
+    # 201 saved states: through on_save the flow's memory does not grow with
+    # them, while a stored run keeps every field
+    field = 8 * pt_grid.num_nodes
+    peaks = []
+    tracemalloc.start()
+    try:
+        for on_save in (lambda state: None, None):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            traj = _flow(pt_proj, pt_op, arctan_spec, 2.0, 1, on_save)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            assert len(traj.states) == 201
+            del traj
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < 16 * field
+    assert peaks[1] > 200 * field
+
+
+def test_evolve_frees_the_old_stepper_first(pt_grid, pt_op, arctan_spec,
+                                            monkeypatch):
+    # a horizon dt does not divide: the shortened last step is factored anew,
+    # once the full step's factors are dead
+    real_init = semiflow.ImexStepper.__init__
+    made, alive = [], []
+
+    def init(self, *args):
+        alive.append([ref() is not None for ref in made])
+        real_init(self, *args)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(semiflow.ImexStepper, "__init__", init)
+    rl.evolve(rl.SemiflowState(0.0, np.exp(-pt_grid.axis**2)), -1.2, 0.105, pt_op,
+              arctan_spec, dt=0.01, stop="time-only")
+    assert alive == [[], [False]]
 
 
 def test_trajectory_save_schedule(pt_grid, pt_op, arctan_spec):

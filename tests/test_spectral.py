@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -204,6 +205,11 @@ def test_eigenpairs_max_count_guard_precedes_eigsh(well_op, eigsh_calls):
     assert eigsh_calls == []
 
 
+class _Factor(SimpleNamespace):
+    """A stand-in factor that a weak reference can follow (neither
+    SimpleNamespace nor SuperLU takes one)."""
+
+
 def _broken_factor(lu, fault):
     """A factor that fails one of the checks on an unpivoted LDLᵀ."""
     d = lu.U.diagonal().copy()
@@ -212,7 +218,7 @@ def _broken_factor(lu, fault):
         d[len(d) // 2] = 1e-300
     else:  # "pivoted": SuperLU left the symmetric permutation
         perm_r = np.roll(perm_r, 1)
-    return SimpleNamespace(U=sp.diags(d), perm_r=perm_r, perm_c=lu.perm_c)
+    return _Factor(U=sp.diags(d), perm_r=perm_r, perm_c=lu.perm_c)
 
 
 @pytest.mark.parametrize("fault", ["singular", "tiny pivot", "pivoted"])
@@ -237,6 +243,27 @@ def test_inertia_count_nudges_past_breakdown(fault, well_op, eigsh_calls,
     assert shifts == [True, False, False]
     assert len(data.eigenvalues) == count
     assert eigsh_calls == [count + 1]
+
+
+@pytest.mark.parametrize("fault", ["tiny pivot", "pivoted"])
+def test_inertia_count_frees_a_rejected_factor_first(fault, well_op, monkeypatch):
+    # the factor rejected at the ceiling is dead when its nudge is factored
+    unshifted = well_op.sym_matrix.diagonal() - well_op.alpha_inf
+    real_splu = spectral.spla.splu
+    rejected, alive = [], []
+
+    def splu(A, *args, **kwargs):
+        alive.append([ref() is not None for ref in rejected])
+        lu = real_splu(A, *args, **kwargs)
+        if not np.array_equal(A.diagonal(), unshifted):
+            return lu
+        broken = _broken_factor(lu, fault)
+        rejected.append(weakref.ref(broken))
+        return broken
+
+    monkeypatch.setattr(spectral.spla, "splu", splu)
+    spectral._count_below(well_op, well_op.alpha_inf)
+    assert alive == [[], [False]]
 
 
 def test_inertia_count_breakdown_at_every_nudge_raises(well_op, eigsh_calls,
@@ -582,6 +609,26 @@ def test_resolvent_fill_free_and_bounded(rng, pt_grid, pt_data):
         rl.apply_resolvent_complement(proj, lam, 2 * w)
         assert proj._resolvent is solver
         assert solver._bordered_lu is None
+
+
+def test_resolvent_frees_the_previous_factors_first(pt_data, arctan_spec,
+                                                  monkeypatch):
+    # two points of a branch: the first λ's resolvent (SuperLU factors, Y and
+    # S - λI) is dead when the second λ's factorization starts
+    proj = rl.build_projections(pt_data, -1.0, 0.25)
+    real_init = spectral._BorderedResolvent.__init__
+    made, alive = [], []
+
+    def init(self, *args):
+        alive.append([ref() is not None for ref in made])
+        real_init(self, *args)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(spectral._BorderedResolvent, "__init__", init)
+    schedule = [proj.lambda0 - proj.delta / 2, proj.lambda0 - proj.delta / 4]
+    rl.continue_branch(schedule, proj, arctan_spec)
+    assert alive == [[], [False]]
+    assert made[1]() is proj._resolvent
 
 
 def _check_resolvent(grid, proj, lam, w, z):
