@@ -19,19 +19,31 @@ spec = rl.saturating_arctan(grid)
 lam = proj.lambda0 - 0.2
 u0 = 3.0 * proj.kernel_fields[:, 0] + 0.5 * np.exp(-(grid.axis - 2.0) ** 2)
 
-traj = rl.evolve(rl.SemiflowState(0.0, u0), lam, 60.0, op, spec,
-                 stop="equilibrium", save_every=100, projections=proj)
+# evolve hands each saved state to its hook and keeps none: the hook keeps
+# t, J, |Pu| and |Qu| of every state and the field of the last one
+rows = []
+final = None
+
+
+def record(state):
+    global final
+    rows.append((state.t, state.J, grid.norm(proj.project_kernel(state.u)),
+                 grid.norm(proj.project_complement(state.u))))
+    final = state.u
+
+
+traj = rl.evolve(rl.SemiflowState(0.0, u0), lam, 60.0, op, spec, record,
+                 stop="equilibrium", save_every=100)
 
 print(f"lambda = {lam:.4f}; stopped by: {traj.stop_reason}"
       f" after {traj.steps} steps")
 print(f"\n{'t':>8} {'J':>14} {'|Pu|':>10} {'|Qu|':>10}")
-for s in traj.states[:: max(1, len(traj.states) // 10)]:
-    print(f"{s.t:8.2f} {s.J:14.8f} {s.kernel_norm:10.4f} {s.complement_norm:10.4f}")
-J = traj.J_values
+for t, J, pu, qu in rows[:: max(1, len(rows) // 10)]:
+    print(f"{t:8.2f} {J:14.8f} {pu:10.4f} {qu:10.4f}")
+J = np.array([row[1] for row in rows])
 print(f"\nJ monotone nonincreasing: {bool(np.all(np.diff(J) <= 1e-10))}")
 
 # the equilibrium is a stationary solution of the elliptic problem
-final = traj.states[-1].u
 print(f"PDE residual at the equilibrium: "
       f"{rl.pde_residual(lam, final, op, spec):.2e}")
 
@@ -50,10 +62,11 @@ print(f"\nkernel drift: finite difference {fd:+.6f} vs formula {formula:+.6f}"
 # -- admissibility tail bound ------------------------------------------------------
 
 excited = rl.build_projections(data, -1.0, delta_request=0.25)
-run = rl.evolve(rl.SemiflowState(0.0, 2.0 * excited.kernel_fields[:, 0]),
-                excited.lambda0 - 0.125, 5.0, op, spec,
-                stop="time-only", save_every=100)
-report = rl.tail_decay_report(run, excited, spec, [4.0, 8.0, 12.0, 16.0])
+tally = rl.TailTally(excited, [4.0, 8.0, 12.0, 16.0])  # fed as the flow runs
+rl.evolve(rl.SemiflowState(0.0, 2.0 * excited.kernel_fields[:, 0]),
+          excited.lambda0 - 0.125, 5.0, op, spec, tally.add,
+          stop="time-only", save_every=100)
+report = rl.tail_decay_report(tally, spec)
 print(f"\ntail-decay bound (alpha = {report.alpha:.4f}, guaranteed radii >="
       f" {report.n0:.2f}):")
 for row in report.rows[:4]:

@@ -404,31 +404,30 @@ def _cmd_semiflow(problem: Problem) -> tuple[dict, bool | None]:
     else:
         raise ConfigError("[experiment] lam is required without a lambda0 selection")
     u0 = _initial_field(e["initial"], grid, proj)
+    tally = None
+    if e["tail_radii"]:
+        if proj is None:
+            raise ConfigError("[experiment] tail_radii requires a lambda0 selection")
+        tally = sf.TailTally(proj, e["tail_radii"])
     # each saved state is read as it is saved, and its field kept only for
     # the snapshots: the flow holds no saved field otherwise
     rows, fields = [], []
-    tally = None
-    if proj is not None and e["tail_radii"]:
-        tally = sf.TailTally(proj, e["tail_radii"])
 
     def on_save(st: sf.SemiflowState) -> None:
         norms = field_norms(grid, st.u)
-        rows.append(
-            (
-                st.t, norms.l2, norms.grad_l2, norms.h1, st.J,
-                st.kernel_norm if st.kernel_norm is not None else math.nan,
-                st.complement_norm if st.complement_norm is not None else math.nan,
-            )
-        )
+        pu = qu = math.nan
+        if proj is not None:
+            pu = grid.norm(proj.project_kernel(st.u))
+            qu = grid.norm(proj.project_complement(st.u))
+        rows.append((st.t, norms.l2, norms.grad_l2, norms.h1, st.J, pu, qu))
         if e["snapshots"]:
             fields.append(st.u)
         if tally is not None:
             tally.add(st)
 
     traj = sf.evolve(
-        sf.SemiflowState(0.0, u0), lam, e["horizon"], op, spec,
+        sf.SemiflowState(0.0, u0), lam, e["horizon"], op, spec, on_save,
         dt=e["dt"], stop=e["stop"], save_every=e["save_every"],
-        projections=proj, on_save=on_save,
     )
     files = {"trajectory.csv": (["t", "l2", "grad_l2", "h1", "J", "Pu_l2", "Qu_l2"],
                                 rows)}
@@ -439,11 +438,11 @@ def _cmd_semiflow(problem: Problem) -> tuple[dict, bool | None]:
         "equilibrium": traj.equilibrium,
         "stop_reason": traj.stop_reason,
         "steps": traj.steps,
-        "J_initial": traj.states[0].J,
-        "J_final": traj.states[-1].J,
+        "J_initial": rows[0][4],
+        "J_final": rows[-1][4],
     }
     if tally is not None:
-        tail = sf.tail_decay_report(tally, proj, spec, e["tail_radii"])
+        tail = sf.tail_decay_report(tally, spec)
         report["tail_decay"] = {
             "alpha": tail.alpha,
             "eta": tail.eta,

@@ -24,7 +24,7 @@ maximum, and checks it against measured tails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,23 +55,18 @@ class TailDecayError(ValueError):
 @dataclass
 class SemiflowState:
     t: float
-    u: np.ndarray | None  # None in a trajectory streamed through on_save
-    J: float | None = None
-    kernel_norm: float | None = None
-    complement_norm: float | None = None
+    u: np.ndarray
+    J: float | None = None  # J_λ(u), set on every state evolve saves
 
 
 @dataclass
 class Trajectory:
+    """How a flow ended; its saved states went to evolve's on_save hook."""
+
     lam: float
-    states: list = field(default_factory=list)  # saved SemiflowStates
     steps: int = 0  # accepted steps
     equilibrium: bool = False
     stop_reason: str = ""
-
-    @property
-    def J_values(self) -> np.ndarray:
-        return np.array([s.J for s in self.states], dtype=float)
 
 
 class ImexStepper:
@@ -134,32 +129,17 @@ def lyapunov_J(
     return 0.5 * quad - float(np.sum(grid.weights * prim))
 
 
-def _attach_diagnostics(
-    state: SemiflowState,
-    lam: float,
-    op: HamiltonianOperator,
-    spec: NonlinearitySpec,
-    projections: Projections | None,
-) -> SemiflowState:
-    state.J = lyapunov_J(lam, state.u, op, spec)
-    if projections is not None:
-        state.kernel_norm = op.grid.norm(projections.project_kernel(state.u))
-        state.complement_norm = op.grid.norm(projections.project_complement(state.u))
-    return state
-
-
 def evolve(
     state0: SemiflowState,
     lam: float,
     horizon: float,
     op: HamiltonianOperator,
     spec: NonlinearitySpec,
+    on_save: Callable[[SemiflowState], None],
     dt: float | None = None,
     stop: str = "equilibrium",
     save_every: int = 10,
-    projections: Projections | None = None,
     j_plateau_tol: float = 1e-12,
-    on_save: Callable[[SemiflowState], None] | None = None,
 ) -> Trajectory:
     """Advance the semiflow to the horizon with the chosen stopping rule.
 
@@ -169,19 +149,19 @@ def evolve(
     StepCascadeError before the first step, and so do dt underflow and, under
     every rule, a step whose rate or stop-test value (H1 norm, J) is not
     finite.
-    States are saved every save_every accepted steps with J and, when
-    projections are attached, the kernel/complement norms.
 
-    Without on_save the trajectory keeps every saved state with its field.
-    With it, each saved state is handed to on_save(state), field and
-    scalars, as it is saved, and the trajectory keeps only its scalars
-    (u is None): the flow then holds no saved field, however long the
-    horizon, unless on_save keeps them.
+    The initial state, every save_every-th accepted step, the last step and
+    an equilibrium are saved: each is handed to on_save(SemiflowState(t, u,
+    J)) as it is saved, with u a copy of the field and J = J_λ(u).  The flow
+    keeps none of them, so it holds no saved field however long the horizon,
+    unless on_save keeps them; the returned Trajectory says how it ended.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     if stop not in STOP_RULES:
         raise ValueError(f"unknown stop rule {stop!r}")
+    if save_every < 1:
+        raise ValueError(f"save_every must be at least 1, got {save_every}")
     grid = op.grid
     if dt is None:
         dt = default_dt(op, lam)
@@ -191,17 +171,14 @@ def evolve(
         raise StepCascadeError(f"initial dt = {dt:.3g} is below the floor {DT_FLOOR:g}")
     traj = Trajectory(lam=lam)
 
-    def save(s: SemiflowState) -> None:
-        saved = _attach_diagnostics(
-            SemiflowState(s.t, s.u.copy()), lam, op, spec, projections
-        )
-        if on_save is not None:
-            on_save(saved)
-            saved = replace(saved, u=None)
-        traj.states.append(saved)
+    def save(s: SemiflowState) -> float:
+        u = s.u.copy()
+        J = lyapunov_J(lam, u, op, spec)
+        on_save(SemiflowState(s.t, u, J))
+        return J
 
     state = SemiflowState(t=state0.t, u=grid.check_field(state0.u).copy())
-    save(state)
+    last_J = save(state)
     stepper = None
     t_end = state0.t + horizon
     while state.t < t_end - 1e-12:
@@ -240,12 +217,12 @@ def evolve(
             traj.stop_reason = "equilibrium"
             save_now = True
         if stop == "j-plateau" and save_now and (
-            abs(j_now - traj.states[-1].J) <= j_plateau_tol * max(1.0, abs(j_now))
+            abs(j_now - last_J) <= j_plateau_tol * max(1.0, abs(j_now))
         ):
             traj.stop_reason = "j-plateau"
             traj.equilibrium = True
         if save_now or state.t >= t_end - 1e-12:
-            save(state)
+            last_J = save(state)
         if traj.equilibrium:
             break
     if not traj.stop_reason:
@@ -291,12 +268,15 @@ class TailTally:
     """What the tail-decay report reads of the saved states, one state at a
     time: Qu is formed once per state and only its floats are kept, its H1
     norm, its squared L^{2p/(p-1)} norm and, after the first state (t0), its
-    tail mass at each radius.  `add` takes the states in order, from a
-    stored trajectory or from evolve's on_save hook as each is saved."""
+    tail mass at each radius.  `add` takes the states in order, as evolve's
+    on_save hook hands them over.  Radii beyond the box half-width raise
+    TailDecayError."""
 
     def __init__(self, projections: Projections, radii: Sequence[float]):
         self.projections = projections
         self.radii = [float(r) for r in radii]
+        if any(r > projections.grid.half_width for r in self.radii):
+            raise TailDecayError("radii exceed the box half-width")
         p = projections.operator.potential.p
         self._r_exp = 2.0 * p / (p - 1.0)
         self.t0 = self.u0_sq = None
@@ -316,10 +296,8 @@ class TailTally:
 
 
 def tail_decay_report(
-    trajectory: Trajectory | TailTally,
-    projections: Projections,
+    tally: TailTally,
     spec: NonlinearitySpec,
-    radii: Sequence[float],
     alpha: float | None = None,
 ) -> TailDecayReport:
     """Check measured complement tails against the assembled decay bound.
@@ -333,11 +311,11 @@ def tail_decay_report(
     radii >= n0 are guaranteed by the theory, the rest are reported but not
     required to pass.
 
-    `trajectory` is a Trajectory whose saved states keep their fields, or a
-    TailTally for these projections and radii that evolve's on_save hook fed
-    with the states as they were saved, so the flow need keep no field.
-    Either way each float comes from the same TailTally.
+    The projections, the radii and every measured float come from `tally`,
+    which evolve's on_save hook fed with the states as they were saved, so
+    the flow need keep no field.
     """
+    projections, radii = tally.projections, tally.radii
     grid, op = projections.grid, projections.operator
     lam0, delta = projections.lambda0, projections.delta
     alpha_inf = op.alpha_inf
@@ -352,17 +330,6 @@ def tail_decay_report(
         alpha = gap - eta
     if alpha <= 0:
         raise TailDecayError(f"alpha must be positive, got {alpha}")
-    radii = [float(r) for r in radii]
-    if any(r > grid.half_width for r in radii):
-        raise TailDecayError("radii exceed the box half-width")
-    if isinstance(trajectory, TailTally):
-        tally = trajectory
-        if tally.projections is not projections or tally.radii != radii:
-            raise TailDecayError("the tally was fed for other projections or radii")
-    else:
-        tally = TailTally(projections, radii)
-        for s in trajectory.states:
-            tally.add(s)
     if not tally.times:
         raise TailDecayError("trajectory has fewer than two saved states")
 

@@ -76,6 +76,18 @@ def acceptance_branch(pt_proj, arctan_spec):
 
 
 @pytest.fixture(scope="session")
+def flow():
+    """rl.evolve with a hook that collects the states it hands over: a call
+    returns (trajectory, saved states)."""
+
+    def run(*args, **kwargs):
+        saved = []
+        return rl.evolve(*args, on_save=saved.append, **kwargs), saved
+
+    return run
+
+
+@pytest.fixture(scope="session")
 def coarse_grid():
     return rl.make_grid(1, 20.0, 1001)
 

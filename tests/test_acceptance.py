@@ -83,7 +83,7 @@ def test_criterion_04_equivalence_of_formulations(
 
 
 def test_criterion_05_lyapunov_dissipation(pt_grid, ground_proj, pt_op,
-                                           arctan_spec, smooth_field):
+                                           arctan_spec, smooth_field, flow):
     """J nonincreasing between saves (1e-8 slack) on 10 random runs of
     horizon 10; discrete dJ/dt matches -||udot||^2 within 5% at dt = 1e-4."""
     rng = np.random.default_rng(5)
@@ -92,11 +92,11 @@ def test_criterion_05_lyapunov_dissipation(pt_grid, ground_proj, pt_op,
     for run in range(10):
         lam = lam0 + delta * rng.uniform(-1.0, 1.0)
         u0 = smooth_field(pt_grid, rng, bumps=5, amplitude=2.0)
-        traj = rl.evolve(rl.SemiflowState(0.0, u0), lam, 10.0, pt_op,
+        _, states = flow(rl.SemiflowState(0.0, u0), lam, 10.0, pt_op,
                          arctan_spec, stop="time-only", save_every=20)
-        J = traj.J_values
+        J = np.array([s.J for s in states])
         assert np.all(np.diff(J) <= 1e-8)
-        for state in traj.states[:3]:
+        for state in states[:3]:
             nxt = rl.imex_step(state, lam, 1e-4, pt_op, arctan_spec)
             udot2 = pt_grid.norm((nxt.u - state.u) / 1e-4) ** 2
             if udot2 < 1e-6:
@@ -138,22 +138,23 @@ def test_criterion_07_tail_decay_bound(pt_grid, pt_proj, pt_op, arctan_spec):
     lam = pt_proj.lambda0 - pt_proj.delta / 2
     radii = [4.0, 6.0, 8.0, 10.0, 14.0, 16.0]
     # equilibrium-style run from a kernel start
-    traj = rl.evolve(
+    tally = rl.TailTally(pt_proj, radii)
+    rl.evolve(
         rl.SemiflowState(0.0, 2.0 * pt_proj.kernel_fields[:, 0]), lam, 5.0,
-        pt_op, arctan_spec, stop="time-only", save_every=100,
+        pt_op, arctan_spec, tally.add, stop="time-only", save_every=100,
     )
-    report = rl.tail_decay_report(traj, pt_proj, arctan_spec, radii)
+    report = rl.tail_decay_report(tally, arctan_spec)
     assert report.n0 <= min(radii)
     assert report.all_passed
     # violation probe: wide bump near the box edge over a short horizon
     x = pt_grid.points[:, 0]
     bump = np.exp(-((x - 17.0) / 2.0) ** 2)
-    probe = rl.evolve(rl.SemiflowState(0.0, bump), lam, 1.0, pt_op,
-                      arctan_spec, stop="time-only", save_every=50)
-    honest = rl.tail_decay_report(probe, pt_proj, arctan_spec, radii)
+    probe = rl.TailTally(pt_proj, radii)
+    rl.evolve(rl.SemiflowState(0.0, bump), lam, 1.0, pt_op,
+              arctan_spec, probe.add, stop="time-only", save_every=50)
+    honest = rl.tail_decay_report(probe, arctan_spec)
     assert honest.all_guaranteed_passed  # the theorem holds with honest alpha
-    inflated = rl.tail_decay_report(probe, pt_proj, arctan_spec, radii,
-                                    alpha=10.0 * honest.alpha)
+    inflated = rl.tail_decay_report(probe, arctan_spec, alpha=10.0 * honest.alpha)
     assert not inflated.all_guaranteed_passed
 
 
@@ -257,7 +258,7 @@ def test_criterion_12_resonance_checkers(pt_grid, pt_proj):
 
 
 def test_criterion_13_semiflow_solver_consistency(pt_grid, ground_proj, pt_op,
-                                                  arctan_spec):
+                                                  arctan_spec, flow):
     """Equilibrium reached from a 1%-perturbed solver solution returns to the
     solver solution within 1e-4 (1 + ||w||_H1) in H1 (stable ground window)."""
     lam = ground_proj.lambda0 - 0.05
@@ -273,8 +274,8 @@ def test_criterion_13_semiflow_solver_consistency(pt_grid, ground_proj, pt_op,
     pert = rng.standard_normal(pt_grid.num_nodes)
     pert /= pt_grid.norm(pert)
     u0 = w + 0.01 * pt_grid.norm(w) * pert
-    traj = rl.evolve(rl.SemiflowState(0.0, u0), lam, 80.0, pt_op, arctan_spec,
+    _, states = flow(rl.SemiflowState(0.0, u0), lam, 80.0, pt_op, arctan_spec,
                      stop="equilibrium")
-    final = traj.states[-1].u
+    final = states[-1].u
     dist = rl.field_norms(pt_grid, final - w).h1
     assert dist <= 1e-4 * (1 + w_h1)

@@ -167,7 +167,7 @@ def test_resonance_report_independent_of_core_count(tmp_path, monkeypatch):
     assert "workers" not in json.loads(reports[0])["config"]["run"]
 
 
-def test_semiflow_trajectory_and_snapshots(tmp_path):
+def test_semiflow_trajectory_and_snapshots(tmp_path, flow):
     cfg = PT_BASE.format(n=1001) + (
         "\n[experiment]\nhorizon = 0.5\nstop = time-only\nsave_every = 10\n"
         "initial = kernel 2.0\nsnapshots = true\ntail_radii = 4 8\n"
@@ -184,17 +184,23 @@ def test_semiflow_trajectory_and_snapshots(tmp_path):
     assert fields.shape[0] == len(lines) - 1
     report = json.loads((out / "semiflow.json").read_text())
     assert report["tail_decay"]["all_guaranteed_passed"] is True
+    assert report["J_initial"] == js[0] and report["J_final"] == js[-1]
     # the snapshots are the saved fields of the same flow run by the library
     grid = resonance_lab.make_grid(1, 20.0, 1001)
     op = resonance_lab.assemble_hamiltonian(
         grid, resonance_lab.make_potential(grid, "poschl_teller", ell=2))
     proj = resonance_lab.build_projections(resonance_lab.eigenpairs_below(op), -1.0, 0.25)
-    traj = resonance_lab.evolve(
+    _, states = flow(
         resonance_lab.SemiflowState(0.0, 2.0 * proj.kernel_fields[:, 0]),
         proj.lambda0 - proj.delta / 2.0, 0.5, op, resonance_lab.saturating_arctan(grid),
-        stop="time-only", save_every=10, projections=proj,
+        stop="time-only", save_every=10,
     )
-    assert np.array_equal(fields, np.array([s.u for s in traj.states]))
+    assert np.array_equal(fields, np.array([s.u for s in states]))
+    # the Pu_l2 and Qu_l2 columns are the norms of the projected snapshots
+    for line, u in zip(lines[1:], fields):
+        pu, qu = line.split(",")[5:]
+        assert pu == repr(grid.norm(proj.project_kernel(u)))
+        assert qu == repr(grid.norm(proj.project_complement(u)))
 
 
 def test_report_merges(tmp_path):
@@ -607,6 +613,15 @@ def test_semiflow_without_lambda0_needs_lam(tmp_path, capsys):
     code, _ = _run(tmp_path, "semiflow", SEMIFLOW_NO_LAMBDA0)
     assert code == EXIT_CONFIG
     assert "lam is required" in capsys.readouterr().err
+
+
+def test_semiflow_tail_radii_without_lambda0_is_config_error(tmp_path, capsys):
+    # like initial = kernel: the tail bound is a bound on Qu, which needs λ0
+    cfg = SEMIFLOW_NO_LAMBDA0.replace("horizon", "lam = -2.0\ntail_radii = 5\nhorizon")
+    code, out = _run(tmp_path, "semiflow", cfg)
+    assert code == EXIT_CONFIG
+    assert "tail_radii requires a lambda0 selection" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_branch_builds_each_stage_once(tmp_path, monkeypatch):

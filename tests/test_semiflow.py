@@ -102,12 +102,13 @@ def test_lyapunov_scaled_eigenfield(pt_grid, pt_data, pt_op, arctan_spec, s):
         assert abs(J - expected) <= 1e-8 * s**2
 
 
-def test_evolve_equilibrium_flag_at_solution(pt_grid, pt_proj, pt_op, arctan_spec):
+def test_evolve_equilibrium_flag_at_solution(pt_grid, pt_proj, pt_op, arctan_spec,
+                                            flow):
     lam = pt_proj.lambda0 - pt_proj.delta / 2
     res = rl.solve_near_resonance(
         lam, 3.0 * pt_proj.kernel_fields[:, 0], pt_proj, arctan_spec
     )
-    traj = rl.evolve(
+    traj, _ = flow(
         rl.SemiflowState(0.0, res.w), lam, 1.0, pt_op, arctan_spec,
         stop="equilibrium",
     )
@@ -115,33 +116,33 @@ def test_evolve_equilibrium_flag_at_solution(pt_grid, pt_proj, pt_op, arctan_spe
     assert traj.steps == 1  # flags on the first step
 
 
-def test_evolve_decay_below_spectrum(pt_grid, pt_data, pt_op):
+def test_evolve_decay_below_spectrum(pt_grid, pt_data, pt_op, flow):
     # lam = -5 below the ground state: all modes decay, J decreases to 0
     spec = rl.zero_nonlinearity(pt_grid)
     u0 = pt_data.eigenfields[:, 0] + 0.5 * pt_data.eigenfields[:, 1]
-    traj = rl.evolve(
+    _, states = flow(
         rl.SemiflowState(0.0, u0), -5.0, 8.0, pt_op, spec, stop="time-only"
     )
-    norms = [rl.field_norms(pt_grid, s.u).l2 for s in traj.states]
+    norms = [rl.field_norms(pt_grid, s.u).l2 for s in states]
     assert norms[-1] < 1e-2 * norms[0]
-    J = traj.J_values
+    J = np.array([s.J for s in states])
     assert np.all(np.diff(J) <= 1e-12)
     assert J[-1] >= 0.0  # J = 1/2 <(A - lam)u, u> >= 0 here
 
 
-def test_evolve_growth_between_eigenvalues(pt_grid, pt_data, pt_op):
+def test_evolve_growth_between_eigenvalues(pt_grid, pt_data, pt_op, flow):
     # lam = -2 sits between -4 and -1: the ground component grows per step
     # by exactly 1/(1 + dt(lam_1 - lam))
     spec = rl.zero_nonlinearity(pt_grid)
     phi0 = pt_data.eigenfields[:, 0]
     dt = 0.01
-    traj = rl.evolve(
+    traj, states = flow(
         rl.SemiflowState(0.0, phi0), -2.0, 0.5, pt_op, spec,
         dt=dt, stop="equilibrium", save_every=1,
     )
     assert not traj.equilibrium
     factor = 1.0 / (1.0 + dt * (pt_data.eigenvalues[0] - (-2.0)))
-    coeff = [pt_grid.inner(s.u, phi0) for s in traj.states]
+    coeff = [pt_grid.inner(s.u, phi0) for s in states]
     ratios = np.array(coeff[1:]) / np.array(coeff[:-1])
     assert np.allclose(ratios, factor, rtol=1e-8)
     assert factor > 1.0
@@ -185,7 +186,8 @@ def test_kernel_drift_matches_finite_difference(pt_grid, pt_proj, pt_op, arctan_
         state = nxt
 
 
-def test_continuity_in_initial_data(pt_grid, ground_proj, pt_op, arctan_spec, rng):
+def test_continuity_in_initial_data(pt_grid, ground_proj, pt_op, arctan_spec, rng,
+                                    flow):
     # trajectories from eps-close starts stay within C(T) eps, checked at
     # three scales of eps in the stable ground window
     lam = ground_proj.lambda0 - 0.1
@@ -194,13 +196,13 @@ def test_continuity_in_initial_data(pt_grid, ground_proj, pt_op, arctan_spec, rn
     direction /= rl.field_norms(pt_grid, direction).h1
     ratios = []
     for eps in (1e-3, 1e-2, 1e-1):
-        t1 = rl.evolve(rl.SemiflowState(0.0, base), lam, 2.0, pt_op,
-                       arctan_spec, stop="time-only", save_every=25)
-        t2 = rl.evolve(rl.SemiflowState(0.0, base + eps * direction), lam, 2.0,
-                       pt_op, arctan_spec, stop="time-only", save_every=25)
+        _, s1 = flow(rl.SemiflowState(0.0, base), lam, 2.0, pt_op,
+                     arctan_spec, stop="time-only", save_every=25)
+        _, s2 = flow(rl.SemiflowState(0.0, base + eps * direction), lam, 2.0,
+                     pt_op, arctan_spec, stop="time-only", save_every=25)
         dist = max(
             rl.field_norms(pt_grid, a.u - b.u).h1
-            for a, b in zip(t1.states, t2.states)
+            for a, b in zip(s1, s2)
         )
         ratios.append(dist / eps)
     assert max(ratios) <= 3.0 * min(ratios)
@@ -208,50 +210,56 @@ def test_continuity_in_initial_data(pt_grid, ground_proj, pt_op, arctan_spec, rn
 
 
 def test_equilibria_coincide_with_stationary_points(pt_grid, ground_proj, pt_op,
-                                                    arctan_spec):
+                                                    arctan_spec, flow):
     # evolve-to-equilibrium lands on a point with small PDE residual; the
     # kernel mode relaxes at rate ~ |lam - lam0|, so stay away from lam0
     lam = ground_proj.lambda0 - 0.2
     u0 = 3.0 * ground_proj.kernel_fields[:, 0]
-    traj = rl.evolve(rl.SemiflowState(0.0, u0), lam, 150.0, pt_op, arctan_spec,
-                     stop="equilibrium")
+    traj, states = flow(rl.SemiflowState(0.0, u0), lam, 150.0, pt_op, arctan_spec,
+                        stop="equilibrium")
     assert traj.equilibrium
-    final = traj.states[-1].u
+    final = states[-1].u
     resid = rl.pde_residual(lam, final, pt_op, arctan_spec)
     assert resid <= 1e-4 * (1 + rl.field_norms(pt_grid, final).h1)
 
 
 def test_tail_decay_zero_trajectory(pt_grid, pt_proj, pt_op, arctan_spec):
-    traj = rl.evolve(
+    tally = rl.TailTally(pt_proj, [4.0, 8.0])
+    rl.evolve(
         rl.SemiflowState(0.0, np.zeros(pt_grid.num_nodes)),
-        pt_proj.lambda0 - 0.1, 0.5, pt_op, arctan_spec, stop="time-only",
+        pt_proj.lambda0 - 0.1, 0.5, pt_op, arctan_spec, tally.add, stop="time-only",
     )
-    report = rl.tail_decay_report(traj, pt_proj, arctan_spec, [4.0, 8.0])
+    report = rl.tail_decay_report(tally, arctan_spec)
     assert report.all_passed
     assert all(r.measured <= 1e-20 for r in report.rows)
 
 
-def test_tail_decay_monotone_for_decaying_flow(pt_grid, pt_proj, pt_op):
+def test_tail_tally_refuses_radii_beyond_the_box(pt_proj):
+    with pytest.raises(TailDecayError, match="half-width"):
+        rl.TailTally(pt_proj, [4.0, 20.5])  # half_width = 20
+
+
+def test_tail_decay_monotone_for_decaying_flow(pt_grid, pt_proj, pt_op, flow):
     # f = 0, lam < lambda_min, compactly supported start: measured tails
     # decay monotonically in time
     # the probed radius sits inside the initial support (outside it the mass
     # first grows by diffusion before the global decay wins)
     spec = rl.zero_nonlinearity(pt_grid)
     u0 = np.where(np.abs(pt_grid.axis) <= 2.0, 1.0, 0.0)
-    traj = rl.evolve(rl.SemiflowState(0.0, u0), -5.0, 2.0, pt_op, spec,
+    _, states = flow(rl.SemiflowState(0.0, u0), -5.0, 2.0, pt_op, spec,
                      stop="time-only", save_every=20)
     for radius in (0.5, 1.0):
         tails = [rl.tail_mass(pt_grid, pt_proj.project_complement(s.u), radius)
-                 for s in traj.states]
+                 for s in states]
         assert all(b <= a * (1 + 1e-9) for a, b in zip(tails, tails[1:]))
 
 
 def test_tail_decay_report_structure(pt_grid, pt_proj, pt_op, arctan_spec):
     u0 = 2.0 * pt_proj.kernel_fields[:, 0]
-    traj = rl.evolve(rl.SemiflowState(0.0, u0), pt_proj.lambda0 - 0.1, 2.0,
-                     pt_op, arctan_spec, stop="time-only", save_every=50)
-    report = rl.tail_decay_report(traj, pt_proj, arctan_spec,
-                                  [4.0, 8.0, 16.0])
+    tally = rl.TailTally(pt_proj, [4.0, 8.0, 16.0])
+    rl.evolve(rl.SemiflowState(0.0, u0), pt_proj.lambda0 - 0.1, 2.0,
+              pt_op, arctan_spec, tally.add, stop="time-only", save_every=50)
+    report = rl.tail_decay_report(tally, arctan_spec)
     assert report.alpha > 0 and report.eta > 0
     assert report.n0 < 4.0  # guaranteed regime reaches the probed radii
     assert report.all_passed
@@ -263,81 +271,101 @@ def test_tail_decay_report_structure(pt_grid, pt_proj, pt_op, arctan_spec):
 
 
 def test_tail_decay_report_holds_one_complement_at_a_time(pt_grid, pt_proj, pt_op,
-                                                         arctan_spec):
-    # the report reads the saved states in one pass: its memory does not grow
-    # with the number of states (one Qu per state, kept, is 201 fields here)
+                                                         arctan_spec, flow):
+    # feeding the tally and assembling the report read the saved states in
+    # one pass: their memory does not grow with the number of states (one Qu
+    # per state, kept, is 201 fields here)
     u0 = 2.0 * pt_proj.kernel_fields[:, 0]
-    traj = rl.evolve(rl.SemiflowState(0.0, u0), pt_proj.lambda0 - 0.1, 2.0,
+    _, states = flow(rl.SemiflowState(0.0, u0), pt_proj.lambda0 - 0.1, 2.0,
                      pt_op, arctan_spec, dt=0.01, stop="time-only", save_every=1)
-    assert len(traj.states) >= 200
+    assert len(states) >= 200
     tracemalloc.start()
     try:
-        report = rl.tail_decay_report(traj, pt_proj, arctan_spec, [4.0, 8.0, 16.0])
+        tally = rl.TailTally(pt_proj, [4.0, 8.0, 16.0])
+        for s in states:
+            tally.add(s)
+        report = rl.tail_decay_report(tally, arctan_spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(report.rows) == 3 * (len(traj.states) - 1)
+    assert len(report.rows) == 3 * (len(states) - 1)
     assert peak < 16 * 8 * pt_grid.num_nodes
 
 
-def _flow(pt_proj, pt_op, arctan_spec, horizon, save_every, on_save=None):
+def _flow(pt_proj, pt_op, arctan_spec, horizon, save_every, on_save):
     return rl.evolve(rl.SemiflowState(0.0, 2.0 * pt_proj.kernel_fields[:, 0]),
-                     pt_proj.lambda0 - 0.1, horizon, pt_op, arctan_spec, dt=0.01,
-                     stop="time-only", save_every=save_every, projections=pt_proj,
-                     on_save=on_save)
+                     pt_proj.lambda0 - 0.1, horizon, pt_op, arctan_spec, on_save,
+                     dt=0.01, stop="time-only", save_every=save_every)
 
 
 def test_evolve_streams_each_saved_state(pt_proj, pt_op, arctan_spec):
     # a horizon dt does not divide, so the last, shortened step is saved too
     handed = []
-    streamed = _flow(pt_proj, pt_op, arctan_spec, 0.505, 5, handed.append)
-    stored = _flow(pt_proj, pt_op, arctan_spec, 0.505, 5)
-    assert len(handed) == len(stored.states) == len(streamed.states) == 12
-    for h, kept, s in zip(handed, streamed.states, stored.states):
-        assert np.array_equal(h.u, s.u)
-        assert kept.u is None
-        scalars = (s.t, s.J, s.kernel_norm, s.complement_norm)
-        assert (h.t, h.J, h.kernel_norm, h.complement_norm) == scalars
-        assert (kept.t, kept.J, kept.kernel_norm, kept.complement_norm) == scalars
-    assert (streamed.steps, streamed.stop_reason) == (stored.steps, stored.stop_reason)
+    traj = _flow(pt_proj, pt_op, arctan_spec, 0.505, 5, handed.append)
+    assert (traj.steps, traj.stop_reason) == (51, "horizon")
+    lam = pt_proj.lambda0 - 0.1
+    state, expected = rl.SemiflowState(0.0, 2.0 * pt_proj.kernel_fields[:, 0]), []
+    for k in range(51):
+        if k % 5 == 0:
+            expected.append(state)
+        state = rl.imex_step(state, lam, min(0.01, 0.505 - state.t), pt_op,
+                             arctan_spec)
+    expected.append(state)
+    assert len(handed) == len(expected) == 12
+    for h, e in zip(handed, expected):
+        assert h.t == e.t
+        assert np.array_equal(h.u, e.u)
+        assert h.J == rl.lyapunov_J(lam, h.u, pt_op, arctan_spec)
+    # each field is a copy: a hook that overwrites it changes nothing after
+    spoiled = []
+
+    def spoil(s):
+        spoiled.append((s.t, s.J))
+        s.u.fill(np.nan)
+
+    _flow(pt_proj, pt_op, arctan_spec, 0.505, 5, spoil)
+    assert spoiled == [(h.t, h.J) for h in handed]
 
 
 def test_streamed_tail_report_equals_the_stored_one(pt_proj, pt_op, arctan_spec):
+    # a tally fed by the hook as the flow runs, and one fed afterwards with
+    # the states the hook kept
     radii = [4.0, 8.0, 16.0]
-    tally = rl.TailTally(pt_proj, radii)
-    _flow(pt_proj, pt_op, arctan_spec, 1.0, 10, tally.add)
-    stored = _flow(pt_proj, pt_op, arctan_spec, 1.0, 10)
-    streamed = rl.tail_decay_report(tally, pt_proj, arctan_spec, radii)
-    report = rl.tail_decay_report(stored, pt_proj, arctan_spec, radii)
+    tally, states = rl.TailTally(pt_proj, radii), []
+
+    def feed(s):
+        tally.add(s)
+        states.append(s)
+
+    _flow(pt_proj, pt_op, arctan_spec, 1.0, 10, feed)
+    kept = rl.TailTally(pt_proj, radii)
+    for s in states:
+        kept.add(s)
+    streamed = rl.tail_decay_report(tally, arctan_spec)
+    report = rl.tail_decay_report(kept, arctan_spec)
     assert len(report.rows) == 3 * 10
     assert streamed.rows == report.rows
     assert (streamed.alpha, streamed.eta, streamed.n0) == (report.alpha, report.eta,
                                                            report.n0)
-    with pytest.raises(TailDecayError, match="other projections or radii"):
-        rl.tail_decay_report(tally, pt_proj, arctan_spec, radii[:2])
 
 
 def test_streamed_evolve_holds_no_saved_field(pt_grid, pt_proj, pt_op, arctan_spec):
-    # 201 saved states: through on_save the flow's memory does not grow with
-    # them, while a stored run keeps every field
+    # 201 saved states: the flow's memory does not grow with them
     field = 8 * pt_grid.num_nodes
-    peaks = []
+    times = []
     tracemalloc.start()
     try:
-        for on_save in (lambda state: None, None):
-            start = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            traj = _flow(pt_proj, pt_op, arctan_spec, 2.0, 1, on_save)
-            peaks.append(tracemalloc.get_traced_memory()[1] - start)
-            assert len(traj.states) == 201
-            del traj
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _flow(pt_proj, pt_op, arctan_spec, 2.0, 1, lambda state: times.append(state.t))
+        peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peaks[0] < 16 * field
-    assert peaks[1] > 200 * field
+    assert len(times) == 201
+    assert peak < 16 * field
 
 
-def test_evolve_frees_the_old_stepper_first(pt_grid, pt_op, arctan_spec,
+def test_evolve_frees_the_old_stepper_first(pt_grid, pt_op, arctan_spec, flow,
                                             monkeypatch):
     # a horizon dt does not divide: the shortened last step is factored anew,
     # once the full step's factors are dead
@@ -350,40 +378,44 @@ def test_evolve_frees_the_old_stepper_first(pt_grid, pt_op, arctan_spec,
         made.append(weakref.ref(self))
 
     monkeypatch.setattr(semiflow.ImexStepper, "__init__", init)
-    rl.evolve(rl.SemiflowState(0.0, np.exp(-pt_grid.axis**2)), -1.2, 0.105, pt_op,
-              arctan_spec, dt=0.01, stop="time-only")
+    flow(rl.SemiflowState(0.0, np.exp(-pt_grid.axis**2)), -1.2, 0.105, pt_op,
+         arctan_spec, dt=0.01, stop="time-only")
     assert alive == [[], [False]]
 
 
-def test_trajectory_save_schedule(pt_grid, pt_op, arctan_spec):
-    traj = rl.evolve(
+def test_trajectory_save_schedule(pt_grid, pt_op, arctan_spec, flow):
+    _, states = flow(
         rl.SemiflowState(0.0, np.exp(-pt_grid.axis**2)), -1.2, 0.2, pt_op,
         arctan_spec, dt=0.01, stop="time-only", save_every=5,
     )
-    times = np.array([s.t for s in traj.states])
+    times = np.array([s.t for s in states])
     assert times[0] == 0.0
     assert np.all(np.diff(times) > 0)
     assert abs(times[-1] - 0.2) < 1e-12
 
 
-def test_evolve_j_plateau_stop(pt_grid, ground_proj, pt_op, arctan_spec):
+def test_evolve_j_plateau_stop(pt_grid, ground_proj, pt_op, arctan_spec, flow):
     # at an equilibrium the J differences between saves vanish
     lam = ground_proj.lambda0 - 0.2
     res = rl.solve_near_resonance(
         lam, 3.0 * ground_proj.kernel_fields[:, 0], ground_proj,
         arctan_spec,
     )
-    traj = rl.evolve(rl.SemiflowState(0.0, res.w), lam, 50.0, pt_op,
-                     arctan_spec, stop="j-plateau", save_every=5,
-                     j_plateau_tol=1e-10)
+    traj, states = flow(rl.SemiflowState(0.0, res.w), lam, 50.0, pt_op,
+                        arctan_spec, stop="j-plateau", save_every=5,
+                        j_plateau_tol=1e-10)
     assert traj.stop_reason == "j-plateau"
-    assert traj.states[-1].t < 50.0
+    assert states[-1].t < 50.0
 
 
-def test_evolve_stop_rule_validation(pt_grid, pt_op, arctan_spec):
+def test_evolve_stop_rule_validation(pt_grid, pt_op, arctan_spec, flow):
     with pytest.raises(ValueError):
-        rl.evolve(rl.SemiflowState(0.0, np.zeros(pt_grid.num_nodes)), -1.0,
-                  1.0, pt_op, arctan_spec, stop="whenever")
+        flow(rl.SemiflowState(0.0, np.zeros(pt_grid.num_nodes)), -1.0,
+             1.0, pt_op, arctan_spec, stop="whenever")
     with pytest.raises(ValueError):
-        rl.evolve(rl.SemiflowState(0.0, np.zeros(pt_grid.num_nodes)), -1.0,
-                  -1.0, pt_op, arctan_spec)
+        flow(rl.SemiflowState(0.0, np.zeros(pt_grid.num_nodes)), -1.0,
+             -1.0, pt_op, arctan_spec)
+    for save_every in (0, -1):
+        with pytest.raises(ValueError, match="save_every"):
+            flow(rl.SemiflowState(0.0, np.zeros(pt_grid.num_nodes)), -1.0,
+                 1.0, pt_op, arctan_spec, save_every=save_every)

@@ -447,7 +447,7 @@ def test_shift_invert_factor_failure_is_spectral_error(well_op, tmp_path,
     assert code == EXIT_NUMERICAL
 
 
-def test_splu_ordering_changes_no_result(well_op, monkeypatch):
+def test_splu_ordering_changes_no_result(well_op, flow, monkeypatch):
     """The ordering is performance-only: the same branch and semiflow under
     SuperLU's default ordering and under minimum degree."""
     spec = rl.saturating_arctan(well_op.grid)
@@ -460,14 +460,14 @@ def test_splu_ordering_changes_no_result(well_op, monkeypatch):
         report = summarize_branch(branch, proj, spec)
         lam = proj.lambda0 - proj.delta / 2
         u0 = 2.0 * proj.kernel_fields[:, 0]
-        traj = rl.evolve(rl.SemiflowState(0.0, u0), lam, 0.2, well_op, spec,
-                         stop="time-only", projections=proj)
-        return data, branch, report, traj
+        _, states = flow(rl.SemiflowState(0.0, u0), lam, 0.2, well_op, spec,
+                         stop="time-only")
+        return data, branch, report, [s.J for s in states]
 
-    data_mmd, branch_mmd, report_mmd, traj_mmd = run()
+    data_mmd, branch_mmd, report_mmd, J_mmd = run()
     for module in (spectral, semiflow):
         monkeypatch.setattr(module, "splu_ordering", lambda grid: {})
-    data, branch, report, traj = run()
+    data, branch, report, J = run()
 
     assert [len(i) for _, i in data_mmd.multiplets] == [len(i) for _, i in data.multiplets]
     np.testing.assert_allclose(data_mmd.eigenvalues, data.eigenvalues, rtol=1e-9)
@@ -476,8 +476,8 @@ def test_splu_ordering_changes_no_result(well_op, monkeypatch):
     for key in ("l2", "h1", "kernel_l2", "energy"):
         np.testing.assert_allclose([getattr(p, key) for p in branch_mmd],
                                    [getattr(p, key) for p in branch], rtol=1e-9)
-    assert len(traj_mmd.states) == len(traj.states)
-    np.testing.assert_allclose(traj_mmd.J_values, traj.J_values, rtol=1e-9)
+    assert len(J_mmd) == len(J)
+    np.testing.assert_allclose(J_mmd, J, rtol=1e-9)
 
 
 def test_morse_count_steps(pt_data):
