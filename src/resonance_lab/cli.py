@@ -29,7 +29,9 @@ import numpy as np
 
 from . import bifurcation as bif
 from . import semiflow as sf
-from .grid import Grid, GridError, field_norms, make_grid
+# field_norms is not called here; it stays a name of this module because the
+# benchmark's tracer (bench/tracer.py) wraps cli.field_norms
+from .grid import Grid, GridError, field_norms, make_grid  # noqa: F401
 from .nonlinearity import (
     NonlinearityError,
     NonlinearitySpec,
@@ -197,18 +199,20 @@ class Problem:
     """The set-up of one experiment, in the order of the paper's argument.
 
     Each stage is built on first use and kept: the grid, the Hamiltonian of
-    the split potential (`op`), its low spectrum (`data`), the nonlinearity
-    (`spec`) and the projections at the selected eigenvalue λ0 (`proj`).  A
-    subcommand reads only the stages it needs, so `spectrum` never builds the
-    nonlinearity and `semiflow` without a λ0 selection never runs the
-    eigensolver.
+    the split potential (`op`), the nonlinearity (`spec`) and the
+    projections at the selected eigenvalue λ0 (`proj`).  The low spectrum
+    (`data()`) is not a stage: `proj` builds it, copies the eigenfields it
+    needs and lets the rest go, so the eigenfields do not stay resident
+    through a branch or a flow.  A subcommand reads only the stages it
+    needs, so `spectrum` never builds the nonlinearity and `semiflow` without
+    a λ0 selection never runs the eigensolver.
 
     `spectrum` always solves (`solve`) and stores the eigenpairs in
-    `<out>/eigenpairs.npz` under `eigenpairs_key`.  `data` reuses that file
-    when it holds this key and its pairs pass every check of a fresh solve
-    (spectral.reuse_eigenpairs); otherwise, or when the file is missing or
-    unreadable, it solves.  Either way the later reports are the same, bit
-    for bit.
+    `<out>/eigenpairs.npz` under `eigenpairs_key`.  `data()` reuses that
+    file when it holds this key and its pairs pass every check of a fresh
+    solve (spectral.reuse_eigenpairs); otherwise, or when the file is
+    missing or unreadable, it solves.  Either way the later reports are the
+    same, bit for bit.
     """
 
     def __init__(self, cfg: dict):
@@ -231,8 +235,8 @@ class Problem:
             self.grid, make_potential(self.grid, **self.cfg["potential"])
         )
 
-    @cached_property
     def data(self) -> SpectralData:
+        """The low spectrum, from the stored eigenpairs or a fresh solve."""
         stored = read_eigenpairs(self.out_dir / EIGENPAIRS_FILE, self.eigenpairs_key)
         if stored is not None:
             try:
@@ -253,7 +257,7 @@ class Problem:
     @cached_property
     def proj(self) -> Projections:
         s = self.cfg["spectral"]
-        data = self.data  # eigensolver failures stay numerical failures
+        data = self.data()  # eigensolver failures stay numerical failures
         try:
             if s["lambda0_index"] is not None:
                 lam0 = data.select_lambda0(("index", s["lambda0_index"]))
@@ -414,7 +418,7 @@ def _cmd_semiflow(problem: Problem) -> tuple[dict, bool | None]:
     rows, fields = [], []
 
     def on_save(st: sf.SemiflowState) -> None:
-        norms = field_norms(grid, st.u)
+        norms = st.norms
         pu = qu = math.nan
         if proj is not None:
             pu = grid.norm(proj.project_kernel(st.u))

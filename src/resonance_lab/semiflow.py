@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .grid import field_norms, tail_mass
+from .grid import FieldNorms, field_norms, tail_mass
 from .nonlinearity import NonlinearitySpec, evaluate_f, evaluate_primitive
 from .potential import tail_lp_norm
 from .spectral import HamiltonianOperator, Projections, splu_ordering
@@ -56,7 +56,9 @@ class TailDecayError(ValueError):
 class SemiflowState:
     t: float
     u: np.ndarray
-    J: float | None = None  # J_λ(u), set on every state evolve saves
+    # J_λ(u) and field_norms(grid, u), set on every state evolve saves
+    J: float | None = None
+    norms: FieldNorms | None = None
 
 
 @dataclass
@@ -118,12 +120,15 @@ def imex_step(
 
 
 def lyapunov_J(
-    lam: float, u: np.ndarray, op: HamiltonianOperator, spec: NonlinearitySpec
+    lam: float, u: np.ndarray, op: HamiltonianOperator, spec: NonlinearitySpec,
+    norms: FieldNorms | None = None,
 ) -> float:
-    """J_λ(u); requires the family's primitive."""
+    """J_λ(u); requires the family's primitive.  norms, when given, must be
+    field_norms(grid, u)."""
     grid = op.grid
     u = grid.check_field(u)
-    norms = field_norms(grid, u)
+    if norms is None:
+        norms = field_norms(grid, u)
     quad = norms.grad_l2**2 + grid.inner(op.v_samples * u, u) - lam * norms.l2**2
     prim = evaluate_primitive(spec, u)
     return 0.5 * quad - float(np.sum(grid.weights * prim))
@@ -152,9 +157,11 @@ def evolve(
 
     The initial state, every save_every-th accepted step, the last step and
     an equilibrium are saved: each is handed to on_save(SemiflowState(t, u,
-    J)) as it is saved, with u a copy of the field and J = J_λ(u).  The flow
-    keeps none of them, so it holds no saved field however long the horizon,
-    unless on_save keeps them; the returned Trajectory says how it ended.
+    J, norms)) as it is saved, with u a copy of the field, J = J_λ(u) and
+    norms = field_norms(grid, u); the stop rule's J and norms of the field
+    are handed on, not computed again.  The flow keeps none of the states,
+    so it holds no saved field however long the horizon, unless on_save
+    keeps them; the returned Trajectory says how it ended.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -171,10 +178,14 @@ def evolve(
         raise StepCascadeError(f"initial dt = {dt:.3g} is below the floor {DT_FLOOR:g}")
     traj = Trajectory(lam=lam)
 
-    def save(s: SemiflowState) -> float:
+    def save(s: SemiflowState, norms: FieldNorms | None = None,
+             J: float | None = None) -> float:
         u = s.u.copy()
-        J = lyapunov_J(lam, u, op, spec)
-        on_save(SemiflowState(s.t, u, J))
+        if norms is None:
+            norms = field_norms(grid, u)
+        if J is None:
+            J = lyapunov_J(lam, u, op, spec, norms)
+        on_save(SemiflowState(s.t, u, J, norms))
         return J
 
     state = SemiflowState(t=state0.t, u=grid.check_field(state0.u).copy())
@@ -204,15 +215,18 @@ def evolve(
         with np.errstate(over="ignore", invalid="ignore"):
             rate = grid.norm(u_next - state.u) / dt_step
             read = {"step rate": rate}
+            norms = j_now = None  # handed on to save
+            if stop == "equilibrium" or (stop == "j-plateau" and save_now):
+                norms = field_norms(grid, u_next)
             if stop == "equilibrium":
-                read["H1 norm"] = h1 = field_norms(grid, u_next).h1
+                read["H1 norm"] = norms.h1
             if stop == "j-plateau" and save_now:
-                read["J"] = j_now = lyapunov_J(lam, u_next, op, spec)
+                read["J"] = j_now = lyapunov_J(lam, u_next, op, spec, norms)
         state = SemiflowState(t=state.t + dt_step, u=u_next)
         overflow = ", ".join(f"{k} = {v}" for k, v in read.items() if not np.isfinite(v))
         if overflow:
             raise StepCascadeError(f"semiflow overflow at t = {state.t:.6g}: {overflow}")
-        if stop == "equilibrium" and rate <= 1e-6 * (1.0 + h1):
+        if stop == "equilibrium" and rate <= 1e-6 * (1.0 + norms.h1):
             traj.equilibrium = True
             traj.stop_reason = "equilibrium"
             save_now = True
@@ -222,7 +236,7 @@ def evolve(
             traj.stop_reason = "j-plateau"
             traj.equilibrium = True
         if save_now or state.t >= t_end - 1e-12:
-            last_J = save(state)
+            last_J = save(state, norms, j_now)
         if traj.equilibrium:
             break
     if not traj.stop_reason:

@@ -11,18 +11,22 @@ the truncated box discretizes the continuum into a cloud of closely spaced
 spurious eigenvalues above it, so the solver works under a ceiling (default
 alpha_inf, the bottom the potential family declares).  Every grid takes one
 eigensolve path: a Sylvester-inertia count of the eigenvalues below the
-ceiling, then one shift-invert Lanczos call sized to it.  Eigenpairs stored
+ceiling, then one shift-invert Lanczos call sized to it.  The count sweeps
+a block LDLᵀ over the grid lines (a scalar recurrence in 1-D), so it holds
+a few n×n line blocks, not a sparse factorization.  Eigenpairs stored
 from such a solve are taken back by reuse_eigenpairs only after the same
 count and residual checks, plus a check of their orthonormality.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .grid import Grid, GridError
 from .potential import PotentialSpec
@@ -174,31 +178,87 @@ def _spectral_scale(op: HamiltonianOperator, mu: float) -> float:
 def _count_below(op: HamiltonianOperator, mu: float) -> int:
     """Number of eigenvalues of A below mu, by Sylvester inertia.
 
-    S - mu I is factored as L D Lᵀ (SuperLU in symmetric mode, minimum-degree
-    ordering of S + Sᵀ, no pivoting); its inertia, the number of negative
-    pivots in D, is the exact discrete count.  The unpivoted factorization is
-    trusted only if SuperLU kept the symmetric permutation and no pivot is
-    tiny; otherwise mu is nudged by a few 1e-9 of the spectral scale and
-    factored again (spectrum slicing, Parlett, The Symmetric Eigenvalue
-    Problem, ch. 3).  Raises SpectralError if it breaks down at every nudge.
+    In the C-ordered numbering S - mu I is block tridiagonal over the grid
+    lines: line blocks T_k (tridiagonal; the diagonals 0 and 1 of S) coupled
+    by diagonal blocks C_k (the diagonal n of S, n points per axis).  Its
+    inertia is the sum of those of the Schur complements D_1 = T_1,
+    D_{k+1} = T_{k+1} - C_k D_k^{-1} C_k (Haynsworth, Linear Algebra Appl.
+    1, 1968), each factored as L D Lᵀ with Bunch-Kaufman pivoting (LAPACK
+    dsytrf): a negative 1×1 pivot adds one, and so does every 2×2 pivot,
+    which has one eigenvalue of each sign.  In 1-D a line is one node and
+    the sweep is the scalar Sturm recurrence.  It holds O(n²) numbers,
+    one line block at a time.  A sweep is trusted only if no block is
+    singular and no pivot lies within 1e-12 of the spectral scale of zero;
+    otherwise mu is nudged by a few 1e-9 of the spectral scale and swept
+    again (spectrum slicing, Parlett, The Symmetric Eigenvalue Problem,
+    ch. 3).  Raises SpectralError if it breaks down at every nudge.
     """
     S = op.sym_matrix
+    n = op.grid.points_per_axis if op.grid.ndim == 2 else 1
     scale = _spectral_scale(op, mu)
-    eye = sp.identity(S.shape[0], format="csc")
+    diag, off, coupling = S.diagonal(0), S.diagonal(1), S.diagonal(n)
+    tiny = 1e-12 * scale
     for nudge in (0.0, 1e-9, -1e-9, 3e-9):
-        lu = None  # a rejected factor is freed before the next one is made
-        try:
-            lu = spla.splu(
-                (S - (mu + nudge * scale) * eye).tocsc(),
-                permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
-        except RuntimeError:  # an exactly zero pivot
-            continue
-        d = lu.U.diagonal()
-        if np.array_equal(lu.perm_r, lu.perm_c) and np.min(np.abs(d)) > 1e-12 * scale:
-            return int(np.count_nonzero(d < 0))
+        shifted = diag - (mu + nudge * scale)
+        count = (_sturm_count(shifted, off, tiny) if n == 1
+                 else _line_block_count(shifted, off, coupling, n, tiny))
+        if count is not None:
+            return count
     raise SpectralError(f"LDLᵀ inertia count broke down at every shift near {mu}")
+
+
+def _sturm_count(shifted, off, tiny) -> int | None:
+    """Negative pivots of d_1 = a_1, d_{i+1} = a_{i+1} - b_i² / d_i over the
+    diagonal a and the off-diagonal b of a tridiagonal S - mu I; None at a
+    pivot of magnitude at most tiny."""
+    count, d = 0, math.inf  # a_1 - 0 / inf = a_1
+    # memoryviews hand out one float at a time, where lists would hold them all
+    b2s = np.concatenate(([0.0], off * off))
+    for a, b2 in zip(memoryview(shifted), memoryview(b2s)):
+        d = a - b2 / d
+        if not abs(d) > tiny:  # a NaN fails too
+            return None
+        count += d < 0
+    return count
+
+
+def _line_block_count(shifted, off, coupling, n, tiny) -> int | None:
+    """Negative eigenvalues of the Schur complements D_k of S - mu I over the
+    grid lines of n nodes (see _count_below); None when a D_k is singular or
+    one of its pivots has a magnitude at most tiny.  dsytrf and dsytri read
+    and write the lower triangle only, so one Fortran-ordered n×n array
+    holds D_k, its factor, its inverse and the next D_{k+1} in turn."""
+    count, i = 0, np.arange(n)
+    lwork = int(lapack.dsytrf_lwork(n, lower=1)[0])  # room for the blocked algorithm
+    block = np.zeros((n, n), order="F")  # -C_{k-1} D_{k-1}^{-1} C_{k-1}, 0 for k = 1
+    lines = len(shifted) // n
+    for k in range(lines):
+        lo, hi = k * n, (k + 1) * n
+        block[i, i] += shifted[lo:hi]
+        block[i[1:], i[:-1]] += off[lo : hi - 1]
+        ldu, ipiv, info = lapack.dsytrf(block, lower=1, lwork=lwork, overwrite_a=1)
+        if info != 0:  # an exactly zero pivot
+            return None
+        d = ldu.diagonal()
+        one = ipiv > 0
+        two = np.flatnonzero(~one)[::2]  # the first rows of the 2×2 pivots
+        a, b, c = d[two], ldu[two + 1, two], d[two + 1]
+        # the smaller eigenvalue magnitude of [[a, b], [b, c]]: |det| / the larger
+        larger = np.abs(0.5 * (a + c)) + np.hypot(0.5 * (a - c), b)
+        small = np.abs(a * c - b * b) / larger
+        pivots = np.concatenate([np.abs(d[one]), small])
+        if not np.min(pivots, initial=math.inf) > tiny:  # a NaN fails too
+            return None
+        count += int(np.count_nonzero(d[one] < 0)) + len(two)
+        if k == lines - 1:
+            break
+        block, info = lapack.dsytri(ldu, ipiv, lower=1, overwrite_a=1)
+        if info != 0:
+            return None
+        ck = coupling[lo:hi]
+        block *= -ck[:, None]
+        block *= ck[None, :]
+    return count
 
 
 def _window(op: HamiltonianOperator, ceiling: float | None, tol_eig: float,

@@ -327,6 +327,37 @@ def test_evolve_streams_each_saved_state(pt_proj, pt_op, arctan_spec):
     assert spoiled == [(h.t, h.J) for h in handed]
 
 
+@pytest.mark.parametrize("stop", semiflow.STOP_RULES)
+def test_evolve_hands_on_the_stop_rule_norms_and_J(stop, pt_proj, pt_op, arctan_spec,
+                                                   monkeypatch):
+    # each handed state carries field_norms and J of its field, and each is
+    # computed once per field: by the stop rule when it reads them, else by
+    # the save
+    real_norms, real_J = semiflow.field_norms, semiflow.lyapunov_J
+    calls = {"field_norms": 0, "lyapunov_J": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(semiflow, "field_norms", counted("field_norms", real_norms))
+    monkeypatch.setattr(semiflow, "lyapunov_J", counted("lyapunov_J", real_J))
+    lam, handed = pt_proj.lambda0 - 0.1, []
+    traj = rl.evolve(rl.SemiflowState(0.0, 2.0 * pt_proj.kernel_fields[:, 0]), lam,
+                     0.505, pt_op, arctan_spec, handed.append, dt=0.01, stop=stop,
+                     save_every=5)
+    assert (traj.steps, traj.stop_reason, len(handed)) == (51, "horizon", 12)
+    # one field_norms per saved field, but under "equilibrium", whose rule
+    # reads the H1 norm of every step: 51 steps and the initial state
+    norms_calls = 51 + 1 if stop == "equilibrium" else 12
+    assert calls == {"field_norms": norms_calls, "lyapunov_J": 12}
+    for s in handed:
+        assert s.norms == real_norms(pt_op.grid, s.u)
+        assert s.J == real_J(lam, s.u, pt_op, arctan_spec)
+
+
 def test_streamed_tail_report_equals_the_stored_one(pt_proj, pt_op, arctan_spec):
     # a tally fed by the hook as the flow runs, and one fed afterwards with
     # the states the hook kept

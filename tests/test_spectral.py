@@ -2,13 +2,14 @@
 
 import dataclasses
 import sys
+import tracemalloc
 import weakref
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -205,73 +206,82 @@ def test_eigenpairs_max_count_guard_precedes_eigsh(well_op, eigsh_calls):
     assert eigsh_calls == []
 
 
-class _Factor(SimpleNamespace):
-    """A stand-in factor that a weak reference can follow (neither
-    SimpleNamespace nor SuperLU takes one)."""
-
-
-def _broken_factor(lu, fault):
-    """A factor that fails one of the checks on an unpivoted LDLᵀ."""
-    d = lu.U.diagonal().copy()
-    perm_r = lu.perm_r
+def _broken_block(ldu, ipiv, info, fault):
+    """A dsytrf result that fails one of the sweep's checks: a singular block
+    (info > 0, an exactly zero pivot), a 1×1 pivot of 1e-300, or a 2×2 pivot
+    [[0, 1e-150], [1e-150, 0]] (eigenvalues ±1e-150)."""
+    mid = len(ipiv) // 2
+    ldu, ipiv = ldu.copy(), ipiv.copy()
+    if fault == "singular":
+        return ldu, ipiv, mid + 1
     if fault == "tiny pivot":
-        d[len(d) // 2] = 1e-300
-    else:  # "pivoted": SuperLU left the symmetric permutation
-        perm_r = np.roll(perm_r, 1)
-    return _Factor(U=sp.diags(d), perm_r=perm_r, perm_c=lu.perm_c)
+        ipiv[mid] = mid + 1
+        ldu[mid, mid] = 1e-300
+    else:  # "tiny 2x2 pivot", rows mid and mid + 1, interchanged with nothing
+        ipiv[mid] = ipiv[mid + 1] = -(mid + 1)
+        ldu[mid, mid] = ldu[mid + 1, mid + 1] = 0.0
+        ldu[mid + 1, mid] = 1e-150
+    return ldu, ipiv, info
 
 
-@pytest.mark.parametrize("fault", ["singular", "tiny pivot", "pivoted"])
+@pytest.mark.parametrize("fault", ["singular", "tiny pivot", "tiny 2x2 pivot"])
 def test_inertia_count_nudges_past_breakdown(fault, well_op, eigsh_calls,
                                              monkeypatch):
     count = spectral._count_below(well_op, well_op.alpha_inf)
-    unshifted = well_op.sym_matrix.diagonal() - well_op.alpha_inf
-    real_splu = spectral.spla.splu
-    shifts = []
+    n = well_op.grid.points_per_axis
+    # the first line block of S - alpha_inf I, the one the fault is put in
+    first = well_op.sym_matrix.diagonal()[:n] - well_op.alpha_inf
+    real_dsytrf = spectral.lapack.dsytrf
+    blocks = []
 
-    def splu(A, *args, **kwargs):
-        at_ceiling = np.array_equal(A.diagonal(), unshifted)
-        shifts.append(at_ceiling)
-        if at_ceiling and fault == "singular":
-            raise RuntimeError("Factor is exactly singular")
-        lu = real_splu(A, *args, **kwargs)
-        return _broken_factor(lu, fault) if at_ceiling else lu
+    def dsytrf(a, *args, **kwargs):
+        at_ceiling = np.array_equal(np.diag(a), first)
+        blocks.append(at_ceiling)
+        factor = real_dsytrf(a, *args, **kwargs)
+        return _broken_block(*factor, fault) if at_ceiling else factor
 
-    monkeypatch.setattr(spectral.spla, "splu", splu)
+    monkeypatch.setattr(spectral.lapack, "dsytrf", dsytrf)
     data = rl.eigenpairs_below(well_op)
-    # the inertia count at the ceiling, its nudge, and the shift-invert factor
-    assert shifts == [True, False, False]
+    # the sweep at the ceiling stops at its first block; the nudged one
+    # factors every line
+    assert blocks == [True] + [False] * n
     assert len(data.eigenvalues) == count
     assert eigsh_calls == [count + 1]
 
 
-@pytest.mark.parametrize("fault", ["tiny pivot", "pivoted"])
-def test_inertia_count_frees_a_rejected_factor_first(fault, well_op, monkeypatch):
-    # the factor rejected at the ceiling is dead when its nudge is factored
-    unshifted = well_op.sym_matrix.diagonal() - well_op.alpha_inf
-    real_splu = spectral.spla.splu
-    rejected, alive = [], []
+def test_sturm_count_nudges_past_a_zero_pivot():
+    # mu = S_11 makes the first pivot of the 1-D recurrence exactly zero
+    g = rl.make_grid(1, 10.0, 401)
+    op = rl.assemble_hamiltonian(g, rl.make_potential(g, "poschl_teller", ell=2))
+    mu = float(op.sym_matrix[0, 0])
+    ref = np.linalg.eigvalsh(op.sym_matrix.toarray())
+    assert np.min(np.abs(ref - mu)) > 1e-8 * spectral._spectral_scale(op, mu)
+    assert spectral._count_below(op, mu) == np.count_nonzero(ref < mu)
+
+
+def test_inertia_count_makes_no_splu_call(well_op, pt_op, monkeypatch):
+    calls = []
 
     def splu(A, *args, **kwargs):
-        alive.append([ref() is not None for ref in rejected])
-        lu = real_splu(A, *args, **kwargs)
-        if not np.array_equal(A.diagonal(), unshifted):
-            return lu
-        broken = _broken_factor(lu, fault)
-        rejected.append(weakref.ref(broken))
-        return broken
+        calls.append(A.shape)
+        raise AssertionError("splu called")
 
     monkeypatch.setattr(spectral.spla, "splu", splu)
-    spectral._count_below(well_op, well_op.alpha_inf)
-    assert alive == [[], [False]]
+    monkeypatch.setattr(sys.modules[spectral.spla.eigsh.__module__], "splu", splu)
+    # 19 eigenvalues below the well's ceiling, and -4, -1 below Pöschl-Teller's
+    assert spectral._count_below(well_op, well_op.alpha_inf) == 19
+    assert spectral._count_below(pt_op, pt_op.alpha_inf) == 2
+    assert calls == []
 
 
 def test_inertia_count_breakdown_at_every_nudge_raises(well_op, eigsh_calls,
                                                        monkeypatch):
-    def splu(A, *args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
+    real_dsytrf = spectral.lapack.dsytrf
 
-    monkeypatch.setattr(spectral.spla, "splu", splu)
+    def dsytrf(a, *args, **kwargs):
+        return _broken_block(*real_dsytrf(a, *args, **kwargs), "singular")
+
+    monkeypatch.setattr(spectral.lapack, "dsytrf", dsytrf)
     with pytest.raises(SpectralError, match="broke down"):
         rl.eigenpairs_below(well_op)
     assert eigsh_calls == []
@@ -351,6 +361,79 @@ def test_small_grid_spectrum_matches_dense_oracle(op):
     np.testing.assert_allclose(data.eigenvalues, ref, rtol=0, atol=1e-9 * scale)
 
 
+@st.composite
+def _coulomb_problems(draw):
+    """A small 1-D or 2-D grid with an attractive Coulomb potential, capped or
+    with its center moved off the nodes."""
+    ndim = draw(st.sampled_from([1, 2]))
+    n = 2 * draw(st.integers(1, 40 if ndim == 1 else 12)) + 1
+    g = rl.make_grid(ndim, draw(st.floats(2.0, 12.0)), n)
+    pot = rl.make_potential(g, "coulomb", c=draw(st.floats(-20.0, -0.5)),
+                            alpha=draw(st.floats(0.05, 0.45)),
+                            policy=draw(st.sampled_from(["cap", "offset"])))
+    return rl.assemble_hamiltonian(g, pot)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(op=st.one_of(_small_problems(), _coulomb_problems()),
+       where=st.floats(-0.1, 1.1))
+def test_inertia_count_matches_dense_oracle(op, where):
+    # anywhere from below the spectrum to above it, continuum included
+    ref = np.linalg.eigvalsh(op.sym_matrix.toarray())
+    mu = float(ref[0] + where * (ref[-1] - ref[0]))
+    assume(np.min(np.abs(ref - mu)) >= 1e-8 * spectral._spectral_scale(op, mu))
+    assert spectral._count_below(op, mu) == np.count_nonzero(ref < mu)
+
+
+def _splu_count(op, mu):
+    """An independent Sylvester count: SuperLU in symmetric mode (minimum-degree
+    ordering of S + Sᵀ, no pivoting), trusted only when it kept the symmetric
+    permutation and no pivot is tiny."""
+    S = op.sym_matrix
+    lu = spla.splu((S - mu * sp.identity(S.shape[0], format="csc")).tocsc(),
+                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    d = lu.U.diagonal()
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert np.min(np.abs(d)) > 1e-12 * spectral._spectral_scale(op, mu)
+    return int(np.count_nonzero(d < 0))
+
+
+def test_inertia_count_equals_superlu_on_the_81_well():
+    # the 2-D benchmark problem: at the ceiling and between every two
+    # neighbouring multiplets
+    g = rl.make_grid(2, 6.0, 81)
+    op = rl.assemble_hamiltonian(
+        g, rl.make_potential(g, "square_well", depth=-50.0, width=2.0)
+    )
+    data = rl.eigenpairs_below(op)
+    centers = [c for c, _ in data.multiplets]
+    assert len(centers) > 5
+    below = np.cumsum([len(idx) for _, idx in data.multiplets])
+    for mu, expected in [(op.alpha_inf, below[-1]),
+                         *zip(0.5 * np.add(centers[:-1], centers[1:]), below[:-1])]:
+        count = spectral._count_below(op, float(mu))
+        assert count == _splu_count(op, float(mu)) == expected, mu
+
+
+def test_inertia_count_holds_a_few_line_blocks():
+    # at 161², a few n×n blocks and diagonals of n² entries, where the
+    # SuperLU factor of S - mu I fills to some 40 n²
+    n = 161
+    g = rl.make_grid(2, 6.0, n)
+    op = rl.assemble_hamiltonian(
+        g, rl.make_potential(g, "square_well", depth=-50.0, width=2.0)
+    )
+    tracemalloc.start()
+    try:
+        count = spectral._count_below(op, op.alpha_inf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 19
+    assert peak < 16 * n**2 * 8, peak / (8 * n**2)
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(op=_small_problems(), level=st.integers(0, 7), where=st.floats(-1.0, 1.0),
        seed=st.integers(0, 2**32 - 1))
@@ -391,12 +474,12 @@ def splu_spy(monkeypatch):
 
 def _factorizations_by_site(op, calls):
     """The splu calls of each factorization site on op's grid: the
-    shift-invert factor of the eigensolve (the inertia counts left out), the
+    shift-invert factor of the eigensolve (its inertia count makes none), the
     deflated resolvent at λ0 - δ/2 of the second multiplet, and the IMEX
     matrix at that λ."""
     calls.clear()
     data = rl.eigenpairs_below(op)
-    sites = {"sigma": [c for c in calls if "options" not in c[1]]}
+    sites = {"sigma": list(calls)}
     proj = rl.build_projections(data, data.multiplets[1][0], 0.25)
     lam = proj.lambda0 - proj.delta / 2
     calls.clear()
