@@ -218,10 +218,11 @@ class Problem:
     def __init__(self, cfg: dict):
         self.cfg = cfg
         self.out_dir = Path(cfg["output"]["dir"])
-        # the config sections the eigenpairs depend on, as canonical JSON
+        # the config the eigensolve reads, as canonical JSON: the λ0
+        # selection, delta_request and morse_lambdas leave the pairs as they are
         self.eigenpairs_key = json.dumps(
             {"format": EIGENPAIRS_FORMAT, "grid": cfg["grid"],
-             "potential": cfg["potential"], "spectral": cfg["spectral"]},
+             "potential": cfg["potential"], "ceiling": cfg["spectral"]["ceiling"]},
             sort_keys=True, separators=(",", ":"),
         )
 
@@ -421,8 +422,8 @@ def _cmd_semiflow(problem: Problem) -> tuple[dict, bool | None]:
         norms = st.norms
         pu = qu = math.nan
         if proj is not None:
-            pu = grid.norm(proj.project_kernel(st.u))
-            qu = grid.norm(proj.project_complement(st.u))
+            kernel_part = proj.project_kernel(st.u)  # Qu = u - Pu
+            pu, qu = grid.norm(kernel_part), grid.norm(st.u - kernel_part)
         rows.append((st.t, norms.l2, norms.grad_l2, norms.h1, st.J, pu, qu))
         if e["snapshots"]:
             fields.append(st.u)
@@ -446,15 +447,7 @@ def _cmd_semiflow(problem: Problem) -> tuple[dict, bool | None]:
         "J_final": rows[-1][4],
     }
     if tally is not None:
-        tail = sf.tail_decay_report(tally, spec)
-        report["tail_decay"] = {
-            "alpha": tail.alpha,
-            "eta": tail.eta,
-            "n0": tail.n0,
-            "all_passed": tail.all_passed,
-            "all_guaranteed_passed": tail.all_guaranteed_passed,
-            "rows": [asdict(r) for r in tail.rows],
-        }
+        report["tail_decay"] = asdict(sf.tail_decay_report(tally, spec))
     files["semiflow.json"] = report
     return files, None
 

@@ -59,6 +59,9 @@ class Grid:
         weights: flat trapezoid quadrature weights, shape (num_nodes,).
         sqrt_weights: their square roots, the diagonal of W^{1/2}.
         points: flat node coordinates, shape (num_nodes, ndim).
+
+    Its sparse matrices are built on each call and not kept: the
+    Hamiltonian holds the ones the solvers use.
     """
 
     def __init__(self, ndim: int, half_width: float, points_per_axis: int):
@@ -83,8 +86,6 @@ class Grid:
         self.num_nodes = self.weights.size
         self.sqrt_weights = np.sqrt(self.weights)
         self.radii = np.sqrt(np.sum(self.points**2, axis=1))
-        self._neg_laplacian = None
-        self._sym_stiffness = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -131,18 +132,14 @@ class Grid:
         off = np.full(n - 1, -1.0)
         return sp.diags([off, main, off], [-1, 0, 1], format="csr") / h
 
+    def _on_every_axis(self, m1: sp.spmatrix) -> sp.csr_matrix:
+        # a 1-D operator acting along every axis: m1 itself in 1-D, the
+        # Kronecker sum m1 ⊗ I + I ⊗ m1 in 2-D
+        return (m1 if self.ndim == 1 else sp.kronsum(m1, m1)).tocsr()
+
     def neg_laplacian_matrix(self) -> sp.csr_matrix:
         """Sparse matrix of -Δ_h acting on flat fields (divergence form)."""
-        if self._neg_laplacian is None:
-            K1 = self._stiffness_1d()
-            inv_w = sp.diags(1.0 / self.axis_weights)
-            M1 = (inv_w @ K1).tocsr()
-            if self.ndim == 1:
-                self._neg_laplacian = M1
-            else:
-                I = sp.identity(self.points_per_axis, format="csr")
-                self._neg_laplacian = (sp.kron(M1, I) + sp.kron(I, M1)).tocsr()
-        return self._neg_laplacian
+        return self._on_every_axis(sp.diags(1.0 / self.axis_weights) @ self._stiffness_1d())
 
     def symmetrized_stiffness(self) -> sp.csr_matrix:
         """W^{1/2} (-Δ_h) W^{-1/2}, a symmetric sparse matrix.
@@ -150,16 +147,8 @@ class Grid:
         Eigenproblems and linear solves are run in this frame; a flat field u
         corresponds to W^{1/2} u there.
         """
-        if self._sym_stiffness is None:
-            K1 = self._stiffness_1d()
-            d = sp.diags(1.0 / np.sqrt(self.axis_weights))
-            S1 = (d @ K1 @ d).tocsr()
-            if self.ndim == 1:
-                self._sym_stiffness = S1
-            else:
-                I = sp.identity(self.points_per_axis, format="csr")
-                self._sym_stiffness = (sp.kron(S1, I) + sp.kron(I, S1)).tocsr()
-        return self._sym_stiffness
+        d = sp.diags(1.0 / np.sqrt(self.axis_weights))
+        return self._on_every_axis(d @ self._stiffness_1d() @ d)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -28,12 +28,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .grid import FieldNorms, field_norms, tail_mass
 from .nonlinearity import NonlinearitySpec, evaluate_f, evaluate_primitive
 from .potential import tail_lp_norm
-from .spectral import HamiltonianOperator, Projections, splu_ordering
+from .spectral import HamiltonianOperator, Projections
 
 CUTOFF_LIPSCHITZ = 2.0  # sup |phi'| of the radial cutoff ramp on [1/2, 1]
 DT_FLOOR = 1e-12
@@ -65,16 +64,14 @@ class SemiflowState:
 class Trajectory:
     """How a flow ended; its saved states went to evolve's on_save hook."""
 
-    lam: float
     steps: int = 0  # accepted steps
     equilibrium: bool = False
     stop_reason: str = ""
 
 
 class ImexStepper:
-    """Cached factorization of (I + dt (A - λ)) in the symmetrized frame,
-    with the ordering of spectral.splu_ordering (minimum degree in 2-D,
-    SuperLU's default for the tridiagonal 1-D matrix)."""
+    """Cached factorization of (I + dt (A - λ)) in the symmetrized frame, made
+    by the operator's factor_shifted(λ, dt)."""
 
     def __init__(self, op: HamiltonianOperator, lam: float, dt: float):
         if dt <= 0:
@@ -85,11 +82,7 @@ class ImexStepper:
                 f"dt = {dt} too large: I + dt(A - λ) loses positivity for "
                 f"λ = {lam} (need dt < {1.0 / max(lam - lower, 1e-300):.3e})"
             )
-        # I + dt (S - λI) entry by entry, with no sparse sum: dt S_ij off the
-        # diagonal and 1 + dt (S_ii - λ) on it
-        mat = dt * op.sym_matrix
-        mat.setdiag(1.0 + dt * (op.sym_matrix.diagonal() - lam))
-        self._lu = spla.splu(mat, **splu_ordering(op.grid))
+        self._lu = op.factor_shifted(lam, dt)
         self._sqrt_w = op.grid.sqrt_weights
         self.op = op
         self.lam = lam
@@ -176,7 +169,7 @@ def evolve(
         # at |lam| ~ 1e300 the default dt is ~1e-301: a horizon would take
         # ~1e300 steps, and no stop rule need ever end them
         raise StepCascadeError(f"initial dt = {dt:.3g} is below the floor {DT_FLOOR:g}")
-    traj = Trajectory(lam=lam)
+    traj = Trajectory()
 
     def save(s: SemiflowState, norms: FieldNorms | None = None,
              J: float | None = None) -> float:

@@ -5,6 +5,10 @@ not a symmetric matrix (the divergence-form stencil carries 1/w factors at
 boundary nodes).  All eigensolves and linear solves therefore run on the
 similarity transform S = W^{1/2} A W^{-1/2}, which is genuinely symmetric;
 eigenvectors map back through W^{-1/2} and come out quadrature-orthonormal.
+The operator owns every shift of S: the shift-invert S - σI of the
+eigensolve, the resolvent S - λI and the semiflow's I + dt (S - λI) are all
+built and factored by HamiltonianOperator.factor_shifted, and no caller
+keeps a shifted copy.
 
 Eigenvalues are only meaningful below the asymptotic bottom of the potential:
 the truncated box discretizes the continuum into a cloud of closely spaced
@@ -40,21 +44,6 @@ TOL_LIN = 1e-8
 ORTHONORMAL_TOL = 1e-10
 
 
-def splu_ordering(grid: Grid) -> dict:
-    """SuperLU ordering for factoring a symmetric matrix on this grid.
-
-    Every such factorization takes it: the shift-invert S - σI of the
-    eigensolve, the resolvent S - λI and the IMEX matrix.  On a 2-D grid the
-    minimum-degree ordering of the symmetric pattern (MMD_AT_PLUS_A) leaves
-    about 40% fewer nonzeros in L + U than SuperLU's default COLAMD
-    ordering, and solves about 40% faster.  A 1-D matrix is tridiagonal and
-    fills under no ordering; it keeps the default, since another ordering
-    would only move the last bits of its solves, which the 1-D semiflow
-    amplifies.
-    """
-    return {"permc_spec": "MMD_AT_PLUS_A"} if grid.ndim == 2 else {}
-
-
 class SpectralError(RuntimeError):
     """Eigensolver or projection construction failure."""
 
@@ -67,8 +56,9 @@ class HamiltonianOperator:
     """Sparse discretization of A = -Δ + V on a grid.
 
     Exposes both the field-space action (`apply`) and the symmetrized matrix
-    used by eigensolvers and implicit steps.  alpha_inf is the asymptotic
-    bottom the potential declares.
+    S used by eigensolvers and implicit steps, and is the one place that
+    builds and factors a shifted S (`shifted`, `factor_shifted`).  alpha_inf
+    is the asymptotic bottom the potential declares.
     """
 
     def __init__(self, grid: Grid, potential: PotentialSpec):
@@ -79,7 +69,10 @@ class HamiltonianOperator:
         v = potential.v
         self.v_samples = v
         self.matrix = (grid.neg_laplacian_matrix() + sp.diags(v)).tocsr()
-        self.sym_matrix = (grid.symmetrized_stiffness() + sp.diags(v)).tocsc()
+        # S_ii + V_i set in place: the whole diagonal stays stored, so a
+        # shift of it inserts no entry
+        self.sym_matrix = grid.symmetrized_stiffness().tocsc()
+        self.sym_matrix.setdiag(self.sym_matrix.diagonal() + v)
         self.alpha_inf = potential.alpha_inf
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -91,6 +84,36 @@ class HamiltonianOperator:
         """min V, a lower bound on the spectrum since -Δ_h is positive
         semidefinite."""
         return float(np.min(self.v_samples))
+
+    def shifted(self, lam: float, dt: float | None = None) -> sp.csc_matrix:
+        """S - λI, or I + dt (S - λI) when dt is given, as a new CSC matrix
+        in the pattern of S: the shifted diagonal is set into a copy of S (or
+        of dt S), and no sparse sum is formed."""
+        S = self.sym_matrix
+        if dt is None:
+            mat = S.copy()
+            mat.setdiag(S.diagonal() - lam)
+        else:
+            mat = dt * S
+            mat.setdiag(1.0 + dt * (S.diagonal() - lam))
+        return mat
+
+    def factor_shifted(self, lam: float, dt: float | None = None) -> spla.SuperLU:
+        """SuperLU factors of `shifted(lam, dt)`; RuntimeError when exactly
+        singular.
+
+        Every factorization of a shifted S takes this path: the
+        shift-invert S - σI of the eigensolve, the resolvent S - λI and the
+        IMEX matrix I + dt (S - λI).  On a 2-D grid the minimum-degree
+        ordering of the symmetric pattern (MMD_AT_PLUS_A) leaves about 40%
+        fewer nonzeros in L + U than SuperLU's default COLAMD ordering, and
+        solves about 40% faster.  A 1-D matrix is tridiagonal and fills
+        under no ordering; it keeps the default, since another ordering
+        would only move the last bits of its solves, which the 1-D semiflow
+        amplifies.
+        """
+        ordering = {"permc_spec": "MMD_AT_PLUS_A"} if self.grid.ndim == 2 else {}
+        return spla.splu(self.shifted(lam, dt), **ordering)
 
 
 def assemble_hamiltonian(grid: Grid, potential: PotentialSpec) -> HamiltonianOperator:
@@ -345,7 +368,7 @@ def eigenpairs_below(
     spurious continuum states).  The eigenvalues below the ceiling are
     counted first, by Sylvester inertia; one shift-invert Lanczos call sized
     to that count plus one then finds them, on every grid.  Its operator is
-    an LU of S - σI with the ordering of splu_ordering.  Raises SpectralError
+    the operator's factor_shifted(σ), an LU of S - σI.  Raises SpectralError
     before any eigensolve if max_count eigenvalues lie below the ceiling or
     fewer than two of the grid's eigenvalues lie above it; and after, if the
     shift-invert factorization or the eigensolver fails, if the eigensolver
@@ -367,8 +390,7 @@ def eigenpairs_below(
     # (the 1-D problems) on the call their reference reports came from
     k = min(max(8, count + 1), M - 2)
     try:
-        lu = spla.splu((S - sigma * sp.identity(M, format="csc")).tocsc(),
-                       **splu_ordering(grid))
+        lu = op.factor_shifted(sigma)
         opinv = spla.LinearOperator((M, M), matvec=lu.solve, dtype=S.dtype)
         vals, vecs = spla.eigsh(S, k=k, sigma=sigma, which="LM", v0=v0,
                                 OPinv=opinv)
@@ -590,23 +612,20 @@ class _BorderedResolvent:
     component, so z stays bounded through λ = λ0.  The pivoted LU of the
     bordered matrix itself is the fallback, built only for the λ where the
     fast path is unavailable (S - λI exactly singular) or fails its checks.
-    S - λI is factored with the ordering of splu_ordering (minimum degree in
-    2-D, SuperLU's default in 1-D); the bordered fallback keeps the default,
-    since its zero block needs pivoting.
+    S - λI is factored by the operator's factor_shifted and not kept: the
+    fallback builds it again, in SuperLU's default ordering, since the
+    border's zero block needs pivoting.
     """
 
     def __init__(self, proj: Projections, lam: float):
-        op = proj.operator
+        self.op = proj.operator
         self.lam = float(lam)
-        self.n = op.grid.num_nodes
+        self.n = self.op.grid.num_nodes
         self.psi = proj._psi_kernel
         self.k = self.psi.shape[1]
-        self._shifted = (
-            op.sym_matrix - lam * sp.identity(self.n, format="csc")
-        ).tocsc()
         self._bordered_lu = None
         try:
-            self.lu = spla.splu(self._shifted, **splu_ordering(op.grid))
+            self.lu = self.op.factor_shifted(lam)
         except RuntimeError:  # exactly singular S - λI
             self.lu = None
             return
@@ -628,7 +647,7 @@ class _BorderedResolvent:
         """Fallback: a pivoted LU of the bordered matrix, factored once."""
         if self._bordered_lu is None:
             block = sp.bmat(
-                [[self._shifted, sp.csc_matrix(self.psi)],
+                [[self.op.shifted(self.lam), sp.csc_matrix(self.psi)],
                  [sp.csc_matrix(self.psi.T), None]],
                 format="csc",
             )

@@ -671,6 +671,27 @@ def test_later_subcommands_reuse_the_stored_eigenpairs(tmp_path, eigsh_calls):
     assert (shared / "spectrum.json").read_bytes() == spectrum
 
 
+def test_stored_eigenpairs_survive_a_change_the_eigensolve_does_not_read(
+        tmp_path, eigsh_calls):
+    # another λ0 selection, delta_request and morse_lambdas: the key is the
+    # same, so `resonance` reuses the pairs and writes what a fresh solve does
+    cfg = _write(tmp_path, REUSE)
+    shared = tmp_path / "shared"
+    assert main(["spectrum", "--config", cfg, "--out", str(shared)]) == EXIT_OK
+    spectral = "lambda0_value = -1.0\ndelta_request = 0.25\nmorse_lambdas = -0.5 -2.0\n"
+    assert spectral in REUSE
+    changed = _write(tmp_path, REUSE.replace(
+        spectral, "lambda0_index = 0\ndelta_request = 0.5\nmorse_lambdas = -3.0\n"),
+        "changed.ini")
+    assert main(["resonance", "--config", changed, "--out", str(shared)]) == EXIT_OK
+    assert len(eigsh_calls) == 1
+    fresh = tmp_path / "fresh"
+    assert main(["resonance", "--config", changed, "--out", str(fresh)]) == EXIT_OK
+    assert len(eigsh_calls) == 2
+    assert ((fresh / "resonance.json").read_bytes()
+            == (shared / "resonance.json").read_bytes())
+
+
 def _rewrite(path, change):
     with np.load(path) as archive:
         key, vals, fields = (archive[name] for name in ("key", "eigenvalues", "eigenfields"))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
@@ -69,6 +70,19 @@ def test_laplacian_stencil_eigenrelation():
     lap = rl.apply_laplacian(g, u)
     interior = slice(1, -1)
     assert np.allclose(lap[interior], lam_h * u[interior], atol=1e-10)
+
+
+@pytest.mark.parametrize("ndim, n", [(1, 41), (2, 9)])
+def test_symmetrized_stiffness_is_the_similar_laplacian(ndim, n):
+    # W^{1/2} (-Δ_h) W^{-1/2} (atol = 0: the same zeros) and symmetric; both
+    # are built on request and the grid keeps neither
+    g = rl.make_grid(ndim, 3.0, n)
+    lap, S = g.neg_laplacian_matrix(), g.symmetrized_stiffness()
+    sw = g.sqrt_weights
+    similar = lap.toarray() * sw[:, None] / sw[None, :]
+    np.testing.assert_allclose(S.toarray(), similar, rtol=1e-14, atol=0)
+    assert abs(S - S.T).max() <= 1e-15 * abs(S).max()
+    assert not any(sp.issparse(value) for value in vars(g).values())
 
 
 def test_laplacian_zero_field():

@@ -472,11 +472,11 @@ def splu_spy(monkeypatch):
     return calls, real_splu
 
 
-def _factorizations_by_site(op, calls):
+def _factorizations_by_site(op, calls, shifts=None):
     """The splu calls of each factorization site on op's grid: the
     shift-invert factor of the eigensolve (its inertia count makes none), the
     deflated resolvent at λ0 - δ/2 of the second multiplet, and the IMEX
-    matrix at that λ."""
+    matrix at that λ.  A shifts dict is filled with each site's (λ, dt)."""
     calls.clear()
     data = rl.eigenpairs_below(op)
     sites = {"sigma": list(calls)}
@@ -486,8 +486,14 @@ def _factorizations_by_site(op, calls):
     spectral._BorderedResolvent(proj, lam)
     sites["resolvent"] = list(calls)
     calls.clear()
-    rl.ImexStepper(op, lam, semiflow.default_dt(op, lam))
+    dt = semiflow.default_dt(op, lam)
+    rl.ImexStepper(op, lam, dt)
     sites["imex"] = list(calls)
+    if shifts is not None:
+        # the eigensolve's σ sits a tenth of the spectral scale below min V
+        sigma = (op.spectrum_lower_bound()
+                 - 0.1 * spectral._spectral_scale(op, op.alpha_inf))
+        shifts.update(sigma=(sigma, None), resolvent=(lam, None), imex=(lam, dt))
     return sites
 
 
@@ -506,6 +512,30 @@ def test_splu_ordering_by_grid_dimension(well_op, splu_spy):
     for site, calls in _factorizations_by_site(op, splu_calls).items():
         assert len(calls) == 1, site
         assert calls[0][1].get("permc_spec", "COLAMD") == "COLAMD", site
+
+
+@pytest.mark.parametrize("problem", ["pt1d", "well2d"])
+def test_every_site_factors_the_sparse_sum(problem, pt_op, well_op, splu_spy):
+    # the one construction of the operator, entry by entry the sparse sum
+    # S - λI (I + dt (S - λI) for the IMEX matrix), in S's own CSC pattern:
+    # a shift inserts no entry, which would move the SuperLU ordering
+    op = pt_op if problem == "pt1d" else well_op
+    splu_calls, _ = splu_spy
+    shifts = {}
+    sites = _factorizations_by_site(op, splu_calls, shifts)
+    S = op.sym_matrix
+    eye = sp.identity(S.shape[0], format="csc")
+    for site, calls in sites.items():
+        assert len(calls) == 1, site
+        lam, dt = shifts[site]
+        expected = (S - lam * eye).tocsc()
+        if dt is not None:
+            expected = (eye + dt * expected).tocsc()
+        A = calls[0][0]
+        assert A.format == "csc", site
+        assert np.array_equal(A.indptr, S.indptr) and np.array_equal(A.indices, S.indices)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(A, part), getattr(expected, part)), (site, part)
 
 
 def test_shift_invert_factor_failure_is_spectral_error(well_op, tmp_path,
@@ -548,9 +578,16 @@ def test_splu_ordering_changes_no_result(well_op, flow, monkeypatch):
         return data, branch, report, [s.J for s in states]
 
     data_mmd, branch_mmd, report_mmd, J_mmd = run()
-    for module in (spectral, semiflow):
-        monkeypatch.setattr(module, "splu_ordering", lambda grid: {})
+    # the operator's factor_shifted is the one site that passes an ordering
+    real_splu, dropped = spectral.spla.splu, []
+
+    def default_ordering(A, permc_spec=None, **kwargs):
+        dropped.append(permc_spec)
+        return real_splu(A, **kwargs)
+
+    monkeypatch.setattr(spectral.spla, "splu", default_ordering)
     data, branch, report, J = run()
+    assert "MMD_AT_PLUS_A" in dropped
 
     assert [len(i) for _, i in data_mmd.multiplets] == [len(i) for _, i in data.multiplets]
     np.testing.assert_allclose(data_mmd.eigenvalues, data.eigenvalues, rtol=1e-9)
@@ -679,7 +716,7 @@ def test_resolvent_fill_free_and_bounded(rng, pt_grid, pt_data):
     # the factor of S - λI keeps the tridiagonal's sparsity at every point of
     # the branch schedule (a dense kernel border would fill it to ~300 n),
     # the checked fast path serves every solve, and only the most recent λ's
-    # factors are kept
+    # factors are kept, with no copy of S - λI beside them
     proj = rl.build_projections(pt_data, -1.0, 0.25)
     n = pt_grid.num_nodes
     w = rng.standard_normal(n)
@@ -689,6 +726,7 @@ def test_resolvent_fill_free_and_bounded(rng, pt_grid, pt_data):
         solver = proj._resolvent
         assert solver.lam == lam
         assert solver.lu.L.nnz + solver.lu.U.nnz <= 10 * n
+        assert not any(sp.issparse(value) for value in vars(solver).values())
         rl.apply_resolvent_complement(proj, lam, 2 * w)
         assert proj._resolvent is solver
         assert solver._bordered_lu is None
@@ -696,8 +734,8 @@ def test_resolvent_fill_free_and_bounded(rng, pt_grid, pt_data):
 
 def test_resolvent_frees_the_previous_factors_first(pt_data, arctan_spec,
                                                   monkeypatch):
-    # two points of a branch: the first λ's resolvent (SuperLU factors, Y and
-    # S - λI) is dead when the second λ's factorization starts
+    # two points of a branch: the first λ's resolvent (SuperLU factors and Y)
+    # is dead when the second λ's factorization starts
     proj = rl.build_projections(pt_data, -1.0, 0.25)
     real_init = spectral._BorderedResolvent.__init__
     made, alive = [], []
