@@ -47,7 +47,6 @@ class BranchPoint:
     complement_grad_l2: float
     residual: float
     energy: float          # standing-wave energy
-    capped: bool = False
 
 
 @dataclass
@@ -144,10 +143,9 @@ def _branch_point(
     lam: float, result: SolveResult, projections: Projections, spec: NonlinearitySpec
 ) -> BranchPoint:
     grid = projections.grid
-    w = result.w
-    norms = field_norms(grid, w)
-    q = projections.project_complement(w)
-    q_norms = field_norms(grid, q)
+    w, norms = result.w, result.norms
+    pw = projections.project_kernel(w)
+    q_norms = field_norms(grid, w - pw)  # Qw = w - Pw
     return BranchPoint(
         lam=lam,
         u=w,
@@ -155,12 +153,11 @@ def _branch_point(
         l2=norms.l2,
         grad_l2=norms.grad_l2,
         h1=norms.h1,
-        kernel_l2=result.kernel_norm,
-        complement_l2=result.complement_norm,
+        kernel_l2=grid.norm(pw),
+        complement_l2=q_norms.l2,
         complement_grad_l2=q_norms.grad_l2,
         residual=result.pde_residual,
         energy=standing_wave_energy(lam, w, spec),
-        capped=result.capped,
     )
 
 
@@ -227,6 +224,8 @@ def detect_asymptotic_bifurcation(
 
     True iff the last `window` converged points have strictly increasing
     ||u||_H1 and the growth across the window is at least growth_factor.
+    Only converged points are read: a point whose solve stopped at u_cap is
+    an unconverged point, not evidence of blow-up.
     The fitted power of ||u||_H1 against |λ - λ0| is reported alongside.
     """
     conv = [p for p in branch if p.converged]
@@ -239,20 +238,14 @@ def detect_asymptotic_bifurcation(
     eps = np.array([abs(p.lam - lambda0) for p in tail])
     increasing = bool(np.all(np.diff(h1) > 0))
     ratio = float(h1[-1] / h1[0]) if h1[0] > 0 else math.inf
-    capped_evidence = any(p.capped for p in branch)
-    detected = (increasing and ratio >= growth_factor) or capped_evidence
+    detected = increasing and ratio >= growth_factor
     if np.all(h1 > 0) and np.all(eps > 0):
         power = float(np.polyfit(np.log(eps), np.log(h1), 1)[0])
     else:
         power = math.nan
-    reason = (
-        "norm cap hit (treated as divergence evidence)"
-        if capped_evidence
-        else ("strict growth over window" if detected else "no blow-up observed")
-    )
     return BifurcationVerdict(
-        detected=bool(detected), fitted_power=power,
-        growth_ratio=ratio, window=window, reason=reason,
+        detected=detected, fitted_power=power, growth_ratio=ratio, window=window,
+        reason="strict growth over window" if detected else "no blow-up observed",
     )
 
 

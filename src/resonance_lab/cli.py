@@ -110,6 +110,7 @@ _boolean = _checked(
 POSITIVE = _checked(FINITE, lambda v: v > 0, "must be positive")
 POSITIVES = _checked(_floats, lambda vs: all(v > 0 for v in vs), "must be positive")
 AT_LEAST_1 = _checked(int, lambda v: v >= 1, "must be at least 1")
+SEED = _checked(int, lambda v: v >= 0, "must be >= 0")  # what default_rng takes
 
 # section -> key -> (cast, default).  A default is the text an absent key
 # reads as (and goes through the cast like any value), None, REQUIRED or OMIT.
@@ -151,7 +152,7 @@ SCHEMA = {
         "expect_positive": (_boolean, "false"),
     },
     "output": {"dir": (str, "out")},
-    "run": {"seed": (int, "0")},
+    "run": {"seed": (SEED, "0")},
 }
 
 
@@ -258,16 +259,17 @@ class Problem:
     @cached_property
     def proj(self) -> Projections:
         s = self.cfg["spectral"]
+        if s["lambda0_index"] is not None:
+            selection = ("index", s["lambda0_index"])
+        elif s["lambda0_value"] is not None:
+            selection = ("value", s["lambda0_value"])
+        else:  # refused before the eigensolve runs
+            raise ConfigError(
+                "[spectral] needs lambda0_index or lambda0_value to select lambda0"
+            )
         data = self.data()  # eigensolver failures stay numerical failures
         try:
-            if s["lambda0_index"] is not None:
-                lam0 = data.select_lambda0(("index", s["lambda0_index"]))
-            elif s["lambda0_value"] is not None:
-                lam0 = data.select_lambda0(("value", s["lambda0_value"]))
-            else:
-                raise ConfigError(
-                    "[spectral] needs lambda0_index or lambda0_value to select lambda0"
-                )
+            lam0 = data.select_lambda0(selection)
         except SpectralError as exc:
             raise ConfigError(f"unresolvable lambda0: {exc}") from exc
         return build_projections(data, lam0, s["delta_request"])
@@ -504,7 +506,10 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
-            cfg["run"]["seed"] = args.seed
+            try:
+                cfg["run"]["seed"] = SEED(args.seed)
+            except ValueError as exc:
+                raise ConfigError(f"--seed {args.seed}: {exc}") from exc
         if args.out is not None:
             cfg["output"]["dir"] = args.out
         problem = Problem(cfg)

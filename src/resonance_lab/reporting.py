@@ -3,15 +3,17 @@ and the stored eigenpairs one subcommand hands to the next.
 
 Identical inputs must produce byte-identical files, so floats are rendered
 with fixed rules: 17 significant digits in JSON, shortest round-trip (repr)
-in CSV.  JSON keys are emitted sorted.  Snapshots use a flat little-endian
-layout: int64 ndim, int64 points_per_axis, float64 half_width, then each
-field's row-major doubles.  Stored eigenpairs are an uncompressed `.npz`
-archive of three arrays: `key`, a string naming what the pairs were solved
-for, `eigenvalues` and `eigenfields` (one column per pair).
+in CSV.  JSON keys are emitted sorted, and every string, keys included, is
+escaped as json.dumps escapes it, with non-ASCII text kept as is.  Snapshots
+use a flat little-endian layout: int64 ndim, int64 points_per_axis, float64
+half_width, then each field's row-major doubles.  Stored eigenpairs are an
+uncompressed `.npz` archive of three arrays: `key`, a string naming what the
+pairs were solved for, `eigenvalues` and `eigenfields` (one column per pair).
 """
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 import tempfile
@@ -39,8 +41,7 @@ def _json_format(value, indent: int) -> str:
             return '"inf"' if v > 0 else '"-inf"'
         return format(v, ".17g")
     if isinstance(value, str):
-        out = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'"{out}"'
+        return json.dumps(value, ensure_ascii=False)
     if isinstance(value, np.ndarray):
         value = value.tolist()
     if isinstance(value, (list, tuple)):
@@ -55,7 +56,7 @@ def _json_format(value, indent: int) -> str:
         parts = []
         for key in sorted(value, key=str):
             rendered = _json_format(value[key], indent + 2)
-            parts.append(f'{pad}  "{key}": {rendered}')
+            parts.append(f"{pad}  {_json_format(str(key), 0)}: {rendered}")
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(value).__name__} deterministically")
 

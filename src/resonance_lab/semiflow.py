@@ -369,10 +369,7 @@ def tail_decay_report(
     alpha_n = {}
     for r in radii:
         inner = r / np.sqrt(2.0)
-        m_tail = np.sqrt(
-            float(np.sum(grid.weights[grid.radii >= inner]
-                         * spec.bound_m[grid.radii >= inner] ** 2))
-        )
+        m_tail = np.sqrt(tail_mass(grid, spec.bound_m, inner))
         tilde = (
             2.0 * R_bound**2 * CUTOFF_LIPSCHITZ / r
             + hoelder * tail_lp_norm(op.potential, inner)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import field_norms
+from .grid import FieldNorms, field_norms
 from .nonlinearity import NonlinearitySpec, evaluate_f
 from .spectral import HamiltonianOperator, Projections, apply_resolvent_complement
 
@@ -43,8 +43,7 @@ class SolveResult:
     iterations: int
     defect: float                  # ||u - K(λ, u)||_L2
     pde_residual: float            # ||(A - λ)w - F(w)||_L2
-    kernel_norm: float             # ||P w||_L2
-    complement_norm: float         # ||Q w||_L2
+    norms: FieldNorms              # field_norms(grid, w)
     capped: bool = False
     message: str = ""
 
@@ -165,11 +164,11 @@ def solve_near_resonance(
         u, defect = best_u, best_defect
     w = reconstruct_solution(lam, u, projections)
     residual = pde_residual(lam, w, projections.operator, spec)
-    h1 = field_norms(grid, w).h1
+    norms = field_norms(grid, w)
     converged = (
         not capped
         and defect <= cfg.tol_fp
-        and residual <= cfg.tol_pde * (1.0 + h1)
+        and residual <= cfg.tol_pde * (1.0 + norms.h1)
     )
     return SolveResult(
         converged=bool(converged),
@@ -178,8 +177,7 @@ def solve_near_resonance(
         iterations=it,
         defect=float(defect),
         pde_residual=float(residual),
-        kernel_norm=grid.norm(projections.project_kernel(w)),
-        complement_norm=grid.norm(projections.project_complement(w)),
+        norms=norms,
         capped=capped,
         message=message,
     )

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import resonance_lab as rl
+from resonance_lab import bifurcation
 from resonance_lab.bifurcation import BranchError, BranchPoint, default_initial_radius
 
 
@@ -43,6 +44,46 @@ def test_detect_requires_window():
     eps = [0.5, 0.25]
     with pytest.raises(BranchError):
         rl.detect_asymptotic_bifurcation(_synthetic_branch(-1.0, eps, [1, 2]), -1.0)
+
+
+@pytest.fixture(scope="module")
+def coarse_pt_proj():
+    """Poschl-Teller at 401 nodes on [-20, 20], with the window at -1."""
+    grid = rl.make_grid(1, 20.0, 401)
+    op = rl.assemble_hamiltonian(grid, rl.make_potential(grid, "poschl_teller", ell=2))
+    return rl.build_projections(rl.eigenpairs_below(op), -1.0, 0.25)
+
+
+def _long_minus_branch(proj, family):
+    """28 points halving the distance to lambda0 from below: the last ones
+    lie beyond what the default u_cap lets a solve reach."""
+    spec = rl.make_nonlinearity(proj.grid, family)
+    schedule = [proj.lambda0 - proj.delta * 2.0**-k for k in range(1, 29)]
+    return rl.continue_branch(schedule, proj, spec)
+
+
+def test_capped_points_are_not_blow_up_evidence(coarse_pt_proj):
+    # neg_arctan blows up on the plus side only: on the minus side the
+    # converged points are trivial and the rest stop at u_cap, unconverged
+    branch = _long_minus_branch(coarse_pt_proj, "neg_arctan")
+    assert not all(p.converged for p in branch)
+    assert all(p.h1 <= 1e-6 for p in branch if p.converged)
+    verdict = rl.detect_asymptotic_bifurcation(branch, coarse_pt_proj.lambda0)
+    assert not verdict.detected
+    assert verdict.reason == "no blow-up observed"
+
+
+def test_capped_tail_leaves_the_growth_verdict(coarse_pt_proj):
+    # arctan converges until the branch outgrows u_cap; the verdict is read
+    # from the converged points alone, which grow by 16 over the window
+    branch = _long_minus_branch(coarse_pt_proj, "arctan")
+    converged = [p for p in branch if p.converged]
+    assert 5 <= len(converged) < len(branch)
+    verdict = rl.detect_asymptotic_bifurcation(branch, coarse_pt_proj.lambda0)
+    assert verdict.detected
+    assert verdict.reason == "strict growth over window"
+    assert abs(verdict.growth_ratio - 16.0) <= 0.01
+    assert abs(verdict.fitted_power + 1.0) <= 1e-3
 
 
 def test_continue_branch_validation(pt_proj, arctan_spec):
@@ -152,6 +193,32 @@ def test_energy_interaction_bound(acceptance_branch, pt_op, arctan_spec):
     for p in acceptance_branch:
         slack = 2.0 * arctan_spec.bound_norm * p.l2 + 1e-12
         assert abs(p.energy - 0.5 * p.lam * p.l2**2) <= slack
+
+
+def test_branch_point_measures_once(pt_grid, pt_proj, arctan_spec, monkeypatch):
+    # the norms of w come from the solve; w is projected once and only Qw is
+    # measured, to the same bits as measuring w, Pw and Qw afresh
+    lam = pt_proj.lambda0 - pt_proj.delta / 4
+    res = rl.solve_near_resonance(
+        lam, 2.9 * pt_proj.kernel_fields[:, 0], pt_proj, arctan_spec
+    )
+    w = res.w
+    pw, qw = pt_proj.project_kernel(w), pt_proj.project_complement(w)
+    calls = []
+    for owner, name in ((bifurcation, "field_norms"),
+                        (rl.Projections, "project_kernel")):
+        def counted(*args, _real=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(owner, name, counted)
+    p = bifurcation._branch_point(lam, res, pt_proj, arctan_spec)
+    assert sorted(calls) == ["field_norms", "project_kernel"]
+    monkeypatch.undo()
+    norms, q_norms = rl.field_norms(pt_grid, w), rl.field_norms(pt_grid, qw)
+    assert (p.l2, p.grad_l2, p.h1) == (norms.l2, norms.grad_l2, norms.h1)
+    assert p.kernel_l2 == pt_grid.norm(pw)
+    assert p.complement_l2 == pt_grid.norm(qw)
+    assert p.complement_grad_l2 == q_norms.grad_l2
 
 
 def test_branch_point_drift_vanishes(acceptance_branch, pt_proj, arctan_spec):

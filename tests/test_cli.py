@@ -339,6 +339,30 @@ def test_seed_override_changes_embedded_config(tmp_path):
     assert report["config"]["run"]["seed"] == 99
 
 
+def test_negative_seed_override_is_config_error(tmp_path, capsys):
+    # default_rng takes no negative seed: every subcommand refuses it up front
+    cfg = _write(tmp_path, PT_BASE.format(n=1001))
+    for sub in cli._DISPATCH:
+        out = tmp_path / sub
+        assert main([sub, "--config", cfg, "--out", str(out), "--seed", "-1"]) \
+            == EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_control_characters_in_the_config_make_strict_json(tmp_path):
+    # a tab inside `initial` is embedded in the report's config, escaped, so
+    # `report` reads the package's own semiflow.json back
+    cfg = PT_BASE.format(n=1001) + (
+        "\n[experiment]\nhorizon = 0.05\ninitial = kernel\t2.0\n")
+    code, out = _run(tmp_path, "semiflow", cfg)
+    assert code == EXIT_OK
+    code, out = _run(tmp_path, "report", cfg)
+    assert code == EXIT_OK
+    merged = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert merged["semiflow"]["config"]["experiment"]["initial"] == "kernel\t2.0"
+
+
 @pytest.mark.parametrize("value", ["0", "3", "1e300", None],
                          ids=["ceiling", "above", "huge", "on-the-spectrum"])
 def test_morse_lambda_without_a_count_is_config_error(tmp_path, capsys, value):
@@ -457,6 +481,8 @@ def _warmup_with(path, section, key, value) -> str:
     """Write warmup.ini with `key = value` in [section] to path."""
     config = configparser.ConfigParser(interpolation=None)
     config.read(WARMUP)
+    if not config.has_section(section):  # warmup.ini has no [run]
+        config.add_section(section)
     config[section][key] = value
     with open(path, "w") as fh:
         config.write(fh)
@@ -483,7 +509,7 @@ def test_removed_key_is_an_unknown_key(tmp_path, capsys, section, key, value):
 
 FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "abc", "", "-0.5", "3")
 FUZZ_KEYS = [(section, key) for section, table in cli.SCHEMA.items()
-             if section not in ("output", "run") for key in table]
+             if section != "output" for key in table]
 
 
 @pytest.mark.parametrize("section, key", FUZZ_KEYS,
@@ -607,6 +633,30 @@ def test_semiflow_without_lambda0_skips_the_eigensolver(tmp_path, monkeypatch):
     code, out = _run(tmp_path, "semiflow", cfg)
     assert code == EXIT_OK
     assert json.loads((out / "semiflow.json").read_text())["lam"] == -2.0
+
+
+def test_semiflow_counts_the_steps_of_a_halved_dt(tmp_path):
+    # at lam = -1.125, dt = 1 loses positivity (min V = -6) and is halved
+    # to 0.125: the horizon 2 takes 16 steps
+    cfg = PT_BASE.format(n=1001) + (
+        "\n[experiment]\nlam = -1.125\ndt = 1.0\nhorizon = 2.0\n"
+        "stop = time-only\n")
+    code, out = _run(tmp_path, "semiflow", cfg)
+    assert code == EXIT_OK
+    assert json.loads((out / "semiflow.json").read_text())["steps"] == 16
+
+
+@pytest.mark.parametrize("sub", ["resonance", "branch"])
+def test_missing_lambda0_selection_is_refused_before_the_eigensolve(
+        tmp_path, capsys, monkeypatch, sub):
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolver called without a lambda0 selection")
+
+    monkeypatch.setattr(cli, "eigenpairs_below", no_eigensolve)
+    code, out = _run(tmp_path, sub, SEMIFLOW_NO_LAMBDA0)
+    assert code == EXIT_CONFIG
+    assert "needs lambda0_index or lambda0_value" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_semiflow_without_lambda0_needs_lam(tmp_path, capsys):

@@ -104,6 +104,15 @@ def test_json_and_csv_floats_round_trip(v):
     assert float(csv_cell(np.float64(v))) == v or math.isnan(v)
 
 
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(key=st.text(), value=st.text())
+def test_json_strings_round_trip(key, value):
+    # control characters, quotes, backslashes and non-ASCII text, in keys
+    # and values alike, read back as they went in, through a strict parser
+    text = json_dumps({key: value, "nested": [value]})
+    assert json.loads(text) == {key: value, "nested": [value]}
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(
     ndim=st.sampled_from((1, 2)),

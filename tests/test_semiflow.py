@@ -450,3 +450,22 @@ def test_evolve_stop_rule_validation(pt_grid, pt_op, arctan_spec, flow):
         with pytest.raises(ValueError, match="save_every"):
             flow(rl.SemiflowState(0.0, np.zeros(pt_grid.num_nodes)), -1.0,
                  1.0, pt_op, arctan_spec, save_every=save_every)
+
+
+def test_evolve_halves_a_dt_the_implicit_matrix_refuses(pt_grid, pt_op, arctan_spec,
+                                                       flow):
+    # min V = -6 at lam = -1.125: I + dt (A - lam) stays positive only for
+    # dt < 1/4.875 = 0.205, so dt = 1 is halved three times, to 0.125, and
+    # the horizon 2 takes 16 steps, each the plain IMEX step at that dt
+    lam = -1.125
+    assert pt_op.spectrum_lower_bound() == -6.0
+    state = rl.SemiflowState(0.0, np.exp(-pt_grid.axis**2))
+    traj, states = flow(state, lam, 2.0, pt_op, arctan_spec, dt=1.0,
+                        stop="time-only", save_every=1)
+    assert traj.steps == 16 and traj.stop_reason == "horizon"
+    assert len(states) == 17
+    for saved in states[1:]:
+        state = rl.imex_step(state, lam, 0.125, pt_op, arctan_spec)
+        assert saved.t == state.t
+        assert np.array_equal(saved.u, state.u)
+    assert states[-1].t == 2.0

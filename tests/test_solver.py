@@ -86,7 +86,9 @@ def test_solve_arctan_kernel_dominates(pt_grid, pt_proj, arctan_spec):
         lam, radius * pt_proj.kernel_fields[:, 0], pt_proj, arctan_spec
     )
     assert res.converged
-    assert res.kernel_norm > 10 * res.complement_norm
+    assert res.norms == rl.field_norms(pt_grid, res.w)  # the convergence test's
+    pw = pt_proj.project_kernel(res.w)
+    assert pt_grid.norm(pw) > 10 * pt_grid.norm(res.w - pw)
 
 
 def test_solve_requires_window(pt_grid, pt_proj, arctan_spec):
