@@ -50,7 +50,6 @@ from .semiflow import (
     TailTally,
     Trajectory,
     evolve,
-    imex_step,
     kernel_drift_rate,
     lyapunov_J,
     tail_decay_report,

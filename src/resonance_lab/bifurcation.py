@@ -285,7 +285,7 @@ def necessary_condition_report(
             f"points, need {TAIL_LENGTH}"
         )
     tail = nontrivial[-TAIL_LENGTH:]
-    qu_bound = 2.0 * spec.bound_norm / projections.gap_constant
+    qu_bound = 2.0 * spec.bound_norm / projections.delta
     qu_max = max(p.complement_l2 for p in nontrivial)
     grad_qu = np.array([p.complement_grad_l2 for p in tail])
     kernel_norms = np.array([p.kernel_l2 for p in tail])

@@ -256,14 +256,21 @@ class Problem:
     def spec(self) -> NonlinearitySpec:
         return make_nonlinearity(self.grid, **self.cfg["nonlinearity"])
 
-    @cached_property
-    def proj(self) -> Projections:
+    @property
+    def lambda0_selection(self) -> tuple[str, float] | None:
+        """The [spectral] selection of λ0, ("index", i) or ("value", λ), or
+        None when the config gives neither."""
         s = self.cfg["spectral"]
         if s["lambda0_index"] is not None:
-            selection = ("index", s["lambda0_index"])
-        elif s["lambda0_value"] is not None:
-            selection = ("value", s["lambda0_value"])
-        else:  # refused before the eigensolve runs
+            return ("index", s["lambda0_index"])
+        if s["lambda0_value"] is not None:
+            return ("value", s["lambda0_value"])
+        return None
+
+    @cached_property
+    def proj(self) -> Projections:
+        selection = self.lambda0_selection
+        if selection is None:  # refused before the eigensolve runs
             raise ConfigError(
                 "[spectral] needs lambda0_index or lambda0_value to select lambda0"
             )
@@ -272,7 +279,7 @@ class Problem:
             lam0 = data.select_lambda0(selection)
         except SpectralError as exc:
             raise ConfigError(f"unresolvable lambda0: {exc}") from exc
-        return build_projections(data, lam0, s["delta_request"])
+        return build_projections(data, lam0, self.cfg["spectral"]["delta_request"])
 
 
 def _initial_spec(text: str, ndim: int) -> tuple[str, list[float]]:
@@ -288,9 +295,15 @@ def _initial_spec(text: str, ndim: int) -> tuple[str, list[float]]:
             f"numbers here, got {text!r}"
         )
     try:
-        return kind, [FINITE(tok) for tok in tokens]
+        values = [FINITE(tok) for tok in tokens]
     except ValueError as exc:
         raise ConfigError(f"[experiment] initial: {exc} in {text!r}") from exc
+    if kind == "gaussian" and len(values) == 2 + ndim and values[-1] ** 2 == 0.0:
+        # exp(-|x - c|^2 / 0) is 0/0 = nan at a node on the center
+        raise ConfigError(
+            f"[experiment] initial: the gaussian width squares to 0 in {text!r}"
+        )
+    return kind, values
 
 
 def _initial_field(text: str, grid: Grid, proj: Projections | None) -> np.ndarray:
@@ -308,7 +321,8 @@ def _initial_field(text: str, grid: Grid, proj: Projections | None) -> np.ndarra
         center = np.array(values[1 : 1 + grid.ndim])
     width = values[1 + grid.ndim] if len(values) > 1 + grid.ndim else 1.0
     d2 = np.sum((grid.points - center) ** 2, axis=1)
-    return amp * np.exp(-d2 / width**2)
+    with np.errstate(over="ignore"):  # d2 / width^2 = inf gives exp(-inf) = 0
+        return amp * np.exp(-d2 / width**2)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -400,10 +414,7 @@ def _cmd_branch(problem: Problem) -> tuple[dict, bool | None]:
 def _cmd_semiflow(problem: Problem) -> tuple[dict, bool | None]:
     grid, op, spec = problem.grid, problem.op, problem.spec
     e = problem.cfg["experiment"]
-    s = problem.cfg["spectral"]
-    proj = None
-    if s["lambda0_index"] is not None or s["lambda0_value"] is not None:
-        proj = problem.proj
+    proj = problem.proj if problem.lambda0_selection is not None else None
     if e["lam"] is not None:
         lam = e["lam"]
     elif proj is not None:
@@ -523,8 +534,8 @@ def main(argv=None) -> int:
     except (ConfigError, GridError, PotentialError, NonlinearityError) as exc:
         print(f"config error ({args.config}): {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SpectralError, sf.StepRejected, sf.StepCascadeError,
-            sf.TailDecayError, bif.BranchError) as exc:
+    except (SpectralError, sf.StepCascadeError, sf.TailDecayError,
+            bif.BranchError) as exc:
         print(f"numerical failure ({args.config}): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -7,7 +7,8 @@ treated implicitly, the globally bounded nonlinearity explicitly,
     (I + dt (A - λ)) u_next = u + dt F(u),
 
 which is unconditionally stable in the linear part as long as the implicit
-matrix stays positive definite (dt (λ - λ_min) < 1, checked).  The energy
+matrix stays positive definite: 1 + dt (min V - λ) > 0, which evolve secures
+by halving dt before its first step.  The energy
 
     J_λ(u) = 1/2 (||∇u||^2 + <Vu, u> - λ ||u||^2) - ∫ F_prim(x, u)
 
@@ -36,15 +37,16 @@ from .spectral import HamiltonianOperator, Projections
 
 CUTOFF_LIPSCHITZ = 2.0  # sup |phi'| of the radial cutoff ramp on [1/2, 1]
 DT_FLOOR = 1e-12
-STOP_RULES = ("time-only", "equilibrium", "j-plateau")
+STOP_RULES = ("time-only", "equilibrium")
 
 
 class StepRejected(RuntimeError):
-    """The implicit matrix lost positivity; retry with a smaller dt."""
+    """ImexStepper was asked for a dt at which the implicit matrix may lose
+    positivity."""
 
 
 class StepCascadeError(RuntimeError):
-    """dt underflowed while rejecting steps, or a step overflowed."""
+    """dt fell below DT_FLOOR, or a step overflowed."""
 
 
 class TailDecayError(ValueError):
@@ -64,9 +66,18 @@ class SemiflowState:
 class Trajectory:
     """How a flow ended; its saved states went to evolve's on_save hook."""
 
-    steps: int = 0  # accepted steps
-    equilibrium: bool = False
-    stop_reason: str = ""
+    steps: int = 0
+    stop_reason: str = "horizon"  # or "equilibrium"
+
+    @property
+    def equilibrium(self) -> bool:
+        return self.stop_reason == "equilibrium"
+
+
+def loses_positivity(op: HamiltonianOperator, lam: float, dt: float) -> bool:
+    """Whether min V, the lower bound on the spectrum of A, no longer proves
+    I + dt (A - λ) positive definite: 1 + dt (min V - λ) <= 0."""
+    return 1.0 + dt * (op.spectrum_lower_bound() - lam) <= 0.0
 
 
 class ImexStepper:
@@ -76,16 +87,14 @@ class ImexStepper:
     def __init__(self, op: HamiltonianOperator, lam: float, dt: float):
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        lower = op.spectrum_lower_bound()
-        if 1.0 + dt * (lower - lam) <= 0.0:
+        if loses_positivity(op, lam, dt):
+            bound = 1.0 / max(lam - op.spectrum_lower_bound(), 1e-300)
             raise StepRejected(
                 f"dt = {dt} too large: I + dt(A - λ) loses positivity for "
-                f"λ = {lam} (need dt < {1.0 / max(lam - lower, 1e-300):.3e})"
+                f"λ = {lam} (need dt < {bound:.3e})"
             )
         self._lu = op.factor_shifted(lam, dt)
         self._sqrt_w = op.grid.sqrt_weights
-        self.op = op
-        self.lam = lam
         self.dt = dt
 
     def step(self, u: np.ndarray, fu: np.ndarray) -> np.ndarray:
@@ -97,19 +106,6 @@ def default_dt(op: HamiltonianOperator, lam: float) -> float:
     """Resolve the fastest retained linear mode: min(0.1/(|λ_min|+|λ|+1), 1e-2)."""
     lam_min = op.spectrum_lower_bound()
     return min(0.1 / (abs(lam_min) + abs(lam) + 1.0), 1e-2)
-
-
-def imex_step(
-    state: SemiflowState,
-    lam: float,
-    dt: float,
-    op: HamiltonianOperator,
-    spec: NonlinearitySpec,
-) -> SemiflowState:
-    """One implicit-explicit Euler step (local truncation O(dt^2))."""
-    u = op.grid.check_field(state.u)
-    u_next = ImexStepper(op, lam, dt).step(u, evaluate_f(spec, u))
-    return SemiflowState(t=state.t + dt, u=u_next)
 
 
 def lyapunov_J(
@@ -137,24 +133,24 @@ def evolve(
     dt: float | None = None,
     stop: str = "equilibrium",
     save_every: int = 10,
-    j_plateau_tol: float = 1e-12,
 ) -> Trajectory:
     """Advance the semiflow to the horizon with the chosen stopping rule.
 
-    stop is one of STOP_RULES: "time-only", "equilibrium" (||u_next - u||/dt
-    at most 1e-6 (1 + ||u_next||_H1)) or "j-plateau".  Rejected steps
-    halve dt.  An initial dt (given or default) below DT_FLOOR raises
-    StepCascadeError before the first step, and so do dt underflow and, under
-    every rule, a step whose rate or stop-test value (H1 norm, J) is not
-    finite.
+    stop is one of STOP_RULES: "time-only", or "equilibrium", which ends the
+    flow once ||u_next - u||/dt is at most 1e-6 (1 + ||u_next||_H1).  An
+    initial dt (given or default) below DT_FLOOR raises StepCascadeError.
+    Before the first step dt is cut to the horizon and halved until
+    I + dt (A - λ) keeps its positivity (loses_positivity); a dt halved below
+    DT_FLOOR raises StepCascadeError, and so does a step whose rate or, under
+    "equilibrium", H1 norm is not finite.
 
-    The initial state, every save_every-th accepted step, the last step and
-    an equilibrium are saved: each is handed to on_save(SemiflowState(t, u,
-    J, norms)) as it is saved, with u a copy of the field, J = J_λ(u) and
-    norms = field_norms(grid, u); the stop rule's J and norms of the field
-    are handed on, not computed again.  The flow keeps none of the states,
-    so it holds no saved field however long the horizon, unless on_save
-    keeps them; the returned Trajectory says how it ended.
+    The initial state, every save_every-th step, the last step and an
+    equilibrium are saved: each is handed to on_save(SemiflowState(t, u, J,
+    norms)) as it is saved, with u a copy of the field, J = J_λ(u) and
+    norms = field_norms(grid, u); the norms the equilibrium rule read are
+    handed on, not computed again.  The flow keeps none of the states, so it
+    holds no saved field however long the horizon, unless on_save keeps
+    them; the returned Trajectory says how it ended.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -169,71 +165,53 @@ def evolve(
         # at |lam| ~ 1e300 the default dt is ~1e-301: a horizon would take
         # ~1e300 steps, and no stop rule need ever end them
         raise StepCascadeError(f"initial dt = {dt:.3g} is below the floor {DT_FLOOR:g}")
+    t_end = state0.t + horizon
+    # later steps are only shorter, so the dt admitted here admits them all
+    dt = min(dt, t_end - state0.t)
+    while loses_positivity(op, lam, dt):
+        dt /= 2.0
+        if dt < DT_FLOOR:
+            raise StepCascadeError(
+                "dt underflowed while seeking a positive implicit matrix"
+            )
     traj = Trajectory()
 
-    def save(s: SemiflowState, norms: FieldNorms | None = None,
-             J: float | None = None) -> float:
+    def save(s: SemiflowState, norms: FieldNorms | None = None) -> None:
         u = s.u.copy()
         if norms is None:
             norms = field_norms(grid, u)
-        if J is None:
-            J = lyapunov_J(lam, u, op, spec, norms)
-        on_save(SemiflowState(s.t, u, J, norms))
-        return J
+        on_save(SemiflowState(s.t, u, lyapunov_J(lam, u, op, spec, norms), norms))
 
     state = SemiflowState(t=state0.t, u=grid.check_field(state0.u).copy())
-    last_J = save(state)
+    save(state)
     stepper = None
-    t_end = state0.t + horizon
     while state.t < t_end - 1e-12:
         dt_step = min(dt, t_end - state.t)
         if stepper is None or stepper.dt != dt_step:
             stepper = None  # free the old factors before the next are made
-            while True:
-                try:
-                    stepper = ImexStepper(op, lam, dt_step)
-                    break
-                except StepRejected:
-                    dt_step /= 2.0
-                    dt = dt_step
-                    if dt_step < DT_FLOOR:
-                        raise StepCascadeError(
-                            "dt underflowed while seeking a positive implicit matrix"
-                        ) from None
+            stepper = ImexStepper(op, lam, dt_step)
         u_next = stepper.step(state.u, evaluate_f(spec, state.u))
         traj.steps += 1
-        save_now = traj.steps % save_every == 0
         # what the stop rule reads: an overflow must not pass it as inf <= inf.
         # It is read without numpy's warnings, since the check below raises
         with np.errstate(over="ignore", invalid="ignore"):
             rate = grid.norm(u_next - state.u) / dt_step
             read = {"step rate": rate}
-            norms = j_now = None  # handed on to save
-            if stop == "equilibrium" or (stop == "j-plateau" and save_now):
-                norms = field_norms(grid, u_next)
+            norms = None  # handed on to save
             if stop == "equilibrium":
+                norms = field_norms(grid, u_next)
                 read["H1 norm"] = norms.h1
-            if stop == "j-plateau" and save_now:
-                read["J"] = j_now = lyapunov_J(lam, u_next, op, spec, norms)
         state = SemiflowState(t=state.t + dt_step, u=u_next)
         overflow = ", ".join(f"{k} = {v}" for k, v in read.items() if not np.isfinite(v))
         if overflow:
             raise StepCascadeError(f"semiflow overflow at t = {state.t:.6g}: {overflow}")
         if stop == "equilibrium" and rate <= 1e-6 * (1.0 + norms.h1):
-            traj.equilibrium = True
             traj.stop_reason = "equilibrium"
-            save_now = True
-        if stop == "j-plateau" and save_now and (
-            abs(j_now - last_J) <= j_plateau_tol * max(1.0, abs(j_now))
-        ):
-            traj.stop_reason = "j-plateau"
-            traj.equilibrium = True
-        if save_now or state.t >= t_end - 1e-12:
-            last_J = save(state, norms, j_now)
+        if (traj.equilibrium or traj.steps % save_every == 0
+                or state.t >= t_end - 1e-12):
+            save(state, norms)
         if traj.equilibrium:
             break
-    if not traj.stop_reason:
-        traj.stop_reason = "horizon"
     return traj
 
 

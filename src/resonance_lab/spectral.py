@@ -534,11 +534,6 @@ class Projections:
     def dim_below(self) -> int:
         return self.below_fields.shape[1]
 
-    @property
-    def gap_constant(self) -> float:
-        """Lower bound c on |λ_i - λ| over the complement for |λ-λ0| <= δ."""
-        return self.delta
-
     def project_kernel(self, u: np.ndarray) -> np.ndarray:
         """P u."""
         u = self.grid.check_field(u)
@@ -699,7 +694,7 @@ def apply_resolvent_complement(
                 f"resolvent solve residual {residual:.3e} exceeds "
                 f"{TOL_LIN:.1e} * ||Qw|| = {TOL_LIN * qnorm:.3e}"
             )
-        if not grid.norm(z) <= (qnorm + floor) / proj.gap_constant * (1 + 1e-9):
+        if not grid.norm(z) <= (qnorm + floor) / proj.delta * (1 + 1e-9):
             return "resolvent output violates the spectral bound ||z|| <= ||Qw||/c"
         return None
 

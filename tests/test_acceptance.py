@@ -96,12 +96,13 @@ def test_criterion_05_lyapunov_dissipation(pt_grid, ground_proj, pt_op,
                          arctan_spec, stop="time-only", save_every=20)
         J = np.array([s.J for s in states])
         assert np.all(np.diff(J) <= 1e-8)
+        stepper = rl.ImexStepper(pt_op, lam, 1e-4)
         for state in states[:3]:
-            nxt = rl.imex_step(state, lam, 1e-4, pt_op, arctan_spec)
-            udot2 = pt_grid.norm((nxt.u - state.u) / 1e-4) ** 2
+            nxt = stepper.step(state.u, rl.evaluate_f(arctan_spec, state.u))
+            udot2 = pt_grid.norm((nxt - state.u) / 1e-4) ** 2
             if udot2 < 1e-6:
                 continue
-            dJ = (rl.lyapunov_J(lam, nxt.u, pt_op, arctan_spec)
+            dJ = (rl.lyapunov_J(lam, nxt, pt_op, arctan_spec)
                   - rl.lyapunov_J(lam, state.u, pt_op, arctan_spec)) / 1e-4
             assert abs(dJ + udot2) <= 0.05 * udot2
             probes += 1
@@ -115,20 +116,20 @@ def test_criterion_06_kernel_drift_identity(pt_grid, pt_proj, pt_op,
     rng = np.random.default_rng(6)
     lam = pt_proj.lambda0 - pt_proj.delta / 2
     dt = 1e-4
-    u0 = 3.0 * pt_proj.kernel_fields[:, 0] + smooth_field(pt_grid, rng)
-    state = rl.SemiflowState(0.0, u0)
+    u = 3.0 * pt_proj.kernel_fields[:, 0] + smooth_field(pt_grid, rng)
+    stepper = rl.ImexStepper(pt_op, lam, dt)
     checked = 0
     for step in range(300):
-        nxt = rl.imex_step(state, lam, dt, pt_op, arctan_spec)
+        nxt = stepper.step(u, rl.evaluate_f(arctan_spec, u))
         if step % 60 == 0:
-            p1 = pt_grid.norm(pt_proj.project_kernel(state.u))
-            p2 = pt_grid.norm(pt_proj.project_kernel(nxt.u))
+            p1 = pt_grid.norm(pt_proj.project_kernel(u))
+            p2 = pt_grid.norm(pt_proj.project_kernel(nxt))
             fd = (p2**2 - p1**2) / (2 * dt)
-            drift = rl.kernel_drift_rate(lam, state.u, pt_proj, arctan_spec)
+            drift = rl.kernel_drift_rate(lam, u, pt_proj, arctan_spec)
             if abs(drift) > 1e-3:
                 assert abs(fd - drift) <= 1e-3 * abs(drift)
                 checked += 1
-        state = nxt
+        u = nxt
     assert checked >= 3
 
 

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -244,7 +245,7 @@ def test_exit_code_numerical_failure(tmp_path):
     assert code == EXIT_NUMERICAL
 
 
-@pytest.mark.parametrize("stop", ["equilibrium", "time-only", "j-plateau"])
+@pytest.mark.parametrize("stop", ["equilibrium", "time-only"])
 def test_semiflow_overflow_is_a_numerical_failure(tmp_path, stop):
     # at lam = 1e10 the default dt is ~1e-11, above the floor, and every mode
     # grows by ~1/0.9 a step, so the flow overflows within a few thousand
@@ -255,7 +256,7 @@ def test_semiflow_overflow_is_a_numerical_failure(tmp_path, stop):
     done = _run_cli([sys.executable, "-m", "resonance_lab.cli"], tmp_path,
                     ["semiflow", "--config", "exp.ini", "--out", "out"])
     assert done.returncode == EXIT_NUMERICAL, done.stderr
-    assert re.search(r"semiflow overflow at t = \S+: (step rate|H1 norm|J) = ",
+    assert re.search(r"semiflow overflow at t = \S+: (step rate|H1 norm) = ",
                      done.stderr)
     # the rows built so far are not written: a failing flow writes no file
     out = tmp_path / "out"
@@ -394,12 +395,15 @@ def test_semiflow_without_a_step_has_no_tail_report(tmp_path, capsys):
 MALFORMED = [  # (subcommand, section, key, value)
     ("semiflow", "experiment", "save_every", "0"),
     ("semiflow", "experiment", "stop", "equlibrium"),
+    ("semiflow", "experiment", "stop", "j-plateau"),  # not one of STOP_RULES
     ("semiflow", "experiment", "snapshots", "ture"),
     ("branch", "experiment", "side", "minsu"),
     ("branch", "experiment", "num_points", "0"),
     ("branch", "experiment", "window", "0"),
     ("semiflow", "experiment", "initial", "gaussian abc"),
     ("semiflow", "experiment", "initial", "kernel 2.0 1.0"),
+    ("semiflow", "experiment", "initial", "gaussian 1.0 0.0 0.0"),  # width 0
+    ("semiflow", "experiment", "initial", "gaussian 1.0 0.0 1e-170"),  # width^2 = 0
     ("semiflow", "experiment", "dt", "0"),
     ("semiflow", "experiment", "horizon", "0.2%"),
     ("semiflow", "experiment", "tail_radii", "5 x"),
@@ -644,6 +648,16 @@ def test_semiflow_counts_the_steps_of_a_halved_dt(tmp_path):
     code, out = _run(tmp_path, "semiflow", cfg)
     assert code == EXIT_OK
     assert json.loads((out / "semiflow.json").read_text())["steps"] == 16
+
+
+def test_a_narrow_gaussian_is_a_finite_field_without_warnings(pt_grid):
+    # width^2 = 1e-320 is not 0: |x|^2 / width^2 overflows to inf off the
+    # center, where the field is exp(-inf) = 0, and no warning is printed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = cli._initial_field("gaussian 2.0 0.0 1e-160", pt_grid, None)
+    assert np.array_equal(u, np.where(pt_grid.axis == 0.0, 2.0, 0.0))
+    assert np.count_nonzero(u) == 1
 
 
 @pytest.mark.parametrize("sub", ["resonance", "branch"])

@@ -18,18 +18,19 @@ def test_imex_contraction_zero_potential(rng):
     spec = rl.zero_nonlinearity(g)
     u = rng.standard_normal(g.num_nodes)
     dt = 0.05
-    nxt = rl.imex_step(rl.SemiflowState(0.0, u), -1.0, dt, op, spec)
-    assert g.norm(nxt.u) <= g.norm(u) / (1.0 + dt) + 1e-12
+    nxt = rl.ImexStepper(op, -1.0, dt).step(u, rl.evaluate_f(spec, u))
+    assert g.norm(nxt) <= g.norm(u) / (1.0 + dt) + 1e-12
 
 
 def test_imex_eigenfield_diagonal_action(pt_grid, pt_data, pt_op):
     spec = rl.zero_nonlinearity(pt_grid)
     lam, dt = -2.0, 0.01
+    stepper = rl.ImexStepper(pt_op, lam, dt)
     for i in range(2):
         phi = pt_data.eigenfields[:, i]
-        nxt = rl.imex_step(rl.SemiflowState(0.0, phi), lam, dt, pt_op, spec)
+        nxt = stepper.step(phi, rl.evaluate_f(spec, phi))
         factor = 1.0 / (1.0 + dt * (pt_data.eigenvalues[i] - lam))
-        assert np.allclose(nxt.u, factor * phi, atol=1e-10)
+        assert np.allclose(nxt, factor * phi, atol=1e-10)
 
 
 def test_imex_stationary_fixed_point(pt_grid, pt_proj, pt_op, arctan_spec):
@@ -39,17 +40,15 @@ def test_imex_stationary_fixed_point(pt_grid, pt_proj, pt_op, arctan_spec):
     )
     assert res.converged
     dt = 0.01
-    nxt = rl.imex_step(rl.SemiflowState(0.0, res.w), lam, dt, pt_op, arctan_spec)
-    assert pt_grid.norm(nxt.u - res.w) <= 2.0 * dt * max(res.pde_residual, 1e-12)
+    nxt = rl.ImexStepper(pt_op, lam, dt).step(res.w, rl.evaluate_f(arctan_spec, res.w))
+    assert pt_grid.norm(nxt - res.w) <= 2.0 * dt * max(res.pde_residual, 1e-12)
 
 
-def test_imex_positivity_rejection(pt_grid, pt_op, arctan_spec):
-    # lam = -2 with dt = 1: 1 + dt (lam_min - lam) = 1 - 2 < 0
+def test_imex_positivity_rejection(pt_op):
+    # lam = -2 with dt = 1: 1 + dt (min V - lam) = 1 - 4 < 0
+    assert semiflow.loses_positivity(pt_op, -2.0, 1.0)
     with pytest.raises(StepRejected):
-        rl.imex_step(
-            rl.SemiflowState(0.0, np.zeros(pt_grid.num_nodes)),
-            -2.0, 1.0, pt_op, arctan_spec,
-        )
+        rl.ImexStepper(pt_op, -2.0, 1.0)
 
 
 def test_default_dt_resolves_fastest_mode(pt_op):
@@ -153,11 +152,10 @@ def test_evolve_dissipation_rate(pt_grid, pt_op, arctan_spec, rng, smooth_field)
     lam = -1.1
     u = 2.0 * np.exp(-pt_grid.axis**2) + smooth_field(pt_grid, rng, amplitude=0.5)
     dt = 1e-4
-    state = rl.SemiflowState(0.0, u)
-    nxt = rl.imex_step(state, lam, dt, pt_op, arctan_spec)
-    dJ = (rl.lyapunov_J(lam, nxt.u, pt_op, arctan_spec)
+    nxt = rl.ImexStepper(pt_op, lam, dt).step(u, rl.evaluate_f(arctan_spec, u))
+    dJ = (rl.lyapunov_J(lam, nxt, pt_op, arctan_spec)
           - rl.lyapunov_J(lam, u, pt_op, arctan_spec)) / dt
-    udot2 = pt_grid.norm((nxt.u - u) / dt) ** 2
+    udot2 = pt_grid.norm((nxt - u) / dt) ** 2
     assert abs(dJ + udot2) <= 0.05 * udot2
 
 
@@ -175,15 +173,15 @@ def test_kernel_drift_matches_finite_difference(pt_grid, pt_proj, pt_op, arctan_
     lam = pt_proj.lambda0 - pt_proj.delta / 2
     u = 3.0 * pt_proj.kernel_fields[:, 0] + 0.5 * np.exp(-(pt_grid.axis - 1.0) ** 2)
     dt = 1e-4
-    state = rl.SemiflowState(0.0, u)
+    stepper = rl.ImexStepper(pt_op, lam, dt)
     for _ in range(3):
-        nxt = rl.imex_step(state, lam, dt, pt_op, arctan_spec)
-        p1 = pt_grid.norm(pt_proj.project_kernel(state.u))
-        p2 = pt_grid.norm(pt_proj.project_kernel(nxt.u))
+        nxt = stepper.step(u, rl.evaluate_f(arctan_spec, u))
+        p1 = pt_grid.norm(pt_proj.project_kernel(u))
+        p2 = pt_grid.norm(pt_proj.project_kernel(nxt))
         fd = (p2**2 - p1**2) / (2 * dt)
-        drift = rl.kernel_drift_rate(lam, state.u, pt_proj, arctan_spec)
+        drift = rl.kernel_drift_rate(lam, u, pt_proj, arctan_spec)
         assert abs(fd - drift) <= 1e-3 * abs(drift)
-        state = nxt
+        u = nxt
 
 
 def test_continuity_in_initial_data(pt_grid, ground_proj, pt_op, arctan_spec, rng,
@@ -304,17 +302,20 @@ def test_evolve_streams_each_saved_state(pt_proj, pt_op, arctan_spec):
     traj = _flow(pt_proj, pt_op, arctan_spec, 0.505, 5, handed.append)
     assert (traj.steps, traj.stop_reason) == (51, "horizon")
     lam = pt_proj.lambda0 - 0.1
-    state, expected = rl.SemiflowState(0.0, 2.0 * pt_proj.kernel_fields[:, 0]), []
+    full = rl.ImexStepper(pt_op, lam, 0.01)
+    t, u, expected = 0.0, 2.0 * pt_proj.kernel_fields[:, 0], []
     for k in range(51):
         if k % 5 == 0:
-            expected.append(state)
-        state = rl.imex_step(state, lam, min(0.01, 0.505 - state.t), pt_op,
-                             arctan_spec)
-    expected.append(state)
+            expected.append((t, u))
+        dt = min(0.01, 0.505 - t)
+        stepper = full if dt == 0.01 else rl.ImexStepper(pt_op, lam, dt)
+        u = stepper.step(u, rl.evaluate_f(arctan_spec, u))
+        t += dt
+    expected.append((t, u))
     assert len(handed) == len(expected) == 12
-    for h, e in zip(handed, expected):
-        assert h.t == e.t
-        assert np.array_equal(h.u, e.u)
+    for h, (t, u) in zip(handed, expected):
+        assert h.t == t
+        assert np.array_equal(h.u, u)
         assert h.J == rl.lyapunov_J(lam, h.u, pt_op, arctan_spec)
     # each field is a copy: a hook that overwrites it changes nothing after
     spoiled = []
@@ -331,8 +332,8 @@ def test_evolve_streams_each_saved_state(pt_proj, pt_op, arctan_spec):
 def test_evolve_hands_on_the_stop_rule_norms_and_J(stop, pt_proj, pt_op, arctan_spec,
                                                    monkeypatch):
     # each handed state carries field_norms and J of its field, and each is
-    # computed once per field: by the stop rule when it reads them, else by
-    # the save
+    # computed once per field: the norms by the equilibrium rule when it reads
+    # them, else by the save, and J by the save
     real_norms, real_J = semiflow.field_norms, semiflow.lyapunov_J
     calls = {"field_norms": 0, "lyapunov_J": 0}
 
@@ -425,20 +426,6 @@ def test_trajectory_save_schedule(pt_grid, pt_op, arctan_spec, flow):
     assert abs(times[-1] - 0.2) < 1e-12
 
 
-def test_evolve_j_plateau_stop(pt_grid, ground_proj, pt_op, arctan_spec, flow):
-    # at an equilibrium the J differences between saves vanish
-    lam = ground_proj.lambda0 - 0.2
-    res = rl.solve_near_resonance(
-        lam, 3.0 * ground_proj.kernel_fields[:, 0], ground_proj,
-        arctan_spec,
-    )
-    traj, states = flow(rl.SemiflowState(0.0, res.w), lam, 50.0, pt_op,
-                        arctan_spec, stop="j-plateau", save_every=5,
-                        j_plateau_tol=1e-10)
-    assert traj.stop_reason == "j-plateau"
-    assert states[-1].t < 50.0
-
-
 def test_evolve_stop_rule_validation(pt_grid, pt_op, arctan_spec, flow):
     with pytest.raises(ValueError):
         flow(rl.SemiflowState(0.0, np.zeros(pt_grid.num_nodes)), -1.0,
@@ -452,20 +439,40 @@ def test_evolve_stop_rule_validation(pt_grid, pt_op, arctan_spec, flow):
                  1.0, pt_op, arctan_spec, save_every=save_every)
 
 
+def test_evolve_builds_a_stepper_only_at_an_admitted_dt(pt_grid, pt_op, arctan_spec,
+                                                      flow, monkeypatch):
+    # dt = 1 is halved to 0.125 before any stepper is built: one factorization
+    real_init = semiflow.ImexStepper.__init__
+    made = []
+
+    def init(self, op, lam, dt):
+        made.append(dt)
+        real_init(self, op, lam, dt)
+
+    monkeypatch.setattr(semiflow.ImexStepper, "__init__", init)
+    traj, _ = flow(rl.SemiflowState(0.0, np.exp(-pt_grid.axis**2)), -1.125, 2.0,
+                   pt_op, arctan_spec, dt=1.0, stop="time-only")
+    assert (traj.steps, made) == (16, [0.125])
+
+
 def test_evolve_halves_a_dt_the_implicit_matrix_refuses(pt_grid, pt_op, arctan_spec,
                                                        flow):
     # min V = -6 at lam = -1.125: I + dt (A - lam) stays positive only for
-    # dt < 1/4.875 = 0.205, so dt = 1 is halved three times, to 0.125, and
-    # the horizon 2 takes 16 steps, each the plain IMEX step at that dt
+    # dt < 1/4.875 = 0.205.  Over the horizon 2, dt = 1 is halved three times,
+    # to 0.125: 16 steps.  Over the horizon 0.3 it is first cut to 0.3, then
+    # halved once: 2 steps of 0.15, not the 0.125, 0.125, 0.05 that halving
+    # dt = 1 would give.  Each step is the plain IMEX step at that dt
     lam = -1.125
     assert pt_op.spectrum_lower_bound() == -6.0
-    state = rl.SemiflowState(0.0, np.exp(-pt_grid.axis**2))
-    traj, states = flow(state, lam, 2.0, pt_op, arctan_spec, dt=1.0,
-                        stop="time-only", save_every=1)
-    assert traj.steps == 16 and traj.stop_reason == "horizon"
-    assert len(states) == 17
-    for saved in states[1:]:
-        state = rl.imex_step(state, lam, 0.125, pt_op, arctan_spec)
-        assert saved.t == state.t
-        assert np.array_equal(saved.u, state.u)
-    assert states[-1].t == 2.0
+    u0 = np.exp(-pt_grid.axis**2)
+    for horizon, dt, steps in ((2.0, 0.125, 16), (0.3, 0.15, 2)):
+        traj, states = flow(rl.SemiflowState(0.0, u0), lam, horizon, pt_op,
+                            arctan_spec, dt=1.0, stop="time-only", save_every=1)
+        assert (traj.steps, traj.stop_reason) == (steps, "horizon")
+        assert len(states) == steps + 1
+        stepper, u = rl.ImexStepper(pt_op, lam, dt), u0
+        for k, saved in enumerate(states[1:], 1):
+            u = stepper.step(u, rl.evaluate_f(arctan_spec, u))
+            assert saved.t == k * dt
+            assert np.array_equal(saved.u, u)
+        assert states[-1].t == horizon

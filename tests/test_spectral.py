@@ -756,7 +756,7 @@ def _check_resolvent(grid, proj, lam, w, z):
     q = proj.project_complement(w)
     resid = grid.norm(proj.operator.apply(z) - lam * z - q)
     assert resid <= 1e-8 * grid.norm(q)
-    assert grid.norm(z) <= grid.norm(q) / proj.gap_constant
+    assert grid.norm(z) <= grid.norm(q) / proj.delta
 
 
 def test_resolvent_falls_back_when_fast_path_fails_check(rng, pt_grid,
