@@ -7,11 +7,13 @@ experiment's `Problem` to its reports, which `main` writes.  Exit codes:
 0 success, 2 config error, 3 numerical failure, 4 verdict negative (only
 when the experiment declares expect_positive).  Identical config and seed
 produce byte-identical outputs; the effective config and seed are embedded
-in every JSON report.  The solver and eigensolve tolerances are library
-keyword arguments (`eigenpairs_below`, `SolverConfig`,
-`check_sign_condition`), which the CLI uses at their defaults.  `spectrum`
-also stores its eigenpairs in the output directory, and the later
-subcommands reuse them when they pass every check of a fresh solve.
+in every JSON report; the seed drives only the sign-condition sampler of
+`resonance`, whose report alone holds the resonance verdicts.  The solver
+and eigensolve tolerances are library keyword arguments (`eigenpairs_below`,
+`SolverConfig`, `check_sign_condition`), which the CLI uses at their
+defaults.  `spectrum` also stores its eigenpairs in the output directory,
+and the later subcommands reuse them when they pass every check of a fresh
+solve.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ EXIT_NUMERICAL = 3
 EXIT_VERDICT = 4
 
 EIGENPAIRS_FILE = "eigenpairs.npz"
+# radii of the kernel-sphere probes that `resonance` reports
+PROBE_RADII = (1.0, 10.0, 100.0)
 # names the layout of the stored eigenpairs in their key; a new layout gets a
 # new tag, so files of the old one are solved again instead of misread
 EIGENPAIRS_FORMAT = "resonance-lab eigenpairs 1"
@@ -148,7 +152,6 @@ SCHEMA = {
         "initial": (str, "kernel 1.0"),
         "snapshots": (_boolean, "false"),
         "tail_radii": (POSITIVES, ""),
-        "probe_radii": (POSITIVES, "1 10 100"),
         "expect_positive": (_boolean, "false"),
     },
     "output": {"dir": (str, "out")},
@@ -184,6 +187,8 @@ def parse_config(path: str) -> dict:
                     values[name][key] = None if raw is None else cast(raw)
                 except ValueError as exc:
                     raise ConfigError(f"[{name}] {key} = {raw!r}: {exc}") from exc
+    if None not in (values["spectral"]["lambda0_index"], values["spectral"]["lambda0_value"]):
+        raise ConfigError("[spectral] lambda0_index and lambda0_value both select lambda0")
     half_width = values["grid"]["half_width"]
     if any(r > half_width for r in values["experiment"]["tail_radii"]):
         raise ConfigError(
@@ -259,7 +264,7 @@ class Problem:
     @property
     def lambda0_selection(self) -> tuple[str, float] | None:
         """The [spectral] selection of λ0, ("index", i) or ("value", λ), or
-        None when the config gives neither."""
+        None when the config gives neither (parse_config refuses both)."""
         s = self.cfg["spectral"]
         if s["lambda0_index"] is not None:
             return ("index", s["lambda0_index"])
@@ -362,21 +367,17 @@ def _cmd_spectrum(problem: Problem) -> tuple[dict, bool | None]:
 
 def _cmd_resonance(problem: Problem) -> tuple[dict, bool | None]:
     proj, spec = problem.proj, problem.spec
-    seed = problem.cfg["run"]["seed"]
-    rng = np.random.default_rng(seed)
-    ll = check_landesman_lazer(spec, proj.kernel_fields, rng=rng)
-    sr = check_sign_condition(spec, rng=rng)
+    ll = check_landesman_lazer(spec, proj.kernel_fields)
+    sr = check_sign_condition(spec, rng=np.random.default_rng(problem.cfg["run"]["seed"]))
     verdicts = {"LL+": asdict(ll.plus), "LL-": asdict(ll.minus),
                 "SR+": asdict(sr.plus), "SR-": asdict(sr.minus)}
     report = {
         "lambda0": proj.lambda0,
         "delta": proj.delta,
         "verdicts": verdicts,
-        # each probe has its own seed, so its result does not depend on the others
         "kernel_sphere_probe": [
-            asdict(kernel_sphere_probe(spec, proj.kernel_fields, radius,
-                                       rng=np.random.default_rng([seed, i])))
-            for i, radius in enumerate(problem.cfg["experiment"]["probe_radii"])
+            asdict(kernel_sphere_probe(spec, proj.kernel_fields, radius))
+            for radius in PROBE_RADII
         ],
     }
     return {"resonance.json": report}, any(v["holds"] for v in verdicts.values())
@@ -390,6 +391,9 @@ def _cmd_branch(problem: Problem) -> tuple[dict, bool | None]:
         proj.lambda0 + sign * proj.delta * 2.0 ** (-k)
         for k in range(1, e["num_points"] + 1)
     ]
+    if len({proj.lambda0, *schedule}) <= len(schedule):  # a point rounds onto another
+        raise ConfigError(f"[experiment] num_points = {e['num_points']} is finer than "
+                          f"the float resolution of lambda0 = {proj.lambda0!r}")
     branch = bif.continue_branch(schedule, proj, spec)
     rows = [
         (
@@ -403,9 +407,6 @@ def _cmd_branch(problem: Problem) -> tuple[dict, bool | None]:
     report = bif.summarize_branch(
         branch, proj, spec, e["growth_factor"], e["window"]
     )
-    ll = check_landesman_lazer(spec, proj.kernel_fields,
-                               rng=np.random.default_rng(problem.cfg["run"]["seed"]))
-    report["resonance"] = {"LL+": asdict(ll.plus), "LL-": asdict(ll.minus)}
     verdict = report["verdict"]
     return ({"branch.csv": (header, rows), "bifurcation.json": report},
             verdict is not None and verdict["detected"])

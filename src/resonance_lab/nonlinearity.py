@@ -15,10 +15,11 @@ declared once, by its profile h on [0, inf): `_odd_family` derives f, the
 even primitive F(x, u) = H(x, |u|) and the limits at -inf from h's.  The
 `neg_*` families are their negations.
 
-Checkers return verdicts for both signs of a condition: Landesman-Lazer
-integrals over an epsilon-net of the kernel sphere (one integral per
-direction serves both signs), and sampled sign checks with quadrature-mass
-positivity for the strong-resonance conditions.
+Checkers return verdicts for both signs of a condition, by one rule over
+sigma = +-1: Landesman-Lazer integrals over a fixed epsilon-net of the
+kernel sphere (one integral per direction serves both signs), and sampled
+sign checks with quadrature-mass positivity for the strong-resonance
+conditions.
 """
 
 from __future__ import annotations
@@ -259,16 +260,29 @@ class ConditionPair:
     minus: ResonanceVerdict
 
 
-def _kernel_net(basis: np.ndarray, rng) -> np.ndarray:
-    """Columns: an epsilon-net of the unit kernel sphere (coefficient space)."""
-    dim = basis.shape[1]
+def _pair(verdict: Callable[[float, str], ResonanceVerdict]) -> ConditionPair:
+    """Both verdicts of a condition by one rule, verdict(sigma, sign) at
+    sigma = +1 ("+") and -1 ("-"); negation is exact in floating point."""
+    return ConditionPair(plus=verdict(1.0, "+"), minus=verdict(-1.0, "-"))
+
+
+def _margin_and_box_mass(spec: NonlinearitySpec) -> tuple[float, float]:
+    """The checkers' sign margin MARGIN_FACTOR max(1, max m) and box mass."""
+    grid = spec.grid
+    margin = MARGIN_FACTOR * max(1.0, float(np.max(spec.bound_m, initial=0.0)))
+    return margin, (2.0 * grid.half_width) ** grid.ndim
+
+
+def _kernel_net(dim: int) -> np.ndarray:
+    """Rows: the coefficients of an epsilon-net of the unit sphere of a
+    dim-dimensional kernel, the same net on every call."""
     if dim == 1:
         coeffs = np.array([[1.0], [-1.0]])
     elif dim == 2:
         angles = np.linspace(0.0, 2.0 * np.pi, NET_DIRECTIONS, endpoint=False)
         coeffs = np.column_stack([np.cos(angles), np.sin(angles)])
     else:
-        raw = rng.standard_normal((NET_DIRECTIONS, dim))
+        raw = np.random.default_rng(0).standard_normal((NET_DIRECTIONS, dim))
         coeffs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     return coeffs
 
@@ -285,18 +299,15 @@ def landesman_lazer_integral(spec: NonlinearitySpec, phi: np.ndarray) -> float:
     )
 
 
-def check_landesman_lazer(
-    spec: NonlinearitySpec,
-    kernel_basis: np.ndarray,
-    rng: np.random.Generator | None = None,
-) -> ConditionPair:
+def check_landesman_lazer(spec: NonlinearitySpec, kernel_basis: np.ndarray
+                          ) -> ConditionPair:
     """Landesman-Lazer integrals over an epsilon-net of the kernel sphere.
 
     Both verdicts carry one witness list: I(phi) of landesman_lazer_integral
-    for each unit kernel field phi of the net.  (LL)+ holds when
-    min I > margin, with margin = MARGIN_FACTOR max(1, max m); (LL)- needs
-    max I < -margin.  The pointwise positive-measure diagnostics are reported
-    as quadrature-mass fractions.
+    for each unit kernel field phi of the net.  (LL)sigma holds when
+    min sigma I > margin, with margin = MARGIN_FACTOR max(1, max m), so
+    (LL)+ needs min I > margin and (LL)- max I < -margin.  The pointwise
+    positive-measure diagnostics are reported as quadrature-mass fractions.
     """
     grid = spec.grid
     basis = np.asarray(kernel_basis, dtype=float)
@@ -304,36 +315,30 @@ def check_landesman_lazer(
         raise NonlinearityError("kernel_basis must hold one field per column")
     if basis.shape[1] == 0:
         raise NonlinearityError("kernel_basis is empty")
-    rng = rng or np.random.default_rng(0)
-    margin = MARGIN_FACTOR * max(1.0, float(np.max(spec.bound_m, initial=0.0)))
-    box_mass = (2.0 * grid.half_width) ** grid.ndim
+    margin, box_mass = _margin_and_box_mass(spec)
 
     witnesses = []
-    for c in _kernel_net(basis, rng):
+    for c in _kernel_net(basis.shape[1]):
         phi = basis @ c
         nrm = grid.norm(phi)
         if nrm != 0:
             witnesses.append(landesman_lazer_integral(spec, phi / nrm))
 
-    # pointwise layer of (LL)+-: a.e. sign conditions and positive measure
-    # where neither limit field vanishes
-    lp, lm, w = spec.limit_plus, spec.limit_minus, grid.weights
-    fails = "pointwise a.e. sign condition fails"
-    plus = ResonanceVerdict(
-        condition="LL+",
-        holds=bool(witnesses and min(witnesses) > margin),
-        witnesses=witnesses,
-        mass_fraction=float(np.sum(w[(lp > margin) & (lm < -margin)])) / box_mass,
-        note="" if np.all(lp >= -margin) and np.all(lm <= margin) else fails,
-    )
-    minus = ResonanceVerdict(
-        condition="LL-",
-        holds=bool(witnesses and max(witnesses) < -margin),
-        witnesses=witnesses,
-        mass_fraction=float(np.sum(w[(lp < -margin) & (lm > margin)])) / box_mass,
-        note="" if np.all(lp <= margin) and np.all(lm >= -margin) else fails,
-    )
-    return ConditionPair(plus=plus, minus=minus)
+    # pointwise layer of (LL)sigma: sigma limit_+ >= 0 >= sigma limit_- a.e.,
+    # and positive measure where both are strict
+    def verdict(sigma, sign):
+        lp, lm = sigma * spec.limit_plus, sigma * spec.limit_minus
+        mass = float(np.sum(grid.weights[(lp > margin) & (lm < -margin)]))
+        return ResonanceVerdict(
+            condition=f"LL{sign}",
+            holds=bool(witnesses and min(sigma * v for v in witnesses) > margin),
+            witnesses=witnesses,
+            mass_fraction=mass / box_mass,
+            note="" if np.all(lp >= -margin) and np.all(lm <= margin)
+            else "pointwise a.e. sign condition fails",
+        )
+
+    return _pair(verdict)
 
 
 def check_sign_condition(
@@ -346,25 +351,23 @@ def check_sign_condition(
     Draws sample_budget values of s (log-spaced magnitudes both signs plus
     random draws), evaluates s f(x, s) at every node, and records the worst
     violation.  f is called once per block of samples, on the column of their
-    values (see evaluate_f); the witness (x, s, s f) of the min and of the
-    max is the first sample, then the first node, that attains it, as a loop
-    over the samples in order would find it.  (SR)+ needs s f >= 0
-    everywhere sampled and positive quadrature mass where both k+ and k- are
-    strictly positive; (SR)- is the mirror.  Families with an unbounded k
-    limit are reported inapplicable.
+    values (see evaluate_f); the witness (x, s, s f) of each sign's extremum
+    is the first sample, then the first node, that attains it, as a loop
+    over the samples in order would find it.  (SR)sigma needs
+    sigma s f >= -margin everywhere sampled, and positive quadrature mass
+    where sigma k+ and sigma k- both exceed the margin; its witness value is
+    sigma min(sigma s f), the min of s f for (SR)+ and the max for (SR)-.
+    Families with an unbounded k limit are reported inapplicable.
     """
     grid = spec.grid
     rng = rng or np.random.default_rng(0)
-    margin = MARGIN_FACTOR * max(1.0, float(np.max(spec.bound_m, initial=0.0)))
-    box_mass = (2.0 * grid.half_width) ** grid.ndim
+    margin, box_mass = _margin_and_box_mass(spec)
     mass_tol = MASS_TOL_FACTOR * box_mass
 
     if spec.k_plus is None or spec.k_minus is None:
         note = "k limits unbounded, SR inapplicable"
-        return ConditionPair(
-            plus=ResonanceVerdict("SR+", False, [], 0.0, applicable=False, note=note),
-            minus=ResonanceVerdict("SR-", False, [], 0.0, applicable=False, note=note),
-        )
+        return _pair(lambda sigma, sign: ResonanceVerdict(
+            f"SR{sign}", False, [], 0.0, applicable=False, note=note))
 
     n_struct = max(8, sample_budget // 4)
     mags = np.geomspace(1e-3, 1e6, n_struct // 2)
@@ -372,39 +375,36 @@ def check_sign_condition(
     s_rand = rng.standard_cauchy(max(0, sample_budget - s_struct.size)) * 10.0
     samples = np.concatenate([s_struct, s_rand])
 
-    worst = np.inf      # min of s f over all samples and nodes
-    best = -np.inf      # max of s f
-    witness_min = witness_max = None
+    # sigma and the flat index of the first min of sigma s f in a block: for
+    # sigma = -1 that is the first max of s f, found without negating it
+    signs = ((1.0, np.argmin), (-1.0, np.argmax))
+    low = {1.0: np.inf, -1.0: np.inf}  # min of sigma s f over samples and nodes
+    witness = {}
     block = max(1, SAMPLE_BLOCK_VALUES // grid.num_nodes)
     for start in range(0, samples.size, block):
         s = samples[start:start + block, np.newaxis]
         vals = s * evaluate_f(spec, s)
-        # the flat argmin/argmax of a C-ordered block is the first row, then
-        # the first node, that attains the extremum; a later block replaces
-        # the witness only when it improves on it strictly
-        r_min, i_min = divmod(int(np.argmin(vals)), grid.num_nodes)
-        r_max, i_max = divmod(int(np.argmax(vals)), grid.num_nodes)
-        if vals[r_min, i_min] < worst:
-            worst = float(vals[r_min, i_min])
-            witness_min = (grid.points[i_min].tolist(), float(s[r_min, 0]), worst)
-        if vals[r_max, i_max] > best:
-            best = float(vals[r_max, i_max])
-            witness_max = (grid.points[i_max].tolist(), float(s[r_max, 0]), best)
+        for sigma, first_low in signs:
+            # the flat argmin (argmax) of a C-ordered block is the first row,
+            # then the first node, that attains the extremum; a later block
+            # replaces the witness only when it improves on it strictly
+            r, i = divmod(int(first_low(vals)), grid.num_nodes)
+            if sigma * vals[r, i] < low[sigma]:
+                low[sigma] = float(sigma * vals[r, i])
+                witness[sigma] = (grid.points[i].tolist(), float(s[r, 0]),
+                                  sigma * low[sigma])
 
-    mass_pos = float(np.sum(grid.weights[(spec.k_plus > margin) & (spec.k_minus > margin)]))
-    mass_neg = float(np.sum(grid.weights[(spec.k_plus < -margin) & (spec.k_minus < -margin)]))
+    def verdict(sigma, sign):
+        signed = low[sigma] >= -margin
+        mass = float(np.sum(grid.weights[(sigma * spec.k_plus > margin)
+                                         & (sigma * spec.k_minus > margin)]))
+        return ResonanceVerdict(
+            f"SR{sign}", bool(signed and mass > mass_tol), [sigma * low[sigma]],
+            mass / box_mass,
+            note="" if signed else f"sign violation at (x, s) = {witness[sigma]}",
+        )
 
-    plus_holds = worst >= -margin and mass_pos > mass_tol
-    minus_holds = best <= margin and mass_neg > mass_tol
-    plus = ResonanceVerdict(
-        "SR+", bool(plus_holds), [worst], mass_pos / box_mass,
-        note="" if worst >= -margin else f"sign violation at (x, s) = {witness_min}",
-    )
-    minus = ResonanceVerdict(
-        "SR-", bool(minus_holds), [best], mass_neg / box_mass,
-        note="" if best <= margin else f"sign violation at (x, s) = {witness_max}",
-    )
-    return ConditionPair(plus=plus, minus=minus)
+    return _pair(verdict)
 
 
 @dataclass
@@ -415,12 +415,8 @@ class SphereProbe:
     min_pairing: float
 
 
-def kernel_sphere_probe(
-    spec: NonlinearitySpec,
-    kernel_basis: np.ndarray,
-    radius: float,
-    rng: np.random.Generator | None = None,
-) -> SphereProbe:
+def kernel_sphere_probe(spec: NonlinearitySpec, kernel_basis: np.ndarray, radius: float
+                        ) -> SphereProbe:
     """Probe the outward pairing on the kernel sphere of a given radius.
 
     kernel_basis holds the kernel fields as columns; the probe reports the
@@ -431,9 +427,8 @@ def kernel_sphere_probe(
     if radius <= 0:
         raise NonlinearityError(f"radius must be positive, got {radius}")
     grid = spec.grid
-    rng = rng or np.random.default_rng(0)
     pairings = []
-    for c in _kernel_net(kernel_basis, rng):
+    for c in _kernel_net(kernel_basis.shape[1]):
         v = kernel_basis @ c
         v = v / grid.norm(v) * radius
         pairings.append(grid.inner(v, evaluate_f(spec, v)))

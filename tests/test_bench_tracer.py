@@ -53,3 +53,5 @@ def test_tracer_covers_every_declared_layer(tmp_path):
     names = [s.name for s in trace.spans]
     assert names.count("spectral.eigensolve") == 1
     assert names.count("spectral.eigsh") == 1
+    # `resonance` alone checks the Landesman-Lazer conditions
+    assert names.count("nonlinearity.landesman_lazer") == 1

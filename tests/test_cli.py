@@ -383,6 +383,16 @@ def test_morse_lambda_without_a_count_is_config_error(tmp_path, capsys, value):
     assert not any(out.iterdir())
 
 
+def test_schedule_finer_than_lambda0_resolution_is_config_error(tmp_path, capsys):
+    # lambda0 - delta 2^-k with delta = 0.25 rounds to lambda0 from k = 51 on,
+    # below half a float spacing of lambda0: such points cannot be told apart
+    cfg = PT_BASE.format(n=401) + "\n[experiment]\nnum_points = 60\n"
+    code, out = _run(tmp_path, "branch", cfg)
+    assert code == EXIT_CONFIG
+    assert "[experiment] num_points = 60" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_semiflow_without_a_step_has_no_tail_report(tmp_path, capsys):
     # a horizon within the step loop's 1e-12 slack takes no step, which
     # leaves the tail-decay bound one saved state
@@ -407,10 +417,10 @@ MALFORMED = [  # (subcommand, section, key, value)
     ("semiflow", "experiment", "dt", "0"),
     ("semiflow", "experiment", "horizon", "0.2%"),
     ("semiflow", "experiment", "tail_radii", "5 x"),
-    ("resonance", "experiment", "probe_radii", "1 x"),
     ("spectrum", "potential", "center", "0 q"),
     ("spectrum", "spectral", "morse_lambdas", "-4.5 abc"),
     ("resonance", "spectral", "delta_request", "-0.25"),
+    ("resonance", "spectral", "lambda0_index", "0"),  # PT_BASE sets lambda0_value
     ("spectrum", "grid", "ndim", "1\nndim = 2"),  # a duplicated key
     ("spectrum", None, "ndim", "1"),  # a key above the first section header
     ("semiflow", "experiment", "horizn", "0.2"),  # a key the section does not list
@@ -424,7 +434,6 @@ MALFORMED = [  # (subcommand, section, key, value)
     ("semiflow", "experiment", "tail_radii", "nan"),
     ("semiflow", "experiment", "tail_radii", "5 50"),  # beyond half_width = 20
     ("semiflow", "grid", "half_width", "-5"),  # refused before the grid is built
-    ("branch", "experiment", "probe_radii", "0"),  # branch refuses it too
     # refused when the grid or the nonlinearity is built, not by parse_config
     ("spectrum", "grid", "half_width", "1e300"),  # node radii overflow
     ("spectrum", "grid", "half_width", "1e-300"),  # 1/h^2 overflows
@@ -493,11 +502,13 @@ def _warmup_with(path, section, key, value) -> str:
     return str(path)
 
 # the solver and eigensolve tolerances are library keyword arguments, no
-# longer config keys: a config that still sets one is refused like a typo
+# longer config keys, and the probe radii a constant: a config that still
+# sets one is refused like a typo
 REMOVED_KEYS = [("spectral", "tol_eig", "1e-8"), ("spectral", "cluster_tol", "1e-6"),
                 ("spectral", "max_count", "64"), ("experiment", "tol_fp", "1e-8"),
                 ("experiment", "tol_pde", "1e-6"), ("experiment", "max_iter", "200"),
-                ("experiment", "sample_budget", "4096")]
+                ("experiment", "sample_budget", "4096"),
+                ("experiment", "probe_radii", "1 10 100")]
 
 
 @pytest.mark.parametrize("section, key, value", REMOVED_KEYS,

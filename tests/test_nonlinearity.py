@@ -176,6 +176,53 @@ def test_landesman_lazer_negated(grid, arctan):
     assert all(wi < 0 for wi in pair.minus.witnesses)
 
 
+def test_landesman_lazer_net_of_a_three_dimensional_kernel():
+    # three orthonormal kernel fields: the net is 64 fixed unit directions
+    grid = rl.make_grid(1, 4.0, 41)
+    spec = rl.saturating_arctan(grid)
+    sqrt_w = np.sqrt(grid.weights)
+    raw = np.column_stack([np.exp(-grid.axis**2), grid.axis * np.exp(-grid.axis**2),
+                           np.cos(grid.axis)])
+    basis = np.linalg.qr(sqrt_w[:, None] * raw)[0] / sqrt_w[:, None]
+    coeffs = np.random.default_rng(0).standard_normal((64, 3))
+    fields = basis @ (coeffs / np.linalg.norm(coeffs, axis=1, keepdims=True)).T
+    assert np.allclose([grid.norm(phi) for phi in fields.T], 1.0, rtol=1e-12)
+    expected = [rl.landesman_lazer_integral(spec, phi) for phi in fields.T]
+
+    margin = MARGIN_FACTOR  # max m = 1
+    for f, plus in ((spec, True), (rl.negate(spec), False)):
+        pair = rl.check_landesman_lazer(f, basis)
+        witnesses = pair.plus.witnesses
+        assert len(witnesses) == 64 and pair.minus.witnesses is witnesses
+        np.testing.assert_allclose(witnesses, [w if plus else -w for w in expected],
+                                   rtol=1e-12)
+        assert pair.plus.holds == (min(witnesses) > margin) == plus
+        assert pair.minus.holds == (max(witnesses) < -margin) == (not plus)
+        assert rl.check_landesman_lazer(f, basis) == pair
+
+    probe = rl.kernel_sphere_probe(spec, basis, 10.0)
+    assert rl.kernel_sphere_probe(spec, basis, 10.0) == probe
+    pairings = [grid.inner(10.0 * phi, rl.evaluate_f(spec, 10.0 * phi))
+                for phi in fields.T]
+    np.testing.assert_allclose(probe.min_pairing, min(pairings), rtol=1e-12)
+
+
+@pytest.mark.parametrize("family", ("arctan", "rational", "zero"))
+def test_checkers_mirror_under_negation(coarse_grid, coarse_pt, family):
+    # the minus verdict of f is the plus verdict of -f, and the plus verdict
+    # of f the minus verdict of -f, with negated witnesses
+    basis = rl.build_projections(coarse_pt[1], -1.0, 0.25).kernel_fields
+    spec = rl.make_nonlinearity(coarse_grid, family)
+    ll = [rl.check_landesman_lazer(f, basis) for f in (spec, rl.negate(spec))]
+    sr = [rl.check_sign_condition(f, rng=np.random.default_rng(11))
+          for f in (spec, rl.negate(spec))]
+    for pair, negated in (ll, sr):
+        for verdict, mirror in ((pair.minus, negated.plus), (pair.plus, negated.minus)):
+            assert ((mirror.holds, mirror.mass_fraction, mirror.applicable)
+                    == (verdict.holds, verdict.mass_fraction, verdict.applicable))
+            assert mirror.witnesses == [-w for w in verdict.witnesses]
+
+
 def test_sign_condition_rational(grid, rational):
     pair = rl.check_sign_condition(rational, sample_budget=512)
     assert pair.plus.holds and pair.plus.applicable
