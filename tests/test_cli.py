@@ -417,6 +417,8 @@ MALFORMED = [  # (subcommand, section, key, value)
     ("semiflow", "experiment", "dt", "0"),
     ("semiflow", "experiment", "horizon", "0.2%"),
     ("semiflow", "experiment", "tail_radii", "5 x"),
+    ("resonance", "experiment", "probe_radii", "1 x"),  # a removed key: unknown
+    ("branch", "experiment", "probe_radii", "0"),  # branch refuses it too
     ("spectrum", "potential", "center", "0 q"),
     ("spectrum", "spectral", "morse_lambdas", "-4.5 abc"),
     ("resonance", "spectral", "delta_request", "-0.25"),
