@@ -25,7 +25,7 @@ conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -287,6 +287,25 @@ def _kernel_net(dim: int) -> np.ndarray:
     return coeffs
 
 
+def _kernel_directions(spec: NonlinearitySpec, kernel_basis: np.ndarray
+                       ) -> Iterator[np.ndarray]:
+    """The unit kernel fields phi = B c / ||B c|| over the net's coefficients
+    c, one at a time, skipping each c whose field B c vanishes.  Raises
+    NonlinearityError, before the first field, unless kernel_basis B holds
+    one field per column and has a column."""
+    grid = spec.grid
+    basis = np.asarray(kernel_basis, dtype=float)
+    if basis.ndim != 2 or basis.shape[0] != grid.num_nodes:
+        raise NonlinearityError("kernel_basis must hold one field per column")
+    if basis.shape[1] == 0:
+        raise NonlinearityError("kernel_basis is empty")
+    for c in _kernel_net(basis.shape[1]):
+        phi = basis @ c
+        nrm = grid.norm(phi)
+        if nrm != 0:
+            yield phi / nrm
+
+
 def landesman_lazer_integral(spec: NonlinearitySpec, phi: np.ndarray) -> float:
     """I(phi) = int (limit_plus phi^+ - limit_minus phi^-) by quadrature.
 
@@ -310,19 +329,9 @@ def check_landesman_lazer(spec: NonlinearitySpec, kernel_basis: np.ndarray
     positive-measure diagnostics are reported as quadrature-mass fractions.
     """
     grid = spec.grid
-    basis = np.asarray(kernel_basis, dtype=float)
-    if basis.ndim != 2 or basis.shape[0] != grid.num_nodes:
-        raise NonlinearityError("kernel_basis must hold one field per column")
-    if basis.shape[1] == 0:
-        raise NonlinearityError("kernel_basis is empty")
+    witnesses = [landesman_lazer_integral(spec, phi)
+                 for phi in _kernel_directions(spec, kernel_basis)]
     margin, box_mass = _margin_and_box_mass(spec)
-
-    witnesses = []
-    for c in _kernel_net(basis.shape[1]):
-        phi = basis @ c
-        nrm = grid.norm(phi)
-        if nrm != 0:
-            witnesses.append(landesman_lazer_integral(spec, phi / nrm))
 
     # pointwise layer of (LL)sigma: sigma limit_+ >= 0 >= sigma limit_- a.e.,
     # and positive measure where both are strict
@@ -422,14 +431,17 @@ def kernel_sphere_probe(spec: NonlinearitySpec, kernel_basis: np.ndarray, radius
     kernel_basis holds the kernel fields as columns; the probe reports the
     min over an epsilon-net of sphere directions v (||v|| = radius) of
     <v, F(v)>, the empirical counterpart of the geometric constant alpha.
-    The inward pairing is the probe of negate(spec).
+    The inward pairing is the probe of negate(spec).  The basis is checked
+    as check_landesman_lazer checks it, and a net direction whose field
+    vanishes is skipped; NonlinearityError when every one vanishes.
     """
     if radius <= 0:
         raise NonlinearityError(f"radius must be positive, got {radius}")
     grid = spec.grid
     pairings = []
-    for c in _kernel_net(kernel_basis.shape[1]):
-        v = kernel_basis @ c
-        v = v / grid.norm(v) * radius
+    for phi in _kernel_directions(spec, kernel_basis):
+        v = phi * radius
         pairings.append(grid.inner(v, evaluate_f(spec, v)))
+    if not pairings:
+        raise NonlinearityError("every kernel direction vanishes")
     return SphereProbe(radius=float(radius), min_pairing=float(min(pairings)))

@@ -20,20 +20,30 @@ a block LDLᵀ over the grid lines (a scalar recurrence in 1-D), so it holds
 a few n×n line blocks, not a sparse factorization.  Eigenpairs stored
 from such a solve are taken back by reuse_eigenpairs only after the same
 count and residual checks, plus a check of their orthonormality.
+
+scipy's solvers load on first use: SuperLU and ARPACK (scipy.sparse.linalg)
+with the first factorization, LAPACK (scipy.linalg) with the first 2-D
+inertia count.  So `resonance` on stored 1-D pairs loads neither, and on
+stored 2-D pairs LAPACK only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
 from .grid import Grid, GridError
 from .potential import PotentialSpec
+
+# scipy.sparse.linalg and scipy.linalg are imported inside the functions that
+# call them: together they add about 10 MB and 0.1 s to every process that
+# imports this module, and a check of stored eigenpairs calls neither
+if TYPE_CHECKING:
+    from scipy.sparse.linalg import SuperLU
 
 # a requested ceiling may exceed alpha_inf by this fraction of the spectral scale
 CEILING_MARGIN = 1e-6
@@ -98,7 +108,7 @@ class HamiltonianOperator:
             mat.setdiag(1.0 + dt * (S.diagonal() - lam))
         return mat
 
-    def factor_shifted(self, lam: float, dt: float | None = None) -> spla.SuperLU:
+    def factor_shifted(self, lam: float, dt: float | None = None) -> SuperLU:
         """SuperLU factors of `shifted(lam, dt)`; RuntimeError when exactly
         singular.
 
@@ -112,6 +122,8 @@ class HamiltonianOperator:
         would only move the last bits of its solves, which the 1-D semiflow
         amplifies.
         """
+        import scipy.sparse.linalg as spla
+
         ordering = {"permc_spec": "MMD_AT_PLUS_A"} if self.grid.ndim == 2 else {}
         return spla.splu(self.shifted(lam, dt), **ordering)
 
@@ -251,6 +263,8 @@ def _line_block_count(shifted, off, coupling, n, tiny) -> int | None:
     one of its pivots has a magnitude at most tiny.  dsytrf and dsytri read
     and write the lower triangle only, so one Fortran-ordered n×n array
     holds D_k, its factor, its inverse and the next D_{k+1} in turn."""
+    from scipy.linalg import lapack
+
     count, i = 0, np.arange(n)
     lwork = int(lapack.dsytrf_lwork(n, lower=1)[0])  # room for the blocked algorithm
     block = np.zeros((n, n), order="F")  # -C_{k-1} D_{k-1}^{-1} C_{k-1}, 0 for k = 1
@@ -375,6 +389,8 @@ def eigenpairs_below(
     does not find exactly the counted number, or if a residual exceeds
     tol_eig.
     """
+    import scipy.sparse.linalg as spla
+
     grid = op.grid
     ceiling, cluster_tol, scale = _window(op, ceiling, tol_eig, cluster_tol)
     count = _count_in_range(op, ceiling, max_count)
@@ -640,6 +656,8 @@ class _BorderedResolvent:
 
     def solve_bordered(self, r: np.ndarray) -> np.ndarray:
         """Fallback: a pivoted LU of the bordered matrix, factored once."""
+        import scipy.sparse.linalg as spla
+
         if self._bordered_lu is None:
             block = sp.bmat(
                 [[self.op.shifted(self.lam), sp.csc_matrix(self.psi)],

@@ -5,9 +5,9 @@ acceptance criterion."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import resonance_lab as rl
-from resonance_lab import spectral
 
 _ACCEPTANCE: dict = {}
 
@@ -104,13 +104,13 @@ def coarse_pt(coarse_grid):
 def eigsh_calls(monkeypatch):
     """The k of every eigsh call, through the real eigsh."""
     calls = []
-    real_eigsh = spectral.spla.eigsh
+    real_eigsh = spla.eigsh
 
     def eigsh(*args, **kwargs):
         calls.append(kwargs["k"])
         return real_eigsh(*args, **kwargs)
 
-    monkeypatch.setattr(spectral.spla, "eigsh", eigsh)
+    monkeypatch.setattr(spla, "eigsh", eigsh)
     return calls
 
 

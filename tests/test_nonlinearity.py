@@ -423,3 +423,24 @@ def test_kernel_sphere_probe_growth(pt_grid, pt_proj, arctan_spec):
 def test_kernel_sphere_probe_validation(pt_proj, arctan_spec):
     with pytest.raises(NonlinearityError):
         rl.kernel_sphere_probe(arctan_spec, pt_proj.kernel_fields, -1.0)
+
+
+def test_kernel_sphere_probe_skips_vanishing_directions():
+    # with a zero first column the net direction at angle 0, c = (1, 0), has
+    # the zero field; every other one normalizes to +-phi.  The probe skips
+    # the zero field as the Landesman-Lazer check does
+    grid = rl.make_grid(1, 4.0, 41)
+    spec = rl.saturating_arctan(grid)
+    phi = np.exp(-grid.axis**2)
+    phi /= grid.norm(phi)
+    basis = np.column_stack([np.zeros(grid.num_nodes), phi])
+    probe = rl.kernel_sphere_probe(spec, basis, 10.0)
+    np.testing.assert_allclose(
+        probe.min_pairing, rl.kernel_sphere_probe(spec, phi[:, None], 10.0).min_pairing,
+        rtol=1e-12)
+    assert len(rl.check_landesman_lazer(spec, basis).plus.witnesses) == 63
+
+    with pytest.raises(NonlinearityError, match="every kernel direction vanishes"):
+        rl.kernel_sphere_probe(spec, np.zeros((grid.num_nodes, 2)), 10.0)
+    with pytest.raises(NonlinearityError, match="one field per column"):
+        rl.kernel_sphere_probe(spec, phi, 10.0)

@@ -12,6 +12,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 import resonance_lab as rl
 from resonance_lab import semiflow, spectral
@@ -231,7 +232,7 @@ def test_inertia_count_nudges_past_breakdown(fault, well_op, eigsh_calls,
     n = well_op.grid.points_per_axis
     # the first line block of S - alpha_inf I, the one the fault is put in
     first = well_op.sym_matrix.diagonal()[:n] - well_op.alpha_inf
-    real_dsytrf = spectral.lapack.dsytrf
+    real_dsytrf = lapack.dsytrf
     blocks = []
 
     def dsytrf(a, *args, **kwargs):
@@ -240,7 +241,7 @@ def test_inertia_count_nudges_past_breakdown(fault, well_op, eigsh_calls,
         factor = real_dsytrf(a, *args, **kwargs)
         return _broken_block(*factor, fault) if at_ceiling else factor
 
-    monkeypatch.setattr(spectral.lapack, "dsytrf", dsytrf)
+    monkeypatch.setattr(lapack, "dsytrf", dsytrf)
     data = rl.eigenpairs_below(well_op)
     # the sweep at the ceiling stops at its first block; the nudged one
     # factors every line
@@ -266,8 +267,8 @@ def test_inertia_count_makes_no_splu_call(well_op, pt_op, monkeypatch):
         calls.append(A.shape)
         raise AssertionError("splu called")
 
-    monkeypatch.setattr(spectral.spla, "splu", splu)
-    monkeypatch.setattr(sys.modules[spectral.spla.eigsh.__module__], "splu", splu)
+    monkeypatch.setattr(spla, "splu", splu)
+    monkeypatch.setattr(sys.modules[spla.eigsh.__module__], "splu", splu)
     # 19 eigenvalues below the well's ceiling, and -4, -1 below Pöschl-Teller's
     assert spectral._count_below(well_op, well_op.alpha_inf) == 19
     assert spectral._count_below(pt_op, pt_op.alpha_inf) == 2
@@ -276,25 +277,25 @@ def test_inertia_count_makes_no_splu_call(well_op, pt_op, monkeypatch):
 
 def test_inertia_count_breakdown_at_every_nudge_raises(well_op, eigsh_calls,
                                                        monkeypatch):
-    real_dsytrf = spectral.lapack.dsytrf
+    real_dsytrf = lapack.dsytrf
 
     def dsytrf(a, *args, **kwargs):
         return _broken_block(*real_dsytrf(a, *args, **kwargs), "singular")
 
-    monkeypatch.setattr(spectral.lapack, "dsytrf", dsytrf)
+    monkeypatch.setattr(lapack, "dsytrf", dsytrf)
     with pytest.raises(SpectralError, match="broke down"):
         rl.eigenpairs_below(well_op)
     assert eigsh_calls == []
 
 
 def test_eigenpairs_raise_when_eigsh_misses_a_pair(well_op, monkeypatch):
-    real_eigsh = spectral.spla.eigsh
+    real_eigsh = spla.eigsh
 
     def eigsh(*args, **kwargs):
         vals, vecs = real_eigsh(*args, **kwargs)
         return vals[1:], vecs[:, 1:]
 
-    monkeypatch.setattr(spectral.spla, "eigsh", eigsh)
+    monkeypatch.setattr(spla, "eigsh", eigsh)
     with pytest.raises(SpectralError, match="inertia"):
         rl.eigenpairs_below(well_op)
 
@@ -460,15 +461,15 @@ def splu_spy(monkeypatch):
     the unpatched splu.  ARPACK's module is patched too, so a factorization
     it made itself would show."""
     calls = []
-    real_splu = spectral.spla.splu
+    real_splu = spla.splu
 
     def splu(A, *args, **kwargs):
         lu = real_splu(A, *args, **kwargs)
         calls.append((A, kwargs, lu))
         return lu
 
-    monkeypatch.setattr(spectral.spla, "splu", splu)
-    monkeypatch.setattr(sys.modules[spectral.spla.eigsh.__module__], "splu", splu)
+    monkeypatch.setattr(spla, "splu", splu)
+    monkeypatch.setattr(sys.modules[spla.eigsh.__module__], "splu", splu)
     return calls, real_splu
 
 
@@ -540,7 +541,7 @@ def test_every_site_factors_the_sparse_sum(problem, pt_op, well_op, splu_spy):
 
 def test_shift_invert_factor_failure_is_spectral_error(well_op, tmp_path,
                                                        monkeypatch):
-    real_splu = spectral.spla.splu
+    real_splu = spla.splu
     diag, lower = well_op.sym_matrix.diagonal(), well_op.spectrum_lower_bound()
 
     def splu(A, *args, **kwargs):
@@ -548,7 +549,7 @@ def test_shift_invert_factor_failure_is_spectral_error(well_op, tmp_path,
             raise RuntimeError("Factor is exactly singular")
         return real_splu(A, *args, **kwargs)
 
-    monkeypatch.setattr(spectral.spla, "splu", splu)
+    monkeypatch.setattr(spla, "splu", splu)
     with pytest.raises(SpectralError, match="eigensolver failed"):
         rl.eigenpairs_below(well_op)
     config = tmp_path / "well.ini"
@@ -579,13 +580,13 @@ def test_splu_ordering_changes_no_result(well_op, flow, monkeypatch):
 
     data_mmd, branch_mmd, report_mmd, J_mmd = run()
     # the operator's factor_shifted is the one site that passes an ordering
-    real_splu, dropped = spectral.spla.splu, []
+    real_splu, dropped = spla.splu, []
 
     def default_ordering(A, permc_spec=None, **kwargs):
         dropped.append(permc_spec)
         return real_splu(A, **kwargs)
 
-    monkeypatch.setattr(spectral.spla, "splu", default_ordering)
+    monkeypatch.setattr(spla, "splu", default_ordering)
     data, branch, report, J = run()
     assert "MMD_AT_PLUS_A" in dropped
 
@@ -781,14 +782,14 @@ def test_resolvent_falls_back_when_shifted_matrix_singular(
 ):
     proj = rl.build_projections(pt_data, -1.0, 0.25)
     n = pt_grid.num_nodes
-    real_splu = spectral.spla.splu
+    real_splu = spla.splu
 
     def splu(A, *args, **kwargs):
         if A.shape == (n, n):
             raise RuntimeError("Factor is exactly singular")
         return real_splu(A, *args, **kwargs)
 
-    monkeypatch.setattr(spectral.spla, "splu", splu)
+    monkeypatch.setattr(spla, "splu", splu)
     w = rng.standard_normal(n)
     for lam in (proj.lambda0, proj.lambda0 - proj.delta / 4):
         z = rl.apply_resolvent_complement(proj, lam, w)
@@ -804,7 +805,7 @@ def test_resolvent_raises_when_both_paths_fail(
     proj = rl.build_projections(pt_data, -1.0, 0.25)
     n = pt_grid.num_nodes
     lam = proj.lambda0 - proj.delta / 4
-    real_splu = spectral.spla.splu
+    real_splu = spla.splu
 
     def splu(A, *args, **kwargs):
         if A.shape == (n, n) or bordered_fault == "singular":
@@ -813,7 +814,7 @@ def test_resolvent_raises_when_both_paths_fail(
         # solution fails the residual check
         return real_splu((A + 0.1 * sp.eye(A.shape[0], format="csc")).tocsc())
 
-    monkeypatch.setattr(spectral.spla, "splu", splu)
+    monkeypatch.setattr(spla, "splu", splu)
     with pytest.raises(SpectralError):
         rl.apply_resolvent_complement(
             proj, lam, rng.standard_normal(n)
