@@ -24,9 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+# scipy.sparse is imported by the sparse builders that use it: the operator
+# applies -Δ_h from numpy stencils, and a process that factors nothing never
+# loads it
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Guard against accidentally gigantic grids (n is per axis).
 MAX_NODES_DEFAULT = 8_000_000
@@ -60,8 +66,9 @@ class Grid:
         sqrt_weights: their square roots, the diagonal of W^{1/2}.
         points: flat node coordinates, shape (num_nodes, ndim).
 
-    Its sparse matrices are built on each call and not kept: the
-    Hamiltonian holds the ones the solvers use.
+    Its stencils and sparse matrices are built on each call and not
+    kept: the Hamiltonian holds the stencils it applies and counts with,
+    and builds the one sparse matrix the solvers factor on first use.
     """
 
     def __init__(self, ndim: int, half_width: float, points_per_axis: int):
@@ -124,9 +131,73 @@ class Grid:
 
     # -- discrete operators -------------------------------------------------
 
+    def _stiffness_entries(self) -> tuple[float, float]:
+        # the diagonal and off-diagonal of the 1-D stiffness K (see
+        # _stiffness_1d), rounded as scipy rounds K / h: a product with 1/h
+        inv_h = 1.0 / self.spacing
+        return 2.0 * inv_h, -1.0 * inv_h
+
+    def _on_every_axis_diagonal(self, diag1: np.ndarray) -> np.ndarray:
+        # the diagonal of _on_every_axis(m1) from m1's diagonal: m_jj + m_ii at
+        # node (i, j) in 2-D
+        if self.ndim == 1:
+            return diag1
+        return (diag1[np.newaxis, :] + diag1[:, np.newaxis]).ravel()
+
+    def neg_laplacian_stencil(self) -> tuple[np.ndarray, np.ndarray]:
+        """-Δ_h as numpy arrays: its diagonal over the flat field, and the
+        coefficient (1/w_k)·(-1/h) that a node with index k along an axis
+        gives both of its neighbours along that axis.  Each entry has the
+        bits of the same entry of neg_laplacian_matrix()."""
+        k_diag, k_off = self._stiffness_entries()
+        inv_w = 1.0 / self.axis_weights
+        return self._on_every_axis_diagonal(inv_w * k_diag), inv_w * k_off
+
+    def symmetrized_diagonals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The diagonals 0, 1 and n (n points per axis; n = 1 in 1-D) of
+        symmetrized_stiffness() as numpy arrays, each with the bits of the
+        matrix's diagonal: entries (d_k·K_kl)·d_l with d = W^{-1/2} along
+        an axis, summed over the axes on the main diagonal, and zero on
+        diagonal 1 where it crosses from one grid line to the next."""
+        k_diag, k_off = self._stiffness_entries()
+        d = 1.0 / np.sqrt(self.axis_weights)
+        diag = self._on_every_axis_diagonal((d * k_diag) * d)
+        upper = (d[:-1] * k_off) * d[1:]
+        if self.ndim == 1:
+            return diag, upper, upper
+        n = self.points_per_axis
+        along = np.zeros((n, n))
+        along[:, :-1] = upper
+        return diag, along.ravel()[:-1], np.repeat(upper, n)
+
+    def apply_stencil(self, diag: np.ndarray, off: np.ndarray,
+                      u: np.ndarray) -> np.ndarray:
+        """M u for the matrix M with diagonal `diag` whose row at index k
+        along an axis has the coefficient off[k] on both neighbours along
+        that axis (the arrays of neg_laplacian_stencil).  Row r is summed
+        from zero in the order of M's sorted CSR columns, r - n, r - 1, r,
+        r + 1, r + n, so the result has the bits of the sparse product."""
+        U = u.reshape(self.shape)
+        D = diag.reshape(self.shape)
+        y = np.zeros(self.shape)
+        if self.ndim == 1:
+            y[1:] += off[1:] * U[:-1]
+            y += D * U
+            y[:-1] += off[:-1] * U[1:]
+        else:
+            across = off[:, np.newaxis]  # off[i] for grid line i
+            y[1:] += across[1:] * U[:-1]
+            y[:, 1:] += off[1:] * U[:, :-1]
+            y += D * U
+            y[:, :-1] += off[:-1] * U[:, 1:]
+            y[:-1] += across[:-1] * U[1:]
+        return y.ravel()
+
     def _stiffness_1d(self) -> sp.csr_matrix:
         # K = (1/h) tridiag(-1, 2, -1) including the two Dirichlet ghost edges;
         # <-lap u, v>_w = u^T K v in 1-D.
+        import scipy.sparse as sp
+
         n, h = self.points_per_axis, self.spacing
         main = np.full(n, 2.0)
         off = np.full(n - 1, -1.0)
@@ -135,10 +206,14 @@ class Grid:
     def _on_every_axis(self, m1: sp.spmatrix) -> sp.csr_matrix:
         # a 1-D operator acting along every axis: m1 itself in 1-D, the
         # Kronecker sum m1 ⊗ I + I ⊗ m1 in 2-D
+        import scipy.sparse as sp
+
         return (m1 if self.ndim == 1 else sp.kronsum(m1, m1)).tocsr()
 
     def neg_laplacian_matrix(self) -> sp.csr_matrix:
         """Sparse matrix of -Δ_h acting on flat fields (divergence form)."""
+        import scipy.sparse as sp
+
         return self._on_every_axis(sp.diags(1.0 / self.axis_weights) @ self._stiffness_1d())
 
     def symmetrized_stiffness(self) -> sp.csr_matrix:
@@ -147,6 +222,8 @@ class Grid:
         Eigenproblems and linear solves are run in this frame; a flat field u
         corresponds to W^{1/2} u there.
         """
+        import scipy.sparse as sp
+
         d = sp.diags(1.0 / np.sqrt(self.axis_weights))
         return self._on_every_axis(d @ self._stiffness_1d() @ d)
 
@@ -193,7 +270,7 @@ def make_grid(
 def apply_laplacian(grid: Grid, field: np.ndarray) -> np.ndarray:
     """Apply the discrete Laplacian Δ_h with Dirichlet halo to a field."""
     u = grid.check_field(field)
-    return -(grid.neg_laplacian_matrix() @ u)
+    return -grid.apply_stencil(*grid.neg_laplacian_stencil(), u)
 
 
 def field_norms(grid: Grid, field: np.ndarray) -> FieldNorms:

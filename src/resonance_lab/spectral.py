@@ -21,28 +21,32 @@ a few n×n line blocks, not a sparse factorization.  Eigenpairs stored
 from such a solve are taken back by reuse_eigenpairs only after the same
 count and residual checks, plus a check of their orthonormality.
 
-scipy's solvers load on first use: SuperLU and ARPACK (scipy.sparse.linalg)
-with the first factorization, LAPACK (scipy.linalg) with the first 2-D
-inertia count.  So `resonance` on stored 1-D pairs loads neither, and on
-stored 2-D pairs LAPACK only.
+The operator holds A and the diagonals of S that the count reads as numpy
+stencils, and builds S as a sparse matrix on first use.  So scipy loads on
+first use: scipy.sparse with that matrix, SuperLU and ARPACK
+(scipy.sparse.linalg) with the first factorization, LAPACK (scipy.linalg)
+with the first 2-D inertia count.  `resonance` on stored 1-D pairs loads no
+scipy module, and on stored 2-D pairs LAPACK only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grid import Grid, GridError
 from .potential import PotentialSpec
 
-# scipy.sparse.linalg and scipy.linalg are imported inside the functions that
-# call them: together they add about 10 MB and 0.1 s to every process that
-# imports this module, and a check of stored eigenpairs calls neither
+# scipy is imported inside the functions that call it: scipy.sparse alone
+# adds about 20 MB and 0.08 s to a process, and with scipy.sparse.linalg and
+# scipy.linalg about 30 MB and 0.11 s, while a check of stored 1-D
+# eigenpairs calls none of them
 if TYPE_CHECKING:
+    import scipy.sparse as sp
     from scipy.sparse.linalg import SuperLU
 
 # a requested ceiling may exceed alpha_inf by this fraction of the spectral scale
@@ -63,11 +67,14 @@ class ResonantLambdaError(ValueError):
 
 
 class HamiltonianOperator:
-    """Sparse discretization of A = -Δ + V on a grid.
+    """Discretization of A = -Δ + V on a grid.
 
     Exposes both the field-space action (`apply`) and the symmetrized matrix
     S used by eigensolvers and implicit steps, and is the one place that
-    builds and factors a shifted S (`shifted`, `factor_shifted`).  alpha_inf
+    builds and factors a shifted S (`shifted`, `factor_shifted`).  A is held
+    as a numpy stencil, and so are the diagonals 0, 1 and n of S
+    (`sym_diagonals`, n points per axis; n = 1 in 1-D), which the inertia
+    count reads; S itself is a sparse matrix built on first use.  alpha_inf
     is the asymptotic bottom the potential declares.
     """
 
@@ -78,17 +85,25 @@ class HamiltonianOperator:
         self.potential = potential
         v = potential.v
         self.v_samples = v
-        self.matrix = (grid.neg_laplacian_matrix() + sp.diags(v)).tocsr()
-        # S_ii + V_i set in place: the whole diagonal stays stored, so a
-        # shift of it inserts no entry
-        self.sym_matrix = grid.symmetrized_stiffness().tocsc()
-        self.sym_matrix.setdiag(self.sym_matrix.diagonal() + v)
+        lap_diag, self._off = grid.neg_laplacian_stencil()
+        self._diag = lap_diag + v
+        diag, upper, coupling = grid.symmetrized_diagonals()
+        self.sym_diagonals = (diag + v, upper, coupling)
         self.alpha_inf = potential.alpha_inf
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """A u as a flat field."""
+        """A u as a flat field, with the bits of the CSR product."""
         u = self.grid.check_field(u)
-        return self.matrix @ u
+        return self.grid.apply_stencil(self._diag, self._off, u)
+
+    @cached_property
+    def sym_matrix(self) -> sp.csc_matrix:
+        """S = W^{1/2} A W^{-1/2} as a CSC matrix, built on first use."""
+        S = self.grid.symmetrized_stiffness().tocsc()
+        # S_ii + V_i set in place: the whole diagonal stays stored, so a
+        # shift of it inserts no entry
+        S.setdiag(S.diagonal() + self.v_samples)
+        return S
 
     def spectrum_lower_bound(self) -> float:
         """min V, a lower bound on the spectrum since -Δ_h is positive
@@ -228,10 +243,9 @@ def _count_below(op: HamiltonianOperator, mu: float) -> int:
     again (spectrum slicing, Parlett, The Symmetric Eigenvalue Problem,
     ch. 3).  Raises SpectralError if it breaks down at every nudge.
     """
-    S = op.sym_matrix
     n = op.grid.points_per_axis if op.grid.ndim == 2 else 1
     scale = _spectral_scale(op, mu)
-    diag, off, coupling = S.diagonal(0), S.diagonal(1), S.diagonal(n)
+    diag, off, coupling = op.sym_diagonals
     tiny = 1e-12 * scale
     for nudge in (0.0, 1e-9, -1e-9, 3e-9):
         shifted = diag - (mu + nudge * scale)
@@ -395,7 +409,6 @@ def eigenpairs_below(
     ceiling, cluster_tol, scale = _window(op, ceiling, tol_eig, cluster_tol)
     count = _count_in_range(op, ceiling, max_count)
     M = grid.num_nodes
-    S = op.sym_matrix
     sigma = op.spectrum_lower_bound() - 0.1 * scale
     # fixed Lanczos start vector: ARPACK's default draws from the global
     # RNG and would break byte-identical reruns
@@ -407,9 +420,9 @@ def eigenpairs_below(
     k = min(max(8, count + 1), M - 2)
     try:
         lu = op.factor_shifted(sigma)
-        opinv = spla.LinearOperator((M, M), matvec=lu.solve, dtype=S.dtype)
-        vals, vecs = spla.eigsh(S, k=k, sigma=sigma, which="LM", v0=v0,
-                                OPinv=opinv)
+        opinv = spla.LinearOperator((M, M), matvec=lu.solve, dtype=float)
+        vals, vecs = spla.eigsh(op.sym_matrix, k=k, sigma=sigma, which="LM",
+                                v0=v0, OPinv=opinv)
     except Exception as exc:  # noqa: BLE001
         raise SpectralError(f"eigensolver failed: {exc}") from exc
     order = np.argsort(vals)
@@ -656,6 +669,7 @@ class _BorderedResolvent:
 
     def solve_bordered(self, r: np.ndarray) -> np.ndarray:
         """Fallback: a pivoted LU of the bordered matrix, factored once."""
+        import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
         if self._bordered_lu is None:

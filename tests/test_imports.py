@@ -1,10 +1,14 @@
-"""Which scipy solver modules a CLI process loads.
+"""Which scipy modules a CLI process loads.
 
-scipy.sparse.linalg (SuperLU, ARPACK) and scipy.linalg (LAPACK) are imported
-by `spectral` at first use.  A `resonance` run that reuses stored eigenpairs
-factors nothing and calls no eigensolver, so in 1-D it loads neither module,
-and in 2-D only LAPACK, for the inertia count.  Each run is a child
-interpreter, since this process has loaded both.
+The package imports no scipy module at import time: the Hamiltonian applies
+A and counts eigenvalues from numpy stencils, and `spectral` imports
+scipy.sparse (the matrix S), scipy.sparse.linalg (SuperLU, ARPACK) and
+scipy.linalg (LAPACK) at first use.  `report` only merges JSON reports, and
+a `resonance` run that reuses stored eigenpairs factors nothing and calls no
+eigensolver, so in 1-D it loads no scipy module, and in 2-D only
+scipy.linalg, for the inertia count.  Each run is a child interpreter, since
+this process has loaded scipy.sparse (pytest's SparseEfficiencyWarning
+filter imports it).
 """
 
 import json
@@ -15,17 +19,18 @@ import pytest
 from resonance_lab.cli import EXIT_OK
 from test_cli import PT_BASE, _run_cli, _write
 
-SOLVERS = ("scipy.sparse.linalg", "scipy.linalg")
-
-# prints the solver modules loaded after the import and after the subcommand
-PROBE = f"""
+# prints the scipy modules loaded after `import resonance_lab`, after
+# `import resonance_lab.cli` and after the subcommand
+PROBE = """
 import json, sys
 def loaded():
-    return [m for m in {SOLVERS!r} if m in sys.modules]
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import resonance_lab
+after_package = loaded()
 from resonance_lab.cli import main
 after_import = loaded()
 code = main(sys.argv[1:])
-print(json.dumps([code, after_import, loaded()]))
+print(json.dumps([code, after_package, after_import, loaded()]))
 """
 
 WELL_2D = """
@@ -47,28 +52,49 @@ lambda0_index = 1
 delta_request = 0.5
 """
 
+PT_1D = PT_BASE.format(n=401) + """
+[experiment]
+num_points = 3
+horizon = 1.0
+"""
 
-def _loaded(tmp_path, sub, out):
-    """The solver modules loaded by `import resonance_lab.cli` and by the
-    subcommand after it, in a child process."""
+
+def _loaded(tmp_path, sub):
+    """The scipy modules a child process has loaded after running the
+    subcommand on tmp_path's config; the package and CLI imports load none."""
     done = _run_cli([sys.executable, "-c", PROBE], tmp_path,
-                    [sub, "--config", "exp.ini", "--out", out], timeout=60)
+                    [sub, "--config", "exp.ini", "--out", "out"], timeout=120)
     assert done.returncode == 0, done.stderr
-    code, after_import, after_run = json.loads(done.stdout.strip().splitlines()[-1])
+    code, after_package, after_import, after_run = json.loads(
+        done.stdout.strip().splitlines()[-1])
     assert code == EXIT_OK
-    return after_import, after_run
+    assert (after_package, after_import) == ([], [])
+    return after_run
 
 
-@pytest.mark.parametrize("config, resonance_loads", [
-    (PT_BASE.format(n=401), []),
-    (WELL_2D, ["scipy.linalg"]),
-], ids=["1d", "2d"])
-def test_resonance_on_stored_pairs_loads_no_solver(tmp_path, config, resonance_loads):
+def _sparse(modules):
+    return [m for m in modules if m == "scipy.sparse" or m.startswith("scipy.sparse.")]
+
+
+@pytest.mark.parametrize("config", [PT_1D, WELL_2D], ids=["1d", "2d"])
+def test_resonance_on_stored_pairs_loads_no_solver(tmp_path, config):
     _write(tmp_path, config)
-    assert _loaded(tmp_path, "spectrum", "out") == ([], list(SOLVERS))
-    assert _loaded(tmp_path, "resonance", "out") == ([], resonance_loads)
+    assert "scipy.sparse.linalg" in _loaded(tmp_path, "spectrum")
+    after = _loaded(tmp_path, "resonance")
+    if config is PT_1D:
+        assert after == []
+    else:  # the inertia count's LAPACK, and no scipy.sparse module
+        assert "scipy.linalg" in after
+        assert _sparse(after) == []
 
 
 def test_resonance_without_stored_pairs_loads_both(tmp_path):
-    _write(tmp_path, PT_BASE.format(n=401))
-    assert _loaded(tmp_path, "resonance", "out") == ([], list(SOLVERS))
+    _write(tmp_path, PT_1D)
+    assert {"scipy.sparse.linalg", "scipy.linalg"} <= set(_loaded(tmp_path, "resonance"))
+
+
+def test_report_loads_none_and_the_solving_subcommands_load_superlu(tmp_path):
+    _write(tmp_path, PT_1D)
+    for sub in ("spectrum", "branch", "semiflow"):
+        assert "scipy.sparse.linalg" in _loaded(tmp_path, sub), sub
+    assert _loaded(tmp_path, "report") == []

@@ -61,6 +61,53 @@ def test_assemble_grid_mismatch():
         rl.assemble_hamiltonian(g1, pot)
 
 
+@st.composite
+def _stencil_problems(draw):
+    """A 1-D grid of 3-81 points or a 2-D grid of 3²-25², with a potential
+    from one of the families, and a field whose entries span 1e±30."""
+    ndim = draw(st.sampled_from([1, 2]))
+    n = 2 * draw(st.integers(1, 40 if ndim == 1 else 12)) + 1
+    g = rl.make_grid(ndim, draw(st.floats(0.5, 25.0)), n)
+    family = draw(st.sampled_from(["constant", "poschl_teller", "square_well",
+                                   "coulomb", "custom"]))
+    params = {
+        "constant": {"c": draw(st.floats(-10.0, 10.0))},
+        "poschl_teller": {"ell": draw(st.floats(0.5, 4.0))},
+        "square_well": {"depth": draw(st.floats(-60.0, -1.0)),
+                        "width": draw(st.floats(0.5, 4.0))},
+        "coulomb": {"c": -1.0, "alpha": draw(st.floats(0.0, 0.45)),
+                    "policy": draw(st.sampled_from(["offset", "cap"]))},
+        "custom": {"evaluator": lambda pts: 5.0 * np.sin(3.0 * pts[:, 0]),
+                   "alpha_inf": 0.0},
+    }[family]
+    pot = rl.make_potential(g, family, **params)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.standard_normal(g.num_nodes) * 10.0 ** rng.uniform(-30, 30, g.num_nodes)
+    u[rng.random(g.num_nodes) < 0.2] = 0.0
+    return rl.assemble_hamiltonian(g, pot), u
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(problem=_stencil_problems())
+def test_stencil_has_the_bits_of_the_sparse_matrices(problem):
+    # apply against the CSR matrix A that the operator held before it held
+    # stencils, apply_laplacian against -Δ_h's CSR with sorted columns, and
+    # the count's diagonals against the CSC matrix S
+    op, u = problem
+    g = op.grid
+    A = (g.neg_laplacian_matrix() + sp.diags(op.v_samples)).tocsr()
+    assert _same_bits(op.apply(u), A @ u)
+    lap = g.neg_laplacian_matrix().sorted_indices()
+    assert _same_bits(rl.apply_laplacian(g, u), -(lap @ u))
+    n = g.points_per_axis if g.ndim == 2 else 1
+    for diagonal, k in zip(op.sym_diagonals, (0, 1, n)):
+        assert _same_bits(diagonal, op.sym_matrix.diagonal(k))
+
+
 def test_operator_self_adjoint_and_quadratic_form(rng, pt_grid, pt_op):
     for _ in range(10):
         u = rng.standard_normal(pt_grid.num_nodes)
