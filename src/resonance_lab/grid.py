@@ -24,15 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-# scipy.sparse is imported by the sparse builders that use it: the operator
-# applies -Δ_h from numpy stencils, and a process that factors nothing never
-# loads it
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 # Guard against accidentally gigantic grids (n is per axis).
 MAX_NODES_DEFAULT = 8_000_000
@@ -66,9 +59,9 @@ class Grid:
         sqrt_weights: their square roots, the diagonal of W^{1/2}.
         points: flat node coordinates, shape (num_nodes, ndim).
 
-    Its stencils and sparse matrices are built on each call and not
-    kept: the Hamiltonian holds the stencils it applies and counts with,
-    and builds the one sparse matrix the solvers factor on first use.
+    Its stencils are numpy arrays built on each call and not kept: the
+    Hamiltonian holds the ones it applies and counts with, and assembles
+    from them the one sparse matrix the solvers factor.
     """
 
     def __init__(self, ndim: int, half_width: float, points_per_axis: int):
@@ -132,37 +125,46 @@ class Grid:
     # -- discrete operators -------------------------------------------------
 
     def _stiffness_entries(self) -> tuple[float, float]:
-        # the diagonal and off-diagonal of the 1-D stiffness K (see
-        # _stiffness_1d), rounded as scipy rounds K / h: a product with 1/h
+        # the diagonal and off-diagonal of the 1-D stiffness K = (1/h)
+        # tridiag(-1, 2, -1) with its two Dirichlet ghost edges, so that
+        # <-Δ_h u, v>_w = uᵀ K v in 1-D; each a product with 1/h
         inv_h = 1.0 / self.spacing
         return 2.0 * inv_h, -1.0 * inv_h
 
     def _on_every_axis_diagonal(self, diag1: np.ndarray) -> np.ndarray:
-        # the diagonal of _on_every_axis(m1) from m1's diagonal: m_jj + m_ii at
-        # node (i, j) in 2-D
+        # the diagonal of a 1-D operator m acting on every axis (the Kronecker
+        # sum m ⊗ I + I ⊗ m in 2-D): m_jj + m_ii at node (i, j) in 2-D
         if self.ndim == 1:
             return diag1
         return (diag1[np.newaxis, :] + diag1[:, np.newaxis]).ravel()
 
     def neg_laplacian_stencil(self) -> tuple[np.ndarray, np.ndarray]:
-        """-Δ_h as numpy arrays: its diagonal over the flat field, and the
-        coefficient (1/w_k)·(-1/h) that a node with index k along an axis
-        gives both of its neighbours along that axis.  Each entry has the
-        bits of the same entry of neg_laplacian_matrix()."""
+        """-Δ_h, W^{-1} K on every axis, as numpy arrays: its diagonal over
+        the flat field, and the coefficient (1/w_k)·(-1/h) that a node with
+        index k along an axis gives both of its neighbours along that
+        axis."""
         k_diag, k_off = self._stiffness_entries()
         inv_w = 1.0 / self.axis_weights
         return self._on_every_axis_diagonal(inv_w * k_diag), inv_w * k_off
 
-    def symmetrized_diagonals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The diagonals 0, 1 and n (n points per axis; n = 1 in 1-D) of
-        symmetrized_stiffness() as numpy arrays, each with the bits of the
-        matrix's diagonal: entries (d_k·K_kl)·d_l with d = W^{-1/2} along
-        an axis, summed over the axes on the main diagonal, and zero on
-        diagonal 1 where it crosses from one grid line to the next."""
+    def symmetrized_stencil(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """W^{1/2} (-Δ_h) W^{-1/2}, d K d on every axis with d = W^{-1/2}
+        along an axis, as numpy arrays: its diagonal over the flat field,
+        and along an axis upper[k] = (d_k·K)·d_{k+1} in row k, column k + 1
+        and lower[k] = (d_{k+1}·K)·d_k in row k + 1, column k, each rounded
+        as the product (d K) d rounds it, so the two differ in the last bits
+        next to the edges of the box, where d does."""
         k_diag, k_off = self._stiffness_entries()
         d = 1.0 / np.sqrt(self.axis_weights)
         diag = self._on_every_axis_diagonal((d * k_diag) * d)
-        upper = (d[:-1] * k_off) * d[1:]
+        return diag, (d[:-1] * k_off) * d[1:], (d[1:] * k_off) * d[:-1]
+
+    def symmetrized_diagonals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The diagonals 0, 1 and n (n points per axis; n = 1 in 1-D) of
+        W^{1/2} (-Δ_h) W^{-1/2} over the flat field, from its stencil: the
+        `upper` entries on diagonals 1 and n, and zero on diagonal 1 where
+        it crosses from one grid line to the next."""
+        diag, upper, _ = self.symmetrized_stencil()
         if self.ndim == 1:
             return diag, upper, upper
         n = self.points_per_axis
@@ -175,8 +177,9 @@ class Grid:
         """M u for the matrix M with diagonal `diag` whose row at index k
         along an axis has the coefficient off[k] on both neighbours along
         that axis (the arrays of neg_laplacian_stencil).  Row r is summed
-        from zero in the order of M's sorted CSR columns, r - n, r - 1, r,
-        r + 1, r + n, so the result has the bits of the sparse product."""
+        from zero in column order, r - n, r - 1, r, r + 1, r + n, as a CSR
+        product with sorted columns sums it, so the result has that
+        product's bits."""
         U = u.reshape(self.shape)
         D = diag.reshape(self.shape)
         y = np.zeros(self.shape)
@@ -192,40 +195,6 @@ class Grid:
             y[:, :-1] += off[:-1] * U[:, 1:]
             y[:-1] += across[:-1] * U[1:]
         return y.ravel()
-
-    def _stiffness_1d(self) -> sp.csr_matrix:
-        # K = (1/h) tridiag(-1, 2, -1) including the two Dirichlet ghost edges;
-        # <-lap u, v>_w = u^T K v in 1-D.
-        import scipy.sparse as sp
-
-        n, h = self.points_per_axis, self.spacing
-        main = np.full(n, 2.0)
-        off = np.full(n - 1, -1.0)
-        return sp.diags([off, main, off], [-1, 0, 1], format="csr") / h
-
-    def _on_every_axis(self, m1: sp.spmatrix) -> sp.csr_matrix:
-        # a 1-D operator acting along every axis: m1 itself in 1-D, the
-        # Kronecker sum m1 ⊗ I + I ⊗ m1 in 2-D
-        import scipy.sparse as sp
-
-        return (m1 if self.ndim == 1 else sp.kronsum(m1, m1)).tocsr()
-
-    def neg_laplacian_matrix(self) -> sp.csr_matrix:
-        """Sparse matrix of -Δ_h acting on flat fields (divergence form)."""
-        import scipy.sparse as sp
-
-        return self._on_every_axis(sp.diags(1.0 / self.axis_weights) @ self._stiffness_1d())
-
-    def symmetrized_stiffness(self) -> sp.csr_matrix:
-        """W^{1/2} (-Δ_h) W^{-1/2}, a symmetric sparse matrix.
-
-        Eigenproblems and linear solves are run in this frame; a flat field u
-        corresponds to W^{1/2} u there.
-        """
-        import scipy.sparse as sp
-
-        d = sp.diags(1.0 / np.sqrt(self.axis_weights))
-        return self._on_every_axis(d @ self._stiffness_1d() @ d)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

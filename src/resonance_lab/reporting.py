@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, make_grid
 
 
 def _json_format(value, indent: int) -> str:
@@ -98,11 +98,15 @@ def write_snapshots(path, grid: Grid, fields: Sequence[np.ndarray]) -> None:
 
 
 def read_snapshots(path) -> tuple[int, int, float, np.ndarray]:
-    """Inverse of write_snapshots; returns (ndim, n, L, fields[k, nodes])."""
+    """Inverse of write_snapshots; returns (ndim, n, L, fields[k, nodes]).
+    ValueError for a file shorter than its header, a header that make_grid
+    refuses or a payload that is not a whole number of fields."""
     raw = Path(path).read_bytes()
+    if len(raw) < 24:
+        raise ValueError(f"snapshot file of {len(raw)} bytes is shorter than its 24-byte header")
     ndim, n, half_width = struct.unpack_from("<qqd", raw, 0)
+    nodes = make_grid(ndim, half_width, n).num_nodes
     body = np.frombuffer(raw, dtype="<f8", offset=24)
-    nodes = n**ndim
     if body.size % nodes:
         raise ValueError("snapshot payload is not a whole number of fields")
     return int(ndim), int(n), float(half_width), body.reshape(-1, nodes)

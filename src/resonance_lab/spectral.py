@@ -22,7 +22,8 @@ from such a solve are taken back by reuse_eigenpairs only after the same
 count and residual checks, plus a check of their orthonormality.
 
 The operator holds A and the diagonals of S that the count reads as numpy
-stencils, and builds S as a sparse matrix on first use.  So scipy loads on
+stencils, and on first use assembles S as a CSC matrix from the grid's
+stencil of S; the grid builds no sparse matrix.  So scipy loads on
 first use: scipy.sparse with that matrix, SuperLU and ARPACK
 (scipy.sparse.linalg) with the first factorization, LAPACK (scipy.linalg)
 with the first 2-D inertia count.  `resonance` on stored 1-D pairs loads no
@@ -74,8 +75,9 @@ class HamiltonianOperator:
     builds and factors a shifted S (`shifted`, `factor_shifted`).  A is held
     as a numpy stencil, and so are the diagonals 0, 1 and n of S
     (`sym_diagonals`, n points per axis; n = 1 in 1-D), which the inertia
-    count reads; S itself is a sparse matrix built on first use.  alpha_inf
-    is the asymptotic bottom the potential declares.
+    count reads; S itself is a CSC matrix assembled from the same diagonals
+    on first use.  alpha_inf is the asymptotic bottom the potential
+    declares.
     """
 
     def __init__(self, grid: Grid, potential: PotentialSpec):
@@ -98,12 +100,30 @@ class HamiltonianOperator:
 
     @cached_property
     def sym_matrix(self) -> sp.csc_matrix:
-        """S = W^{1/2} A W^{-1/2} as a CSC matrix, built on first use."""
-        S = self.grid.symmetrized_stiffness().tocsc()
-        # S_ii + V_i set in place: the whole diagonal stays stored, so a
-        # shift of it inserts no entry
-        S.setdiag(S.diagonal() + self.v_samples)
-        return S
+        """S = W^{1/2} A W^{-1/2} as a CSC matrix, built on first use from
+        the grid's stencil of S.  Column j holds those of rows j - n, j - 1,
+        j, j + 1, j + n (n points per axis; j ± 1 alone in 1-D) that are
+        nodes on an axis line through node j, in that order.  Every diagonal
+        entry is stored, even 0.0, so that a shift inserts none (sp.diags
+        and sparse sums would drop it)."""
+        import scipy.sparse as sp
+
+        grid = self.grid
+        n, size = grid.points_per_axis, grid.num_nodes
+        _, upper, lower = grid.symmetrized_stencil()
+        # along an axis, node k's entries in the rows of nodes k - 1 and k + 1
+        before, after = np.append(0.0, upper), np.append(lower, 0.0)
+        has_before, has_after = np.arange(n) > 0, np.arange(n) < n - 1
+        diag = self.sym_diagonals[0].reshape(grid.shape)
+        slots = [(-1, before, has_before), (0, diag, True), (1, after, has_after)]
+        if grid.ndim == 2:  # across the lines, the same entries on every line
+            slots = [(-n, before[:, None], has_before[:, None]), *slots,
+                     (n, after[:, None], has_after[:, None])]
+        values = np.column_stack([np.broadcast_to(v, grid.shape).ravel() for _, v, _ in slots])
+        stored = np.column_stack([np.broadcast_to(m, grid.shape).ravel() for _, _, m in slots])
+        rows = np.arange(size)[:, None] + np.array([k for k, _, _ in slots])
+        indptr = np.append(0, np.cumsum(np.count_nonzero(stored, axis=1)))
+        return sp.csc_matrix((values[stored], rows[stored], indptr), shape=(size, size))
 
     def spectrum_lower_bound(self) -> float:
         """min V, a lower bound on the spectrum since -Δ_h is positive

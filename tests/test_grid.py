@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
@@ -74,15 +73,15 @@ def test_laplacian_stencil_eigenrelation():
 
 @pytest.mark.parametrize("ndim, n", [(1, 41), (2, 9)])
 def test_symmetrized_stiffness_is_the_similar_laplacian(ndim, n):
-    # W^{1/2} (-Δ_h) W^{-1/2} (atol = 0: the same zeros) and symmetric; both
-    # are built on request and the grid keeps neither
+    # the operator's S is W^{1/2} A W^{-1/2} (atol = 0: the same zeros), with
+    # A's dense columns A e_j from the stencil, and S is symmetric
     g = rl.make_grid(ndim, 3.0, n)
-    lap, S = g.neg_laplacian_matrix(), g.symmetrized_stiffness()
+    op = rl.assemble_hamiltonian(g, rl.make_potential(g, "constant", c=0.0))
+    A = np.column_stack([op.apply(e) for e in np.eye(g.num_nodes)])
     sw = g.sqrt_weights
-    similar = lap.toarray() * sw[:, None] / sw[None, :]
-    np.testing.assert_allclose(S.toarray(), similar, rtol=1e-14, atol=0)
+    S = op.sym_matrix
+    np.testing.assert_allclose(S.toarray(), A * sw[:, None] / sw[None, :], rtol=1e-14, atol=0)
     assert abs(S - S.T).max() <= 1e-15 * abs(S).max()
-    assert not any(sp.issparse(value) for value in vars(g).values())
 
 
 def test_laplacian_zero_field():

@@ -11,11 +11,14 @@ this process has loaded scipy.sparse (pytest's SparseEfficiencyWarning
 filter imports it).
 """
 
+import ast
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
+from resonance_lab import grid
 from resonance_lab.cli import EXIT_OK
 from test_cli import PT_BASE, _run_cli, _write
 
@@ -98,3 +101,14 @@ def test_report_loads_none_and_the_solving_subcommands_load_superlu(tmp_path):
     for sub in ("spectrum", "branch", "semiflow"):
         assert "scipy.sparse.linalg" in _loaded(tmp_path, sub), sub
     assert _loaded(tmp_path, "report") == []
+
+
+def test_grid_imports_no_scipy():
+    # anywhere in the module, inside functions and TYPE_CHECKING blocks too:
+    # the grid describes its operators by numpy stencils only
+    tree = ast.parse(Path(grid.__file__).read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]

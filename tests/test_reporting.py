@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 import tempfile
 from pathlib import Path
 
@@ -138,6 +139,18 @@ def test_snapshots_round_trip_on_random_grids(ndim, n, half_width, count, data):
         raw = path.read_bytes()
         cut = data.draw(st.integers(1, 8 * grid.num_nodes - 1))
         path.write_bytes(raw[:-cut] if count else raw + bytes(cut))
+        with pytest.raises(ValueError):
+            read_snapshots(path)
+        # so is a file cut inside its 24-byte header, and a header that
+        # make_grid refuses
+        path.write_bytes(raw[:data.draw(st.integers(0, 23))])
+        with pytest.raises(ValueError):
+            read_snapshots(path)
+        bad_header = data.draw(st.sampled_from([
+            (ndim, 0, half_width), (ndim, n + 1, half_width), (3, n, half_width),
+            (0, n, half_width), (ndim, n, 0.0), (ndim, n, math.nan), (ndim, -n, half_width),
+        ]))
+        path.write_bytes(struct.pack("<qqd", *bad_header) + raw[24:])
         with pytest.raises(ValueError):
             read_snapshots(path)
 

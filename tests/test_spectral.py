@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
@@ -91,21 +91,53 @@ def _same_bits(a, b):
     return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def _kronecker_sum_reference(g):
+    """-Δ_h and S_0 = W^{1/2} (-Δ_h) W^{-1/2} as CSR matrices with sorted
+    columns, from scipy's sparse products and Kronecker sum: the 1-D
+    stiffness K = (1/h) tridiag(-1, 2, -1), scaled by W^{-1} on the left
+    or by d = W^{-1/2} on both sides, acting on every axis."""
+    n = g.points_per_axis
+    K = sp.diags([np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)],
+                 [-1, 0, 1], format="csr") / g.spacing
+    d = sp.diags(1.0 / np.sqrt(g.axis_weights))
+
+    def every_axis(m1):
+        return (m1 if g.ndim == 1 else sp.kronsum(m1, m1)).tocsr().sorted_indices()
+
+    return every_axis(sp.diags(1.0 / g.axis_weights) @ K), every_axis(d @ K @ d)
+
+
+def _cancelling_problem():
+    """A 2-D grid whose custom potential is minus S_0's diagonal, so every
+    diagonal entry of S is 0.0."""
+    g = rl.make_grid(2, 3.0, 7)
+    diag = g.symmetrized_diagonals()[0]
+    pot = rl.make_potential(g, "custom", evaluator=lambda pts: -diag, alpha_inf=0.0)
+    return rl.assemble_hamiltonian(g, pot), np.random.default_rng(3).standard_normal(g.num_nodes)
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
+@example(problem=_cancelling_problem())
 @given(problem=_stencil_problems())
 def test_stencil_has_the_bits_of_the_sparse_matrices(problem):
     # apply against the CSR matrix A that the operator held before it held
-    # stencils, apply_laplacian against -Δ_h's CSR with sorted columns, and
-    # the count's diagonals against the CSC matrix S
+    # stencils, apply_laplacian against -Δ_h's CSR, the CSC matrix S entry
+    # for entry against S_0 with V set into its diagonal (explicit zeros
+    # included), and the count's diagonals against S's
     op, u = problem
     g = op.grid
-    A = (g.neg_laplacian_matrix() + sp.diags(op.v_samples)).tocsr()
+    lap, S0 = _kronecker_sum_reference(g)
+    A = (lap + sp.diags(op.v_samples)).tocsr()
     assert _same_bits(op.apply(u), A @ u)
-    lap = g.neg_laplacian_matrix().sorted_indices()
     assert _same_bits(rl.apply_laplacian(g, u), -(lap @ u))
+    S = S0.tocsc()
+    S.setdiag(S.diagonal() + op.v_samples)
+    assert np.array_equal(op.sym_matrix.indptr, S.indptr)
+    assert np.array_equal(op.sym_matrix.indices, S.indices)
+    assert _same_bits(op.sym_matrix.data, S.data)
     n = g.points_per_axis if g.ndim == 2 else 1
     for diagonal, k in zip(op.sym_diagonals, (0, 1, n)):
-        assert _same_bits(diagonal, op.sym_matrix.diagonal(k))
+        assert _same_bits(diagonal, S.diagonal(k))
 
 
 def test_operator_self_adjoint_and_quadratic_form(rng, pt_grid, pt_op):
