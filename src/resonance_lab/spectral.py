@@ -16,18 +16,18 @@ spurious eigenvalues above it, so the solver works under a ceiling (default
 alpha_inf, the bottom the potential family declares).  Every grid takes one
 eigensolve path: a Sylvester-inertia count of the eigenvalues below the
 ceiling, then one shift-invert Lanczos call sized to it.  The count sweeps
-a block LDLᵀ over the grid lines (a scalar recurrence in 1-D), so it holds
-a few n×n line blocks, not a sparse factorization.  Eigenpairs stored
+the Schur complements of the grid lines (a scalar recurrence in 1-D), so it
+holds a few n×n line blocks, not a sparse factorization.  Eigenpairs stored
 from such a solve are taken back by reuse_eigenpairs only after the same
 count and residual checks, plus a check of their orthonormality.
 
 The operator holds A and the diagonals of S that the count reads as numpy
 stencils, and on first use assembles S as a CSC matrix from the grid's
-stencil of S; the grid builds no sparse matrix.  So scipy loads on
-first use: scipy.sparse with that matrix, SuperLU and ARPACK
-(scipy.sparse.linalg) with the first factorization, LAPACK (scipy.linalg)
-with the first 2-D inertia count.  `resonance` on stored 1-D pairs loads no
-scipy module, and on stored 2-D pairs LAPACK only.
+stencil of S; the grid builds no sparse matrix.  The count runs on numpy
+alone (numpy.linalg on the 2-D line blocks).  So scipy loads on first use:
+scipy.sparse with that matrix, SuperLU and ARPACK (scipy.sparse.linalg)
+with the first factorization, and `resonance` on stored pairs loads no
+scipy module, in 1-D as in 2-D.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ from .grid import Grid, GridError
 from .potential import PotentialSpec
 
 # scipy is imported inside the functions that call it: scipy.sparse alone
-# adds about 20 MB and 0.08 s to a process, and with scipy.sparse.linalg and
-# scipy.linalg about 30 MB and 0.11 s, while a check of stored 1-D
-# eigenpairs calls none of them
+# adds about 20 MB and 0.08 s to a process, and with scipy.sparse.linalg
+# (which imports scipy.linalg) about 30 MB and 0.11 s, while a check of
+# stored eigenpairs calls none of them
 if TYPE_CHECKING:
     import scipy.sparse as sp
     from scipy.sparse.linalg import SuperLU
@@ -253,15 +253,16 @@ def _count_below(op: HamiltonianOperator, mu: float) -> int:
     by diagonal blocks C_k (the diagonal n of S, n points per axis).  Its
     inertia is the sum of those of the Schur complements D_1 = T_1,
     D_{k+1} = T_{k+1} - C_k D_k^{-1} C_k (Haynsworth, Linear Algebra Appl.
-    1, 1968), each factored as L D Lᵀ with Bunch-Kaufman pivoting (LAPACK
-    dsytrf): a negative 1×1 pivot adds one, and so does every 2×2 pivot,
-    which has one eigenvalue of each sign.  In 1-D a line is one node and
-    the sweep is the scalar Sturm recurrence.  It holds O(n²) numbers,
-    one line block at a time.  A sweep is trusted only if no block is
-    singular and no pivot lies within 1e-12 of the spectral scale of zero;
-    otherwise mu is nudged by a few 1e-9 of the spectral scale and swept
-    again (spectrum slicing, Parlett, The Symmetric Eigenvalue Problem,
-    ch. 3).  Raises SpectralError if it breaks down at every nudge.
+    1, 1968).  A D_k that has a Cholesky factor is positive definite and
+    adds none; the negative eigenvalues of any other are counted by
+    eigvalsh.  In 1-D a line is one node and the sweep is the scalar Sturm
+    recurrence.  It holds O(n²) numbers, one line block at a time.  A sweep
+    is trusted only if numpy.linalg raised no error and no block is near
+    singular: no Cholesky pivot L_ii², eigenvalue or (in 1-D) pivot lies
+    within 1e-12 of the spectral scale of zero.  Otherwise mu is nudged by a
+    few 1e-9 of the spectral scale and swept again (spectrum slicing,
+    Parlett, The Symmetric Eigenvalue Problem, ch. 3).  Raises SpectralError
+    if it breaks down at every nudge.
     """
     n = op.grid.points_per_axis if op.grid.ndim == 2 else 1
     scale = _spectral_scale(op, mu)
@@ -293,42 +294,36 @@ def _sturm_count(shifted, off, tiny) -> int | None:
 
 def _line_block_count(shifted, off, coupling, n, tiny) -> int | None:
     """Negative eigenvalues of the Schur complements D_k of S - mu I over the
-    grid lines of n nodes (see _count_below); None when a D_k is singular or
-    one of its pivots has a magnitude at most tiny.  dsytrf and dsytri read
-    and write the lower triangle only, so one Fortran-ordered n×n array
-    holds D_k, its factor, its inverse and the next D_{k+1} in turn."""
-    from scipy.linalg import lapack
-
+    grid lines of n nodes (see _count_below); None on a LinAlgError, a NaN,
+    a Cholesky pivot L_ii² or an eigenvalue of magnitude at most tiny.  A
+    D_k that Cholesky factors adds none; any other is counted by eigvalsh.
+    D_k is filled into both triangles from the one superdiagonal, since
+    cholesky and eigvalsh read its lower triangle and inv the whole."""
     count, i = 0, np.arange(n)
-    lwork = int(lapack.dsytrf_lwork(n, lower=1)[0])  # room for the blocked algorithm
-    block = np.zeros((n, n), order="F")  # -C_{k-1} D_{k-1}^{-1} C_{k-1}, 0 for k = 1
+    block = np.zeros((n, n))  # -C_{k-1} D_{k-1}^{-1} C_{k-1}, 0 for k = 1
     lines = len(shifted) // n
-    for k in range(lines):
-        lo, hi = k * n, (k + 1) * n
-        block[i, i] += shifted[lo:hi]
-        block[i[1:], i[:-1]] += off[lo : hi - 1]
-        ldu, ipiv, info = lapack.dsytrf(block, lower=1, lwork=lwork, overwrite_a=1)
-        if info != 0:  # an exactly zero pivot
-            return None
-        d = ldu.diagonal()
-        one = ipiv > 0
-        two = np.flatnonzero(~one)[::2]  # the first rows of the 2×2 pivots
-        a, b, c = d[two], ldu[two + 1, two], d[two + 1]
-        # the smaller eigenvalue magnitude of [[a, b], [b, c]]: |det| / the larger
-        larger = np.abs(0.5 * (a + c)) + np.hypot(0.5 * (a - c), b)
-        small = np.abs(a * c - b * b) / larger
-        pivots = np.concatenate([np.abs(d[one]), small])
-        if not np.min(pivots, initial=math.inf) > tiny:  # a NaN fails too
-            return None
-        count += int(np.count_nonzero(d[one] < 0)) + len(two)
-        if k == lines - 1:
-            break
-        block, info = lapack.dsytri(ldu, ipiv, lower=1, overwrite_a=1)
-        if info != 0:
-            return None
-        ck = coupling[lo:hi]
-        block *= -ck[:, None]
-        block *= ck[None, :]
+    try:
+        for k in range(lines):
+            lo, hi = k * n, (k + 1) * n
+            block[i, i] += shifted[lo:hi]
+            block[i[1:], i[:-1]] += off[lo : hi - 1]
+            block[i[:-1], i[1:]] += off[lo : hi - 1]
+            try:
+                smallest = np.min(np.linalg.cholesky(block).diagonal() ** 2)
+            except np.linalg.LinAlgError:  # not positive definite
+                w = np.linalg.eigvalsh(block)
+                smallest = np.min(np.abs(w))
+                count += int(np.count_nonzero(w < 0))
+            if not smallest > tiny:  # a NaN fails too
+                return None
+            if k == lines - 1:
+                break
+            ck = coupling[lo:hi]
+            block = np.linalg.inv(block)
+            block *= -ck[:, None]
+            block *= ck[None, :]
+    except np.linalg.LinAlgError:  # a singular D_k, or eigvalsh did not converge
+        return None
     return count
 
 

@@ -1,14 +1,14 @@
 """Which scipy modules a CLI process loads.
 
 The package imports no scipy module at import time: the Hamiltonian applies
-A and counts eigenvalues from numpy stencils, and `spectral` imports
-scipy.sparse (the matrix S), scipy.sparse.linalg (SuperLU, ARPACK) and
-scipy.linalg (LAPACK) at first use.  `report` only merges JSON reports, and
-a `resonance` run that reuses stored eigenpairs factors nothing and calls no
-eigensolver, so in 1-D it loads no scipy module, and in 2-D only
-scipy.linalg, for the inertia count.  Each run is a child interpreter, since
-this process has loaded scipy.sparse (pytest's SparseEfficiencyWarning
-filter imports it).
+A from numpy stencils, the inertia count runs on numpy alone (the Sturm
+recurrence in 1-D, numpy.linalg on the line blocks in 2-D), and `spectral`
+imports scipy.sparse (the matrix S) and scipy.sparse.linalg (SuperLU,
+ARPACK) at first use.  `report` only merges JSON reports, and a `resonance`
+run that reuses stored eigenpairs factors nothing and calls no eigensolver,
+so it loads no scipy module, in 1-D as in 2-D.  Each run is a child
+interpreter, since this process has loaded scipy.sparse (pytest's
+SparseEfficiencyWarning filter imports it).
 """
 
 import ast
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from resonance_lab import grid
+from resonance_lab import grid, spectral
 from resonance_lab.cli import EXIT_OK
 from test_cli import PT_BASE, _run_cli, _write
 
@@ -75,20 +75,11 @@ def _loaded(tmp_path, sub):
     return after_run
 
 
-def _sparse(modules):
-    return [m for m in modules if m == "scipy.sparse" or m.startswith("scipy.sparse.")]
-
-
 @pytest.mark.parametrize("config", [PT_1D, WELL_2D], ids=["1d", "2d"])
 def test_resonance_on_stored_pairs_loads_no_solver(tmp_path, config):
     _write(tmp_path, config)
     assert "scipy.sparse.linalg" in _loaded(tmp_path, "spectrum")
-    after = _loaded(tmp_path, "resonance")
-    if config is PT_1D:
-        assert after == []
-    else:  # the inertia count's LAPACK, and no scipy.sparse module
-        assert "scipy.linalg" in after
-        assert _sparse(after) == []
+    assert _loaded(tmp_path, "resonance") == []
 
 
 def test_resonance_without_stored_pairs_loads_both(tmp_path):
@@ -103,12 +94,31 @@ def test_report_loads_none_and_the_solving_subcommands_load_superlu(tmp_path):
     assert _loaded(tmp_path, "report") == []
 
 
-def test_grid_imports_no_scipy():
-    # anywhere in the module, inside functions and TYPE_CHECKING blocks too:
-    # the grid describes its operators by numpy stencils only
-    tree = ast.parse(Path(grid.__file__).read_text(encoding="utf-8"))
+def _scipy_imports(tree):
+    """The scipy modules imported anywhere under an AST node."""
     imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                 for alias in node.names]
     imported += [node.module or "" for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom)]
-    assert not [name for name in imported if name.split(".")[0] == "scipy"]
+    return [name for name in imported if name.split(".")[0] == "scipy"]
+
+
+def _parse(module):
+    return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+
+
+def test_grid_imports_no_scipy():
+    # anywhere in the module, inside functions and TYPE_CHECKING blocks too:
+    # the grid describes its operators by numpy stencils only
+    assert _scipy_imports(_parse(grid)) == []
+
+
+def test_inertia_count_imports_no_scipy():
+    # the count that checks every eigensolve, Morse index and reuse of stored
+    # eigenpairs runs on numpy alone
+    counts = {"_count_below", "_sturm_count", "_line_block_count"}
+    found = {node.name: node for node in ast.walk(_parse(spectral))
+             if isinstance(node, ast.FunctionDef) and node.name in counts}
+    assert set(found) == counts
+    assert {name: _scipy_imports(node) for name, node in found.items()} == {
+        name: [] for name in counts}

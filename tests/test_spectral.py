@@ -12,7 +12,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lapack
 
 import resonance_lab as rl
 from resonance_lab import semiflow, spectral
@@ -286,47 +285,83 @@ def test_eigenpairs_max_count_guard_precedes_eigsh(well_op, eigsh_calls):
     assert eigsh_calls == []
 
 
-def _broken_block(ldu, ipiv, info, fault):
-    """A dsytrf result that fails one of the sweep's checks: a singular block
-    (info > 0, an exactly zero pivot), a 1×1 pivot of 1e-300, or a 2×2 pivot
-    [[0, 1e-150], [1e-150, 0]] (eigenvalues ±1e-150)."""
-    mid = len(ipiv) // 2
-    ldu, ipiv = ldu.copy(), ipiv.copy()
-    if fault == "singular":
-        return ldu, ipiv, mid + 1
-    if fault == "tiny pivot":
-        ipiv[mid] = mid + 1
-        ldu[mid, mid] = 1e-300
-    else:  # "tiny 2x2 pivot", rows mid and mid + 1, interchanged with nothing
-        ipiv[mid] = ipiv[mid + 1] = -(mid + 1)
-        ldu[mid, mid] = ldu[mid + 1, mid + 1] = 0.0
-        ldu[mid + 1, mid] = 1e-150
-    return ldu, ipiv, info
+def _break_line_blocks(monkeypatch, fault, breaks):
+    """Patch the numpy calls of the 2-D inertia sweep so that every line
+    block D with breaks(D) fails one of the sweep's checks: "singular" (inv
+    raises LinAlgError), "tiny pivot" (a Cholesky pivot L_ii = 1e-150, so
+    L_ii² = 1e-300) or "tiny eigenvalue" (Cholesky fails as on an indefinite
+    block, and eigvalsh reports one negative eigenvalue and one of 1e-300).
+    Returns the list of breaks(D) over the blocks the sweep visits, in order."""
+    real_cholesky, real_eigvalsh, real_inv = (
+        np.linalg.cholesky, np.linalg.eigvalsh, np.linalg.inv)
+    blocks = []
+
+    def cholesky(a):
+        blocks.append(breaks(a))
+        if blocks[-1] and fault == "tiny eigenvalue":
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        L = real_cholesky(a)
+        if blocks[-1] and fault == "tiny pivot":
+            mid = len(L) // 2
+            L[mid, mid] = 1e-150
+        return L
+
+    def eigvalsh(a):
+        w = real_eigvalsh(a)
+        if breaks(a) and fault == "tiny eigenvalue":
+            w[0], w[len(w) // 2] = -abs(w[0]), 1e-300
+        return w
+
+    def inv(a):
+        if breaks(a) and fault == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_inv(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    return blocks
 
 
-@pytest.mark.parametrize("fault", ["singular", "tiny pivot", "tiny 2x2 pivot"])
+@pytest.mark.parametrize("fault", ["singular", "tiny pivot", "tiny eigenvalue"])
 def test_inertia_count_nudges_past_breakdown(fault, well_op, eigsh_calls,
                                              monkeypatch):
     count = spectral._count_below(well_op, well_op.alpha_inf)
     n = well_op.grid.points_per_axis
     # the first line block of S - alpha_inf I, the one the fault is put in
     first = well_op.sym_matrix.diagonal()[:n] - well_op.alpha_inf
-    real_dsytrf = lapack.dsytrf
-    blocks = []
-
-    def dsytrf(a, *args, **kwargs):
-        at_ceiling = np.array_equal(np.diag(a), first)
-        blocks.append(at_ceiling)
-        factor = real_dsytrf(a, *args, **kwargs)
-        return _broken_block(*factor, fault) if at_ceiling else factor
-
-    monkeypatch.setattr(lapack, "dsytrf", dsytrf)
+    blocks = _break_line_blocks(monkeypatch, fault,
+                                lambda a: np.array_equal(np.diag(a), first))
     data = rl.eigenpairs_below(well_op)
     # the sweep at the ceiling stops at its first block; the nudged one
-    # factors every line
+    # visits every line
     assert blocks == [True] + [False] * n
     assert len(data.eigenvalues) == count
     assert eigsh_calls == [count + 1]
+
+
+def test_inertia_sweep_takes_both_branches(well_op, monkeypatch):
+    # at the ceiling of the 47² well, Cholesky factors some line blocks and
+    # fails on others, which eigvalsh counts
+    real_cholesky = np.linalg.cholesky
+    definite = []
+
+    def cholesky(a):
+        try:
+            L = real_cholesky(a)
+        except np.linalg.LinAlgError:
+            definite.append(False)
+            raise
+        definite.append(True)
+        return L
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    count = spectral._count_below(well_op, well_op.alpha_inf)
+    monkeypatch.undo()
+    assert len(definite) == well_op.grid.points_per_axis
+    assert True in definite and False in definite
+    ref = np.linalg.eigvalsh(well_op.sym_matrix.toarray())
+    assert count == np.count_nonzero(ref < well_op.alpha_inf) == 19
 
 
 def test_sturm_count_nudges_past_a_zero_pivot():
@@ -356,14 +391,11 @@ def test_inertia_count_makes_no_splu_call(well_op, pt_op, monkeypatch):
 
 def test_inertia_count_breakdown_at_every_nudge_raises(well_op, eigsh_calls,
                                                        monkeypatch):
-    real_dsytrf = lapack.dsytrf
-
-    def dsytrf(a, *args, **kwargs):
-        return _broken_block(*real_dsytrf(a, *args, **kwargs), "singular")
-
-    monkeypatch.setattr(lapack, "dsytrf", dsytrf)
+    blocks = _break_line_blocks(monkeypatch, "singular", lambda a: True)
     with pytest.raises(SpectralError, match="broke down"):
         rl.eigenpairs_below(well_op)
+    # one block at the ceiling and at each of the three nudges
+    assert blocks == [True] * 4
     assert eigsh_calls == []
 
 
