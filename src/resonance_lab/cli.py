@@ -9,11 +9,12 @@ when the experiment declares expect_positive).  Identical config and seed
 produce byte-identical outputs; the effective config and seed are embedded
 in every JSON report; the seed drives only the sign-condition sampler of
 `resonance`, whose report alone holds the resonance verdicts.  The solver
-and eigensolve tolerances are library keyword arguments (`eigenpairs_below`,
-`SolverConfig`, `check_sign_condition`), which the CLI uses at their
-defaults.  `spectrum` also stores its eigenpairs in the output directory,
-and the later subcommands reuse them when they pass every check of a fresh
-solve.
+and eigensolve tolerances are not config keys: `spectral` fixes TOL_EIG and
+the cluster tolerance (1e-6 of the spectral scale), `solver` fixes TOL_FP
+and TOL_PDE, and the CLI uses `max_count`, `max_iter` and `sample_budget`
+at their library defaults.  `spectrum` also stores its eigenpairs in the
+output directory, and the later subcommands reuse them when they pass every
+check of a fresh solve.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .reporting import (
 )
 from .spectral import (
     HamiltonianOperator,
+    Lambda0Error,
     Projections,
     ResonantLambdaError,
     SpectralData,
@@ -262,29 +264,31 @@ class Problem:
         return make_nonlinearity(self.grid, **self.cfg["nonlinearity"])
 
     @property
-    def lambda0_selection(self) -> tuple[str, float] | None:
-        """The [spectral] selection of λ0, ("index", i) or ("value", λ), or
-        None when the config gives neither (parse_config refuses both)."""
+    def selects_lambda0(self) -> bool:
+        """Whether [spectral] selects λ0 (parse_config refuses both keys)."""
         s = self.cfg["spectral"]
-        if s["lambda0_index"] is not None:
-            return ("index", s["lambda0_index"])
-        if s["lambda0_value"] is not None:
-            return ("value", s["lambda0_value"])
-        return None
+        return s["lambda0_index"] is not None or s["lambda0_value"] is not None
 
     @cached_property
     def proj(self) -> Projections:
-        selection = self.lambda0_selection
-        if selection is None:  # refused before the eigensolve runs
+        """The projections at the multiplet that lambda0_index (0-based,
+        ascending) or lambda0_value (the nearest) selects."""
+        if not self.selects_lambda0:  # refused before the eigensolve runs
             raise ConfigError(
                 "[spectral] needs lambda0_index or lambda0_value to select lambda0"
             )
         data = self.data()  # eigensolver failures stay numerical failures
+        s = self.cfg["spectral"]
+        index, lam0 = s["lambda0_index"], s["lambda0_value"]
+        if index is not None:
+            if not 0 <= index < len(data.multiplets):
+                raise ConfigError(f"unresolvable lambda0: multiplet index {index} "
+                                  f"out of range ({len(data.multiplets)} found)")
+            lam0 = data.multiplets[index][0]
         try:
-            lam0 = data.select_lambda0(selection)
-        except SpectralError as exc:
+            return build_projections(data, lam0, s["delta_request"])
+        except Lambda0Error as exc:
             raise ConfigError(f"unresolvable lambda0: {exc}") from exc
-        return build_projections(data, lam0, self.cfg["spectral"]["delta_request"])
 
 
 def _initial_spec(text: str, ndim: int) -> tuple[str, list[float]]:
@@ -415,7 +419,7 @@ def _cmd_branch(problem: Problem) -> tuple[dict, bool | None]:
 def _cmd_semiflow(problem: Problem) -> tuple[dict, bool | None]:
     grid, op, spec = problem.grid, problem.op, problem.spec
     e = problem.cfg["experiment"]
-    proj = problem.proj if problem.lambda0_selection is not None else None
+    proj = problem.proj if problem.selects_lambda0 else None
     if e["lam"] is not None:
         lam = e["lam"]
     elif proj is not None:

@@ -16,6 +16,13 @@ rounding) for *every* sampled field, not just decaying ones:
   holds to machine precision.  This pairing also makes -Δ_h self-adjoint in
   the trapezoid inner product, which the spectral machinery relies on.
 
+Both -Δ_h = W^{-1} K and its symmetrization W^{1/2} (-Δ_h) W^{-1/2} = d K d
+(K the stiffness on every axis, W the quadrature weights, d = W^{-1/2}) come
+from one builder in one stencil format, (diag, upper, lower): the diagonal
+over the flat field, and along every axis the entry in row k, column k + 1
+and the one in row k + 1, column k.  apply_stencil applies either.  The
+module imports no scipy.
+
 Fields are flat, C-ordered ``numpy`` arrays with one real sample per node;
 all operations are pure.
 """
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Guard against accidentally gigantic grids (n is per axis).
+# the most nodes a grid may have: guards against accidentally gigantic grids
 MAX_NODES_DEFAULT = 8_000_000
 
 
@@ -59,9 +66,10 @@ class Grid:
         sqrt_weights: their square roots, the diagonal of W^{1/2}.
         points: flat node coordinates, shape (num_nodes, ndim).
 
-    Its stencils are numpy arrays built on each call and not kept: the
-    Hamiltonian holds the ones it applies and counts with, and assembles
-    from them the one sparse matrix the solvers factor.
+    Its two stencils (neg_laplacian_stencil, symmetrized_stencil) are
+    numpy arrays in the one (diag, upper, lower) format, built on each call
+    and not kept: the Hamiltonian holds both, applies A with one, and counts
+    with and assembles the sparse S from the other.
     """
 
     def __init__(self, ndim: int, half_width: float, points_per_axis: int):
@@ -124,76 +132,55 @@ class Grid:
 
     # -- discrete operators -------------------------------------------------
 
-    def _stiffness_entries(self) -> tuple[float, float]:
-        # the diagonal and off-diagonal of the 1-D stiffness K = (1/h)
-        # tridiag(-1, 2, -1) with its two Dirichlet ghost edges, so that
-        # <-Δ_h u, v>_w = uᵀ K v in 1-D; each a product with 1/h
+    def _stencil(self, left: np.ndarray,
+                 right: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # m = diag(left) K diag(right) on every axis (the Kronecker sum
+        # m ⊗ I + I ⊗ m in 2-D), with K = (1/h) tridiag(-1, 2, -1) the 1-D
+        # stiffness with its two Dirichlet ghost edges, so that
+        # <-Δ_h u, v>_w = uᵀ K v in 1-D; each entry rounded as
+        # (left_i·K_ij)·right_j
         inv_h = 1.0 / self.spacing
-        return 2.0 * inv_h, -1.0 * inv_h
+        k_diag, k_off = 2.0 * inv_h, -1.0 * inv_h
+        diag = (left * k_diag) * right
+        if self.ndim == 2:  # m_jj + m_ii at node (i, j)
+            diag = (diag[np.newaxis, :] + diag[:, np.newaxis]).ravel()
+        return diag, (left[:-1] * k_off) * right[1:], (left[1:] * k_off) * right[:-1]
 
-    def _on_every_axis_diagonal(self, diag1: np.ndarray) -> np.ndarray:
-        # the diagonal of a 1-D operator m acting on every axis (the Kronecker
-        # sum m ⊗ I + I ⊗ m in 2-D): m_jj + m_ii at node (i, j) in 2-D
-        if self.ndim == 1:
-            return diag1
-        return (diag1[np.newaxis, :] + diag1[:, np.newaxis]).ravel()
-
-    def neg_laplacian_stencil(self) -> tuple[np.ndarray, np.ndarray]:
-        """-Δ_h, W^{-1} K on every axis, as numpy arrays: its diagonal over
-        the flat field, and the coefficient (1/w_k)·(-1/h) that a node with
-        index k along an axis gives both of its neighbours along that
-        axis."""
-        k_diag, k_off = self._stiffness_entries()
+    def neg_laplacian_stencil(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """-Δ_h, W^{-1} K on every axis, as the stencil (diag, upper, lower)
+        of apply_stencil."""
         inv_w = 1.0 / self.axis_weights
-        return self._on_every_axis_diagonal(inv_w * k_diag), inv_w * k_off
+        return self._stencil(inv_w, np.ones_like(inv_w))
 
     def symmetrized_stencil(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """W^{1/2} (-Δ_h) W^{-1/2}, d K d on every axis with d = W^{-1/2}
-        along an axis, as numpy arrays: its diagonal over the flat field,
-        and along an axis upper[k] = (d_k·K)·d_{k+1} in row k, column k + 1
-        and lower[k] = (d_{k+1}·K)·d_k in row k + 1, column k, each rounded
-        as the product (d K) d rounds it, so the two differ in the last bits
-        next to the edges of the box, where d does."""
-        k_diag, k_off = self._stiffness_entries()
+        along an axis, as the stencil (diag, upper, lower) of apply_stencil.
+        upper[k] = (d_k·K)·d_{k+1} and lower[k] = (d_{k+1}·K)·d_k differ in
+        the last bits next to the edges of the box, where d does."""
         d = 1.0 / np.sqrt(self.axis_weights)
-        diag = self._on_every_axis_diagonal((d * k_diag) * d)
-        return diag, (d[:-1] * k_off) * d[1:], (d[1:] * k_off) * d[:-1]
+        return self._stencil(d, d)
 
-    def symmetrized_diagonals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The diagonals 0, 1 and n (n points per axis; n = 1 in 1-D) of
-        W^{1/2} (-Δ_h) W^{-1/2} over the flat field, from its stencil: the
-        `upper` entries on diagonals 1 and n, and zero on diagonal 1 where
-        it crosses from one grid line to the next."""
-        diag, upper, _ = self.symmetrized_stencil()
-        if self.ndim == 1:
-            return diag, upper, upper
-        n = self.points_per_axis
-        along = np.zeros((n, n))
-        along[:, :-1] = upper
-        return diag, along.ravel()[:-1], np.repeat(upper, n)
-
-    def apply_stencil(self, diag: np.ndarray, off: np.ndarray,
-                      u: np.ndarray) -> np.ndarray:
-        """M u for the matrix M with diagonal `diag` whose row at index k
-        along an axis has the coefficient off[k] on both neighbours along
-        that axis (the arrays of neg_laplacian_stencil).  Row r is summed
-        from zero in column order, r - n, r - 1, r, r + 1, r + n, as a CSR
-        product with sorted columns sums it, so the result has that
-        product's bits."""
+    def apply_stencil(self, diag: np.ndarray, upper: np.ndarray,
+                      lower: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """M u for the matrix M of a stencil: diagonal `diag` over the flat
+        field, and along every axis the entry upper[k] in row k, column
+        k + 1 and lower[k] in row k + 1, column k (k, k + 1 the indices of
+        two neighbours along that axis).  Row r is summed from zero in
+        column order, r - n, r - 1, r, r + 1, r + n, as a CSR product with
+        sorted columns sums it, so the result has that product's bits."""
         U = u.reshape(self.shape)
         D = diag.reshape(self.shape)
         y = np.zeros(self.shape)
         if self.ndim == 1:
-            y[1:] += off[1:] * U[:-1]
+            y[1:] += lower * U[:-1]
             y += D * U
-            y[:-1] += off[:-1] * U[1:]
-        else:
-            across = off[:, np.newaxis]  # off[i] for grid line i
-            y[1:] += across[1:] * U[:-1]
-            y[:, 1:] += off[1:] * U[:, :-1]
+            y[:-1] += upper * U[1:]
+        else:  # across the grid lines, the entries of line i are those of index i
+            y[1:] += lower[:, np.newaxis] * U[:-1]
+            y[:, 1:] += lower * U[:, :-1]
             y += D * U
-            y[:, :-1] += off[:-1] * U[:, 1:]
-            y[:-1] += across[:-1] * U[1:]
+            y[:, :-1] += upper * U[:, 1:]
+            y[:-1] += upper[:, np.newaxis] * U[1:]
         return y.ravel()
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -203,14 +190,12 @@ class Grid:
         )
 
 
-def make_grid(
-    ndim: int, half_width: float, points_per_axis: int, max_nodes: int = MAX_NODES_DEFAULT
-) -> Grid:
+def make_grid(ndim: int, half_width: float, points_per_axis: int) -> Grid:
     """Build a uniform grid on [-L, L]^ndim.
 
     points_per_axis must be odd (keeps x = 0 a node so even/odd symmetry is
-    exact) and at least 3; the total node count is capped by max_nodes.
-    half_width must leave the node radii and the Laplacian's 1/h^2 finite.
+    exact) and at least 3; the total node count is capped by
+    MAX_NODES_DEFAULT.  half_width must leave the node radii and the Laplacian's 1/h^2 finite.
     """
     if ndim not in (1, 2):
         raise GridError(f"ndim must be 1 or 2, got {ndim}")
@@ -221,9 +206,9 @@ def make_grid(
         raise GridError(f"points_per_axis must be >= 3, got {n}")
     if n % 2 == 0:
         raise GridError(f"points_per_axis must be odd, got {n}")
-    if n**ndim > max_nodes:
+    if n**ndim > MAX_NODES_DEFAULT:
         raise GridError(
-            f"grid would have {n**ndim} nodes, exceeding the cap {max_nodes}"
+            f"grid would have {n**ndim} nodes, exceeding the cap {MAX_NODES_DEFAULT}"
         )
     # Python floats overflow to inf and underflow to 0 here without a warning
     h = 2.0 * half_width / (n - 1)

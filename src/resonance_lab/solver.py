@@ -25,12 +25,12 @@ from .spectral import HamiltonianOperator, Projections, apply_resolvent_compleme
 
 ANDERSON_DEPTH = 8             # iterates kept in the Anderson history
 DAMPING_FLOOR = 1.0 / 64.0     # smallest relaxation of the plain fixed-point step
+TOL_FP = 1e-8                  # fixed-point defect tolerance (L2)
+TOL_PDE = 1e-6                 # PDE residual tolerance, scaled by (1 + ||w||_H1)
 
 
 @dataclass
 class SolverConfig:
-    tol_fp: float = 1e-8           # fixed-point defect tolerance (L2)
-    tol_pde: float = 1e-6          # PDE residual tolerance, scaled by (1 + ||w||_H1)
     max_iter: int = 200
     u_cap: float | None = None     # abort when ||u||_H1 exceeds this
 
@@ -126,7 +126,7 @@ def solve_near_resonance(
     defect = grid.norm(u - g)
     it = 0
     while it < cfg.max_iter:
-        if defect <= cfg.tol_fp:
+        if defect <= TOL_FP:
             break
         if defect < best_defect:
             best_u, best_defect = u, defect
@@ -167,8 +167,8 @@ def solve_near_resonance(
     norms = field_norms(grid, w)
     converged = (
         not capped
-        and defect <= cfg.tol_fp
-        and residual <= cfg.tol_pde * (1.0 + norms.h1)
+        and defect <= TOL_FP
+        and residual <= TOL_PDE * (1.0 + norms.h1)
     )
     return SolveResult(
         converged=bool(converged),

@@ -21,13 +21,14 @@ holds a few n×n line blocks, not a sparse factorization.  Eigenpairs stored
 from such a solve are taken back by reuse_eigenpairs only after the same
 count and residual checks, plus a check of their orthonormality.
 
-The operator holds A and the diagonals of S that the count reads as numpy
-stencils, and on first use assembles S as a CSC matrix from the grid's
-stencil of S; the grid builds no sparse matrix.  The count runs on numpy
-alone (numpy.linalg on the 2-D line blocks).  So scipy loads on first use:
-scipy.sparse with that matrix, SuperLU and ARPACK (scipy.sparse.linalg)
-with the first factorization, and `resonance` on stored pairs loads no
-scipy module, in 1-D as in 2-D.
+The operator holds A and S as numpy stencils in the grid's one format,
+(diag, upper, lower), each built once: it applies A from its stencil, the
+count reads the diagonal and `upper` of S's, and on first use S is
+assembled as a CSC matrix from that same stencil; the grid builds no sparse
+matrix.  The count runs on numpy alone (numpy.linalg on the 2-D line
+blocks).  So scipy loads on first use: scipy.sparse with that matrix,
+SuperLU and ARPACK (scipy.sparse.linalg) with the first factorization, and
+`resonance` on stored pairs loads no scipy module, in 1-D as in 2-D.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ if TYPE_CHECKING:
 CEILING_MARGIN = 1e-6
 # relative residual a deflated resolvent solve must reach
 TOL_LIN = 1e-8
+# largest residual ||Aφ - λφ|| of an eigenpair, solved or stored
+TOL_EIG = 1e-8
 # largest max |ΨᵀΨ - I| of stored eigenfields that reuse_eigenpairs accepts;
 # a fresh solve measures a few 1e-15
 ORTHONORMAL_TOL = 1e-10
@@ -67,17 +70,21 @@ class ResonantLambdaError(ValueError):
     """A query landed within clustering tolerance of an eigenvalue."""
 
 
+class Lambda0Error(SpectralError):
+    """A λ0 that no computed multiplet is near."""
+
+
 class HamiltonianOperator:
     """Discretization of A = -Δ + V on a grid.
 
     Exposes both the field-space action (`apply`) and the symmetrized matrix
     S used by eigensolvers and implicit steps, and is the one place that
-    builds and factors a shifted S (`shifted`, `factor_shifted`).  A is held
-    as a numpy stencil, and so are the diagonals 0, 1 and n of S
-    (`sym_diagonals`, n points per axis; n = 1 in 1-D), which the inertia
-    count reads; S itself is a CSC matrix assembled from the same diagonals
-    on first use.  alpha_inf is the asymptotic bottom the potential
-    declares.
+    builds and factors a shifted S (`shifted`, `factor_shifted`).  A and S
+    are held as the grid's stencils (diag, upper, lower) with V on the
+    diagonal, `stencil` and `sym_stencil`, each built once: `apply` reads
+    the first, the inertia count reads the diagonal and `upper` of the
+    second, and S itself is a CSC matrix assembled from the second on first
+    use.  alpha_inf is the asymptotic bottom the potential declares.
     """
 
     def __init__(self, grid: Grid, potential: PotentialSpec):
@@ -87,34 +94,34 @@ class HamiltonianOperator:
         self.potential = potential
         v = potential.v
         self.v_samples = v
-        lap_diag, self._off = grid.neg_laplacian_stencil()
-        self._diag = lap_diag + v
-        diag, upper, coupling = grid.symmetrized_diagonals()
-        self.sym_diagonals = (diag + v, upper, coupling)
+        diag, upper, lower = grid.neg_laplacian_stencil()
+        self.stencil = (diag + v, upper, lower)
+        diag, upper, lower = grid.symmetrized_stencil()
+        self.sym_stencil = (diag + v, upper, lower)
         self.alpha_inf = potential.alpha_inf
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """A u as a flat field, with the bits of the CSR product."""
         u = self.grid.check_field(u)
-        return self.grid.apply_stencil(self._diag, self._off, u)
+        return self.grid.apply_stencil(*self.stencil, u)
 
     @cached_property
     def sym_matrix(self) -> sp.csc_matrix:
         """S = W^{1/2} A W^{-1/2} as a CSC matrix, built on first use from
-        the grid's stencil of S.  Column j holds those of rows j - n, j - 1,
-        j, j + 1, j + n (n points per axis; j ± 1 alone in 1-D) that are
-        nodes on an axis line through node j, in that order.  Every diagonal
+        `sym_stencil`.  Column j holds those of rows j - n, j - 1, j, j + 1,
+        j + n (n points per axis; j ± 1 alone in 1-D) that are nodes on an
+        axis line through node j, in that order.  Every diagonal
         entry is stored, even 0.0, so that a shift inserts none (sp.diags
         and sparse sums would drop it)."""
         import scipy.sparse as sp
 
         grid = self.grid
         n, size = grid.points_per_axis, grid.num_nodes
-        _, upper, lower = grid.symmetrized_stencil()
+        diag, upper, lower = self.sym_stencil
         # along an axis, node k's entries in the rows of nodes k - 1 and k + 1
         before, after = np.append(0.0, upper), np.append(lower, 0.0)
         has_before, has_after = np.arange(n) > 0, np.arange(n) < n - 1
-        diag = self.sym_diagonals[0].reshape(grid.shape)
+        diag = diag.reshape(grid.shape)
         slots = [(-1, before, has_before), (0, diag, True), (1, after, has_after)]
         if grid.ndim == 2:  # across the lines, the same entries on every line
             slots = [(-n, before[:, None], has_before[:, None]), *slots,
@@ -195,10 +202,11 @@ class SpectralData:
         The radius is the larger of cluster_tol and a quarter of the
         distance to the rest of the spectrum (or to the ceiling when the
         multiplet is alone), so discretization shifts of the eigenvalue are
-        absorbed while genuinely off-spectrum values are rejected.
+        absorbed while genuinely off-spectrum values are rejected
+        (Lambda0Error).
         """
         if not self.multiplets:
-            raise SpectralError("no eigenvalues were computed below the ceiling")
+            raise Lambda0Error("no eigenvalues were computed below the ceiling")
         centers = np.array([c for c, _ in self.multiplets])
         j = int(np.argmin(np.abs(centers - lam0)))
         center, idx = self.multiplets[j]
@@ -207,26 +215,11 @@ class SpectralData:
         room = float(np.min(others)) if others.size else abs(self.ceiling - center)
         guard = max(self.cluster_tol, 0.25 * room)
         if abs(center - lam0) > guard:
-            raise SpectralError(
+            raise Lambda0Error(
                 f"lambda0 = {lam0} is not in the computed spectrum "
                 f"{centers.tolist()}"
             )
         return center, idx
-
-    def select_lambda0(self, selector) -> float:
-        """Resolve a λ0 selector: ('index', k) picks the k-th multiplet
-        (0-based, ascending), ('value', v) the multiplet nearest v."""
-        kind, arg = selector
-        if kind == "index":
-            k = int(arg)
-            if not 0 <= k < len(self.multiplets):
-                raise SpectralError(
-                    f"multiplet index {k} out of range ({len(self.multiplets)} found)"
-                )
-            return self.multiplets[k][0]
-        if kind == "value":
-            return self.multiplet_of(float(arg))[0]
-        raise SpectralError(f"unknown lambda0 selector kind {kind!r}")
 
 
 def _cluster(eigenvalues: np.ndarray, tol: float) -> list:
@@ -249,9 +242,10 @@ def _count_below(op: HamiltonianOperator, mu: float) -> int:
     """Number of eigenvalues of A below mu, by Sylvester inertia.
 
     In the C-ordered numbering S - mu I is block tridiagonal over the grid
-    lines: line blocks T_k (tridiagonal; the diagonals 0 and 1 of S) coupled
-    by diagonal blocks C_k (the diagonal n of S, n points per axis).  Its
-    inertia is the sum of those of the Schur complements D_1 = T_1,
+    lines: line blocks T_k (tridiagonal: the line's diagonal, and `upper` of
+    S's stencil next to it) coupled by the diagonal blocks C_k = upper[k] I,
+    so the count reads only S's upper triangle.  Its inertia is the sum of
+    those of the Schur complements D_1 = T_1,
     D_{k+1} = T_{k+1} - C_k D_k^{-1} C_k (Haynsworth, Linear Algebra Appl.
     1, 1968).  A D_k that has a Cholesky factor is positive definite and
     adds none; the negative eigenvalues of any other are counted by
@@ -264,26 +258,26 @@ def _count_below(op: HamiltonianOperator, mu: float) -> int:
     Parlett, The Symmetric Eigenvalue Problem, ch. 3).  Raises SpectralError
     if it breaks down at every nudge.
     """
-    n = op.grid.points_per_axis if op.grid.ndim == 2 else 1
+    grid = op.grid
     scale = _spectral_scale(op, mu)
-    diag, off, coupling = op.sym_diagonals
+    diag, upper, _ = op.sym_stencil
     tiny = 1e-12 * scale
     for nudge in (0.0, 1e-9, -1e-9, 3e-9):
         shifted = diag - (mu + nudge * scale)
-        count = (_sturm_count(shifted, off, tiny) if n == 1
-                 else _line_block_count(shifted, off, coupling, n, tiny))
+        count = (_sturm_count(shifted, upper, tiny) if grid.ndim == 1
+                 else _line_block_count(shifted.reshape(grid.shape), upper, tiny))
         if count is not None:
             return count
     raise SpectralError(f"LDLᵀ inertia count broke down at every shift near {mu}")
 
 
-def _sturm_count(shifted, off, tiny) -> int | None:
+def _sturm_count(shifted, upper, tiny) -> int | None:
     """Negative pivots of d_1 = a_1, d_{i+1} = a_{i+1} - b_i² / d_i over the
-    diagonal a and the off-diagonal b of a tridiagonal S - mu I; None at a
-    pivot of magnitude at most tiny."""
+    diagonal a and the off-diagonal b (`upper`) of a tridiagonal S - mu I;
+    None at a pivot of magnitude at most tiny."""
     count, d = 0, math.inf  # a_1 - 0 / inf = a_1
     # memoryviews hand out one float at a time, where lists would hold them all
-    b2s = np.concatenate(([0.0], off * off))
+    b2s = np.concatenate(([0.0], upper * upper))
     for a, b2 in zip(memoryview(shifted), memoryview(b2s)):
         d = a - b2 / d
         if not abs(d) > tiny:  # a NaN fails too
@@ -292,22 +286,22 @@ def _sturm_count(shifted, off, tiny) -> int | None:
     return count
 
 
-def _line_block_count(shifted, off, coupling, n, tiny) -> int | None:
+def _line_block_count(rows, upper, tiny) -> int | None:
     """Negative eigenvalues of the Schur complements D_k of S - mu I over the
-    grid lines of n nodes (see _count_below); None on a LinAlgError, a NaN,
-    a Cholesky pivot L_ii² or an eigenvalue of magnitude at most tiny.  A
-    D_k that Cholesky factors adds none; any other is counted by eigvalsh.
-    D_k is filled into both triangles from the one superdiagonal, since
-    cholesky and eigvalsh read its lower triangle and inv the whole."""
+    grid lines (see _count_below), from the n×n diagonal of S - mu I, one
+    row per line, and `upper`; None on a LinAlgError, a NaN, a Cholesky
+    pivot L_ii² or an eigenvalue of magnitude at most tiny.  A D_k that
+    Cholesky factors adds none; any other is counted by eigvalsh.  D_k is
+    filled into both triangles from `upper`, since cholesky and eigvalsh
+    read its lower triangle and inv the whole."""
+    lines, n = rows.shape
     count, i = 0, np.arange(n)
     block = np.zeros((n, n))  # -C_{k-1} D_{k-1}^{-1} C_{k-1}, 0 for k = 1
-    lines = len(shifted) // n
     try:
         for k in range(lines):
-            lo, hi = k * n, (k + 1) * n
-            block[i, i] += shifted[lo:hi]
-            block[i[1:], i[:-1]] += off[lo : hi - 1]
-            block[i[:-1], i[1:]] += off[lo : hi - 1]
+            block[i, i] += rows[k]
+            block[i[1:], i[:-1]] += upper
+            block[i[:-1], i[1:]] += upper
             try:
                 smallest = np.min(np.linalg.cholesky(block).diagonal() ** 2)
             except np.linalg.LinAlgError:  # not positive definite
@@ -318,20 +312,19 @@ def _line_block_count(shifted, off, coupling, n, tiny) -> int | None:
                 return None
             if k == lines - 1:
                 break
-            ck = coupling[lo:hi]
+            c = upper[k]
             block = np.linalg.inv(block)
-            block *= -ck[:, None]
-            block *= ck[None, :]
+            block *= -c
+            block *= c
     except np.linalg.LinAlgError:  # a singular D_k, or eigvalsh did not converge
         return None
     return count
 
 
-def _window(op: HamiltonianOperator, ceiling: float | None, tol_eig: float,
-            cluster_tol: float | None) -> tuple[float, float, float]:
-    """The ceiling and cluster_tol of an eigensolve with their defaults filled
-    in, and the spectral scale; SpectralError for a ceiling above alpha_inf
-    or a non-positive tol_eig."""
+def _window(op: HamiltonianOperator, ceiling: float | None) -> tuple[float, float, float]:
+    """The ceiling of an eigensolve with its default filled in, its
+    cluster_tol (1e-6 of the spectral scale) and the spectral scale;
+    SpectralError for a ceiling above alpha_inf."""
     if ceiling is None:
         ceiling = op.alpha_inf
     scale = _spectral_scale(op, ceiling)
@@ -340,11 +333,7 @@ def _window(op: HamiltonianOperator, ceiling: float | None, tol_eig: float,
             f"ceiling {ceiling} exceeds alpha_inf {op.alpha_inf}; "
             "eigenvalues up there are discretization artifacts"
         )
-    if tol_eig <= 0:
-        raise SpectralError("tol_eig must be positive")
-    if cluster_tol is None:
-        cluster_tol = 1e-6 * scale
-    return float(ceiling), float(cluster_tol), scale
+    return float(ceiling), float(1e-6 * scale), scale
 
 
 def _count_in_range(op: HamiltonianOperator, ceiling: float, max_count: int) -> int:
@@ -366,11 +355,11 @@ def _count_in_range(op: HamiltonianOperator, ceiling: float, max_count: int) -> 
 
 
 def _checked_data(op: HamiltonianOperator, ceiling: float, cluster_tol: float,
-                  tol_eig: float, count: int, vals: np.ndarray, fields: np.ndarray,
+                  count: int, vals: np.ndarray, fields: np.ndarray,
                   multiplets: list) -> SpectralData:
     """SpectralData of eigenpairs below the ceiling, after the checks every
     eigenpair passes, solved or stored: there are exactly `count` of them
-    (the Sylvester inertia count) and each residual is at most tol_eig."""
+    (the Sylvester inertia count) and each residual is at most TOL_EIG."""
     below = int(np.count_nonzero(vals < ceiling))
     if below != count or len(vals) != count:
         raise SpectralError(
@@ -382,9 +371,9 @@ def _checked_data(op: HamiltonianOperator, ceiling: float, cluster_tol: float,
     for i in range(len(vals)):
         phi = fields[:, i]
         residuals[i] = grid.norm(op.apply(phi) - vals[i] * phi)
-        if not residuals[i] <= tol_eig:  # a NaN fails too
+        if not residuals[i] <= TOL_EIG:  # a NaN fails too
             raise SpectralError(
-                f"eigenpair {i} residual {residuals[i]:.3e} exceeds tol_eig {tol_eig}"
+                f"eigenpair {i} residual {residuals[i]:.3e} exceeds tol_eig {TOL_EIG}"
             )
     return SpectralData(
         operator=op,
@@ -400,8 +389,6 @@ def _checked_data(op: HamiltonianOperator, ceiling: float, cluster_tol: float,
 def eigenpairs_below(
     op: HamiltonianOperator,
     ceiling: float | None = None,
-    tol_eig: float = 1e-8,
-    cluster_tol: float | None = None,
     max_count: int = 64,
 ) -> SpectralData:
     """All discrete eigenvalues of A below the ceiling, with eigenfields.
@@ -416,12 +403,13 @@ def eigenpairs_below(
     fewer than two of the grid's eigenvalues lie above it; and after, if the
     shift-invert factorization or the eigensolver fails, if the eigensolver
     does not find exactly the counted number, or if a residual exceeds
-    tol_eig.
+    TOL_EIG.  Eigenvalues within 1e-6 of the spectral scale of each other
+    form one multiplet.
     """
     import scipy.sparse.linalg as spla
 
     grid = op.grid
-    ceiling, cluster_tol, scale = _window(op, ceiling, tol_eig, cluster_tol)
+    ceiling, cluster_tol, scale = _window(op, ceiling)
     count = _count_in_range(op, ceiling, max_count)
     M = grid.num_nodes
     sigma = op.spectrum_lower_bound() - 0.1 * scale
@@ -459,8 +447,7 @@ def eigenpairs_below(
             vecs[:, idx] = qblock
             fields[:, idx] = qblock * inv_sqrt_w[:, None]
 
-    return _checked_data(op, ceiling, cluster_tol, tol_eig, count, vals, fields,
-                         multiplets)
+    return _checked_data(op, ceiling, cluster_tol, count, vals, fields, multiplets)
 
 
 def reuse_eigenpairs(
@@ -468,8 +455,6 @@ def reuse_eigenpairs(
     eigenvalues: np.ndarray,
     eigenfields: np.ndarray,
     ceiling: float | None = None,
-    tol_eig: float = 1e-8,
-    cluster_tol: float | None = None,
     max_count: int = 64,
 ) -> SpectralData:
     """The SpectralData of eigenpairs stored from an earlier eigenpairs_below
@@ -479,11 +464,11 @@ def reuse_eigenpairs(
     ascending eigenvalues and W-orthonormal eigenfields (max |ΨᵀΨ - I| at
     most ORTHONORMAL_TOL); they then pass the checks of a fresh solve: the
     Sylvester count below the ceiling equals the number of pairs, and every
-    residual is at most tol_eig.  The multiplets are clustered again, but not
+    residual is at most TOL_EIG.  The multiplets are clustered again, but not
     re-orthonormalized, so pairs that a solve wrote come back bit for bit.
     Raises SpectralError when any check fails.
     """
-    ceiling, cluster_tol, _ = _window(op, ceiling, tol_eig, cluster_tol)
+    ceiling, cluster_tol, _ = _window(op, ceiling)
     vals, fields = np.asarray(eigenvalues), np.asarray(eigenfields)
     grid = op.grid
     if not (vals.dtype == fields.dtype == np.float64 and vals.ndim == 1
@@ -501,7 +486,7 @@ def reuse_eigenpairs(
             f"stored eigenfields are not orthonormal: max |ΨᵀΨ - I| = {drift:.3e}"
         )
     count = _count_in_range(op, ceiling, max_count)
-    return _checked_data(op, ceiling, cluster_tol, tol_eig, count, vals, fields,
+    return _checked_data(op, ceiling, cluster_tol, count, vals, fields,
                          _cluster(vals, cluster_tol))
 
 

@@ -71,8 +71,7 @@ def acceptance_branch(pt_proj, arctan_spec):
     4, 8, 9 and 10."""
     lam0, delta = pt_proj.lambda0, pt_proj.delta
     schedule = [lam0 - delta * 2.0 ** (-k) for k in range(1, 13)]
-    cfg = rl.SolverConfig(tol_fp=1e-8, tol_pde=1e-6)
-    return rl.continue_branch(schedule, pt_proj, arctan_spec, cfg)
+    return rl.continue_branch(schedule, pt_proj, arctan_spec)
 
 
 @pytest.fixture(scope="session")

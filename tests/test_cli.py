@@ -230,11 +230,18 @@ def test_exit_code_undecodable_config(tmp_path):
     assert main(["spectrum", "--config", str(tmp_path / "exp.ini")]) == EXIT_CONFIG
 
 
-def test_exit_code_unresolvable_lambda0(tmp_path):
-    cfg_text = PT_BASE.format(n=1001).replace("lambda0_value = -1.0",
-                                              "lambda0_value = -2.5")
-    code, _ = _run(tmp_path, "resonance", cfg_text)
-    assert code == EXIT_CONFIG
+def test_exit_code_unresolvable_lambda0(tmp_path, capsys):
+    # off the computed spectrum (-4, -1), and past its two multiplets
+    for select, message in [
+        ("lambda0_value = -2.5", "unresolvable lambda0: lambda0 = -2.5 is not in "
+                                 "the computed spectrum"),
+        ("lambda0_index = 7", "unresolvable lambda0: multiplet index 7 out of "
+                              "range (2 found)"),
+    ]:
+        cfg_text = PT_BASE.format(n=1001).replace("lambda0_value = -1.0", select)
+        code, _ = _run(tmp_path, "resonance", cfg_text)
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
 
 def test_exit_code_numerical_failure(tmp_path):

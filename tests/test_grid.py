@@ -45,8 +45,9 @@ def test_make_grid_rejects_bad_arguments(args):
 
 
 def test_make_grid_node_cap():
-    with pytest.raises(GridError):
-        rl.make_grid(2, 1.0, 4001, max_nodes=1_000_000)
+    # 4001² = 16.0M nodes, above the 8M cap
+    with pytest.raises(GridError, match="exceeding the cap"):
+        rl.make_grid(2, 1.0, 4001)
 
 
 def test_laplacian_constant_field_boundary_only():

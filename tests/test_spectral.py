@@ -4,6 +4,7 @@ import dataclasses
 import sys
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -110,7 +111,7 @@ def _cancelling_problem():
     """A 2-D grid whose custom potential is minus S_0's diagonal, so every
     diagonal entry of S is 0.0."""
     g = rl.make_grid(2, 3.0, 7)
-    diag = g.symmetrized_diagonals()[0]
+    diag = g.symmetrized_stencil()[0]
     pot = rl.make_potential(g, "custom", evaluator=lambda pts: -diag, alpha_inf=0.0)
     return rl.assemble_hamiltonian(g, pot), np.random.default_rng(3).standard_normal(g.num_nodes)
 
@@ -119,24 +120,38 @@ def _cancelling_problem():
 @example(problem=_cancelling_problem())
 @given(problem=_stencil_problems())
 def test_stencil_has_the_bits_of_the_sparse_matrices(problem):
-    # apply against the CSR matrix A that the operator held before it held
-    # stencils, apply_laplacian against -Δ_h's CSR, the CSC matrix S entry
-    # for entry against S_0 with V set into its diagonal (explicit zeros
-    # included), and the count's diagonals against S's
+    # both held stencils entry for entry against the CSR matrix A that the
+    # operator held before it held stencils and against S_0 with V set into
+    # its diagonal; apply against A, apply_laplacian against -Δ_h's CSR, the
+    # CSC matrix S against S (explicit zeros included), and the count reads
+    # the held upper triangle of S
     op, u = problem
     g = op.grid
     lap, S0 = _kronecker_sum_reference(g)
     A = (lap + sp.diags(op.v_samples)).tocsr()
-    assert _same_bits(op.apply(u), A @ u)
-    assert _same_bits(rl.apply_laplacian(g, u), -(lap @ u))
     S = S0.tocsc()
     S.setdiag(S.diagonal() + op.v_samples)
+    n = g.points_per_axis
+    for (diag, upper, lower), M in [(op.stencil, A), (op.sym_stencil, S)]:
+        assert _same_bits(diag, M.diagonal())
+        if g.ndim == 1:
+            assert _same_bits(upper, M.diagonal(1))
+            assert _same_bits(lower, M.diagonal(-1))
+            continue
+        for off, k in [(upper, 1), (lower, -1)]:
+            along = np.zeros((n, n))  # zero where a diagonal crosses a line
+            along[:, :-1] = off
+            assert _same_bits(along.ravel()[:-1], M.diagonal(k))
+            assert _same_bits(np.repeat(off, n), M.diagonal(k * n))
+    assert _same_bits(op.apply(u), A @ u)
+    assert _same_bits(rl.apply_laplacian(g, u), -(lap @ u))
     assert np.array_equal(op.sym_matrix.indptr, S.indptr)
     assert np.array_equal(op.sym_matrix.indices, S.indices)
     assert _same_bits(op.sym_matrix.data, S.data)
-    n = g.points_per_axis if g.ndim == 2 else 1
-    for diagonal, k in zip(op.sym_diagonals, (0, 1, n)):
-        assert _same_bits(diagonal, S.diagonal(k))
+    count = "_sturm_count" if g.ndim == 1 else "_line_block_count"
+    with mock.patch.object(spectral, count, wraps=getattr(spectral, count)) as spy:
+        spectral._count_below(op, op.spectrum_lower_bound() - 1.0)
+    assert spy.call_args.args[1] is op.sym_stencil[1]
 
 
 def test_operator_self_adjoint_and_quadratic_form(rng, pt_grid, pt_op):
@@ -436,8 +451,10 @@ def test_reuse_keeps_the_checks_of_a_solve(well_op):
         rl.reuse_eigenpairs(well_op, vals[::-1], fields[:, ::-1])
     with pytest.raises(SpectralError, match="fit a grid"):
         rl.reuse_eigenpairs(well_op, vals, fields.astype(np.float32))
+    shifted = vals.copy()
+    shifted[0] += 1e-6  # a residual of 1e-6 on a unit eigenfield, above TOL_EIG
     with pytest.raises(SpectralError, match="residual"):
-        rl.reuse_eigenpairs(well_op, vals, fields, tol_eig=1e-16)
+        rl.reuse_eigenpairs(well_op, shifted, fields)
     nan_field = fields.copy()
     nan_field[0, 0] = np.nan
     with pytest.raises(SpectralError, match="orthonormal"):
@@ -947,12 +964,3 @@ def test_morse_jump_equals_kernel_dimension(pt_data):
         up = rl.morse_count(pt_data, center + proj.delta).k
         down = rl.morse_count(pt_data, center - proj.delta).k
         assert up - down == len(idx)
-
-
-def test_select_lambda0(pt_data):
-    assert pt_data.select_lambda0(("index", 1)) == pt_data.eigenvalues[1]
-    assert pt_data.select_lambda0(("value", -1.0)) == pt_data.eigenvalues[1]
-    with pytest.raises(SpectralError):
-        pt_data.select_lambda0(("index", 7))
-    with pytest.raises(SpectralError):
-        pt_data.select_lambda0(("value", -2.5))
