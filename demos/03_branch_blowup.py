@@ -1,7 +1,7 @@
 """Bifurcation from infinity: a continuation sweep toward an eigenvalue.
 
-Solves the stationary problem at a geometric schedule of parameters
-approaching lambda0 = -1 from below.  The solution norms blow up like
+Solves the stationary problem at the parameters lambda0 - delta 2^-k,
+k = 1 .. 12, which halve the distance to lambda0 = -1 from below.  The solution norms blow up like
 1/|lambda - lambda0| while the complement component stays bounded by
 2 delta^{-1} ||m|| -- the hallmark of asymptotic bifurcation at resonance.
 """
@@ -19,8 +19,7 @@ spec = rl.saturating_arctan(grid)
 
 print(f"lambda0 = {proj.lambda0:.6f}, window half-width delta = {proj.delta}")
 
-schedule = [proj.lambda0 - proj.delta * 2.0 ** (-k) for k in range(1, 13)]
-branch = rl.continue_branch(schedule, proj, spec)
+branch = rl.continue_branch(proj, spec, "minus", 12)
 
 print(f"\n{'lambda':>12} {'|u|_H1':>12} {'|Pu|':>12} {'|Qu|':>8} {'residual':>10} {'E':>14}")
 for p in branch:

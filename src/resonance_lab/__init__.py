@@ -56,7 +56,6 @@ from .semiflow import (
 )
 from .solver import (
     SolveResult,
-    SolverConfig,
     k_map,
     pde_residual,
     reconstruct_iterate,

@@ -1,13 +1,14 @@
 """Continuation sweeps toward an eigenvalue and blow-up diagnostics.
 
 A branch is a sequence of stationary solves at parameters marching toward
-λ0 from one side.  Each solve is warm-started from the previous kernel
-component scaled by the parameter ratio (the branch radius grows like
-1/|λ - λ0|); the first point seeds its radius from the Landesman-Lazer
-witness integral, which is the asymptotic slope of the branch.  Detection of
-asymptotic bifurcation is operationalized as strict growth of ||u||_H1 over
-a trailing window plus a minimum growth factor; a power of ||u|| versus
-|λ - λ0| is fitted for reporting, never asserted.
+λ0 from one side, λ_k = λ0 ± δ 2^-k, halving the distance at every point.
+Each solve is warm-started from the previous kernel component scaled by the
+parameter ratio (the branch radius grows like 1/|λ - λ0|); the first point
+seeds its radius from the Landesman-Lazer witness integral, which is the
+asymptotic slope of the branch.  Detection of asymptotic bifurcation is
+operationalized as strict growth of ||u||_H1 over a trailing window plus a
+minimum growth factor; a power of ||u|| versus |λ - λ0| is fitted for
+reporting, never asserted.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .nonlinearity import (
     evaluate_primitive,
     landesman_lazer_integral,
 )
-from .solver import SolveResult, SolverConfig, solve_near_resonance
+from .solver import SolveResult, solve_near_resonance
 from .spectral import Projections
 
 TAIL_LENGTH = 6  # branch points the necessary-condition diagnostics look at
@@ -120,8 +121,6 @@ def default_initial_radius(
     positive.  A zero seed (f ≡ 0) maps to the zero field.
     """
     eps = abs(lam - projections.lambda0)
-    if eps == 0:
-        raise BranchError("schedule must not contain lambda0 itself")
     basis = projections.kernel_fields
     candidates = [s * basis[:, j] for j in range(basis.shape[1]) for s in (1.0, -1.0)]
     values = [landesman_lazer_integral(spec, phi) for phi in candidates]
@@ -162,34 +161,29 @@ def _branch_point(
 
 
 def continue_branch(
-    schedule,
     projections: Projections,
     spec: NonlinearitySpec,
-    solver_config: SolverConfig | None = None,
+    side: str,
+    num_points: int,
 ) -> list[BranchPoint]:
-    """Warm-started solves along a one-sided schedule approaching λ0.
+    """Warm-started solves at λ_k = λ0 ± δ 2^-k, k = 1 .. num_points, on the
+    `side` ("minus" or "plus") of λ0.
 
-    The schedule must be strictly monotone, stay inside the δ-window, avoid
-    λ0 itself and approach it from a single side.  Diverged points are
-    recorded with converged=False; the warm start always uses the latest
-    converged kernel component.
+    A num_points at which a point rounds onto λ0 or onto another point is
+    refused (BranchError).  Diverged points are recorded with
+    converged=False; the warm start always uses the latest converged kernel
+    component.
     """
     lam0, delta = projections.lambda0, projections.delta
-    schedule = [float(l) for l in schedule]
-    if not schedule:
-        raise BranchError("empty schedule")
-    sides = {np.sign(l - lam0) for l in schedule}
-    if 0.0 in sides or len(sides) != 1:
-        raise BranchError("schedule must stay strictly on one side of lambda0")
-    gaps = [abs(l - lam0) for l in schedule]
-    if any(b >= a for a, b in zip(gaps, gaps[1:])):
-        raise BranchError("schedule must approach lambda0 monotonically")
-    if gaps[0] > delta * (1 + 1e-12):
-        raise BranchError("schedule starts outside the delta window")
-
-    cfg = solver_config or SolverConfig()
-    if cfg.u_cap is None:
-        cfg = SolverConfig(**{**cfg.__dict__, "u_cap": 1e6 * max(spec.bound_norm, 1e-300)})
+    if side not in ("minus", "plus"):
+        raise BranchError(f"side = {side!r}: must be one of minus, plus")
+    if num_points < 1:
+        raise BranchError(f"num_points = {num_points}: must be at least 1")
+    sign = -1.0 if side == "minus" else 1.0
+    schedule = [lam0 + sign * delta * 2.0 ** (-k) for k in range(1, num_points + 1)]
+    if len({lam0, *schedule}) <= len(schedule):  # a point rounds onto another
+        raise BranchError(f"num_points = {num_points} is finer than the float "
+                          f"resolution of lambda0 = {lam0!r}")
 
     points: list[BranchPoint] = []
     prev: SolveResult | None = None
@@ -208,7 +202,7 @@ def continue_branch(
         else:
             radius, direction = default_initial_radius(lam, projections, spec)
             start = radius * direction
-        result = solve_near_resonance(lam, start, projections, spec, cfg)
+        result = solve_near_resonance(lam, start, projections, spec)
         points.append(_branch_point(lam, result, projections, spec))
         prev, prev_lam = result, lam
     return points

@@ -9,12 +9,13 @@ when the experiment declares expect_positive).  Identical config and seed
 produce byte-identical outputs; the effective config and seed are embedded
 in every JSON report; the seed drives only the sign-condition sampler of
 `resonance`, whose report alone holds the resonance verdicts.  The solver
-and eigensolve tolerances are not config keys: `spectral` fixes TOL_EIG and
-the cluster tolerance (1e-6 of the spectral scale), `solver` fixes TOL_FP
-and TOL_PDE, and the CLI uses `max_count`, `max_iter` and `sample_budget`
-at their library defaults.  `spectrum` also stores its eigenpairs in the
-output directory, and the later subcommands reuse them when they pass every
-check of a fresh solve.
+and eigensolve limits are not config keys: `spectral` fixes TOL_EIG and the
+cluster tolerance (1e-6 of the spectral scale), `solver` fixes TOL_FP,
+TOL_PDE, MAX_ITER and the blow-up cap U_CAP_FACTOR ||m||, and the CLI uses
+`max_count` and `sample_budget` at their library defaults.  `branch` runs
+`num_points` solves at λ0 ± δ 2^-k on the `side` of λ0.  `spectrum` also
+stores its eigenpairs in the output directory, and the later subcommands
+reuse them when they pass every check of a fresh solve.
 """
 
 from __future__ import annotations
@@ -390,15 +391,10 @@ def _cmd_resonance(problem: Problem) -> tuple[dict, bool | None]:
 def _cmd_branch(problem: Problem) -> tuple[dict, bool | None]:
     proj, spec = problem.proj, problem.spec
     e = problem.cfg["experiment"]
-    sign = -1.0 if e["side"] == "minus" else 1.0
-    schedule = [
-        proj.lambda0 + sign * proj.delta * 2.0 ** (-k)
-        for k in range(1, e["num_points"] + 1)
-    ]
-    if len({proj.lambda0, *schedule}) <= len(schedule):  # a point rounds onto another
-        raise ConfigError(f"[experiment] num_points = {e['num_points']} is finer than "
-                          f"the float resolution of lambda0 = {proj.lambda0!r}")
-    branch = bif.continue_branch(schedule, proj, spec)
+    try:
+        branch = bif.continue_branch(proj, spec, e["side"], e["num_points"])
+    except bif.BranchError as exc:  # num_points beyond the float resolution
+        raise ConfigError(f"[experiment] {exc}") from exc
     rows = [
         (
             p.lam, p.l2, p.grad_l2, p.h1, p.kernel_l2, p.complement_l2,

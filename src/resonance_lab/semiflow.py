@@ -254,14 +254,18 @@ class TailTally:
     time: Qu is formed once per state and only its floats are kept, its H1
     norm, its squared L^{2p/(p-1)} norm and, after the first state (t0), its
     tail mass at each radius.  `add` takes the states in order, as evolve's
-    on_save hook hands them over.  Radii beyond the box half-width raise
-    TailDecayError."""
+    on_save hook hands them over.  A radius outside [0, half-width] (NaN
+    included) raises TailDecayError."""
 
     def __init__(self, projections: Projections, radii: Sequence[float]):
         self.projections = projections
         self.radii = [float(r) for r in radii]
-        if any(r > projections.grid.half_width for r in self.radii):
-            raise TailDecayError("radii exceed the box half-width")
+        half_width = projections.grid.half_width
+        if not all(0 <= r <= half_width for r in self.radii):
+            raise TailDecayError(
+                f"radii {self.radii} must lie between 0 and the box half-width "
+                f"{half_width}"
+            )
         p = projections.operator.potential.p
         self._r_exp = 2.0 * p / (p - 1.0)
         self.t0 = self.u0_sq = None

@@ -27,12 +27,8 @@ ANDERSON_DEPTH = 8             # iterates kept in the Anderson history
 DAMPING_FLOOR = 1.0 / 64.0     # smallest relaxation of the plain fixed-point step
 TOL_FP = 1e-8                  # fixed-point defect tolerance (L2)
 TOL_PDE = 1e-6                 # PDE residual tolerance, scaled by (1 + ||w||_H1)
-
-
-@dataclass
-class SolverConfig:
-    max_iter: int = 200
-    u_cap: float | None = None     # abort when ||u||_H1 exceeds this
+MAX_ITER = 200                 # fixed-point iterations before a solve gives up
+U_CAP_FACTOR = 1e6             # a solve aborts once ||u||_H1 > U_CAP_FACTOR ||m||
 
 
 @dataclass
@@ -95,25 +91,26 @@ def solve_near_resonance(
     u_init: np.ndarray,
     projections: Projections,
     spec: NonlinearitySpec,
-    config: SolverConfig | None = None,
 ) -> SolveResult:
     """Drive u -> K(λ, u) to a fixed point and reconstruct the PDE solution.
 
     Returns a SolveResult whose `converged` requires both the fixed-point
-    defect and the reconstructed PDE residual to be below tolerance; on
-    max_iter the iterate of least defect, the last one included, is returned
-    with converged = False.  λ = λ0 is refused.
+    defect and the reconstructed PDE residual to be below tolerance; after
+    MAX_ITER iterations the iterate of least defect, the last one included,
+    is returned with converged = False.  An iterate with ||u||_H1 above
+    u_cap = U_CAP_FACTOR ||m|| (no cap when m = 0) aborts the solve with
+    capped = True.  λ = λ0 is refused.
     """
-    cfg = config or SolverConfig()
     grid = projections.grid
     lam0 = projections.lambda0
     if lam == lam0:
         raise ValueError("lambda equals lambda0 exactly")
-    if abs(lam - lam0) > projections.delta * (1 + 1e-12):
+    if not abs(lam - lam0) <= projections.delta * (1 + 1e-12):
         raise ValueError(
             f"lambda = {lam} outside window |lambda - lambda0| <= {projections.delta}"
         )
 
+    u_cap = U_CAP_FACTOR * spec.bound_norm or np.inf
     u = grid.check_field(u_init).copy()
     theta = 1.0
     us: list[np.ndarray] = []
@@ -125,14 +122,14 @@ def solve_near_resonance(
     g = k_map(lam, u, projections, spec)
     defect = grid.norm(u - g)
     it = 0
-    while it < cfg.max_iter:
+    while it < MAX_ITER:
         if defect <= TOL_FP:
             break
         if defect < best_defect:
             best_u, best_defect = u, defect
-        if cfg.u_cap is not None and field_norms(grid, u).h1 > cfg.u_cap:
+        if field_norms(grid, u).h1 > u_cap:
             capped = True
-            message = f"iterate exceeded u_cap = {cfg.u_cap}"
+            message = f"iterate exceeded u_cap = {u_cap}"
             break
         us.append(u)
         gs.append(g)
@@ -158,7 +155,7 @@ def solve_near_resonance(
             u, g, defect = u_plain, g_plain, d_plain
         it += 1
     else:
-        message = f"max_iter = {cfg.max_iter} reached"
+        message = f"max_iter = {MAX_ITER} reached"
 
     if best_defect < defect:
         u, defect = best_u, best_defect

@@ -214,7 +214,7 @@ class SpectralData:
         others = others[others > 0]
         room = float(np.min(others)) if others.size else abs(self.ceiling - center)
         guard = max(self.cluster_tol, 0.25 * room)
-        if abs(center - lam0) > guard:
+        if not abs(center - lam0) <= guard:  # a NaN lam0 fails here too
             raise Lambda0Error(
                 f"lambda0 = {lam0} is not in the computed spectrum "
                 f"{centers.tolist()}"
@@ -444,7 +444,6 @@ def eigenpairs_below(
         if len(idx) > 1:
             block = vecs[:, idx]
             qblock, _ = np.linalg.qr(block)
-            vecs[:, idx] = qblock
             fields[:, idx] = qblock * inv_sqrt_w[:, None]
 
     return _checked_data(op, ceiling, cluster_tol, count, vals, fields, multiplets)
@@ -705,7 +704,7 @@ def apply_resolvent_complement(
     SpectralError is raised only when that fails too.
     """
     grid, op = proj.grid, proj.operator
-    if abs(lam - proj.lambda0) > proj.delta * (1 + 1e-12):
+    if not abs(lam - proj.lambda0) <= proj.delta * (1 + 1e-12):
         raise SpectralError(
             f"lambda = {lam} outside the window |lambda - lambda0| <= {proj.delta}"
         )

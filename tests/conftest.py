@@ -69,9 +69,7 @@ def arctan_spec(pt_grid):
 def acceptance_branch(pt_proj, arctan_spec):
     """The 12-point geometric branch toward lambda0 = -1 used by criteria
     4, 8, 9 and 10."""
-    lam0, delta = pt_proj.lambda0, pt_proj.delta
-    schedule = [lam0 - delta * 2.0 ** (-k) for k in range(1, 13)]
-    return rl.continue_branch(schedule, pt_proj, arctan_spec)
+    return rl.continue_branch(pt_proj, arctan_spec, "minus", 12)
 
 
 @pytest.fixture(scope="session")

@@ -198,8 +198,7 @@ def test_criterion_10_energy_law(acceptance_branch, pt_grid, arctan_spec):
     data = rl.eigenpairs_below(op)
     proj = rl.build_projections(data, 1.0, 0.25)
     assert proj.lambda0 > 0
-    schedule = [proj.lambda0 - proj.delta * 2.0 ** (-k) for k in range(1, 13)]
-    branch = rl.continue_branch(schedule, proj, arctan_spec)
+    branch = rl.continue_branch(proj, arctan_spec, "minus", 12)
     assert all(p.converged for p in branch)
     E2 = np.array([p.energy for p in branch])
     assert np.all(np.diff(E2) > 0)

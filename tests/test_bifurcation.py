@@ -1,6 +1,7 @@
 """Branch continuation, blow-up detection, necessary conditions, energies."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,8 +59,7 @@ def _long_minus_branch(proj, family):
     """28 points halving the distance to lambda0 from below: the last ones
     lie beyond what the default u_cap lets a solve reach."""
     spec = rl.make_nonlinearity(proj.grid, family)
-    schedule = [proj.lambda0 - proj.delta * 2.0**-k for k in range(1, 29)]
-    return rl.continue_branch(schedule, proj, spec)
+    return rl.continue_branch(proj, spec, "minus", 28)
 
 
 def test_capped_points_are_not_blow_up_evidence(coarse_pt_proj):
@@ -86,24 +86,27 @@ def test_capped_tail_leaves_the_growth_verdict(coarse_pt_proj):
     assert abs(verdict.fitted_power + 1.0) <= 1e-3
 
 
-def test_continue_branch_validation(pt_proj, arctan_spec):
+def test_continue_branch_schedule(pt_grid, pt_proj, arctan_spec):
     lam0, delta = pt_proj.lambda0, pt_proj.delta
-    with pytest.raises(BranchError):
-        rl.continue_branch([], pt_proj, arctan_spec)
-    with pytest.raises(BranchError):  # two-sided
-        rl.continue_branch([lam0 - 0.1, lam0 + 0.05], pt_proj, arctan_spec)
-    with pytest.raises(BranchError):  # not approaching
-        rl.continue_branch([lam0 - 0.05, lam0 - 0.1], pt_proj, arctan_spec)
-    with pytest.raises(BranchError):  # contains lambda0
-        rl.continue_branch([lam0 - 0.1, lam0], pt_proj, arctan_spec)
-    with pytest.raises(BranchError):  # outside window
-        rl.continue_branch([lam0 - 2 * delta], pt_proj, arctan_spec)
+    with pytest.raises(BranchError, match="side = 'both'"):
+        rl.continue_branch(pt_proj, arctan_spec, "both", 4)
+    with pytest.raises(BranchError, match="num_points = 0"):
+        rl.continue_branch(pt_proj, arctan_spec, "minus", 0)
+    # delta 2^-60 is below the float resolution of lambda0 = -1
+    with pytest.raises(BranchError, match=re.escape(
+            f"num_points = 60 is finer than the float resolution of "
+            f"lambda0 = {lam0!r}")):
+        rl.continue_branch(pt_proj, arctan_spec, "minus", 60)
+    # f = 0 converges at once from the zero field: the schedule is what runs
+    branch = rl.continue_branch(pt_proj, rl.zero_nonlinearity(pt_grid), "plus", 5)
+    assert [p.lam for p in branch] == [lam0 + delta * 2.0 ** (-k) for k in range(1, 6)]
 
 
 def test_continue_branch_zero_nonlinearity(pt_grid, pt_proj):
     spec = rl.zero_nonlinearity(pt_grid)
-    schedule = [pt_proj.lambda0 - 2.0**-k for k in range(3, 7)]
-    branch = rl.continue_branch(schedule, pt_proj, spec)
+    branch = rl.continue_branch(pt_proj, spec, "minus", 4)
+    # delta = 0.25, so the schedule is lambda0 - 2^-k for k = 3 .. 6
+    assert [p.lam for p in branch] == [pt_proj.lambda0 - 2.0**-k for k in range(3, 7)]
     assert all(p.converged for p in branch)
     assert all(p.l2 <= 1e-10 for p in branch)
     report = rl.necessary_condition_report(branch, pt_proj, spec)
@@ -121,8 +124,9 @@ def test_continue_branch_constant_forcing_oracle(pt_grid, ground_proj, pt_op):
         limit_minus=m, k_plus=None, k_minus=None,
     )
     lam0 = ground_proj.lambda0
-    schedule = [lam0 - 2.0**-k for k in range(3, 9)]
-    branch = rl.continue_branch(schedule, ground_proj, spec)
+    branch = rl.continue_branch(ground_proj, spec, "minus", 6)
+    # delta = 0.25, so the schedule is lambda0 - 2^-k for k = 3 .. 8
+    assert [p.lam for p in branch] == [lam0 - 2.0**-k for k in range(3, 9)]
     assert all(p.converged for p in branch)
     sqrt_w = np.sqrt(pt_grid.weights)
     n = pt_grid.num_nodes
@@ -158,8 +162,7 @@ def test_default_initial_radius_falls_back_to_bound_norm(pt_grid, pt_proj):
 
 
 def test_necessary_report_tail_too_short(pt_grid, pt_proj, arctan_spec):
-    schedule = [pt_proj.lambda0 - pt_proj.delta * 2.0**-k for k in range(1, 4)]
-    branch = rl.continue_branch(schedule, pt_proj, arctan_spec)
+    branch = rl.continue_branch(pt_proj, arctan_spec, "minus", 3)
     with pytest.raises(BranchError):
         rl.necessary_condition_report(branch, pt_proj, arctan_spec)
 

@@ -98,9 +98,7 @@ def test_pair_sphere_probe(pair_proj, spec2):
 
 def test_pair_branch_blows_up(well, pair_proj, spec2):
     _, op, _ = well
-    schedule = [pair_proj.lambda0 - pair_proj.delta * 2.0 ** (-k)
-                for k in range(1, 7)]
-    branch = rl.continue_branch(schedule, pair_proj, spec2)
+    branch = rl.continue_branch(pair_proj, spec2, "minus", 6)
     assert all(p.converged for p in branch)
     h1 = np.array([p.h1 for p in branch])
     assert np.all(np.diff(h1) > 0)
@@ -124,8 +122,7 @@ def test_trivial_point_does_not_poison_warm_start(well, spec2):
     _, op, data = well
     center = data.multiplets[1][0]
     proj = rl.build_projections(data, center)  # auto delta, ~2.8 here
-    schedule = [proj.lambda0 - proj.delta * 2.0 ** (-k) for k in range(1, 7)]
-    branch = rl.continue_branch(schedule, proj, spec2)
+    branch = rl.continue_branch(proj, spec2, "minus", 6)
     assert all(p.converged for p in branch)
     assert branch[0].h1 <= 1e-6          # trivial where no branch exists
     assert branch[-1].h1 > 1.0           # nontrivial once inside the region

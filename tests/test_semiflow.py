@@ -233,8 +233,10 @@ def test_tail_decay_zero_trajectory(pt_grid, pt_proj, pt_op, arctan_spec):
 
 
 def test_tail_tally_refuses_radii_beyond_the_box(pt_proj):
-    with pytest.raises(TailDecayError, match="half-width"):
-        rl.TailTally(pt_proj, [4.0, 20.5])  # half_width = 20
+    # half_width = 20; a negative or NaN radius is refused as well
+    for radius in (20.5, -1.0, float("nan")):
+        with pytest.raises(TailDecayError, match="between 0 and the box half-width"):
+            rl.TailTally(pt_proj, [4.0, radius])
 
 
 def test_tail_decay_monotone_for_decaying_flow(pt_grid, pt_proj, pt_op, flow):

@@ -92,11 +92,12 @@ def test_solve_arctan_kernel_dominates(pt_grid, pt_proj, arctan_spec):
 
 
 def test_solve_requires_window(pt_grid, pt_proj, arctan_spec):
-    with pytest.raises(ValueError):
-        rl.solve_near_resonance(
-            pt_proj.lambda0 - 2 * pt_proj.delta,
-            np.zeros(pt_grid.num_nodes), pt_proj, arctan_spec,
-        )
+    # a NaN lambda is outside every window
+    for lam in (pt_proj.lambda0 - 2 * pt_proj.delta, float("nan")):
+        with pytest.raises(ValueError, match="outside window"):
+            rl.solve_near_resonance(
+                lam, np.zeros(pt_grid.num_nodes), pt_proj, arctan_spec,
+            )
 
 
 def test_solve_resonant_lambda_flag(pt_grid, pt_proj, arctan_spec):
@@ -124,9 +125,9 @@ def test_solve_max_iter_returns_best(monkeypatch, pt_grid, pt_proj,
     lam = pt_proj.lambda0 - pt_proj.delta / 4
     for max_iter, radius in ((1, 3.0), (2, 100.0), (5, 3.0)):
         defects.clear()
+        monkeypatch.setattr(solver, "MAX_ITER", max_iter)
         res = rl.solve_near_resonance(
-            lam, radius * pt_proj.kernel_fields[:, 0], pt_proj,
-            arctan_spec, rl.SolverConfig(max_iter=max_iter),
+            lam, radius * pt_proj.kernel_fields[:, 0], pt_proj, arctan_spec
         )
         assert not res.converged
         assert res.iterations == max_iter
@@ -137,13 +138,14 @@ def test_solve_max_iter_returns_best(monkeypatch, pt_grid, pt_proj,
 
 
 def test_solve_cap_aborts(pt_grid, pt_proj, arctan_spec):
-    cfg = rl.SolverConfig(u_cap=1.0)
+    # a start above the cap U_CAP_FACTOR ||m|| stops at the first check
     lam = pt_proj.lambda0 - pt_proj.delta / 2
+    radius = 2.0 * solver.U_CAP_FACTOR * arctan_spec.bound_norm
     res = rl.solve_near_resonance(
-        lam, 50.0 * pt_proj.kernel_fields[:, 0], pt_proj,
-        arctan_spec, cfg,
+        lam, radius * pt_proj.kernel_fields[:, 0], pt_proj, arctan_spec
     )
     assert res.capped and not res.converged
+    assert res.iterations == 0
 
 
 def test_equivalence_roundtrip(pt_grid, pt_proj, arctan_spec):

@@ -20,7 +20,7 @@ from resonance_lab.bifurcation import summarize_branch
 from resonance_lab.cli import EXIT_NUMERICAL, main
 from resonance_lab.grid import GridError
 from resonance_lab.reporting import read_eigenpairs, write_eigenpairs
-from resonance_lab.spectral import ResonantLambdaError, SpectralError
+from resonance_lab.spectral import Lambda0Error, ResonantLambdaError, SpectralError
 
 
 def _tridiagonal_oracle(half_width, n, v_of_x, ceiling):
@@ -697,8 +697,7 @@ def test_splu_ordering_changes_no_result(well_op, flow, monkeypatch):
     def run():
         data = rl.eigenpairs_below(well_op)
         proj = rl.build_projections(data, data.multiplets[1][0], 0.5)
-        schedule = [proj.lambda0 - proj.delta * 2.0 ** (-k) for k in range(1, 7)]
-        branch = rl.continue_branch(schedule, proj, spec)
+        branch = rl.continue_branch(proj, spec, "minus", 6)
         report = summarize_branch(branch, proj, spec)
         lam = proj.lambda0 - proj.delta / 2
         u0 = 2.0 * proj.kernel_fields[:, 0]
@@ -780,8 +779,11 @@ def test_build_projections_excited_gap(pt_data):
 
 
 def test_build_projections_unknown_lambda(pt_data):
-    with pytest.raises(SpectralError):
-        rl.build_projections(pt_data, -2.5)
+    # a NaN distance to the nearest multiplet must not pass the snapping
+    # guard either
+    for lam0 in (-2.5, float("nan")):
+        with pytest.raises(Lambda0Error, match="not in the computed spectrum"):
+            rl.build_projections(pt_data, lam0)
 
 
 def test_projection_algebra(rng, pt_grid, pt_proj):
@@ -875,8 +877,7 @@ def test_resolvent_frees_the_previous_factors_first(pt_data, arctan_spec,
         made.append(weakref.ref(self))
 
     monkeypatch.setattr(spectral._BorderedResolvent, "__init__", init)
-    schedule = [proj.lambda0 - proj.delta / 2, proj.lambda0 - proj.delta / 4]
-    rl.continue_branch(schedule, proj, arctan_spec)
+    rl.continue_branch(proj, arctan_spec, "minus", 2)
     assert alive == [[], [False]]
     assert made[1]() is proj._resolvent
 
@@ -950,11 +951,11 @@ def test_resolvent_raises_when_both_paths_fail(
 
 
 def test_resolvent_window_enforced(pt_proj, pt_op):
-    with pytest.raises(SpectralError):
-        rl.apply_resolvent_complement(
-            pt_proj, pt_proj.lambda0 + 2 * pt_proj.delta,
-            np.ones(pt_op.grid.num_nodes),
-        )
+    for lam in (pt_proj.lambda0 + 2 * pt_proj.delta, float("nan")):
+        with pytest.raises(SpectralError, match="outside the window"):
+            rl.apply_resolvent_complement(
+                pt_proj, lam, np.ones(pt_op.grid.num_nodes),
+            )
 
 
 def test_morse_jump_equals_kernel_dimension(pt_data):
