@@ -15,7 +15,7 @@ import resonance_lab as rl
 
 grid = rl.make_grid(ndim=1, half_width=20.0, points_per_axis=4001)
 potential = rl.make_potential(grid, "poschl_teller", ell=2)
-op = rl.assemble_hamiltonian(grid, potential)
+op = rl.assemble_hamiltonian(potential)
 
 print("grid:", grid)
 print(f"asymptotic bottom alpha_inf = {op.alpha_inf} (declared by the family)")
@@ -30,7 +30,7 @@ for (center, idx), resid in zip(data.multiplets, data.residuals):
 # halving h confirms second-order convergence
 coarse = rl.make_grid(1, 20.0, 2001)
 coarse_data = rl.eigenpairs_below(
-    rl.assemble_hamiltonian(coarse, rl.make_potential(coarse, "poschl_teller", ell=2))
+    rl.assemble_hamiltonian(rl.make_potential(coarse, "poschl_teller", ell=2))
 )
 exact = np.array([-4.0, -1.0])
 e_coarse = np.abs(coarse_data.eigenvalues - exact)

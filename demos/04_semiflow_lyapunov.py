@@ -11,7 +11,7 @@ import resonance_lab as rl
 
 grid = rl.make_grid(1, 20.0, 4001)
 potential = rl.make_potential(grid, "poschl_teller", ell=2)
-op = rl.assemble_hamiltonian(grid, potential)
+op = rl.assemble_hamiltonian(potential)
 data = rl.eigenpairs_below(op)
 proj = rl.build_projections(data, -4.0, delta_request=0.25)  # stable ground window
 spec = rl.saturating_arctan(grid)

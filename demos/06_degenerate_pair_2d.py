@@ -13,7 +13,7 @@ import resonance_lab as rl
 
 grid = rl.make_grid(ndim=2, half_width=6.0, points_per_axis=81)
 potential = rl.make_potential(grid, "square_well", depth=-50.0, width=2.0)
-op = rl.assemble_hamiltonian(grid, potential)
+op = rl.assemble_hamiltonian(potential)
 data = rl.eigenpairs_below(op)
 
 print("multiplets (lambda, multiplicity):")

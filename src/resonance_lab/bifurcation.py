@@ -216,12 +216,15 @@ def detect_asymptotic_bifurcation(
 ) -> BifurcationVerdict:
     """Blow-up verdict over the trailing window of converged points.
 
-    True iff the last `window` converged points have strictly increasing
-    ||u||_H1 and the growth across the window is at least growth_factor.
+    True iff the last `window` converged points (window >= 2, else
+    ValueError) have strictly increasing ||u||_H1 and the growth across the
+    window is at least growth_factor.
     Only converged points are read: a point whose solve stopped at u_cap is
     an unconverged point, not evidence of blow-up.
     The fitted power of ||u||_H1 against |λ - λ0| is reported alongside.
     """
+    if window < 2:  # one point shows no growth and fits no power
+        raise ValueError(f"window = {window}: must be at least 2")
     conv = [p for p in branch if p.converged]
     if len(conv) < window:
         raise BranchError(

@@ -9,12 +9,12 @@ when the experiment declares expect_positive).  Identical config and seed
 produce byte-identical outputs; the effective config and seed are embedded
 in every JSON report; the seed drives only the sign-condition sampler of
 `resonance`, whose report alone holds the resonance verdicts.  The solver
-and eigensolve limits are not config keys: `spectral` fixes TOL_EIG and the
-cluster tolerance (1e-6 of the spectral scale), `solver` fixes TOL_FP,
-TOL_PDE, MAX_ITER and the blow-up cap U_CAP_FACTOR ||m||, and the CLI uses
-`max_count` and `sample_budget` at their library defaults.  `branch` runs
-`num_points` solves at λ0 ± δ 2^-k on the `side` of λ0.  `spectrum` also
-stores its eigenpairs in the output directory, and the later subcommands
+and eigensolve limits are not config keys but constants of the library:
+`spectral` fixes TOL_EIG, MAX_COUNT and the cluster tolerance (1e-6 of the
+spectral scale), `solver` fixes TOL_FP, TOL_PDE, MAX_ITER and the blow-up
+cap U_CAP_FACTOR ||m||, and `nonlinearity` fixes SAMPLE_BUDGET.  `branch`
+runs `num_points` solves at λ0 ± δ 2^-k on the `side` of λ0.  `spectrum`
+also stores its eigenpairs in the output directory, and the later subcommands
 reuse them when they pass every check of a fresh solve.
 """
 
@@ -117,6 +117,7 @@ _boolean = _checked(
 POSITIVE = _checked(FINITE, lambda v: v > 0, "must be positive")
 POSITIVES = _checked(_floats, lambda vs: all(v > 0 for v in vs), "must be positive")
 AT_LEAST_1 = _checked(int, lambda v: v >= 1, "must be at least 1")
+AT_LEAST_2 = _checked(int, lambda v: v >= 2, "must be at least 2")
 SEED = _checked(int, lambda v: v >= 0, "must be >= 0")  # what default_rng takes
 
 # section -> key -> (cast, default).  A default is the text an absent key
@@ -146,7 +147,7 @@ SCHEMA = {
         "side": (_one_of("minus", "plus"), "minus"),
         "num_points": (AT_LEAST_1, "12"),
         "growth_factor": (POSITIVE, "4.0"),
-        "window": (AT_LEAST_1, "5"),
+        "window": (AT_LEAST_2, "5"),
         "horizon": (POSITIVE, "10.0"),
         "dt": (POSITIVE, None),
         "stop": (_one_of(*sf.STOP_RULES), "equilibrium"),
@@ -241,9 +242,7 @@ class Problem:
 
     @cached_property
     def op(self) -> HamiltonianOperator:
-        return assemble_hamiltonian(
-            self.grid, make_potential(self.grid, **self.cfg["potential"])
-        )
+        return assemble_hamiltonian(make_potential(self.grid, **self.cfg["potential"]))
 
     def data(self) -> SpectralData:
         """The low spectrum, from the stored eigenpairs or a fresh solve."""
@@ -535,8 +534,7 @@ def main(argv=None) -> int:
     except (ConfigError, GridError, PotentialError, NonlinearityError) as exc:
         print(f"config error ({args.config}): {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SpectralError, sf.StepCascadeError, sf.TailDecayError,
-            bif.BranchError) as exc:
+    except (SpectralError, sf.StepCascadeError, sf.TailDecayError) as exc:
         print(f"numerical failure ({args.config}): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -60,7 +60,7 @@ class Grid:
         points_per_axis: n, odd so that 0 is a node.
         spacing: h = 2L/(n-1).
         axis: the 1-D node coordinates, shape (n,).
-        shape: field shape, (n,) or (n, n).
+        shape: the node array's shape, (n,) or (n, n); a field is flat.
         num_nodes: n**ndim.
         weights: flat trapezoid quadrature weights, shape (num_nodes,).
         sqrt_weights: their square roots, the diagonal of W^{1/2}.
@@ -98,17 +98,21 @@ class Grid:
     # -- basic structure ---------------------------------------------------
 
     def check_field(self, u: np.ndarray) -> np.ndarray:
-        """Validate a field against this grid and return it as a flat array."""
+        """Validate a field, a flat array of one value per node, and return
+        it as a float array."""
         u = np.asarray(u, dtype=float)
-        if u.shape == self.shape:
-            u = u.ravel()
         if u.shape != (self.num_nodes,):
-            raise GridError(
-                f"field has {u.size} samples, grid has {self.num_nodes} nodes"
-            )
+            raise GridError(f"field of shape {u.shape} is not a flat array of the "
+                            f"grid's {self.num_nodes} nodes")
         if not np.all(np.isfinite(u)):
             raise GridError("field contains non-finite samples")
         return u
+
+    def check_radius(self, radius: float) -> None:
+        """GridError unless 0 <= radius <= half_width (a NaN fails)."""
+        if not 0 <= radius <= self.half_width:
+            raise GridError(f"radius {radius} must lie between 0 and the box "
+                            f"half-width {self.half_width}")
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         """Quadrature (discrete L2) inner product."""
@@ -265,13 +269,9 @@ def field_norms(grid: Grid, field: np.ndarray) -> FieldNorms:
 
 
 def tail_mass(grid: Grid, field: np.ndarray, radius: float) -> float:
-    """Quadrature mass of u^2 over the annulus |x| >= radius."""
+    """Quadrature mass of u^2 over the annulus |x| >= radius; GridError for
+    a radius outside [0, half-width], NaN included."""
     u = grid.check_field(field)
-    if radius < 0:
-        raise GridError(f"radius must be nonnegative, got {radius}")
-    if radius > grid.half_width:
-        raise GridError(
-            f"radius {radius} exceeds the box half-width {grid.half_width}"
-        )
+    grid.check_radius(radius)
     mask = grid.radii >= radius
     return float(np.sum(grid.weights[mask] * u[mask] ** 2))

@@ -34,6 +34,8 @@ from .grid import Grid
 # "positive measure" proxy: quadrature mass above this fraction of the box
 MASS_TOL_FACTOR = 1e-8
 MARGIN_FACTOR = 1e-10
+# values of s the sign-condition sampler draws
+SAMPLE_BUDGET = 4096
 # values of s f(x, s) per block of the sign-condition sampler: about 256 KB of
 # float64, so one block stays in L2 cache; a block holds
 # max(1, SAMPLE_BLOCK_VALUES // num_nodes) samples
@@ -351,13 +353,11 @@ def check_landesman_lazer(spec: NonlinearitySpec, kernel_basis: np.ndarray
 
 
 def check_sign_condition(
-    spec: NonlinearitySpec,
-    sample_budget: int = 4096,
-    rng: np.random.Generator | None = None,
+    spec: NonlinearitySpec, rng: np.random.Generator | None = None
 ) -> ConditionPair:
     """Strong-resonance (sign) conditions by sampling s f(x, s) on the grid.
 
-    Draws sample_budget values of s (log-spaced magnitudes both signs plus
+    Draws SAMPLE_BUDGET values of s (log-spaced magnitudes both signs plus
     random draws), evaluates s f(x, s) at every node, and records the worst
     violation.  f is called once per block of samples, on the column of their
     values (see evaluate_f); the witness (x, s, s f) of each sign's extremum
@@ -378,10 +378,10 @@ def check_sign_condition(
         return _pair(lambda sigma, sign: ResonanceVerdict(
             f"SR{sign}", False, [], 0.0, applicable=False, note=note))
 
-    n_struct = max(8, sample_budget // 4)
+    n_struct = max(8, SAMPLE_BUDGET // 4)
     mags = np.geomspace(1e-3, 1e6, n_struct // 2)
     s_struct = np.concatenate([mags, -mags])
-    s_rand = rng.standard_cauchy(max(0, sample_budget - s_struct.size)) * 10.0
+    s_rand = rng.standard_cauchy(max(0, SAMPLE_BUDGET - s_struct.size)) * 10.0
     samples = np.concatenate([s_struct, s_rand])
 
     # sigma and the flat index of the first min of sigma s f in a block: for

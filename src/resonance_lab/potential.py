@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import Grid, GridError
+from .grid import Grid
 
 
 class PotentialError(ValueError):
@@ -228,15 +228,11 @@ def _family_potential(grid: Grid, family: str, params: dict) -> PotentialSpec:
     raise PotentialError(f"unknown potential family {family!r}")
 
 
-def tail_lp_norm(spec: PotentialSpec, radius: float, p: float | None = None) -> float:
-    """(sum_{|x| >= radius} w |v_zero|^p)^(1/p)."""
-    grid = spec.grid
-    if p is None:
-        p = spec.p
-    if radius > grid.half_width:
-        raise GridError(
-            f"radius {radius} exceeds the box half-width {grid.half_width}"
-        )
+def tail_lp_norm(spec: PotentialSpec, radius: float) -> float:
+    """(sum_{|x| >= radius} w |v_zero|^p)^(1/p) with p = spec.p; GridError
+    for a radius outside [0, half-width], NaN included."""
+    grid, p = spec.grid, spec.p
+    grid.check_radius(radius)
     mask = grid.radii >= radius
     return float(
         np.sum(grid.weights[mask] * np.abs(spec.v_zero[mask]) ** p) ** (1.0 / p)

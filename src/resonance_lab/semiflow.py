@@ -85,7 +85,7 @@ class ImexStepper:
     by the operator's factor_shifted(λ, dt)."""
 
     def __init__(self, op: HamiltonianOperator, lam: float, dt: float):
-        if dt <= 0:
+        if not dt > 0:  # a NaN fails too
             raise ValueError(f"dt must be positive, got {dt}")
         if loses_positivity(op, lam, dt):
             bound = 1.0 / max(lam - op.spectrum_lower_bound(), 1e-300)
@@ -152,7 +152,7 @@ def evolve(
     holds no saved field however long the horizon, unless on_save keeps
     them; the returned Trajectory says how it ended.
     """
-    if horizon <= 0:
+    if not horizon > 0:  # a NaN fails too
         raise ValueError(f"horizon must be positive, got {horizon}")
     if stop not in STOP_RULES:
         raise ValueError(f"unknown stop rule {stop!r}")

@@ -1,8 +1,9 @@
 """Hamiltonian assembly, low spectrum, Morse counts and spectral projections.
 
-The operator A = -Δ_h + V is self-adjoint in the trapezoid inner product but
-not a symmetric matrix (the divergence-form stencil carries 1/w factors at
-boundary nodes).  All eigensolves and linear solves therefore run on the
+The operator A = -Δ_h + V is assembled from the potential alone, on the
+grid it was sampled on.  A is self-adjoint in the trapezoid inner product
+but not a symmetric matrix (the divergence-form stencil carries 1/w factors
+at boundary nodes).  All eigensolves and linear solves therefore run on the
 similarity transform S = W^{1/2} A W^{-1/2}, which is genuinely symmetric;
 eigenvectors map back through W^{-1/2} and come out quadrature-orthonormal.
 The operator owns every shift of S: the shift-invert S - σI of the
@@ -13,11 +14,12 @@ keeps a shifted copy.
 Eigenvalues are only meaningful below the asymptotic bottom of the potential:
 the truncated box discretizes the continuum into a cloud of closely spaced
 spurious eigenvalues above it, so the solver works under a ceiling (default
-alpha_inf, the bottom the potential family declares).  Every grid takes one
-eigensolve path: a Sylvester-inertia count of the eigenvalues below the
-ceiling, then one shift-invert Lanczos call sized to it.  The count sweeps
-the Schur complements of the grid lines (a scalar recurrence in 1-D), so it
-holds a few n×n line blocks, not a sparse factorization.  Eigenpairs stored
+alpha_inf, the bottom the potential family declares) and refuses MAX_COUNT
+or more eigenvalues below it.  Every grid takes one eigensolve path: a
+Sylvester-inertia count of the eigenvalues below the ceiling, then one
+shift-invert Lanczos call sized to it.  The count sweeps the Schur
+complements of the grid lines (a scalar recurrence in 1-D), so it holds a
+few n×n line blocks, not a sparse factorization.  Eigenpairs stored
 from such a solve are taken back by reuse_eigenpairs only after the same
 count and residual checks, plus a check of their orthonormality.
 
@@ -40,7 +42,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import Grid, GridError
 from .potential import PotentialSpec
 
 # scipy is imported inside the functions that call it: scipy.sparse alone
@@ -53,6 +54,8 @@ if TYPE_CHECKING:
 
 # a requested ceiling may exceed alpha_inf by this fraction of the spectral scale
 CEILING_MARGIN = 1e-6
+# eigenvalues below a ceiling that suggest spurious continuum states
+MAX_COUNT = 64
 # relative residual a deflated resolvent solve must reach
 TOL_LIN = 1e-8
 # largest residual ||Aφ - λφ|| of an eigenpair, solved or stored
@@ -75,7 +78,7 @@ class Lambda0Error(SpectralError):
 
 
 class HamiltonianOperator:
-    """Discretization of A = -Δ + V on a grid.
+    """Discretization of A = -Δ + V on the grid the potential was sampled on.
 
     Exposes both the field-space action (`apply`) and the symmetrized matrix
     S used by eigensolvers and implicit steps, and is the one place that
@@ -87,10 +90,8 @@ class HamiltonianOperator:
     use.  alpha_inf is the asymptotic bottom the potential declares.
     """
 
-    def __init__(self, grid: Grid, potential: PotentialSpec):
-        if potential.grid is not grid:
-            raise GridError("potential was sampled on a different grid")
-        self.grid = grid
+    def __init__(self, potential: PotentialSpec):
+        self.grid = grid = potential.grid
         self.potential = potential
         v = potential.v
         self.v_samples = v
@@ -170,9 +171,10 @@ class HamiltonianOperator:
         return spla.splu(self.shifted(lam, dt), **ordering)
 
 
-def assemble_hamiltonian(grid: Grid, potential: PotentialSpec) -> HamiltonianOperator:
-    """Assemble A = -Δ_h + diag(V), carrying the potential's alpha_inf."""
-    return HamiltonianOperator(grid, potential)
+def assemble_hamiltonian(potential: PotentialSpec) -> HamiltonianOperator:
+    """Assemble A = -Δ_h + diag(V) on potential.grid, carrying the
+    potential's alpha_inf."""
+    return HamiltonianOperator(potential)
 
 
 @dataclass
@@ -336,14 +338,14 @@ def _window(op: HamiltonianOperator, ceiling: float | None) -> tuple[float, floa
     return float(ceiling), float(1e-6 * scale), scale
 
 
-def _count_in_range(op: HamiltonianOperator, ceiling: float, max_count: int) -> int:
+def _count_in_range(op: HamiltonianOperator, ceiling: float) -> int:
     """The Sylvester count below the ceiling; SpectralError if it reaches
-    max_count or leaves fewer than two of the grid's eigenvalues above."""
+    MAX_COUNT or leaves fewer than two of the grid's eigenvalues above."""
     M = op.grid.num_nodes
     count = _count_below(op, ceiling)
-    if count >= max_count:
+    if count >= MAX_COUNT:
         raise SpectralError(
-            f"{count} eigenvalues below the ceiling, max_count = {max_count}; "
+            f"{count} eigenvalues below the ceiling, MAX_COUNT = {MAX_COUNT}; "
             "suspected spurious continuum states"
         )
     if count > M - 2:
@@ -386,11 +388,7 @@ def _checked_data(op: HamiltonianOperator, ceiling: float, cluster_tol: float,
     )
 
 
-def eigenpairs_below(
-    op: HamiltonianOperator,
-    ceiling: float | None = None,
-    max_count: int = 64,
-) -> SpectralData:
+def eigenpairs_below(op: HamiltonianOperator, ceiling: float | None = None) -> SpectralData:
     """All discrete eigenvalues of A below the ceiling, with eigenfields.
 
     The ceiling defaults to the potential's declared alpha_inf and may not
@@ -399,7 +397,7 @@ def eigenpairs_below(
     counted first, by Sylvester inertia; one shift-invert Lanczos call sized
     to that count plus one then finds them, on every grid.  Its operator is
     the operator's factor_shifted(σ), an LU of S - σI.  Raises SpectralError
-    before any eigensolve if max_count eigenvalues lie below the ceiling or
+    before any eigensolve if MAX_COUNT eigenvalues lie below the ceiling or
     fewer than two of the grid's eigenvalues lie above it; and after, if the
     shift-invert factorization or the eigensolver fails, if the eigensolver
     does not find exactly the counted number, or if a residual exceeds
@@ -410,7 +408,7 @@ def eigenpairs_below(
 
     grid = op.grid
     ceiling, cluster_tol, scale = _window(op, ceiling)
-    count = _count_in_range(op, ceiling, max_count)
+    count = _count_in_range(op, ceiling)
     M = grid.num_nodes
     sigma = op.spectrum_lower_bound() - 0.1 * scale
     # fixed Lanczos start vector: ARPACK's default draws from the global
@@ -454,7 +452,6 @@ def reuse_eigenpairs(
     eigenvalues: np.ndarray,
     eigenfields: np.ndarray,
     ceiling: float | None = None,
-    max_count: int = 64,
 ) -> SpectralData:
     """The SpectralData of eigenpairs stored from an earlier eigenpairs_below
     call with the same arguments, checked again instead of solved again.
@@ -484,7 +481,7 @@ def reuse_eigenpairs(
         raise SpectralError(
             f"stored eigenfields are not orthonormal: max |ΨᵀΨ - I| = {drift:.3e}"
         )
-    count = _count_in_range(op, ceiling, max_count)
+    count = _count_in_range(op, ceiling)
     return _checked_data(op, ceiling, cluster_tol, count, vals, fields,
                          _cluster(vals, cluster_tol))
 
@@ -605,7 +602,7 @@ def build_projections(
     if center < data.alpha_inf:
         candidates.append(0.5 * (data.alpha_inf - center))
     if delta_request is not None:
-        if delta_request <= 0:
+        if not delta_request > 0:  # a NaN fails too
             raise SpectralError(f"delta_request must be positive, got {delta_request}")
         candidates.append(float(delta_request))
     if not candidates:

@@ -40,7 +40,7 @@ def pt_potential(pt_grid):
 
 @pytest.fixture(scope="session")
 def pt_op(pt_grid, pt_potential):
-    return rl.assemble_hamiltonian(pt_grid, pt_potential)
+    return rl.assemble_hamiltonian(pt_potential)
 
 
 @pytest.fixture(scope="session")
@@ -92,7 +92,7 @@ def coarse_grid():
 @pytest.fixture(scope="session")
 def coarse_pt(coarse_grid):
     pot = rl.make_potential(coarse_grid, "poschl_teller", ell=2)
-    op = rl.assemble_hamiltonian(coarse_grid, pot)
+    op = rl.assemble_hamiltonian(pot)
     data = rl.eigenpairs_below(op)
     return op, data
 

@@ -21,7 +21,7 @@ def test_criterion_01_spectral_oracle():
     for n in (2001, 4001):
         g = rl.make_grid(1, 20.0, n)
         pot = rl.make_potential(g, "poschl_teller", ell=2)
-        op = rl.assemble_hamiltonian(g, pot)
+        op = rl.assemble_hamiltonian(pot)
         data = rl.eigenpairs_below(op)
         assert len(data.eigenvalues) == 2
         errors[n] = np.abs(data.eigenvalues - exact)
@@ -194,7 +194,7 @@ def test_criterion_10_energy_law(acceptance_branch, pt_grid, arctan_spec):
     assert E[-1] <= -10.0 * abs(E[0])
     # mirrored setup: V + 2 shifts the spectrum to {-2, +1}
     pot = rl.make_potential(pt_grid, "poschl_teller", ell=2, offset=2.0)
-    op = rl.assemble_hamiltonian(pt_grid, pot)
+    op = rl.assemble_hamiltonian(pot)
     data = rl.eigenpairs_below(op)
     proj = rl.build_projections(data, 1.0, 0.25)
     assert proj.lambda0 > 0
@@ -215,7 +215,7 @@ def test_criterion_11_morse_count_jump(pt_data):
         assert jump == len(idx) == 1
     g2 = rl.make_grid(2, 6.0, 121)
     pot2 = rl.make_potential(g2, "square_well", depth=-50.0, width=2.0)
-    op2 = rl.assemble_hamiltonian(g2, pot2)
+    op2 = rl.assemble_hamiltonian(pot2)
     data2 = rl.eigenpairs_below(op2)
     mults = [len(idx) for _, idx in data2.multiplets]
     assert 2 in mults
@@ -237,9 +237,9 @@ def test_criterion_12_resonance_checkers(pt_grid, pt_proj):
     ll0 = rl.check_landesman_lazer(zero, basis)
     assert not ll0.plus.holds and not ll0.minus.holds
     rational = rl.saturating_rational(pt_grid)
-    sr = rl.check_sign_condition(rational, sample_budget=4096)
+    sr = rl.check_sign_condition(rational)
     assert sr.plus.holds
-    sr_arctan = rl.check_sign_condition(arctan, sample_budget=64)
+    sr_arctan = rl.check_sign_condition(arctan)
     assert not sr_arctan.plus.applicable
     assert "inapplicable" in sr_arctan.plus.note
     # flip f on a half-line
@@ -252,7 +252,7 @@ def test_criterion_12_resonance_checkers(pt_grid, pt_proj):
         limit_minus=np.zeros(pt_grid.num_nodes),
         k_plus=env * flip, k_minus=env * flip,
     )
-    sr_flip = rl.check_sign_condition(flipped, sample_budget=4096)
+    sr_flip = rl.check_sign_condition(flipped)
     assert not sr_flip.plus.holds
     assert "violation" in sr_flip.plus.note
 

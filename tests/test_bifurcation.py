@@ -43,15 +43,21 @@ def test_detect_on_zero_branch():
 
 def test_detect_requires_window():
     eps = [0.5, 0.25]
+    branch = _synthetic_branch(-1.0, eps, [1, 2])
     with pytest.raises(BranchError):
-        rl.detect_asymptotic_bifurcation(_synthetic_branch(-1.0, eps, [1, 2]), -1.0)
+        rl.detect_asymptotic_bifurcation(branch, -1.0)
+    # one point shows no growth: a window of 1 is refused, not a vacuous verdict
+    for window in (1, 0):
+        with pytest.raises(ValueError, match=f"window = {window}: must be at least 2"):
+            rl.detect_asymptotic_bifurcation(branch, -1.0, growth_factor=0.5, window=window)
+    assert rl.detect_asymptotic_bifurcation(branch, -1.0, window=2).growth_ratio == 2.0
 
 
 @pytest.fixture(scope="module")
 def coarse_pt_proj():
     """Poschl-Teller at 401 nodes on [-20, 20], with the window at -1."""
     grid = rl.make_grid(1, 20.0, 401)
-    op = rl.assemble_hamiltonian(grid, rl.make_potential(grid, "poschl_teller", ell=2))
+    op = rl.assemble_hamiltonian(rl.make_potential(grid, "poschl_teller", ell=2))
     return rl.build_projections(rl.eigenpairs_below(op), -1.0, 0.25)
 
 

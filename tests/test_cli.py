@@ -189,7 +189,7 @@ def test_semiflow_trajectory_and_snapshots(tmp_path, flow):
     # the snapshots are the saved fields of the same flow run by the library
     grid = resonance_lab.make_grid(1, 20.0, 1001)
     op = resonance_lab.assemble_hamiltonian(
-        grid, resonance_lab.make_potential(grid, "poschl_teller", ell=2))
+        resonance_lab.make_potential(grid, "poschl_teller", ell=2))
     proj = resonance_lab.build_projections(resonance_lab.eigenpairs_below(op), -1.0, 0.25)
     _, states = flow(
         resonance_lab.SemiflowState(0.0, 2.0 * proj.kernel_fields[:, 0]),
@@ -417,6 +417,7 @@ MALFORMED = [  # (subcommand, section, key, value)
     ("branch", "experiment", "side", "minsu"),
     ("branch", "experiment", "num_points", "0"),
     ("branch", "experiment", "window", "0"),
+    ("branch", "experiment", "window", "1"),
     ("semiflow", "experiment", "initial", "gaussian abc"),
     ("semiflow", "experiment", "initial", "kernel 2.0 1.0"),
     ("semiflow", "experiment", "initial", "gaussian 1.0 0.0 0.0"),  # width 0
@@ -510,9 +511,9 @@ def _warmup_with(path, section, key, value) -> str:
         config.write(fh)
     return str(path)
 
-# the solver and eigensolve tolerances are library keyword arguments, no
-# longer config keys, and the probe radii a constant: a config that still
-# sets one is refused like a typo
+# the solver and eigensolve limits and the probe radii are constants of the
+# library, no longer config keys: a config that still sets one is refused
+# like a typo
 REMOVED_KEYS = [("spectral", "tol_eig", "1e-8"), ("spectral", "cluster_tol", "1e-6"),
                 ("spectral", "max_count", "64"), ("experiment", "tol_fp", "1e-8"),
                 ("experiment", "tol_pde", "1e-6"), ("experiment", "max_iter", "200"),

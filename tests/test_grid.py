@@ -77,7 +77,7 @@ def test_symmetrized_stiffness_is_the_similar_laplacian(ndim, n):
     # the operator's S is W^{1/2} A W^{-1/2} (atol = 0: the same zeros), with
     # A's dense columns A e_j from the stencil, and S is symmetric
     g = rl.make_grid(ndim, 3.0, n)
-    op = rl.assemble_hamiltonian(g, rl.make_potential(g, "constant", c=0.0))
+    op = rl.assemble_hamiltonian(rl.make_potential(g, "constant", c=0.0))
     A = np.column_stack([op.apply(e) for e in np.eye(g.num_nodes)])
     sw = g.sqrt_weights
     S = op.sym_matrix
@@ -204,8 +204,9 @@ def test_tail_mass_full_domain_is_l2(rng):
 
 def test_tail_mass_domain_exceeded():
     g = rl.make_grid(1, 2.0, 21)
-    with pytest.raises(GridError):
-        rl.tail_mass(g, np.zeros(21), 3.0)
+    for radius in (3.0, -1.0, float("nan")):
+        with pytest.raises(GridError, match="between 0 and the box half-width"):
+            rl.tail_mass(g, np.zeros(21), radius)
 
 
 def test_lp_norm_scales_without_overflow(rng):
@@ -217,6 +218,13 @@ def test_lp_norm_scales_without_overflow(rng):
             assert np.isclose(g.lp_norm(scale * u, p), scale * g.lp_norm(u, p),
                               rtol=1e-12, atol=0.0)
     assert g.lp_norm(np.zeros(g.num_nodes), 4.0) == 0.0
+
+
+def test_check_field_takes_flat_fields_only():
+    g = rl.make_grid(2, 1.0, 5)
+    g.check_field(np.zeros(25))
+    with pytest.raises(GridError, match="not a flat array"):
+        g.check_field(np.zeros((5, 5)))
 
 
 def test_check_field_rejects_nonfinite():

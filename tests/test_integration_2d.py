@@ -17,7 +17,7 @@ from resonance_lab.bifurcation import default_initial_radius
 def well():
     g = rl.make_grid(2, 6.0, 81)
     pot = rl.make_potential(g, "square_well", depth=-50.0, width=2.0)
-    op = rl.assemble_hamiltonian(g, pot)
+    op = rl.assemble_hamiltonian(pot)
     data = rl.eigenpairs_below(op)
     return g, op, data
 

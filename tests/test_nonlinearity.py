@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import resonance_lab as rl
+from resonance_lab import nonlinearity
 from resonance_lab.nonlinearity import (
     MARGIN_FACTOR,
     MASS_TOL_FACTOR,
@@ -223,24 +224,26 @@ def test_checkers_mirror_under_negation(coarse_grid, coarse_pt, family):
             assert mirror.witnesses == [-w for w in verdict.witnesses]
 
 
-def test_sign_condition_rational(grid, rational):
-    pair = rl.check_sign_condition(rational, sample_budget=512)
+def test_sign_condition_rational(grid, rational, monkeypatch):
+    monkeypatch.setattr(nonlinearity, "SAMPLE_BUDGET", 512)
+    pair = rl.check_sign_condition(rational)
     assert pair.plus.holds and pair.plus.applicable
     assert not pair.minus.holds
 
 
-def test_sign_condition_negated_rational(grid, rational):
-    pair = rl.check_sign_condition(rl.negate(rational), sample_budget=512)
+def test_sign_condition_negated_rational(grid, rational, monkeypatch):
+    monkeypatch.setattr(nonlinearity, "SAMPLE_BUDGET", 512)
+    pair = rl.check_sign_condition(rl.negate(rational))
     assert pair.minus.holds and not pair.plus.holds
 
 
 def test_sign_condition_arctan_inapplicable(grid, arctan):
-    pair = rl.check_sign_condition(arctan, sample_budget=64)
+    pair = rl.check_sign_condition(arctan)
     assert not pair.plus.applicable and not pair.minus.applicable
     assert "inapplicable" in pair.plus.note
 
 
-def test_sign_condition_violation_injection(grid):
+def test_sign_condition_violation_injection(grid, monkeypatch):
     # flip the sign of f on the half-line x > 0: the sampler must catch it
     env = np.exp(-grid.axis**2)
     flip = np.where(grid.axis > 0, -1.0, 1.0)
@@ -255,7 +258,8 @@ def test_sign_condition_violation_injection(grid):
         bound_m=0.5 * env, limit_plus=zeros, limit_minus=zeros,
         k_plus=env * flip, k_minus=env * flip,
     )
-    pair = rl.check_sign_condition(spec, sample_budget=512)
+    monkeypatch.setattr(nonlinearity, "SAMPLE_BUDGET", 512)
+    pair = rl.check_sign_condition(spec)
     assert not pair.plus.holds
     assert "violation" in pair.plus.note
 
@@ -319,24 +323,26 @@ def _sign_condition_by_sample(spec, sample_budget, rng):
 
 
 @pytest.mark.parametrize("ndim", (1, 2))
-def test_sign_condition_blocks_match_the_per_sample_loop(grid, ndim):
+def test_sign_condition_blocks_match_the_per_sample_loop(grid, ndim, monkeypatch):
     # grids of 2001 and 41^2 nodes give blocks of 16 and 19 samples, so most
     # budgets end on a short block
     grid = grid if ndim == 1 else rl.make_grid(2, 6.0, 41)
     for name, spec in _sampler_specs(grid).items():
         for budget in (1, 7, 9, 513, 4096):
-            pair = rl.check_sign_condition(spec, budget, rng=np.random.default_rng(budget))
+            monkeypatch.setattr(nonlinearity, "SAMPLE_BUDGET", budget)
+            pair = rl.check_sign_condition(spec, rng=np.random.default_rng(budget))
             ref = _sign_condition_by_sample(spec, budget, np.random.default_rng(budget))
             for verdict, (holds, witnesses, mass, note) in zip((pair.plus, pair.minus), ref):
                 got = (verdict.holds, verdict.witnesses, verdict.mass_fraction, verdict.note)
                 assert got == (holds, witnesses, mass, note), (name, budget, verdict.condition)
 
 
-def test_sign_condition_witness_ties(grid):
+def test_sign_condition_witness_ties(grid, monkeypatch):
     # s f = -|s| at every node: the worst value -1e6 is met first by s = +1e6
     # at the first node; the best, -1e-3, by s = 1e-3 there
     spec = _sampler_specs(grid)["sign"]
-    pair = rl.check_sign_condition(spec, sample_budget=64)
+    monkeypatch.setattr(nonlinearity, "SAMPLE_BUDGET", 64)
+    pair = rl.check_sign_condition(spec)
     assert pair.plus.note == "sign violation at (x, s) = ([-20.0], 1000000.0, -1000000.0)"
     assert pair.minus.witnesses == [-1e-3] and pair.minus.note == ""
 
@@ -350,10 +356,11 @@ def test_sign_condition_calls_f_once_per_block(grid):
         return rational.f(u)
 
     spec = _test_spec(grid, "counted", f, rational.k_plus)
-    rl.check_sign_condition(spec, sample_budget=4096)
+    rl.check_sign_condition(spec)
     block = SAMPLE_BLOCK_VALUES // grid.num_nodes
-    assert len(calls) == -(-4096 // block)
-    assert calls[0] == (block, 1) and calls[-1] == (4096 % block or block, 1)
+    budget = nonlinearity.SAMPLE_BUDGET
+    assert len(calls) == -(-budget // block)
+    assert calls[0] == (block, 1) and calls[-1] == (budget % block or block, 1)
 
 
 @pytest.mark.parametrize("ndim", (1, 2))

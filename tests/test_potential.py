@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import resonance_lab as rl
+from resonance_lab.grid import GridError
 from resonance_lab.potential import PotentialError
 
 
@@ -149,7 +150,7 @@ def test_declared_alpha_inf(family, params, alpha_inf, tail):
     g = rl.make_grid(1, 8.0, 401)
     spec = rl.make_potential(g, family, **params)
     assert spec.alpha_inf == alpha_inf
-    assert rl.assemble_hamiltonian(g, spec).alpha_inf == alpha_inf
+    assert rl.assemble_hamiltonian(spec).alpha_inf == alpha_inf
     # at the box edge v_infty sits within the family's analytic tail of alpha_inf
     edge = g.radii == g.half_width
     assert np.count_nonzero(edge) == 2
@@ -178,9 +179,9 @@ def test_tail_lp_norm_zero_part():
 
 def test_tail_lp_norm_disjoint_support():
     g = rl.make_grid(1, 5.0, 1001)
-    spec = rl.make_potential(g, "square_well", depth=1.0, width=2.0)
-    assert rl.tail_lp_norm(spec, 2.0, p=2.0) == 0.0
-    assert rl.tail_lp_norm(spec, 0.0, p=2.0) > 0.0
+    spec = rl.make_potential(g, "square_well", depth=1.0, width=2.0, p=2.0)
+    assert rl.tail_lp_norm(spec, 2.0) == 0.0
+    assert rl.tail_lp_norm(spec, 0.0) > 0.0
 
 
 def test_tail_lp_norm_coulomb_oracle():
@@ -205,10 +206,17 @@ def test_tail_lp_norm_monotone_in_radius():
 
 def test_tail_lp_norm_continuous_in_p():
     g = rl.make_grid(1, 10.0, 2001)
-    spec = rl.make_potential(g, "coulomb", c=-1.0, alpha=0.25)
-    a = rl.tail_lp_norm(spec, 0.5, p=2.0)
-    b = rl.tail_lp_norm(spec, 0.5, p=2.001)
+    a, b = (rl.tail_lp_norm(rl.make_potential(g, "coulomb", c=-1.0, alpha=0.25, p=p), 0.5)
+            for p in (2.0, 2.001))
     assert abs(a - b) < 1e-2
+
+
+def test_tail_lp_norm_domain_exceeded():
+    g = rl.make_grid(1, 5.0, 101)
+    spec = rl.make_potential(g, "square_well", depth=1.0, width=2.0)
+    for radius in (6.0, -1.0, float("nan")):
+        with pytest.raises(GridError, match="between 0 and the box half-width"):
+            rl.tail_lp_norm(spec, radius)
 
 
 def test_recomposition_invariant():

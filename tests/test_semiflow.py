@@ -14,7 +14,7 @@ from resonance_lab.semiflow import StepRejected, TailDecayError, default_dt
 def test_imex_contraction_zero_potential(rng):
     # f = 0, V = 0, lam = -1: backward Euler on a nonpositive generator
     g = rl.make_grid(1, 10.0, 501)
-    op = rl.assemble_hamiltonian(g, rl.make_potential(g, "constant", c=0.0))
+    op = rl.assemble_hamiltonian(rl.make_potential(g, "constant", c=0.0))
     spec = rl.zero_nonlinearity(g)
     u = rng.standard_normal(g.num_nodes)
     dt = 0.05
@@ -49,6 +49,13 @@ def test_imex_positivity_rejection(pt_op):
     assert semiflow.loses_positivity(pt_op, -2.0, 1.0)
     with pytest.raises(StepRejected):
         rl.ImexStepper(pt_op, -2.0, 1.0)
+
+
+def test_imex_refuses_a_nonpositive_dt(pt_op):
+    # a NaN dt is refused here, not by SuperLU as a singular matrix
+    for dt in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            rl.ImexStepper(pt_op, -2.0, dt)
 
 
 def test_default_dt_resolves_fastest_mode(pt_op):
@@ -432,9 +439,10 @@ def test_evolve_stop_rule_validation(pt_grid, pt_op, arctan_spec, flow):
     with pytest.raises(ValueError):
         flow(rl.SemiflowState(0.0, np.zeros(pt_grid.num_nodes)), -1.0,
              1.0, pt_op, arctan_spec, stop="whenever")
-    with pytest.raises(ValueError):
-        flow(rl.SemiflowState(0.0, np.zeros(pt_grid.num_nodes)), -1.0,
-             -1.0, pt_op, arctan_spec)
+    for horizon in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            flow(rl.SemiflowState(0.0, np.zeros(pt_grid.num_nodes)), -1.0,
+                 horizon, pt_op, arctan_spec)
     for save_every in (0, -1):
         with pytest.raises(ValueError, match="save_every"):
             flow(rl.SemiflowState(0.0, np.zeros(pt_grid.num_nodes)), -1.0,
