@@ -2,10 +2,11 @@
 
 A branch is a sequence of stationary solves at parameters marching toward
 λ0 from one side, λ_k = λ0 ± δ 2^-k, halving the distance at every point.
-Each solve is warm-started from the previous kernel component scaled by the
-parameter ratio (the branch radius grows like 1/|λ - λ0|); the first point
-seeds its radius from the Landesman-Lazer witness integral, which is the
-asymptotic slope of the branch.  Detection of asymptotic bifurcation is
+A solve is warm-started from the kernel component of the point just before
+it, scaled by the parameter ratio (the branch radius grows like 1/|λ - λ0|),
+if that point converged and is not trivial; otherwise, as at the first point,
+default_initial_radius seeds it from the Landesman-Lazer witness integral,
+the asymptotic slope of the branch.  Detection of asymptotic bifurcation is
 operationalized as strict growth of ||u||_H1 over a trailing window plus a
 minimum growth factor; a power of ||u|| versus |λ - λ0| is fitted for
 reporting, never asserted.
@@ -171,8 +172,9 @@ def continue_branch(
 
     A num_points at which a point rounds onto λ0 or onto another point is
     refused (BranchError).  Diverged points are recorded with
-    converged=False; the warm start always uses the latest converged kernel
-    component.
+    converged=False.  Only the point just before is a warm start, and only if it
+    converged with a kernel component above 1e-8 max(1, ||m||); otherwise
+    default_initial_radius re-seeds the solve, not an earlier converged point.
     """
     lam0, delta = projections.lambda0, projections.delta
     if side not in ("minus", "plus"):

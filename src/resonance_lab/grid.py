@@ -20,17 +20,21 @@ Both -Δ_h = W^{-1} K and its symmetrization W^{1/2} (-Δ_h) W^{-1/2} = d K d
 (K the stiffness on every axis, W the quadrature weights, d = W^{-1/2}) come
 from one builder in one stencil format, (diag, upper, lower): the diagonal
 over the flat field, and along every axis the entry in row k, column k + 1
-and the one in row k + 1, column k.  apply_stencil applies either.  The
-module imports no scipy.
+and the one in row k + 1, column k.  apply_stencil applies either.
 
-Fields are flat, C-ordered ``numpy`` arrays with one real sample per node;
-all operations are pure.
+Both are Kronecker sums of one 1-D stencil, so the weights, the points, the
+stencils, their product and the norms all loop over one per-axis table of
+index tuples that the grid builds once, Grid.axes, as does the assembly of
+the sparse S: 1-D is the one-axis case of the 2-D code.  Fields are flat,
+C-ordered ``numpy`` arrays with one real sample per node; all operations are
+pure.  The module imports no scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +55,16 @@ class FieldNorms:
     h1: float
 
 
+class _Axis(NamedTuple):
+    """One axis a of the node array, as index tuples built once."""
+
+    plus: tuple  # selects node k + 1 of every neighbour pair (k, k + 1) along a
+    minus: tuple  # selects node k of every such pair
+    along: tuple  # indexes a per-axis array of length n or n - 1 to broadcast along a
+    edges: tuple  # the node array's shape with n + 1 (edges, ghosts included) at a
+    across: np.ndarray | float  # trapezoid weights across a; 1.0 in 1-D
+
+
 class Grid:
     """Uniform grid on [-L, L]^ndim, ndim in {1, 2}, with n (odd) nodes per axis.
 
@@ -60,16 +74,16 @@ class Grid:
         points_per_axis: n, odd so that 0 is a node.
         spacing: h = 2L/(n-1).
         axis: the 1-D node coordinates, shape (n,).
-        shape: the node array's shape, (n,) or (n, n); a field is flat.
+        shape: the node array's shape, (n,) * ndim; a field is flat.
+        axes: the per-axis table, one _Axis per axis; 1-D is its one-axis case.
         num_nodes: n**ndim.
         weights: flat trapezoid quadrature weights, shape (num_nodes,).
         sqrt_weights: their square roots, the diagonal of W^{1/2}.
         points: flat node coordinates, shape (num_nodes, ndim).
 
-    Its two stencils (neg_laplacian_stencil, symmetrized_stencil) are
-    numpy arrays in the one (diag, upper, lower) format, built on each call
-    and not kept: the Hamiltonian holds both, applies A with one, and counts
-    with and assembles the sparse S from the other.
+    Its two stencils (neg_laplacian_stencil, symmetrized_stencil) are built
+    on each call and not kept: the Hamiltonian holds both, applies A with one,
+    counts with and assembles S from the other.
     """
 
     def __init__(self, ndim: int, half_width: float, points_per_axis: int):
@@ -79,18 +93,22 @@ class Grid:
         n, L = self.points_per_axis, self.half_width
         self.spacing = 2.0 * L / (n - 1)
         self.axis = np.linspace(-L, L, n)
-        axis_w = np.full(n, self.spacing)
+        self.axis_weights = axis_w = np.full(n, self.spacing)
         axis_w[0] = axis_w[-1] = self.spacing / 2.0
-        self.axis_weights = axis_w
-        if self.ndim == 1:
-            self.shape = (n,)
-            self.weights = axis_w.copy()
-            self.points = self.axis.reshape(-1, 1)
-        else:
-            self.shape = (n, n)
-            self.weights = np.outer(axis_w, axis_w).ravel()
-            X, Y = np.meshgrid(self.axis, self.axis, indexing="ij")
-            self.points = np.column_stack([X.ravel(), Y.ravel()])
+        self.shape = (n,) * self.ndim
+        dims = range(self.ndim)
+        alongs = [(...,) + (None,) * (self.ndim - 1 - a) for a in dims]
+        w_along = [axis_w[along] for along in alongs]
+        self.axes = tuple(_Axis(
+            plus=(slice(None),) * a + (slice(1, None),),
+            minus=(slice(None),) * a + (slice(None, -1),),
+            along=alongs[a],
+            edges=tuple(n + (b == a) for b in dims),
+            across=math.prod(w_along[:a] + w_along[a + 1:], start=1.0),
+        ) for a in dims)
+        self.weights = math.prod(w_along[1:], start=w_along[0]).ravel()  # 1-D: no copy
+        self.points = np.column_stack(
+            [np.broadcast_to(self.axis[along], self.shape).ravel() for along in alongs])
         self.num_nodes = self.weights.size
         self.sqrt_weights = np.sqrt(self.weights)
         self.radii = np.sqrt(np.sum(self.points**2, axis=1))
@@ -146,9 +164,8 @@ class Grid:
         inv_h = 1.0 / self.spacing
         k_diag, k_off = 2.0 * inv_h, -1.0 * inv_h
         diag = (left * k_diag) * right
-        if self.ndim == 2:  # m_jj + m_ii at node (i, j)
-            diag = (diag[np.newaxis, :] + diag[:, np.newaxis]).ravel()
-        return diag, (left[:-1] * k_off) * right[1:], (left[1:] * k_off) * right[:-1]
+        diag = sum(diag[ax.along] for ax in self.axes)  # m_ii + m_jj at (i, j)
+        return diag.ravel(), (left[:-1] * k_off) * right[1:], (left[1:] * k_off) * right[:-1]
 
     def neg_laplacian_stencil(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """-Δ_h, W^{-1} K on every axis, as the stencil (diag, upper, lower)
@@ -173,25 +190,17 @@ class Grid:
         column order, r - n, r - 1, r, r + 1, r + n, as a CSR product with
         sorted columns sums it, so the result has that product's bits."""
         U = u.reshape(self.shape)
-        D = diag.reshape(self.shape)
         y = np.zeros(self.shape)
-        if self.ndim == 1:
-            y[1:] += lower * U[:-1]
-            y += D * U
-            y[:-1] += upper * U[1:]
-        else:  # across the grid lines, the entries of line i are those of index i
-            y[1:] += lower[:, np.newaxis] * U[:-1]
-            y[:, 1:] += lower * U[:, :-1]
-            y += D * U
-            y[:, :-1] += upper * U[:, 1:]
-            y[:-1] += upper[:, np.newaxis] * U[1:]
+        for ax in self.axes:  # every line along an axis has the same entries
+            y[ax.plus] += lower[ax.along] * U[ax.minus]
+        y += diag.reshape(self.shape) * U
+        for ax in self.axes[::-1]:
+            y[ax.minus] += upper[ax.along] * U[ax.plus]
         return y.ravel()
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"Grid(ndim={self.ndim}, half_width={self.half_width}, "
-            f"points_per_axis={self.points_per_axis})"
-        )
+        return (f"Grid(ndim={self.ndim}, half_width={self.half_width}, "
+                f"points_per_axis={self.points_per_axis})")
 
 
 def make_grid(ndim: int, half_width: float, points_per_axis: int) -> Grid:
@@ -201,19 +210,16 @@ def make_grid(ndim: int, half_width: float, points_per_axis: int) -> Grid:
     exact) and at least 3; the total node count is capped by
     MAX_NODES_DEFAULT.  half_width must leave the node radii and the Laplacian's 1/h^2 finite.
     """
-    if ndim not in (1, 2):
+    if ndim not in (1, 2):  # 3-D needs Krylov solves: SuperLU fill and the count blow up
         raise GridError(f"ndim must be 1 or 2, got {ndim}")
     if not half_width > 0:
         raise GridError(f"half_width must be positive, got {half_width}")
+    # 401.7 must not truncate to 401; NaN and inf fail too
+    if not (points_per_axis % 2 == 1 and points_per_axis >= 3):
+        raise GridError(f"points_per_axis must be an odd integer >= 3, got {points_per_axis}")
     n = int(points_per_axis)
-    if n < 3:
-        raise GridError(f"points_per_axis must be >= 3, got {n}")
-    if n % 2 == 0:
-        raise GridError(f"points_per_axis must be odd, got {n}")
     if n**ndim > MAX_NODES_DEFAULT:
-        raise GridError(
-            f"grid would have {n**ndim} nodes, exceeding the cap {MAX_NODES_DEFAULT}"
-        )
+        raise GridError(f"grid would have {n**ndim} nodes, exceeding the cap {MAX_NODES_DEFAULT}")
     # Python floats overflow to inf and underflow to 0 here without a warning
     h = 2.0 * half_width / (n - 1)
     if not (math.isfinite(ndim * half_width * half_width) and h * h > 0
@@ -240,29 +246,21 @@ def field_norms(grid: Grid, field: np.ndarray) -> FieldNorms:
     """
     u = grid.check_field(field)
     l2sq = grid.inner(u, u)
-    h = grid.spacing
-    if grid.ndim == 1:
-        padded = np.concatenate(([0.0], u, [0.0]))
-        diffs = np.diff(padded) / h
-        gradsq = h * float(np.sum(diffs * diffs))
-    else:
-        n = grid.points_per_axis
-        U = u.reshape(n, n)
-        wt = grid.axis_weights
-        gradsq = 0.0
-        for axis in (0, 1):
-            # D[0] = U[0], D[1:n] = U[1:] - U[:-1], D[n] = -U[-1] along the
-            # axis: the differences of U padded with one zero at each end,
-            # without building the padded copy
-            D = np.empty((n + 1, n) if axis == 0 else (n, n + 1))
-            Dv, Uv = (D, U) if axis == 0 else (D.T, U.T)
-            Dv[0] = Uv[0]
-            np.subtract(Uv[1:], Uv[:-1], out=Dv[1:n])
-            Dv[n] = -Uv[-1]
-            D /= h
-            # edge weight h along the differenced axis, trapezoid across it
-            trans = wt[np.newaxis, :] if axis == 0 else wt[:, np.newaxis]
-            gradsq += h * float(np.sum(D * D * trans))
+    h, n = grid.spacing, grid.points_per_axis
+    U = u.reshape(grid.shape)
+    gradsq = 0.0
+    for a, ax in enumerate(grid.axes):
+        # D[0] = U[0], D[1:n] = U[1:] - U[:-1], D[n] = -U[-1] along axis a:
+        # the differences of U padded with one zero at each end, without
+        # building the padded copy
+        D = np.empty(ax.edges)
+        Dv, Uv = D.swapaxes(0, a), U.swapaxes(0, a)
+        Dv[0] = Uv[0]
+        np.subtract(Uv[1:], Uv[:-1], out=Dv[1:n])
+        Dv[n] = -Uv[-1]
+        D /= h
+        # edge weight h along the differenced axis, trapezoid across it
+        gradsq += h * float(np.sum(D * D * ax.across))
     l2 = np.sqrt(max(l2sq, 0.0))
     grad = np.sqrt(max(gradsq, 0.0))
     return FieldNorms(l2=l2, grad_l2=grad, h1=float(np.hypot(l2, grad)))

@@ -121,7 +121,10 @@ def evaluate_primitive(spec: NonlinearitySpec, u_field: np.ndarray) -> np.ndarra
 def _gaussian_envelope(grid: Grid, amplitude: float, width: float) -> np.ndarray:
     """amplitude exp(-(|x|/width)^2), which bounds f up to a fixed factor: the
     theory needs the bound field m in L^2, so an amplitude whose envelope has
-    no finite L^2 norm on the grid is refused."""
+    no finite L^2 norm on the grid is refused, as are a non-positive amplitude and width."""
+    if not (amplitude > 0 and width > 0):  # a NaN fails too
+        raise NonlinearityError(f"amplitude = {amplitude!r} and width = {width!r} "
+                                "must both be positive")
     # (|x|/width)^2 may overflow to inf for a tiny width: exp(-inf) = 0 is the
     # envelope's value there, as exp underflows to 0 for large finite ones
     with np.errstate(over="ignore"):
@@ -435,7 +438,7 @@ def kernel_sphere_probe(spec: NonlinearitySpec, kernel_basis: np.ndarray, radius
     as check_landesman_lazer checks it, and a net direction whose field
     vanishes is skipped; NonlinearityError when every one vanishes.
     """
-    if radius <= 0:
+    if not radius > 0:  # NaN included
         raise NonlinearityError(f"radius must be positive, got {radius}")
     grid = spec.grid
     pairings = []

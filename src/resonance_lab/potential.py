@@ -44,12 +44,10 @@ class PotentialSpec:
         self.v_zero = self.grid.check_field(self.v_zero)
         if not np.isfinite(self.alpha_inf):
             raise PotentialError(f"alpha_inf must be finite, got {self.alpha_inf}")
-        if self.grid.ndim == 1:
-            if self.p < 2:
-                raise PotentialError(f"p must be >= 2 in 1-D, got {self.p}")
-        else:
-            if self.p <= 2:
-                raise PotentialError(f"p must be > 2 in 2-D, got {self.p}")
+        one_d = self.grid.ndim == 1  # the theory's V_0 in L^p needs p >= 2 in 1-D, p > 2 in 2-D
+        if not (self.p >= 2 if one_d else self.p > 2):  # a NaN fails too
+            raise PotentialError(f"p must be {'>=' if one_d else '>'} 2 in "
+                                 f"{self.grid.ndim}-D, got {self.p}")
 
     @property
     def v(self) -> np.ndarray:
@@ -69,7 +67,7 @@ def split_kato_rellich(
     v_infty = V outside (0 inside); their sum reproduces V at every node.
     Raises if the outside part is not finite (split invalid).
     """
-    if cutoff_radius <= 0:
+    if not cutoff_radius > 0:  # NaN included
         raise PotentialError(f"cutoff_radius must be positive, got {cutoff_radius}")
     pts = grid.points
     if center is not None:
@@ -87,10 +85,6 @@ def split_kato_rellich(
     if not np.all(np.isfinite(v_zero)):
         raise PotentialError("v_zero has non-finite samples inside the cutoff ball")
     return v_infty, v_zero
-
-
-def _coulomb_alpha_range(ndim: int) -> float:
-    return 0.5 if ndim == 1 else 1.0
 
 
 def make_potential(grid: Grid, family: str, **params) -> PotentialSpec:
@@ -147,7 +141,7 @@ def _required(params: dict, family: str, key: str):
 
 def _family_potential(grid: Grid, family: str, params: dict) -> PotentialSpec:
     """The PotentialSpec of make_potential; pops each parameter it reads."""
-    p_default = 2.0 if grid.ndim == 1 else 4.0
+    p_default = 2.0 if grid.ndim == 1 else 4.0  # admitted by each dimension's p rule
     p = float(params.pop("p", p_default))
 
     if family == "constant":
@@ -159,7 +153,7 @@ def _family_potential(grid: Grid, family: str, params: dict) -> PotentialSpec:
     if family == "poschl_teller":
         ell = float(_required(params, family, "ell"))
         offset = float(params.pop("offset", 0.0))
-        if ell <= 0:
+        if not ell > 0:  # NaN included
             raise PotentialError(f"ell must be positive, got {ell}")
         r = grid.radii
         v_inf = -ell * (ell + 1.0) / np.cosh(r) ** 2 + offset
@@ -169,7 +163,7 @@ def _family_potential(grid: Grid, family: str, params: dict) -> PotentialSpec:
     if family == "square_well":
         depth = float(_required(params, family, "depth"))
         width = float(_required(params, family, "width"))
-        if width <= 0:
+        if not width > 0:  # NaN included
             raise PotentialError(f"well width must be positive, got {width}")
         half = width / 2.0
         inside = np.all(np.abs(grid.points) <= half, axis=1)
@@ -183,7 +177,8 @@ def _family_potential(grid: Grid, family: str, params: dict) -> PotentialSpec:
         center = np.asarray(params.pop("center", np.zeros(grid.ndim)), dtype=float)
         cutoff = float(params.pop("cutoff_radius", 1.0))
         policy = params.pop("policy", "offset")
-        amax = _coulomb_alpha_range(grid.ndim)
+        # p*alpha < ndim keeps |x|^-alpha locally L^p at the least p each ndim admits
+        amax = 0.5 if grid.ndim == 1 else 1.0
         if not 0 <= alpha < amax:
             raise PotentialError(
                 f"coulomb exponent alpha must lie in [0, {amax}) for "

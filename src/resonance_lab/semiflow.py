@@ -317,7 +317,7 @@ def tail_decay_report(
     eta = 0.25 * gap
     if alpha is None:
         alpha = gap - eta
-    if alpha <= 0:
+    if not alpha > 0:  # NaN included
         raise TailDecayError(f"alpha must be positive, got {alpha}")
     if not tally.times:
         raise TailDecayError("trajectory has fewer than two saved states")

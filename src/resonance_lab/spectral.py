@@ -122,11 +122,11 @@ class HamiltonianOperator:
         # along an axis, node k's entries in the rows of nodes k - 1 and k + 1
         before, after = np.append(0.0, upper), np.append(lower, 0.0)
         has_before, has_after = np.arange(n) > 0, np.arange(n) < n - 1
-        diag = diag.reshape(grid.shape)
-        slots = [(-1, before, has_before), (0, diag, True), (1, after, has_after)]
-        if grid.ndim == 2:  # across the lines, the same entries on every line
-            slots = [(-n, before[:, None], has_before[:, None]), *slots,
-                     (n, after[:, None], has_after[:, None])]
+        # along axis a neighbours are n^(ndim - 1 - a) apart, with the same entries on every line
+        steps = [(n ** (grid.ndim - 1 - a), ax.along) for a, ax in enumerate(grid.axes)]
+        slots = [(-k, before[i], has_before[i]) for k, i in steps]
+        slots.append((0, diag.reshape(grid.shape), True))
+        slots += [(k, after[i], has_after[i]) for k, i in reversed(steps)]
         values = np.column_stack([np.broadcast_to(v, grid.shape).ravel() for _, v, _ in slots])
         stored = np.column_stack([np.broadcast_to(m, grid.shape).ravel() for _, _, m in slots])
         rows = np.arange(size)[:, None] + np.array([k for k, _, _ in slots])
@@ -167,6 +167,7 @@ class HamiltonianOperator:
         """
         import scipy.sparse.linalg as spla
 
+        # a tridiagonal 1-D S fills under no ordering: it keeps the default's bits
         ordering = {"permc_spec": "MMD_AT_PLUS_A"} if self.grid.ndim == 2 else {}
         return spla.splu(self.shifted(lam, dt), **ordering)
 
@@ -266,6 +267,7 @@ def _count_below(op: HamiltonianOperator, mu: float) -> int:
     tiny = 1e-12 * scale
     for nudge in (0.0, 1e-9, -1e-9, 3e-9):
         shifted = diag - (mu + nudge * scale)
+        # a 1-D grid is one line, whose n×n block the scalar recurrence sweeps
         count = (_sturm_count(shifted, upper, tiny) if grid.ndim == 1
                  else _line_block_count(shifted.reshape(grid.shape), upper, tiny))
         if count is not None:

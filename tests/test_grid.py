@@ -37,7 +37,9 @@ def test_make_grid_2d_weight_sum():
     [(1, 1.0, 4), (1, 1.0, 2), (3, 1.0, 5), (1, -1.0, 5), (1, 0.0, 5),
      # node radii or 1/h^2 not finite
      (1, 1e300, 5), (2, 1e300, 5), (1, float("inf"), 5), (1, 1e-300, 5),
-     (2, 1e-160, 5)],
+     (2, 1e-160, 5),
+     # points_per_axis not an integer: 5.5 would truncate to 5
+     (1, 1.0, 5.5), (1, 1.0, float("nan"))],
 )
 def test_make_grid_rejects_bad_arguments(args):
     with pytest.raises(GridError):
@@ -140,26 +142,31 @@ def test_integration_by_parts_exact(rng):
 
 
 def _padded_grad_l2(g, u):
-    """The 2-D gradient seminorm from np.pad'ed differences, summed as
-    field_norms sums it."""
+    """The gradient seminorm from np.pad'ed differences, summed as
+    field_norms sums it: along each axis, times the trapezoid weights
+    across it (none in 1-D)."""
     n, h, wt = g.points_per_axis, g.spacing, g.axis_weights
-    U = u.reshape(n, n)
+    U = u.reshape(g.shape)
     gradsq = 0.0
-    for axis in (0, 1):
-        pad = [(0, 0), (0, 0)]
+    for axis in range(g.ndim):
+        pad = [(0, 0)] * g.ndim
         pad[axis] = (1, 1)
         D = np.diff(np.pad(U, pad), axis=axis) / h
-        trans = wt[np.newaxis, :] if axis == 0 else wt[:, np.newaxis]
+        trans = 1.0
+        for other in set(range(g.ndim)) - {axis}:
+            trans = trans * wt.reshape([n if b == other else 1 for b in range(g.ndim)])
         gradsq += h * float(np.sum(D * D * trans))
     return np.sqrt(gradsq)
 
 
 @pytest.mark.parametrize("n", [3, 41, 81])
 def test_field_norms_2d_equals_padded_differences(rng, n):
-    g = rl.make_grid(2, 6.0, n)
-    for _ in range(10):
-        u = rng.standard_normal(g.num_nodes) * 10.0 ** rng.uniform(-3, 3)
-        assert rl.field_norms(g, u).grad_l2 == _padded_grad_l2(g, u)
+    # 1-D is the one-axis case of the same differences, bit for bit too
+    for ndim in (1, 2):
+        g = rl.make_grid(ndim, 6.0, n)
+        for _ in range(10):
+            u = rng.standard_normal(g.num_nodes) * 10.0 ** rng.uniform(-3, 3)
+            assert rl.field_norms(g, u).grad_l2 == _padded_grad_l2(g, u)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

@@ -113,6 +113,29 @@ def test_grid_imports_no_scipy():
     assert _scipy_imports(_parse(grid)) == []
 
 
+def _ndim_comparisons(tree):
+    """The comparisons under an AST node with `ndim` or `x.ndim` as an operand."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Compare) and any(
+        isinstance(x, ast.Name) and x.id == "ndim" or isinstance(x, ast.Attribute)
+        and x.attr == "ndim" for x in (node.left, *node.comparators))]
+
+
+def _function(tree, name):
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_grid_and_the_assembly_of_s_select_nothing_by_dimension():
+    # 1-D is the one-axis case of the per-axis code: the grid, its stencils
+    # and norms, and S's assembly compare nothing against ndim, apart from
+    # make_grid's admission of ndim in (1, 2)
+    tree = _parse(grid)
+    admission = _ndim_comparisons(_function(tree, "make_grid"))
+    assert len(admission) == 1
+    assert _ndim_comparisons(tree) == admission
+    assert _ndim_comparisons(_function(_parse(spectral), "sym_matrix")) == []
+
+
 def test_inertia_count_imports_no_scipy():
     # the count that checks every eigensolve, Morse index and reuse of stored
     # eigenpairs runs on numpy alone

@@ -398,6 +398,17 @@ def test_saturating_family_refuses_a_bound_without_l2_norm(grid):
     assert np.isfinite(rl.make_nonlinearity(grid, "rational", amplitude=1e150).bound_norm)
 
 
+@pytest.mark.parametrize("params", [{"amplitude": -1.0}, {"amplitude": 0.0},
+                                    {"amplitude": float("nan")}, {"width": -1.0},
+                                    {"width": 0.0}, {"width": float("nan")}])
+def test_saturating_family_refuses_a_bound_field_that_is_not_positive(grid, params):
+    # m = amplitude exp(-(|x|/width)^2) must bound |f| (a negative amplitude
+    # made LL+ fail for arctan), and width = -1 must not act as width = 1
+    for family in ("arctan", "rational", "neg_arctan"):
+        with pytest.raises(NonlinearityError, match="must both be positive"):
+            rl.make_nonlinearity(grid, family, **params)
+
+
 def test_tiny_width_gives_a_one_node_envelope(grid):
     # (|x|/width)^2 overflows off the origin: the envelope is 0 there, silently
     spec = rl.make_nonlinearity(grid, "arctan", amplitude=2.0, width=1e-300)
@@ -428,8 +439,9 @@ def test_kernel_sphere_probe_growth(pt_grid, pt_proj, arctan_spec):
 
 
 def test_kernel_sphere_probe_validation(pt_proj, arctan_spec):
-    with pytest.raises(NonlinearityError):
-        rl.kernel_sphere_probe(arctan_spec, pt_proj.kernel_fields, -1.0)
+    for radius in (-1.0, 0.0, float("nan")):
+        with pytest.raises(NonlinearityError, match="radius must be positive"):
+            rl.kernel_sphere_probe(arctan_spec, pt_proj.kernel_fields, radius)
 
 
 def test_kernel_sphere_probe_skips_vanishing_directions():

@@ -64,10 +64,18 @@ def test_coulomb_alpha_validation():
         rl.make_potential(g2, "coulomb", c=-1.0, alpha=1.0, p=3.0)
 
 
+def test_poschl_teller_ell_validation():
+    g = rl.make_grid(1, 5.0, 101)
+    for ell in (-1.0, 0.0, float("nan")):  # a NaN ell gave a GridError on V
+        with pytest.raises(PotentialError, match="ell must be positive"):
+            rl.make_potential(g, "poschl_teller", ell=ell)
+
+
 def test_square_well_width_validation():
     g = rl.make_grid(1, 5.0, 101)
-    with pytest.raises(PotentialError):
-        rl.make_potential(g, "square_well", depth=-10.0, width=-1.0)
+    for width in (-1.0, float("nan")):  # a NaN width would give V = 0
+        with pytest.raises(PotentialError, match="width must be positive"):
+            rl.make_potential(g, "square_well", depth=-10.0, width=width)
 
 
 def test_family_parameters_validation():
@@ -82,8 +90,12 @@ def test_family_parameters_validation():
 
 def test_p_exponent_validation_2d():
     g = rl.make_grid(2, 3.0, 21)
-    with pytest.raises(PotentialError):
+    with pytest.raises(PotentialError, match="p must be > 2 in 2-D"):
         rl.make_potential(g, "constant", c=0.0, p=2.0)
+    # a NaN p is refused in either dimension
+    for ndim, rule in ((1, ">= 2 in 1-D"), (2, "> 2 in 2-D")):
+        with pytest.raises(PotentialError, match=f"p must be {rule}"):
+            rl.make_potential(rl.make_grid(ndim, 3.0, 21), "constant", c=0.0, p=float("nan"))
 
 
 def test_split_kato_rellich_constant():
@@ -120,6 +132,16 @@ def test_split_kato_rellich_recomposition():
     dist = np.abs(g.axis - c)
     assert np.all(v0[dist > 2.0] == 0.0)
     assert np.all(v_inf[dist <= 2.0] == 0.0)
+
+
+@pytest.mark.parametrize("cutoff", [-1.0, 0.0, float("nan")])
+def test_split_kato_rellich_refuses_a_cutoff_that_is_not_positive(cutoff):
+    # a NaN cutoff would put every sample into v_infty
+    g = rl.make_grid(1, 5.0, 101)
+    with pytest.raises(PotentialError, match="cutoff_radius must be positive"):
+        rl.split_kato_rellich(g, lambda pts: np.ones(len(pts)), cutoff)
+    with pytest.raises(PotentialError, match="cutoff_radius must be positive"):
+        rl.make_potential(g, "coulomb", c=-1.0, alpha=0.25, cutoff_radius=cutoff)
 
 
 def test_split_kato_rellich_rejects_unbounded_outside():

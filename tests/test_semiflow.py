@@ -246,6 +246,17 @@ def test_tail_tally_refuses_radii_beyond_the_box(pt_proj):
             rl.TailTally(pt_proj, [4.0, radius])
 
 
+def test_tail_decay_report_refuses_an_alpha_that_is_not_positive(pt_grid, pt_proj,
+                                                                   pt_op, arctan_spec):
+    # a NaN alpha would give NaN bounds and a failed report, not an error
+    tally = rl.TailTally(pt_proj, [4.0])
+    rl.evolve(rl.SemiflowState(0.0, np.zeros(pt_grid.num_nodes)),
+              pt_proj.lambda0 - 0.1, 0.1, pt_op, arctan_spec, tally.add, stop="time-only")
+    for alpha in (-1.0, 0.0, float("nan")):
+        with pytest.raises(TailDecayError, match="alpha must be positive"):
+            rl.tail_decay_report(tally, arctan_spec, alpha=alpha)
+
+
 def test_tail_decay_monotone_for_decaying_flow(pt_grid, pt_proj, pt_op, flow):
     # f = 0, lam < lambda_min, compactly supported start: measured tails
     # decay monotonically in time
