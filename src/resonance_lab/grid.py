@@ -87,10 +87,30 @@ class Grid:
     """
 
     def __init__(self, ndim: int, half_width: float, points_per_axis: int):
+        """GridError for arguments make_grid does not admit: every grid,
+        however built, passes its checks."""
+        if ndim not in (1, 2):  # 3-D needs Krylov solves: SuperLU fill and the count blow up
+            raise GridError(f"ndim must be 1 or 2, got {ndim}")
+        if not half_width > 0:
+            raise GridError(f"half_width must be positive, got {half_width}")
+        # 401.7 must not truncate to 401; NaN and inf fail too
+        if not (points_per_axis % 2 == 1 and points_per_axis >= 3):
+            raise GridError(f"points_per_axis must be an odd integer >= 3, got {points_per_axis}")
+        n = int(points_per_axis)
+        if n**ndim > MAX_NODES_DEFAULT:
+            raise GridError(f"grid would have {n**ndim} nodes, exceeding the cap {MAX_NODES_DEFAULT}")
+        # Python floats overflow to inf and underflow to 0 here without a warning
+        h = 2.0 * half_width / (n - 1)
+        if not (math.isfinite(ndim * half_width * half_width) and h * h > 0
+                and math.isfinite(1.0 / (h * h))):
+            raise GridError(
+                f"half_width = {half_width!r} with {n} points per axis leaves the "
+                "node radii or 1/h^2 not finite"
+            )
         self.ndim = int(ndim)
         self.half_width = float(half_width)
-        self.points_per_axis = int(points_per_axis)
-        n, L = self.points_per_axis, self.half_width
+        self.points_per_axis = n
+        L = self.half_width
         self.spacing = 2.0 * L / (n - 1)
         self.axis = np.linspace(-L, L, n)
         self.axis_weights = axis_w = np.full(n, self.spacing)
@@ -209,26 +229,10 @@ def make_grid(ndim: int, half_width: float, points_per_axis: int) -> Grid:
     points_per_axis must be odd (keeps x = 0 a node so even/odd symmetry is
     exact) and at least 3; the total node count is capped by
     MAX_NODES_DEFAULT.  half_width must leave the node radii and the Laplacian's 1/h^2 finite.
+    Other arguments raise GridError; Grid itself checks them, so a grid
+    built directly passes the same checks.
     """
-    if ndim not in (1, 2):  # 3-D needs Krylov solves: SuperLU fill and the count blow up
-        raise GridError(f"ndim must be 1 or 2, got {ndim}")
-    if not half_width > 0:
-        raise GridError(f"half_width must be positive, got {half_width}")
-    # 401.7 must not truncate to 401; NaN and inf fail too
-    if not (points_per_axis % 2 == 1 and points_per_axis >= 3):
-        raise GridError(f"points_per_axis must be an odd integer >= 3, got {points_per_axis}")
-    n = int(points_per_axis)
-    if n**ndim > MAX_NODES_DEFAULT:
-        raise GridError(f"grid would have {n**ndim} nodes, exceeding the cap {MAX_NODES_DEFAULT}")
-    # Python floats overflow to inf and underflow to 0 here without a warning
-    h = 2.0 * half_width / (n - 1)
-    if not (math.isfinite(ndim * half_width * half_width) and h * h > 0
-            and math.isfinite(1.0 / (h * h))):
-        raise GridError(
-            f"half_width = {half_width!r} with {n} points per axis leaves the "
-            "node radii or 1/h^2 not finite"
-        )
-    return Grid(ndim, half_width, n)
+    return Grid(ndim, half_width, points_per_axis)
 
 
 def apply_laplacian(grid: Grid, field: np.ndarray) -> np.ndarray:

@@ -202,10 +202,12 @@ def _family_potential(grid: Grid, family: str, params: dict) -> PotentialSpec:
 
         def evaluator(pts):
             d = np.sqrt(np.sum((pts - eff_center) ** 2, axis=1))
+            if alpha == 0 or c == 0:  # c = 0 is V = 0, not 0/0 at a node on the center
+                return np.full(d.shape, c)
             with np.errstate(divide="ignore"):
-                vals = c / d**alpha if alpha > 0 else np.full(d.shape, c)
+                vals = c / d**alpha
             if policy == "cap":
-                cap = h ** (-alpha) * abs(c) if alpha > 0 else abs(c)
+                cap = h ** (-alpha) * abs(c)
                 vals = np.clip(vals, -cap, cap)
             return vals
 

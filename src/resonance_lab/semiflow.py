@@ -142,7 +142,7 @@ def evolve(
     Before the first step dt is cut to the horizon and halved until
     I + dt (A - λ) keeps its positivity (loses_positivity); a dt halved below
     DT_FLOOR raises StepCascadeError, and so does a step whose rate or, under
-    "equilibrium", H1 norm is not finite.
+    "equilibrium", H1 norm is not finite, or a saved state whose J is not.
 
     The initial state, every save_every-th step, the last step and an
     equilibrium are saved: each is handed to on_save(SemiflowState(t, u, J,
@@ -176,11 +176,19 @@ def evolve(
             )
     traj = Trajectory()
 
+    def check(t: float, read: dict) -> None:
+        overflow = ", ".join(f"{k} = {v}" for k, v in read.items() if not np.isfinite(v))
+        if overflow:
+            raise StepCascadeError(f"semiflow overflow at t = {t:.6g}: {overflow}")
+
     def save(s: SemiflowState, norms: FieldNorms | None = None) -> None:
         u = s.u.copy()
-        if norms is None:
-            norms = field_norms(grid, u)
-        on_save(SemiflowState(s.t, u, lyapunov_J(lam, u, op, spec, norms), norms))
+        with np.errstate(over="ignore", invalid="ignore"):  # check raises
+            if norms is None:
+                norms = field_norms(grid, u)
+            J = lyapunov_J(lam, u, op, spec, norms)
+        check(s.t, {"J": J})
+        on_save(SemiflowState(s.t, u, J, norms))
 
     state = SemiflowState(t=state0.t, u=grid.check_field(state0.u).copy())
     save(state)
@@ -190,21 +198,19 @@ def evolve(
         if stepper is None or stepper.dt != dt_step:
             stepper = None  # free the old factors before the next are made
             stepper = ImexStepper(op, lam, dt_step)
-        u_next = stepper.step(state.u, evaluate_f(spec, state.u))
-        traj.steps += 1
-        # what the stop rule reads: an overflow must not pass it as inf <= inf.
-        # It is read without numpy's warnings, since the check below raises
+        # the step and what the stop rule reads: an overflow must not pass it
+        # as inf <= inf.  They run without numpy's warnings, since check raises
         with np.errstate(over="ignore", invalid="ignore"):
+            u_next = stepper.step(state.u, evaluate_f(spec, state.u))
             rate = grid.norm(u_next - state.u) / dt_step
             read = {"step rate": rate}
             norms = None  # handed on to save
             if stop == "equilibrium":
                 norms = field_norms(grid, u_next)
                 read["H1 norm"] = norms.h1
+        traj.steps += 1
         state = SemiflowState(t=state.t + dt_step, u=u_next)
-        overflow = ", ".join(f"{k} = {v}" for k, v in read.items() if not np.isfinite(v))
-        if overflow:
-            raise StepCascadeError(f"semiflow overflow at t = {state.t:.6g}: {overflow}")
+        check(state.t, read)
         if stop == "equilibrium" and rate <= 1e-6 * (1.0 + norms.h1):
             traj.stop_reason = "equilibrium"
         if (traj.equilibrium or traj.steps % save_every == 0

@@ -9,7 +9,12 @@ eigenvectors map back through W^{-1/2} and come out quadrature-orthonormal.
 The operator owns every shift of S: the shift-invert S - σI of the
 eigensolve, the resolvent S - λI and the semiflow's I + dt (S - λI) are all
 built and factored by HamiltonianOperator.factor_shifted, and no caller
-keeps a shifted copy.
+keeps a shifted copy.  SuperLU factors every shift but one: on a 1-D grid
+the semiflow's matrix is tridiagonal and positive definite wherever evolve
+steps with it, so odd-even reduction factors it in numpy without pivoting.
+The resolvent's S - λI is indefinite and needs SuperLU's pivoting, the
+eigensolve's S - σI goes to ARPACK, which loads scipy anyway, and a 2-D
+matrix fills.
 
 Eigenvalues are only meaningful below the asymptotic bottom of the potential:
 the truncated box discretizes the continuum into a cloud of closely spaced
@@ -28,9 +33,11 @@ The operator holds A and S as numpy stencils in the grid's one format,
 count reads the diagonal and `upper` of S's, and on first use S is
 assembled as a CSC matrix from that same stencil; the grid builds no sparse
 matrix.  The count runs on numpy alone (numpy.linalg on the 2-D line
-blocks).  So scipy loads on first use: scipy.sparse with that matrix,
-SuperLU and ARPACK (scipy.sparse.linalg) with the first factorization, and
-`resonance` on stored pairs loads no scipy module, in 1-D as in 2-D.
+blocks), and so does the 1-D semiflow's factor.  So scipy loads on first
+use: scipy.sparse with that matrix, SuperLU and ARPACK
+(scipy.sparse.linalg) with the first factorization that needs them, and
+`resonance` on stored pairs loads no scipy module, in 1-D as in 2-D, nor
+does a 1-D `semiflow` on stored pairs.
 """
 
 from __future__ import annotations
@@ -63,6 +70,9 @@ TOL_EIG = 1e-8
 # largest max |ΨᵀΨ - I| of stored eigenfields that reuse_eigenpairs accepts;
 # a fresh solve measures a few 1e-15
 ORTHONORMAL_TOL = 1e-10
+# the odd-even reduction of a 1-D IMEX matrix stops at this many unknowns:
+# a dense inverse of them costs about one level's solve
+DENSE_TAIL = 64
 
 
 class SpectralError(RuntimeError):
@@ -75,6 +85,70 @@ class ResonantLambdaError(ValueError):
 
 class Lambda0Error(SpectralError):
     """A λ0 that no computed multiplet is near."""
+
+
+class _OddEvenFactor:
+    """Odd-even (cyclic) reduction of a symmetric positive-definite
+    tridiagonal matrix (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7,
+    1970), from its diagonal and its off-diagonal `off`: the LDLᵀ
+    factorization of the matrix with its odd-indexed unknowns ordered first.
+
+    Each level eliminates the odd-indexed unknowns of the level before and
+    keeps, for each, its reciprocal pivot and the multipliers of its two
+    even neighbours; at most DENSE_TAIL unknowns are left, whose matrix is
+    inverted densely once Cholesky has checked it.  The levels hold about
+    three fields of numbers in all.  Elimination without pivoting is stable
+    only on a positive-definite matrix, so a pivot that is not positive (a
+    NaN included) raises RuntimeError, as SuperLU does on a singular matrix.
+    """
+
+    def __init__(self, diag: np.ndarray, off: np.ndarray):
+        self.levels = []  # (reciprocal pivots, left multipliers, right multipliers)
+        while diag.size > DENSE_TAIL:
+            # odd unknown 2k + 1 couples to 2k by left[k] and to 2k + 2 by
+            # right[k], which an even size lacks for the last one
+            pivots, left, right = diag[1::2], off[0::2], off[1::2]
+            if not np.all(pivots > 0):  # a NaN fails too
+                raise RuntimeError(f"matrix is not positive definite: a pivot of "
+                                   f"level {len(self.levels)} is not positive")
+            recip = 1.0 / pivots
+            mul_left, mul_right = left * recip, right * recip[:right.size]
+            # the Schur complement on the even unknowns, tridiagonal again
+            diag = diag[0::2].copy()
+            diag[:left.size] -= left * mul_left
+            diag[1:] -= right * mul_right
+            off = -left[:right.size] * mul_right
+            self.levels.append((recip, mul_left, mul_right))
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        try:  # numpy's Cholesky raises on a pivot <= 0 but passes a NaN
+            positive = bool(np.all(np.linalg.cholesky(dense).diagonal() > 0))
+        except np.linalg.LinAlgError:
+            positive = False
+        if not positive:
+            raise RuntimeError(f"matrix is not positive definite: Cholesky refuses "
+                               f"its last {diag.size} unknowns")
+        self.tail = np.linalg.inv(dense)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """The solution for a flat right-hand side b, as a new array.  The
+        unknowns of level l sit 2^l apart in it, so every level works on
+        strided views of that one array: the right-hand sides are reduced
+        level by level, and the eliminated unknowns solved back."""
+        x = np.array(b, dtype=float)
+        step = 1
+        for _, mul_left, mul_right in self.levels:
+            even, odd = x[::2 * step], x[step::2 * step]
+            even[:mul_left.size] -= mul_left * odd
+            even[1:] -= mul_right * odd[:mul_right.size]
+            step *= 2
+        x[::step] = self.tail @ x[::step]
+        for recip, mul_left, mul_right in reversed(self.levels):
+            step //= 2
+            even, odd = x[::2 * step], x[step::2 * step]
+            odd *= recip
+            odd -= mul_left * even[:mul_left.size]
+            odd[:mul_right.size] -= mul_right * even[1:]
+        return x
 
 
 class HamiltonianOperator:
@@ -151,20 +225,32 @@ class HamiltonianOperator:
             mat.setdiag(1.0 + dt * (S.diagonal() - lam))
         return mat
 
-    def factor_shifted(self, lam: float, dt: float | None = None) -> SuperLU:
-        """SuperLU factors of `shifted(lam, dt)`; RuntimeError when exactly
-        singular.
+    def factor_shifted(self, lam: float,
+                       dt: float | None = None) -> SuperLU | _OddEvenFactor:
+        """Factors of `shifted(lam, dt)`, whose `solve(b)` takes a flat b;
+        RuntimeError when exactly singular or, on a 1-D IMEX matrix, not
+        positive definite.
 
         Every factorization of a shifted S takes this path: the
         shift-invert S - σI of the eigensolve, the resolvent S - λI and the
-        IMEX matrix I + dt (S - λI).  On a 2-D grid the minimum-degree
-        ordering of the symmetric pattern (MMD_AT_PLUS_A) leaves about 40%
-        fewer nonzeros in L + U than SuperLU's default COLAMD ordering, and
-        solves about 40% faster.  A 1-D matrix is tridiagonal and fills
+        IMEX matrix I + dt (S - λI).  On a 1-D grid the IMEX matrix is
+        tridiagonal and positive definite wherever evolve steps with it
+        (loses_positivity), so elimination needs no pivoting: odd-even
+        reduction factors it with numpy alone, from `sym_stencil`, the
+        diagonal 1 + dt (diag - λ) and the off-diagonal dt·upper that
+        `shifted` puts into the CSC, and a 1-D flow loads no scipy.  Every
+        other shift goes to SuperLU: the resolvent's S - λI is indefinite
+        and needs its pivoting, the eigensolve's S - σI goes to ARPACK, which
+        loads scipy anyway, and a 2-D matrix fills.  On a 2-D grid the
+        minimum-degree ordering of the symmetric pattern (MMD_AT_PLUS_A)
+        leaves about 40% fewer nonzeros in L + U than SuperLU's default
+        COLAMD ordering, and solves about 40% faster.  A 1-D matrix fills
         under no ordering; it keeps the default, since another ordering
-        would only move the last bits of its solves, which the 1-D semiflow
-        amplifies.
+        would only move the last bits of its solves.
         """
+        if dt is not None and self.grid.ndim == 1:
+            diag, upper, _ = self.sym_stencil
+            return _OddEvenFactor(1.0 + dt * (diag - lam), dt * upper)
         import scipy.sparse.linalg as spla
 
         # a tridiagonal 1-D S fills under no ordering: it keeps the default's bits

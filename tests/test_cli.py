@@ -263,11 +263,47 @@ def test_semiflow_overflow_is_a_numerical_failure(tmp_path, stop):
     done = _run_cli([sys.executable, "-m", "resonance_lab.cli"], tmp_path,
                     ["semiflow", "--config", "exp.ini", "--out", "out"])
     assert done.returncode == EXIT_NUMERICAL, done.stderr
-    assert re.search(r"semiflow overflow at t = \S+: (step rate|H1 norm) = ",
+    assert re.search(r"semiflow overflow at t = \S+: (step rate|H1 norm|J) = ",
                      done.stderr)
+    assert "Warning" not in done.stderr
     # the rows built so far are not written: a failing flow writes no file
     out = tmp_path / "out"
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_semiflow_overflow_of_j_is_a_numerical_failure(tmp_path):
+    # a deep, narrow well and a kernel start of radius 1e6: J_λ of a saved
+    # state overflows while the step rate is still finite.  It is read as
+    # the rate is, so the flow stops with a numerical failure and numpy
+    # warns of nothing, even with every warning an error
+    _write(tmp_path, """
+[grid]
+ndim = 1
+half_width = 1.0
+points_per_axis = 21
+
+[potential]
+family = square_well
+depth = -1e4
+width = 1e-3
+
+[nonlinearity]
+family = neg_rational
+amplitude = 100
+
+[spectral]
+lambda0_index = 0
+delta_request = 0.25
+
+[experiment]
+initial = kernel 1e6
+lam = -100
+""")
+    done = _run_cli([sys.executable, "-W", "error", "-m", "resonance_lab.cli"], tmp_path,
+                    ["semiflow", "--config", "exp.ini", "--out", "out"])
+    assert done.returncode == EXIT_NUMERICAL, done.stderr
+    assert re.search(r"semiflow overflow at t = \S+: J = -?inf", done.stderr), done.stderr
+    assert "Warning" not in done.stderr
 
 
 @pytest.mark.parametrize("experiment", [

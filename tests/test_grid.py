@@ -39,11 +39,13 @@ def test_make_grid_2d_weight_sum():
      (1, 1e300, 5), (2, 1e300, 5), (1, float("inf"), 5), (1, 1e-300, 5),
      (2, 1e-160, 5),
      # points_per_axis not an integer: 5.5 would truncate to 5
-     (1, 1.0, 5.5), (1, 1.0, float("nan"))],
+     (1, 1.0, 5.5), (1, 1.0, float("nan")), (1, 1.0, 5.7)],
 )
 def test_make_grid_rejects_bad_arguments(args):
-    with pytest.raises(GridError):
-        rl.make_grid(*args)
+    # Grid checks its own arguments: no construction skips make_grid's checks
+    for build in (rl.make_grid, rl.Grid):
+        with pytest.raises(GridError):
+            build(*args)
 
 
 def test_make_grid_node_cap():

@@ -2,11 +2,13 @@
 
 The package imports no scipy module at import time: the Hamiltonian applies
 A from numpy stencils, the inertia count runs on numpy alone (the Sturm
-recurrence in 1-D, numpy.linalg on the line blocks in 2-D), and `spectral`
-imports scipy.sparse (the matrix S) and scipy.sparse.linalg (SuperLU,
-ARPACK) at first use.  `report` only merges JSON reports, and a `resonance`
-run that reuses stored eigenpairs factors nothing and calls no eigensolver,
-so it loads no scipy module, in 1-D as in 2-D.  Each run is a child
+recurrence in 1-D, numpy.linalg on the line blocks in 2-D), the 1-D IMEX
+matrix is factored by odd-even reduction in numpy, and `spectral` imports
+scipy.sparse (the matrix S) and scipy.sparse.linalg (SuperLU, ARPACK) at
+first use.  `report` only merges JSON reports, and a `resonance` run that
+reuses stored eigenpairs factors nothing and calls no eigensolver, so it
+loads no scipy module, in 1-D as in 2-D; nor does a 1-D `semiflow` on
+stored eigenpairs.  Each run is a child
 interpreter, since this process has loaded scipy.sparse (pytest's
 SparseEfficiencyWarning filter imports it).
 """
@@ -88,10 +90,20 @@ def test_resonance_without_stored_pairs_loads_both(tmp_path):
 
 
 def test_report_loads_none_and_the_solving_subcommands_load_superlu(tmp_path):
-    _write(tmp_path, PT_1D)
-    for sub in ("spectrum", "branch", "semiflow"):
-        assert "scipy.sparse.linalg" in _loaded(tmp_path, sub), sub
-    assert _loaded(tmp_path, "report") == []
+    # on stored pairs a 1-D semiflow factors only its IMEX matrix, by odd-even
+    # reduction in numpy, so it loads no scipy module; a 2-D one factors
+    # that matrix with SuperLU
+    one, two = tmp_path / "1d", tmp_path / "2d"
+    one.mkdir()
+    two.mkdir()
+    _write(one, PT_1D)
+    for sub in ("spectrum", "branch"):
+        assert "scipy.sparse.linalg" in _loaded(one, sub), sub
+    assert _loaded(one, "semiflow") == []
+    assert _loaded(one, "report") == []
+    _write(two, WELL_2D + "\n[experiment]\nhorizon = 0.05\n")
+    assert "scipy.sparse.linalg" in _loaded(two, "spectrum")
+    assert "scipy.sparse.linalg" in _loaded(two, "semiflow")
 
 
 def _scipy_imports(tree):
@@ -128,9 +140,10 @@ def _function(tree, name):
 def test_grid_and_the_assembly_of_s_select_nothing_by_dimension():
     # 1-D is the one-axis case of the per-axis code: the grid, its stencils
     # and norms, and S's assembly compare nothing against ndim, apart from
-    # make_grid's admission of ndim in (1, 2)
+    # the admission of ndim in (1, 2) by Grid's constructor, the module's
+    # only __init__
     tree = _parse(grid)
-    admission = _ndim_comparisons(_function(tree, "make_grid"))
+    admission = _ndim_comparisons(_function(tree, "__init__"))
     assert len(admission) == 1
     assert _ndim_comparisons(tree) == admission
     assert _ndim_comparisons(_function(_parse(spectral), "sym_matrix")) == []
@@ -145,3 +158,10 @@ def test_inertia_count_imports_no_scipy():
     assert set(found) == counts
     assert {name: _scipy_imports(node) for name, node in found.items()} == {
         name: [] for name in counts}
+
+
+def test_odd_even_factor_imports_no_scipy():
+    # the factor of the 1-D IMEX matrix, so that a 1-D flow loads no scipy
+    factor = next(node for node in ast.walk(_parse(spectral))
+                  if isinstance(node, ast.ClassDef) and node.name == "_OddEvenFactor")
+    assert _scipy_imports(factor) == []

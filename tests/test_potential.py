@@ -54,6 +54,15 @@ def test_coulomb_cap_policy():
     assert np.max(np.abs(spec.v)) <= cap + 1e-12
 
 
+@pytest.mark.parametrize("policy", ["offset", "cap"])
+def test_coulomb_without_charge_is_zero(policy):
+    # c = 0 is V = 0 under both policies: under "cap" the centre is a node,
+    # where c / d**alpha would be 0/0
+    g = rl.make_grid(1, 5.0, 101)
+    spec = rl.make_potential(g, "coulomb", c=0.0, alpha=0.25, policy=policy)
+    assert np.all(spec.v == 0.0) and spec.alpha_inf == 0.0
+
+
 def test_coulomb_alpha_validation():
     g1 = rl.make_grid(1, 5.0, 101)
     with pytest.raises(PotentialError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import resonance_lab as rl
-from resonance_lab import semiflow
+from resonance_lab import semiflow, spectral
 from resonance_lab.semiflow import StepRejected, TailDecayError, default_dt
 
 
@@ -56,6 +56,40 @@ def test_imex_refuses_a_nonpositive_dt(pt_op):
     for dt in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="dt must be positive"):
             rl.ImexStepper(pt_op, -2.0, dt)
+
+
+def test_odd_even_flow_equals_the_superlu_flow(flow, monkeypatch):
+    # the 1-D IMEX matrix factored by odd-even reduction and by SuperLU, as
+    # every shift was before: the same flow to rounding, on a horizon where
+    # the unstable ground state has not yet amplified it (from the odd start
+    # 2φ₁ it grows like e^{2.875 t})
+    g = rl.make_grid(1, 20.0, 401)
+    op = rl.assemble_hamiltonian(rl.make_potential(g, "poschl_teller", ell=2))
+    spec = rl.saturating_arctan(g)
+    proj = rl.build_projections(rl.eigenpairs_below(op), -1.0, 0.25)
+    lam, u0 = proj.lambda0 - proj.delta / 2, 2.0 * proj.kernel_fields[:, 0]
+
+    def rows():
+        traj, states = flow(rl.SemiflowState(0.0, u0), lam, 2.0, op, spec,
+                            stop="time-only")
+        return traj.steps, [(s.t, s.J, s.norms.l2, s.norms.h1, s.u) for s in states]
+
+    steps, odd_even = rows()
+
+    def superlu(self, lam, dt=None):
+        import scipy.sparse.linalg as spla
+
+        return spla.splu(self.shifted(lam, dt))
+
+    monkeypatch.setattr(spectral.HamiltonianOperator, "factor_shifted", superlu)
+    superlu_steps, superlu_rows = rows()
+    assert superlu_steps == steps == 200
+    assert len(odd_even) == len(superlu_rows) == 21
+    for (t, J, l2, h1, u), (t_ref, J_ref, l2_ref, h1_ref, u_ref) in zip(odd_even,
+                                                                        superlu_rows):
+        assert t == t_ref
+        np.testing.assert_allclose([J, l2, h1], [J_ref, l2_ref, h1_ref], rtol=1e-10)
+        assert g.norm(u - u_ref) <= 1e-10 * g.norm(u_ref)
 
 
 def test_default_dt_resolves_fastest_mode(pt_op):

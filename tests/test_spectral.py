@@ -629,19 +629,24 @@ def test_splu_ordering_by_grid_dimension(well_op, splu_spy):
         default = real_splu(A)
         nnz, default_nnz = lu.L.nnz + lu.U.nnz, default.L.nnz + default.U.nnz
         assert nnz <= 0.65 * default_nnz, (site, nnz, default_nnz)
-    # 1-D: tridiagonal, no fill to save; every site keeps SuperLU's default
+    # 1-D: tridiagonal, no fill to save; the two SuperLU sites keep its
+    # default, and the IMEX matrix is factored by odd-even reduction
     g = rl.make_grid(1, 20.0, 2401)
     op = rl.assemble_hamiltonian(rl.make_potential(g, "poschl_teller", ell=2))
-    for site, calls in _factorizations_by_site(op, splu_calls).items():
+    sites = _factorizations_by_site(op, splu_calls)
+    assert sites.pop("imex") == []
+    for site, calls in sites.items():
         assert len(calls) == 1, site
         assert calls[0][1].get("permc_spec", "COLAMD") == "COLAMD", site
 
 
 @pytest.mark.parametrize("problem", ["pt1d", "well2d"])
-def test_every_site_factors_the_sparse_sum(problem, pt_op, well_op, splu_spy):
+def test_every_site_factors_the_sparse_sum(problem, pt_op, well_op, splu_spy, rng):
     # the one construction of the operator, entry by entry the sparse sum
     # S - λI (I + dt (S - λI) for the IMEX matrix), in S's own CSC pattern:
-    # a shift inserts no entry, which would move the SuperLU ordering
+    # a shift inserts no entry, which would move the SuperLU ordering.  The
+    # 1-D IMEX matrix is factored without SuperLU, and its factor solves
+    # `shifted`, that sum, to a residual of rounding size
     op = pt_op if problem == "pt1d" else well_op
     splu_calls, _ = splu_spy
     shifts = {}
@@ -649,16 +654,82 @@ def test_every_site_factors_the_sparse_sum(problem, pt_op, well_op, splu_spy):
     S = op.sym_matrix
     eye = sp.identity(S.shape[0], format="csc")
     for site, calls in sites.items():
-        assert len(calls) == 1, site
         lam, dt = shifts[site]
         expected = (S - lam * eye).tocsc()
         if dt is not None:
             expected = (eye + dt * expected).tocsc()
+        if problem == "pt1d" and site == "imex":
+            assert calls == []
+            calls = [(op.shifted(lam, dt), {}, op.factor_shifted(lam, dt))]
+            b = rng.standard_normal(S.shape[0])
+            residual = expected @ calls[0][2].solve(b) - b
+            assert np.linalg.norm(residual) <= 1e-13 * np.linalg.norm(b)
+        assert len(calls) == 1, site
         A = calls[0][0]
         assert A.format == "csc", site
         assert np.array_equal(A.indptr, S.indptr) and np.array_equal(A.indices, S.indices)
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(A, part), getattr(expected, part)), (site, part)
+
+
+def _superlu_distance(A, factor, b):
+    """The relative residual of factor.solve(b) on A, and its relative
+    distance to SuperLU's solution of A x = b."""
+    x, ref = factor.solve(b), spla.splu(A.tocsc()).solve(b)
+    return (np.linalg.norm(A @ x - b) / np.linalg.norm(b),
+            np.linalg.norm(x - ref) / np.linalg.norm(ref))
+
+
+@pytest.mark.parametrize("n", [3, 5, 63, 65, 401, 4001])
+def test_odd_even_factor_solves_the_imex_matrix(n, rng):
+    # every level shape: dense alone (n <= 64), one level, and levels of odd
+    # and even size (4001 -> 2001 -> ... -> 251 -> 126 -> 63); at the default
+    # dt and at a dt just inside the positivity bound
+    g = rl.make_grid(1, 20.0, n)
+    op = rl.assemble_hamiltonian(rl.make_potential(g, "poschl_teller", ell=2))
+    lam = -1.125
+    bound = 1.0 / (lam - op.spectrum_lower_bound())
+    tol = 10 * n * np.finfo(float).eps
+    for dt in (semiflow.default_dt(op, lam), 0.999 * bound):
+        assert not semiflow.loses_positivity(op, lam, dt)
+        factor = op.factor_shifted(lam, dt)
+        assert isinstance(factor, spectral._OddEvenFactor)
+        residual, distance = _superlu_distance(op.shifted(lam, dt), factor,
+                                               rng.standard_normal(n))
+        assert residual <= tol and distance <= 10 * tol, (dt, residual, distance)
+
+
+@pytest.mark.parametrize("n", [64, 66, 130, 1000])
+def test_odd_even_factor_of_even_size(n, rng):
+    # no grid has an even node count, but a level may: the factor alone on a
+    # random positive-definite tridiagonal matrix of even size
+    off = -rng.uniform(0.5, 1.0, n - 1)
+    diag = 2.0 + rng.uniform(0.0, 0.1, n)
+    A = sp.diags([off, diag, off], [-1, 0, 1], format="csc")
+    residual, distance = _superlu_distance(A, spectral._OddEvenFactor(diag, off),
+                                           rng.standard_normal(n))
+    tol = 10 * n * np.finfo(float).eps
+    assert residual <= tol and distance <= 100 * tol
+
+
+@pytest.mark.parametrize("half_width, n, where", [
+    (2.0, 5, "Cholesky refuses its last 5 unknowns"),
+    (201.0, 403, "a pivot of level 0 is not positive"),
+])
+def test_odd_even_factor_refuses_an_indefinite_matrix(half_width, n, where):
+    # λ = -2, dt = 1: 1 + dt (λ0 - λ) = -1 at the ground state λ0 = -4, so
+    # I + dt (S - λI) is indefinite.  At 5 nodes the dense tail's Cholesky
+    # refuses it; at h = 1 the diagonal 1 + dt (2/h² + V - λ) is -1 at the
+    # centre, node 201, which level 0 eliminates.  A NaN shift makes every
+    # pivot NaN
+    g = rl.make_grid(1, half_width, n)
+    op = rl.assemble_hamiltonian(rl.make_potential(g, "poschl_teller", ell=2))
+    S = op.sym_matrix.toarray()
+    assert np.min(np.linalg.eigvalsh(np.eye(n) + (S + 2.0 * np.eye(n)))) < 0
+    with pytest.raises(RuntimeError, match=f"not positive definite: {where}"):
+        op.factor_shifted(-2.0, 1.0)
+    with pytest.raises(RuntimeError, match="not positive definite"):
+        op.factor_shifted(float("nan"), 0.01)
 
 
 def test_shift_invert_factor_failure_is_spectral_error(well_op, tmp_path,
