@@ -20,7 +20,7 @@ from .bifurcation import (
     necessary_condition_report,
     standing_wave_energy,
 )
-from .grid import FieldNorms, Grid, GridError, apply_laplacian, field_norms, make_grid, tail_mass
+from .grid import FieldNorms, Grid, GridError, field_norms, make_grid, tail_mass
 from .nonlinearity import (
     ConditionPair,
     NonlinearitySpec,

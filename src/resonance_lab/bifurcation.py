@@ -4,12 +4,12 @@ A branch is a sequence of stationary solves at parameters marching toward
 λ0 from one side, λ_k = λ0 ± δ 2^-k, halving the distance at every point.
 A solve is warm-started from the kernel component of the point just before
 it, scaled by the parameter ratio (the branch radius grows like 1/|λ - λ0|),
-if that point converged and is not trivial; otherwise, as at the first point,
-default_initial_radius seeds it from the Landesman-Lazer witness integral,
-the asymptotic slope of the branch.  Detection of asymptotic bifurcation is
-operationalized as strict growth of ||u||_H1 over a trailing window plus a
-minimum growth factor; a power of ||u|| versus |λ - λ0| is fitted for
-reporting, never asserted.
+if that point converged and is not trivial (is_trivial); otherwise, as at
+the first point, default_initial_radius seeds it from the Landesman-Lazer
+witness integral, the asymptotic slope of the branch.  Detection of
+asymptotic bifurcation is operationalized as strict growth of ||u||_H1 over
+a trailing window plus a minimum growth factor; a power of ||u|| versus
+|λ - λ0| is fitted for reporting, never asserted.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .nonlinearity import (
     evaluate_primitive,
     landesman_lazer_integral,
 )
-from .solver import SolveResult, solve_near_resonance
+from .solver import TOL_PDE, SolveResult, solve_near_resonance
 from .spectral import Projections
 
 TAIL_LENGTH = 6  # branch points the necessary-condition diagnostics look at
@@ -41,6 +41,7 @@ class BranchPoint:
     lam: float
     u: np.ndarray
     converged: bool
+    trivial: bool          # is_trivial(kernel_l2, spec)
     l2: float
     grad_l2: float
     h1: float
@@ -139,6 +140,20 @@ def standing_wave_energy(lam: float, u: np.ndarray, spec: NonlinearitySpec) -> f
     return 0.5 * (lam * grid.inner(u, u) + float(np.sum(grid.weights * interaction)))
 
 
+def is_trivial(kernel_l2: float, spec: NonlinearitySpec) -> bool:
+    """Whether a point with kernel component ||Pw|| = kernel_l2 is the zero
+    solution, which solves at every λ, to within the solver's resolution:
+    ||Pw|| <= TOL_PDE max(1, ||m||).  Near w = 0 the solver's tests are
+    absolute, defect <= TOL_FP and residual <= TOL_PDE: on 401 Pöschl-Teller
+    nodes with neg_arctan (minus side of -1, δ = 0.25) converged solves end
+    at ||Pw|| up to 1.2e-8, and warm starts from them doubled it to 4.4e-8
+    by the seventh point.  So the threshold is the coarser tolerance, scaled
+    like f by max(1, ||m||): 1.12e-6 there, 25 times the noise, where a
+    branch from infinity has ||Pw|| near I(φ) / |λ - λ0|.
+    """
+    return kernel_l2 <= TOL_PDE * max(1.0, spec.bound_norm)
+
+
 def _branch_point(
     lam: float, result: SolveResult, projections: Projections, spec: NonlinearitySpec
 ) -> BranchPoint:
@@ -146,14 +161,16 @@ def _branch_point(
     w, norms = result.w, result.norms
     pw = projections.project_kernel(w)
     q_norms = field_norms(grid, w - pw)  # Qw = w - Pw
+    kernel_l2 = grid.norm(pw)
     return BranchPoint(
         lam=lam,
         u=w,
         converged=result.converged,
+        trivial=is_trivial(kernel_l2, spec),
         l2=norms.l2,
         grad_l2=norms.grad_l2,
         h1=norms.h1,
-        kernel_l2=grid.norm(pw),
+        kernel_l2=kernel_l2,
         complement_l2=q_norms.l2,
         complement_grad_l2=q_norms.grad_l2,
         residual=result.pde_residual,
@@ -173,7 +190,7 @@ def continue_branch(
     A num_points at which a point rounds onto λ0 or onto another point is
     refused (BranchError).  Diverged points are recorded with
     converged=False.  Only the point just before is a warm start, and only if it
-    converged with a kernel component above 1e-8 max(1, ||m||); otherwise
+    converged and is not trivial (is_trivial); otherwise
     default_initial_radius re-seeds the solve, not an earlier converged point.
     """
     lam0, delta = projections.lambda0, projections.delta
@@ -188,25 +205,19 @@ def continue_branch(
                           f"resolution of lambda0 = {lam0!r}")
 
     points: list[BranchPoint] = []
-    prev: SolveResult | None = None
-    prev_lam: float | None = None
-    trivial_scale = 1e-8 * max(1.0, spec.bound_norm)
+    prev_u = None  # the fixed-point iterate of the point just before
     for lam in schedule:
-        warm = None
-        if prev is not None and prev.converged:
-            pk = projections.project_kernel(prev.u)
-            # a trivial previous point must not poison the warm start: the
-            # zero solution exists at every lambda and scaling it stays zero
-            if projections.grid.norm(pk) > trivial_scale:
-                warm = (abs(prev_lam - lam0) / abs(lam - lam0)) * pk
-        if warm is not None:
-            start = warm
+        # a trivial previous point must not poison the warm start: the zero
+        # solution exists at every lambda and scaling it stays zero
+        if points and points[-1].converged and not points[-1].trivial:
+            ratio = abs(points[-1].lam - lam0) / abs(lam - lam0)
+            start = ratio * projections.project_kernel(prev_u)
         else:
             radius, direction = default_initial_radius(lam, projections, spec)
             start = radius * direction
         result = solve_near_resonance(lam, start, projections, spec)
         points.append(_branch_point(lam, result, projections, spec))
-        prev, prev_lam = result, lam
+        prev_u = result.u
     return points
 
 
@@ -216,23 +227,26 @@ def detect_asymptotic_bifurcation(
     growth_factor: float = 4.0,
     window: int = 5,
 ) -> BifurcationVerdict:
-    """Blow-up verdict over the trailing window of converged points.
+    """Blow-up verdict over the trailing window of converged nontrivial points.
 
-    True iff the last `window` converged points (window >= 2, else
-    ValueError) have strictly increasing ||u||_H1 and the growth across the
-    window is at least growth_factor.
-    Only converged points are read: a point whose solve stopped at u_cap is
-    an unconverged point, not evidence of blow-up.
+    True iff the last `window` converged nontrivial points (window >= 2,
+    else ValueError) have strictly increasing ||u||_H1 and the growth across
+    the window is at least growth_factor; BranchError if there are fewer,
+    unless all converged points are trivial (is_trivial): no blow-up then.
+    A point that stopped at u_cap, or a trivial one, is no evidence of it.
     The fitted power of ||u||_H1 against |λ - λ0| is reported alongside.
     """
     if window < 2:  # one point shows no growth and fits no power
         raise ValueError(f"window = {window}: must be at least 2")
     conv = [p for p in branch if p.converged]
-    if len(conv) < window:
+    tail = [p for p in conv if not p.trivial][-window:]
+    if conv and not tail:
+        return BifurcationVerdict(detected=False, fitted_power=math.nan, growth_ratio=math.nan,
+                                  window=window, reason="no blow-up observed")
+    if len(tail) < window:
         raise BranchError(
-            f"need at least {window} converged points, have {len(conv)}"
+            f"need at least {window} converged nontrivial points, have {len(tail)}"
         )
-    tail = conv[-window:]
     h1 = np.array([p.h1 for p in tail])
     eps = np.array([abs(p.lam - lambda0) for p in tail])
     increasing = bool(np.all(np.diff(h1) > 0))
@@ -259,7 +273,7 @@ def necessary_condition_report(
     spec: NonlinearitySpec,
 ) -> NecessaryConditionReport:
     """Diagnostics mirroring the necessary conditions along the last
-    TAIL_LENGTH converged nontrivial branch points.
+    TAIL_LENGTH converged nontrivial (not is_trivial) branch points.
 
     (a) max ||Qu|| against the bound 2 c^{-1} ||m||, with c = δ the gap
         constant of the projections;
@@ -269,8 +283,7 @@ def necessary_condition_report(
     (d) growth-rate sandwich constants C1 = min, C2 = max of ||∇u||/||u||
         over the tail.
     """
-    conv = [p for p in branch if p.converged]
-    nontrivial = [p for p in conv if p.l2 > 0]
+    nontrivial = [p for p in branch if p.converged and not p.trivial]
     if not nontrivial:
         return NecessaryConditionReport(
             trivial_branch=True, qu_bound=0.0, qu_max=0.0, qu_bound_passed=True,

@@ -235,12 +235,6 @@ def make_grid(ndim: int, half_width: float, points_per_axis: int) -> Grid:
     return Grid(ndim, half_width, points_per_axis)
 
 
-def apply_laplacian(grid: Grid, field: np.ndarray) -> np.ndarray:
-    """Apply the discrete Laplacian Δ_h with Dirichlet halo to a field."""
-    u = grid.check_field(field)
-    return -grid.apply_stencil(*grid.neg_laplacian_stencil(), u)
-
-
 def field_norms(grid: Grid, field: np.ndarray) -> FieldNorms:
     """L2, gradient and H1 norms of a field.
 

@@ -23,10 +23,11 @@ alpha_inf, the bottom the potential family declares) and refuses MAX_COUNT
 or more eigenvalues below it.  Every grid takes one eigensolve path: a
 Sylvester-inertia count of the eigenvalues below the ceiling, then one
 shift-invert Lanczos call sized to it.  The count sweeps the Schur
-complements of the grid lines (a scalar recurrence in 1-D), so it holds a
-few n×n line blocks, not a sparse factorization.  Eigenpairs stored
-from such a solve are taken back by reuse_eigenpairs only after the same
-count and residual checks, plus a check of their orthonormality.
+complements of the grid lines (in 1-D, the pivots of that odd-even
+reduction), so it holds a few n×n line blocks, not a sparse factorization.
+Eigenpairs stored from such a solve are taken back by reuse_eigenpairs
+only after the same count and residual checks, plus a check of their
+orthonormality.
 
 The operator holds A and S as numpy stencils in the grid's one format,
 (diag, upper, lower), each built once: it applies A from its stencil, the
@@ -42,7 +43,6 @@ does a 1-D `semiflow` on stored pairs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -87,38 +87,46 @@ class Lambda0Error(SpectralError):
     """A λ0 that no computed multiplet is near."""
 
 
-class _OddEvenFactor:
-    """Odd-even (cyclic) reduction of a symmetric positive-definite
-    tridiagonal matrix (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7,
-    1970), from its diagonal and its off-diagonal `off`: the LDLᵀ
-    factorization of the matrix with its odd-indexed unknowns ordered first.
+def _odd_even_reduce(diag, off, tail, tiny) -> tuple:
+    """Odd-even (cyclic) reduction of a symmetric tridiagonal matrix (Buzbee,
+    Golub & Nielson, SIAM J. Numer. Anal. 7, 1970), from its diagonal and
+    its off-diagonal `off`, down to at most `tail` unknowns: its LDLᵀ with
+    the odd-indexed unknowns of each level ordered first.  Returns the levels
+    (reciprocal pivots and multipliers, about three fields in all), the
+    diagonal and off-diagonal left, and the number of negative pivots.  A
+    pivot within tiny of zero (a NaN included) raises RuntimeError.
+    """
+    levels, negatives = [], 0
+    while diag.size > tail:
+        # odd unknown 2k + 1 couples to 2k by left[k] and to 2k + 2 by
+        # right[k], which an even size lacks for the last one
+        pivots, left, right = diag[1::2], off[0::2], off[1::2]
+        if not np.all(np.abs(pivots) > tiny):  # a NaN fails too
+            raise RuntimeError(f"a pivot of level {len(levels)} is NaN or within {tiny} of 0")
+        negatives += int(np.count_nonzero(pivots < 0))
+        recip = 1.0 / pivots
+        mul_left, mul_right = left * recip, right * recip[:right.size]
+        # the Schur complement on the even unknowns, tridiagonal again
+        diag = diag[0::2].copy()
+        diag[:left.size] -= left * mul_left
+        diag[1:] -= right * mul_right
+        off = -left[:right.size] * mul_right
+        levels.append((recip, mul_left, mul_right))
+    return levels, diag, off, negatives
 
-    Each level eliminates the odd-indexed unknowns of the level before and
-    keeps, for each, its reciprocal pivot and the multipliers of its two
-    even neighbours; at most DENSE_TAIL unknowns are left, whose matrix is
-    inverted densely once Cholesky has checked it.  The levels hold about
-    three fields of numbers in all.  Elimination without pivoting is stable
-    only on a positive-definite matrix, so a pivot that is not positive (a
-    NaN included) raises RuntimeError, as SuperLU does on a singular matrix.
+
+class _OddEvenFactor:
+    """_odd_even_reduce of a symmetric positive-definite tridiagonal matrix
+    down to DENSE_TAIL unknowns, inverted densely once Cholesky has checked
+    them.  Elimination without pivoting is stable only on a positive-definite
+    matrix, so a pivot that is not positive (a NaN included) raises
+    RuntimeError, as SuperLU does on a singular matrix.
     """
 
     def __init__(self, diag: np.ndarray, off: np.ndarray):
-        self.levels = []  # (reciprocal pivots, left multipliers, right multipliers)
-        while diag.size > DENSE_TAIL:
-            # odd unknown 2k + 1 couples to 2k by left[k] and to 2k + 2 by
-            # right[k], which an even size lacks for the last one
-            pivots, left, right = diag[1::2], off[0::2], off[1::2]
-            if not np.all(pivots > 0):  # a NaN fails too
-                raise RuntimeError(f"matrix is not positive definite: a pivot of "
-                                   f"level {len(self.levels)} is not positive")
-            recip = 1.0 / pivots
-            mul_left, mul_right = left * recip, right * recip[:right.size]
-            # the Schur complement on the even unknowns, tridiagonal again
-            diag = diag[0::2].copy()
-            diag[:left.size] -= left * mul_left
-            diag[1:] -= right * mul_right
-            off = -left[:right.size] * mul_right
-            self.levels.append((recip, mul_left, mul_right))
+        self.levels, diag, off, negatives = _odd_even_reduce(diag, off, DENSE_TAIL, 0.0)
+        if negatives:
+            raise RuntimeError("matrix is not positive definite: negative pivots")
         dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         try:  # numpy's Cholesky raises on a pivot <= 0 but passes a NaN
             positive = bool(np.all(np.linalg.cholesky(dense).diagonal() > 0))
@@ -338,8 +346,9 @@ def _count_below(op: HamiltonianOperator, mu: float) -> int:
     D_{k+1} = T_{k+1} - C_k D_k^{-1} C_k (Haynsworth, Linear Algebra Appl.
     1, 1968).  A D_k that has a Cholesky factor is positive definite and
     adds none; the negative eigenvalues of any other are counted by
-    eigvalsh.  In 1-D a line is one node and the sweep is the scalar Sturm
-    recurrence.  It holds O(n²) numbers, one line block at a time.  A sweep
+    eigvalsh.  In 1-D the sweep is the odd-even LDLᵀ of _odd_even_reduce,
+    whose negative pivots are the inertia in any elimination order.  It
+    holds O(n²) numbers, one line block at a time.  A sweep
     is trusted only if numpy.linalg raised no error and no block is near
     singular: no Cholesky pivot L_ii², eigenvalue or (in 1-D) pivot lies
     within 1e-12 of the spectral scale of zero.  Otherwise mu is nudged by a
@@ -353,27 +362,23 @@ def _count_below(op: HamiltonianOperator, mu: float) -> int:
     tiny = 1e-12 * scale
     for nudge in (0.0, 1e-9, -1e-9, 3e-9):
         shifted = diag - (mu + nudge * scale)
-        # a 1-D grid is one line, whose n×n block the scalar recurrence sweeps
-        count = (_sturm_count(shifted, upper, tiny) if grid.ndim == 1
+        # a 1-D grid is one line, a tridiagonal n×n block
+        count = (_pivot_count(shifted, upper, tiny) if grid.ndim == 1
                  else _line_block_count(shifted.reshape(grid.shape), upper, tiny))
         if count is not None:
             return count
     raise SpectralError(f"LDLᵀ inertia count broke down at every shift near {mu}")
 
 
-def _sturm_count(shifted, upper, tiny) -> int | None:
-    """Negative pivots of d_1 = a_1, d_{i+1} = a_{i+1} - b_i² / d_i over the
-    diagonal a and the off-diagonal b (`upper`) of a tridiagonal S - mu I;
-    None at a pivot of magnitude at most tiny."""
-    count, d = 0, math.inf  # a_1 - 0 / inf = a_1
-    # memoryviews hand out one float at a time, where lists would hold them all
-    b2s = np.concatenate(([0.0], upper * upper))
-    for a, b2 in zip(memoryview(shifted), memoryview(b2s)):
-        d = a - b2 / d
-        if not abs(d) > tiny:  # a NaN fails too
-            return None
-        count += d < 0
-    return count
+def _pivot_count(shifted, upper, tiny) -> int | None:
+    """Negative pivots of _odd_even_reduce of the tridiagonal S - mu I down
+    to one unknown, the last pivot included; None at a pivot of magnitude at
+    most tiny."""
+    try:
+        _, last, _, negatives = _odd_even_reduce(shifted, upper, 1, tiny)
+    except RuntimeError:
+        return None
+    return negatives + int(last[0] < 0) if abs(last[0]) > tiny else None
 
 
 def _line_block_count(rows, upper, tiny) -> int | None:

@@ -11,6 +11,7 @@ import scipy.sparse.linalg as spla
 import resonance_lab as rl
 from resonance_lab import bifurcation
 from resonance_lab.bifurcation import BranchError, BranchPoint, default_initial_radius
+from resonance_lab.solver import TOL_PDE
 
 
 def _synthetic_branch(lam0, eps_list, h1_list):
@@ -18,7 +19,7 @@ def _synthetic_branch(lam0, eps_list, h1_list):
     for eps, h1 in zip(eps_list, h1_list):
         points.append(
             BranchPoint(
-                lam=lam0 - eps, u=np.zeros(1), converged=True,
+                lam=lam0 - eps, u=np.zeros(1), converged=True, trivial=h1 == 0.0,
                 l2=h1, grad_l2=h1, h1=h1, kernel_l2=h1, complement_l2=0.1,
                 complement_grad_l2=0.1, residual=0.0, energy=math.nan,
             )
@@ -77,6 +78,40 @@ def test_capped_points_are_not_blow_up_evidence(coarse_pt_proj):
     verdict = rl.detect_asymptotic_bifurcation(branch, coarse_pt_proj.lambda0)
     assert not verdict.detected
     assert verdict.reason == "no blow-up observed"
+
+
+def test_trivial_points_are_one_rule(coarse_pt_proj, monkeypatch):
+    # neg_arctan on the minus side of -1 with delta = 0.25: the first points
+    # converge to noise of 1e-9 to 1e-8, and a warm start from it would
+    # double it at every point.  No solve starts from a trivial point, and
+    # neither the verdict nor the necessary conditions read one: the branch
+    # is the zero solution, with no growth to measure
+    spec = rl.make_nonlinearity(coarse_pt_proj.grid, "neg_arctan")
+    starts = []
+
+    def solve(lam, start, *args):
+        starts.append((lam, start))
+        return real(lam, start, *args)
+
+    real = bifurcation.solve_near_resonance
+    monkeypatch.setattr(bifurcation, "solve_near_resonance", solve)
+    branch = rl.continue_branch(coarse_pt_proj, spec, "minus", 12)
+    converged = [p for p in branch if p.converged]
+    assert len(converged) >= 5
+    assert all(p.trivial and p.kernel_l2 <= 1e-7 for p in converged)
+    threshold = TOL_PDE * max(1.0, spec.bound_norm)
+    assert [p.trivial for p in branch] == [p.kernel_l2 <= threshold for p in branch]
+    for lam, start in starts:
+        radius, direction = default_initial_radius(lam, coarse_pt_proj, spec)
+        assert np.array_equal(start, radius * direction)
+    report = bifurcation.summarize_branch(branch, coarse_pt_proj, spec)
+    assert not report["verdict"]["detected"]
+    assert math.isnan(report["verdict"]["growth_ratio"])
+    assert report["necessary_conditions"]["trivial_branch"]
+    # a window of nontrivial points is still needed once one has converged
+    branch[0].trivial = False
+    with pytest.raises(BranchError, match="5 converged nontrivial points, have 1"):
+        rl.detect_asymptotic_bifurcation(branch, coarse_pt_proj.lambda0)
 
 
 def test_capped_tail_leaves_the_growth_verdict(coarse_pt_proj):

@@ -1,9 +1,9 @@
 """Which scipy modules a CLI process loads.
 
 The package imports no scipy module at import time: the Hamiltonian applies
-A from numpy stencils, the inertia count runs on numpy alone (the Sturm
-recurrence in 1-D, numpy.linalg on the line blocks in 2-D), the 1-D IMEX
-matrix is factored by odd-even reduction in numpy, and `spectral` imports
+A from numpy stencils, the inertia count runs on numpy alone (odd-even
+reduction in 1-D, numpy.linalg on the line blocks in 2-D), the same
+reduction factors the 1-D IMEX matrix, and `spectral` imports
 scipy.sparse (the matrix S) and scipy.sparse.linalg (SuperLU, ARPACK) at
 first use.  `report` only merges JSON reports, and a `resonance` run that
 reuses stored eigenpairs factors nothing and calls no eigensolver, so it
@@ -151,8 +151,9 @@ def test_grid_and_the_assembly_of_s_select_nothing_by_dimension():
 
 def test_inertia_count_imports_no_scipy():
     # the count that checks every eigensolve, Morse index and reuse of stored
-    # eigenpairs runs on numpy alone
-    counts = {"_count_below", "_sturm_count", "_line_block_count"}
+    # eigenpairs runs on numpy alone: the odd-even reduction in 1-D, the line
+    # blocks in 2-D
+    counts = {"_count_below", "_pivot_count", "_odd_even_reduce", "_line_block_count"}
     found = {node.name: node for node in ast.walk(_parse(spectral))
              if isinstance(node, ast.FunctionDef) and node.name in counts}
     assert set(found) == counts

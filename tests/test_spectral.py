@@ -1,9 +1,13 @@
 """Hamiltonian assembly, eigensolves, Morse counts, projections, resolvent."""
 
+import ast
 import dataclasses
+import inspect
 import sys
+import textwrap
 import tracemalloc
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,9 +21,10 @@ from hypothesis import strategies as st
 import resonance_lab as rl
 from resonance_lab import semiflow, spectral
 from resonance_lab.bifurcation import summarize_branch
-from resonance_lab.cli import EXIT_NUMERICAL, main
+from resonance_lab.cli import EXIT_NUMERICAL, Problem, main, parse_config
 from resonance_lab.reporting import read_eigenpairs, write_eigenpairs
 from resonance_lab.spectral import Lambda0Error, ResonantLambdaError, SpectralError
+from test_grid import apply_laplacian
 
 
 def _tridiagonal_oracle(half_width, n, v_of_x, ceiling):
@@ -135,11 +140,11 @@ def test_stencil_has_the_bits_of_the_sparse_matrices(problem):
             assert _same_bits(along.ravel()[:-1], M.diagonal(k))
             assert _same_bits(np.repeat(off, n), M.diagonal(k * n))
     assert _same_bits(op.apply(u), A @ u)
-    assert _same_bits(rl.apply_laplacian(g, u), -(lap @ u))
+    assert _same_bits(apply_laplacian(g, u), -(lap @ u))
     assert np.array_equal(op.sym_matrix.indptr, S.indptr)
     assert np.array_equal(op.sym_matrix.indices, S.indices)
     assert _same_bits(op.sym_matrix.data, S.data)
-    count = "_sturm_count" if g.ndim == 1 else "_line_block_count"
+    count = "_odd_even_reduce" if g.ndim == 1 else "_line_block_count"
     with mock.patch.object(spectral, count, wraps=getattr(spectral, count)) as spy:
         spectral._count_below(op, op.spectrum_lower_bound() - 1.0)
     assert spy.call_args.args[1] is op.sym_stencil[1]
@@ -372,14 +377,91 @@ def test_inertia_sweep_takes_both_branches(well_op, monkeypatch):
     assert count == np.count_nonzero(ref < well_op.alpha_inf) == 19
 
 
-def test_sturm_count_nudges_past_a_zero_pivot():
-    # mu = S_11 makes the first pivot of the 1-D recurrence exactly zero
+@pytest.mark.parametrize("where", ["level 0", "last"])
+def test_pivot_count_nudges_past_a_tiny_pivot(where, monkeypatch):
+    # mu = S[1, 1] makes pivot 1 of level 0, the first odd unknown's,
+    # exactly zero; at mu = -2.5 a last pivot of tiny/2 is injected into the
+    # reduction.  Either way the count sweeps again at the first nudged mu
     g = rl.make_grid(1, 10.0, 401)
     op = rl.assemble_hamiltonian(rl.make_potential(g, "poschl_teller", ell=2))
-    mu = float(op.sym_matrix[0, 0])
-    ref = np.linalg.eigvalsh(op.sym_matrix.toarray())
-    assert np.min(np.abs(ref - mu)) > 1e-8 * spectral._spectral_scale(op, mu)
-    assert spectral._count_below(op, mu) == np.count_nonzero(ref < mu)
+    S = op.sym_matrix.toarray()
+    mu = float(S[1, 1]) if where == "level 0" else -2.5
+    ref = np.linalg.eigvalsh(S)
+    scale = spectral._spectral_scale(op, mu)
+    assert np.min(np.abs(ref - mu)) > 1e-8 * scale
+    real, swept = spectral._odd_even_reduce, []
+
+    def reduce(diag, off, tail, tiny):
+        swept.append(diag)
+        levels, last, last_off, negatives = real(diag, off, tail, tiny)
+        if len(swept) == 1:
+            last = np.array([0.5 * tiny])
+        return levels, last, last_off, negatives
+
+    monkeypatch.setattr(spectral, "_odd_even_reduce", reduce)
+    count = spectral._count_below(op, mu)
+    diag = op.sym_stencil[0]
+    assert len(swept) == 2
+    for shifted, nudge in zip(swept, (0.0, 1e-9)):
+        assert np.array_equal(shifted, diag - (mu + nudge * scale))
+    if where == "level 0":
+        with pytest.raises(RuntimeError, match="a pivot of level 0 is NaN or within"):
+            real(swept[0], op.sym_stencil[1], 1, 1e-12 * scale)
+    assert count == np.count_nonzero(ref < mu)
+
+
+def test_one_reduction_serves_the_count_and_the_imex_factor(pt_op):
+    # the 1-D inertia count reduces S - mu I to one unknown, the 1-D IMEX
+    # factor reduces I + dt (S - lam I) to DENSE_TAIL unknowns with tiny = 0,
+    # and the routine they call is the one elimination loop of either
+    upper = pt_op.sym_stencil[1]
+    with mock.patch.object(spectral, "_odd_even_reduce",
+                           wraps=spectral._odd_even_reduce) as spy:
+        assert spectral._count_below(pt_op, -2.5) == 1
+        factor = pt_op.factor_shifted(-1.125, 1e-3)
+    count_call, factor_call = spy.call_args_list
+    assert count_call.args[1] is upper
+    assert count_call.args[2:] == (1, 1e-12 * spectral._spectral_scale(pt_op, -2.5))
+    assert factor_call.args[2:] == (spectral.DENSE_TAIL, 0.0)
+    assert len(factor.levels) == 6  # 4001 -> 2001 -> 1001 -> 501 -> 251 -> 126 -> 63
+    loops = {name: [node for node in ast.walk(ast.parse(textwrap.dedent(
+        inspect.getsource(code)))) if isinstance(node, (ast.For, ast.While))]
+        for name, code in [("reduce", spectral._odd_even_reduce),
+                           ("count", spectral._pivot_count),
+                           ("factor", spectral._OddEvenFactor.__init__)]}
+    assert [len(found) for found in loops.values()] == [1, 0, 0]
+
+
+def test_1d_inertia_count_calls_no_numpy_linalg(pt_op, monkeypatch):
+    # a process's first numpy.linalg call costs it LAPACK's pages, which the
+    # benchmark's RSS metrics see: the 1-D count is elementwise numpy only
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    assert spectral._count_below(pt_op, pt_op.alpha_inf) == 2
+    assert spectral._count_below(pt_op, pt_op.spectrum_lower_bound() - 1.0) == 0
+
+
+def test_inertia_count_matches_the_tridiagonal_oracle_at_the_bench_size():
+    # the 4001-node pt1d-arctan operator against LAPACK's tridiagonal
+    # eigenvalues: at the bench's morse_lambdas, at the ceiling and at every
+    # eigenvalue +- 1e-6 of the spectral scale, continuum included
+    cfg = parse_config(str(Path(__file__).resolve().parents[1] / "bench" / "configs"
+                           / "pt1d-arctan.ini"))
+    op = Problem(cfg).op
+    assert op.grid.num_nodes == 4001
+    diag, upper, _ = op.sym_stencil
+    ref = sla.eigvalsh_tridiagonal(diag, upper)
+    mus = [*cfg["spectral"]["morse_lambdas"], op.alpha_inf]
+    assert mus == [-4.5, -2.5, -0.5, 0.0]
+    mus += [float(lam + s * 1e-6 * spectral._spectral_scale(op, lam))
+            for lam in ref for s in (-1.0, 1.0)]
+    counts = [spectral._count_below(op, mu) for mu in mus]
+    assert counts[:4] == [0, 1, 2, 2]
+    assert counts == [int(np.count_nonzero(ref < mu)) for mu in mus]
 
 
 def test_inertia_count_makes_no_splu_call(well_op, pt_op, monkeypatch):
@@ -714,21 +796,23 @@ def test_odd_even_factor_of_even_size(n, rng):
 
 @pytest.mark.parametrize("half_width, n, where", [
     (2.0, 5, "Cholesky refuses its last 5 unknowns"),
-    (201.0, 403, "a pivot of level 0 is not positive"),
+    (201.0, 403, "negative pivots"),
 ])
 def test_odd_even_factor_refuses_an_indefinite_matrix(half_width, n, where):
     # λ = -2, dt = 1: 1 + dt (λ0 - λ) = -1 at the ground state λ0 = -4, so
     # I + dt (S - λI) is indefinite.  At 5 nodes the dense tail's Cholesky
     # refuses it; at h = 1 the diagonal 1 + dt (2/h² + V - λ) is -1 at the
     # centre, node 201, which level 0 eliminates.  A NaN shift makes every
-    # pivot NaN
+    # pivot NaN, which Cholesky refuses at 5 nodes and the reduction at 403,
+    # as it refuses a zero pivot
     g = rl.make_grid(1, half_width, n)
     op = rl.assemble_hamiltonian(rl.make_potential(g, "poschl_teller", ell=2))
     S = op.sym_matrix.toarray()
     assert np.min(np.linalg.eigvalsh(np.eye(n) + (S + 2.0 * np.eye(n)))) < 0
     with pytest.raises(RuntimeError, match=f"not positive definite: {where}"):
         op.factor_shifted(-2.0, 1.0)
-    with pytest.raises(RuntimeError, match="not positive definite"):
+    with pytest.raises(RuntimeError,
+                       match="not positive definite|a pivot of level 0 is NaN or within 0.0"):
         op.factor_shifted(float("nan"), 0.01)
 
 
